@@ -47,3 +47,54 @@ func TestModeEBlockSendAllocFree(t *testing.T) {
 		t.Errorf("MODE E block send allocates %.1f objects per block, want 0", allocs)
 	}
 }
+
+// zeroConn is discardConn with an endless stream of zeros to read.
+type zeroConn struct{ discardConn }
+
+func (zeroConn) Read(p []byte) (int, error) { return len(p), nil }
+
+// TestDirStoreBlockAllocs guards the per-block unit of the real data path:
+// one MODE E block out of a fileSource and one into a fileSink. Both move
+// it through pooled buffers; what is left is the closure the write-behind
+// hook hands to RawConn.Control.
+func TestDirStoreBlockAllocs(t *testing.T) {
+	const block = 1 << 20
+	dir := t.TempDir()
+	d := NewDirStore(dir)
+	storeFile(t, d, "src.nc", make([]byte, 2*block))
+	src, err := d.Open("src.nc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	sink, err := d.Create("dst.nc", 2*block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.(*fileSink).Discard()
+
+	var c transport.Conn = zeroConn{}
+	var opErr error
+	for _, tc := range []struct {
+		name string
+		max  float64
+		op   func() error
+	}{
+		{"fileSource.SendRange", 0, func() error { return src.SendRange(c, 128, block) }},
+		{"fileSink.ReceiveRange", 1, func() error { return sink.ReceiveRange(c, 128, block) }},
+	} {
+		run := func() {
+			if err := tc.op(); err != nil && opErr == nil {
+				opErr = err
+			}
+		}
+		run() // warm the buffer pool and the extent set
+		allocs := testing.AllocsPerRun(100, run)
+		if opErr != nil {
+			t.Fatal(opErr)
+		}
+		if allocs > tc.max {
+			t.Errorf("%s allocates %.1f objects per block, want at most %.0f", tc.name, allocs, tc.max)
+		}
+	}
+}

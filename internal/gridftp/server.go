@@ -616,6 +616,12 @@ func (sess *session) cmdStor(path string) error {
 	if err != nil {
 		return sess.ct.reply(codeNoFile, "%v", err)
 	}
+	// A sink that holds something until Complete (DirStore: a temp file
+	// and its descriptor) gives it up here when the transfer fails;
+	// after a successful Complete this does nothing.
+	if d, ok := sink.(interface{ Discard() }); ok {
+		defer d.Discard()
+	}
 	if err := sess.ct.reply(codeOpenData, "opening data connection(s)"); err != nil {
 		return err
 	}
