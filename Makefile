@@ -25,11 +25,21 @@ vet:
 lint:
 	$(GO) run ./cmd/esglint ./...
 
+# The virtual-time packages get an explicit five-minute timeout: their
+# tests finish in well under a second, and the one way they run long is a
+# self-deadlock (a goroutine parked with nobody left to advance the
+# clock), which should fail with its goroutine dump in minutes, not at
+# go test's default ten. The other packages keep the default.
+VT_PKGS = ./internal/simnet/... ./internal/vtime/...
+OTHER_PKGS = $$($(GO) list ./... | grep -v -e /internal/simnet -e /internal/vtime)
+
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 5m $(VT_PKGS)
+	$(GO) test $(OTHER_PKGS)
 
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 5m $(VT_PKGS)
+	$(GO) test -race $(OTHER_PKGS)
 
 # Race soak for the parallel executor: all 25 seeded chaos schedules
 # with the worker fan engaged, under the race detector. `make race`

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"esgrid/internal/flight"
 	"esgrid/internal/simnet"
 )
 
@@ -16,10 +15,10 @@ import (
 // §13). Every experiment here runs once in sequential reference mode and
 // once per worker count in {1, 2, 4, 8}; everything observable — result
 // metrics, netlogger JSONL, flight-recorder dumps — must be
-// byte-identical across all of them. Wall-clock readings and per-lane
-// CSR-cache hit counters are the only values allowed to differ (the
-// parallel path splits one warm cache into several cold ones), so
-// fingerprints exclude exactly those.
+// byte-identical across all of them. Wall-clock readings are the only
+// values allowed to differ, so fingerprints exclude exactly those; the
+// allocator's record-hit counters are compared too, since records are
+// looked up in the serial gather at every worker count.
 
 // diffWorkers is the sweep the acceptance criteria name. 1 exercises
 // the SetWorkers(1) no-pool path, which must equal SetWorkers(0).
@@ -78,16 +77,6 @@ func captureFlushes() (stop func() (uint64, int)) {
 		simnet.FlushObserver = nil
 		return h, count
 	}
-}
-
-// stripVitals zeroes the fields legitimately sensitive to worker count:
-// CSR-cache hit accounting is per-scratch, and each worker lane carries
-// its own cold cache. Everything else in the vitals — event counts,
-// ring occupancy, allocator pass totals — must match exactly.
-func stripVitals(v flight.Vitals) flight.Vitals {
-	v.CSRHits = 0
-	v.CSRLookups = 0
-	return v
 }
 
 func TestDifferentialTable1(t *testing.T) {
@@ -205,7 +194,7 @@ func TestDifferentialChaos(t *testing.T) {
 		}
 		dump := r.Flight.Dump()
 		fp := fmt.Sprintf("elapsed=%v activations=%d attempts=%d files=%+v vitals=%+v",
-			r.Elapsed, r.Activations, r.Attempts, r.Files, stripVitals(r.Vitals))
+			r.Elapsed, r.Activations, r.Attempts, r.Files, r.Vitals)
 		return fp, r.JSONL, dump, sig, flushes
 	}
 	base, baseJSONL, baseDump, baseSig, baseFlushes := run(0)

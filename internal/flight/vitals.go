@@ -13,13 +13,14 @@ import (
 )
 
 // Vitals bundles the core profiler's inputs: the event core's own
-// stats, the recorder's ring occupancy, and the simnet CSR-cache
-// performance (zero when no network is attached).
+// stats, the recorder's ring occupancy, and how often the simnet
+// allocator found a component's record (membership, order, CSR flatten)
+// still live (zero when no network is attached).
 type Vitals struct {
 	Core       vtime.CoreStats
 	Rec        Stats
-	CSRHits    uint64 // allocator CSR-cache hits
-	CSRLookups uint64 // allocator CSR-cache lookups (hits + rebuilds)
+	CSRHits    uint64 // allocation passes that found their component's record live
+	CSRLookups uint64 // allocation passes (hits + gathers)
 }
 
 // CSRHitRate returns hits/lookups in [0,1] (0 when no lookups).

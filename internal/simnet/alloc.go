@@ -11,10 +11,9 @@ import (
 //
 // The fluid model's cost driver is recomputation: every window-growth,
 // loss, enqueue and linger event changes some flow's demand and requires a
-// fresh fair allocation. The reference allocator (recomputeLocked) folds
-// and re-allocates every active flow on every event — O(events x flows x
-// path), which is fine for the paper's eight striped pairs but quadratic
-// blow-up for thousands of concurrent transfers.
+// fresh fair allocation. Folding and re-allocating every active flow on
+// every event is O(events x flows x path) — fine for the paper's eight
+// striped pairs, quadratic blow-up for thousands of concurrent transfers.
 //
 // Two observations fix this:
 //
@@ -34,10 +33,11 @@ import (
 // flows activate, deactivate and change disk binding). Events mark the
 // flows or resources they touch dirty and arm a single zero-delay flush
 // event; when the simulator reaches quiescence at that same instant,
-// flushLocked gathers each dirty component with an epoch-stamped BFS over
-// the membership lists and runs the progressive-filling allocator on just
-// those flows. Everything is scratch-buffered, so a steady-state
-// recomputation performs no heap allocation.
+// flushLocked looks up each dirty component's persistent record
+// (componentLocked; an epoch-stamped BFS over the membership lists
+// rebuilds it after a membership change) and runs the progressive-filling
+// allocator on just those flows. Records and scratch are recycled, so a
+// steady-state recomputation performs no heap allocation.
 //
 // Ordering everywhere is append-order over slices — never map iteration —
 // so allocation order, and with it floating-point rounding and timer
@@ -57,7 +57,6 @@ func (n *Net) attachLocked(f *flow) {
 	if f.attached {
 		return
 	}
-	n.csrGen++
 	n.markStructuralLocked()
 	refs := f.refs()
 	if cap(f.resPos) < len(refs) {
@@ -65,6 +64,11 @@ func (n *Net) attachLocked(f *flow) {
 	}
 	f.resPos = f.resPos[:len(refs)]
 	for j, rr := range refs {
+		// Every flow on a resource shares one component, so the first
+		// one's record is the record of the component f is joining.
+		if len(rr.r.flows) > 0 {
+			rr.r.flows[0].f.comp.markStale()
+		}
 		f.resPos[j] = len(rr.r.flows)
 		rr.r.flows = append(rr.r.flows, resEntry{f: f, ref: j})
 	}
@@ -78,8 +82,9 @@ func (n *Net) detachLocked(f *flow) {
 	if !f.attached {
 		return
 	}
-	n.csrGen++
 	n.markStructuralLocked()
+	f.comp.markStale()
+	n.bindLocked(f, nil)
 	for j, rr := range f.refs() {
 		r := rr.r
 		p := f.resPos[j]
@@ -174,7 +179,7 @@ func (n *Net) flushLocked() {
 		for _, r := range n.dirtyRes {
 			r.dirty = false
 			// Every flow on r is in r's component; the first unvisited one
-			// pulls in all the others (and r itself) via the BFS.
+			// pulls in all the others with its component.
 			for _, e := range r.flows {
 				if e.f.epoch != n.epoch {
 					n.reallocComponentLocked(e.f, now)
@@ -191,16 +196,38 @@ func (n *Net) flushLocked() {
 	n.observeFlushLocked(now)
 }
 
-// reallocComponentLocked gathers the connected component containing seed
-// (flows transitively linked through shared resources, epoch-stamped so
-// each flow and resource is visited once per flush) and re-runs the
-// progressive-filling allocator on exactly those flows.
-func (n *Net) reallocComponentLocked(seed *flow, now time.Duration) {
-	comp := n.scrComp[:0]
+// markStale invalidates a record after a membership or edge change in
+// its component; the next flush seeded there gathers afresh.
+func (c *component) markStale() {
+	if c != nil {
+		c.stale = true
+	}
+}
+
+// bindLocked points f at record c (nil: at none), recycling the record
+// it leaves once no flow refers to it.
+func (n *Net) bindLocked(f *flow, c *component) {
+	if old := f.comp; old != nil {
+		if old.bound--; old.bound == 0 {
+			clear(old.flows) // let retired flows be collected
+			clear(old.ress)
+			n.compFree = append(n.compFree, old)
+		}
+	}
+	if f.comp = c; c != nil {
+		c.bound++
+	}
+}
+
+// bfsLocked appends to buf the connected component containing seed —
+// flows transitively linked through shared resources — in discovery
+// order, epoch-stamping flows and resources so each is visited once per
+// flush. Caller holds Net.mu.
+func (n *Net) bfsLocked(seed *flow, buf []*flow) []*flow {
 	seed.epoch = n.epoch
-	comp = append(comp, seed)
-	for i := 0; i < len(comp); i++ {
-		for _, rr := range comp[i].refs() {
+	buf = append(buf, seed)
+	for i := 0; i < len(buf); i++ {
+		for _, rr := range buf[i].refs() {
 			r := rr.r
 			if r.epoch == n.epoch {
 				continue
@@ -209,42 +236,82 @@ func (n *Net) reallocComponentLocked(seed *flow, now time.Duration) {
 			for _, e := range r.flows {
 				if e.f.epoch != n.epoch {
 					e.f.epoch = n.epoch
-					comp = append(comp, e.f)
+					buf = append(buf, e.f)
 				}
 			}
 		}
 	}
-	sortFlowsBySeq(comp)
-	n.scrComp = comp
+	return buf
+}
+
+// componentLocked returns the record of seed's connected component with
+// every member flow stamped visited for this flush. A live record is
+// the steady state (a window tick changes no membership): no BFS, no
+// sort, no flatten. Otherwise the component is gathered, put in
+// canonical seq order and bound to a recycled record. Caller holds
+// Net.mu.
+//
+//esglint:hotpath the per-pass gather: every component of every flush, sequential or fanned, comes through here
+func (n *Net) componentLocked(seed *flow) *component {
+	if c := seed.comp; c != nil && !c.stale {
+		n.compHits++
+		for _, f := range c.flows {
+			f.epoch = n.epoch
+		}
+		return c
+	}
+	var c *component
+	if k := len(n.compFree); k > 0 {
+		c, n.compFree = n.compFree[k-1], n.compFree[:k-1]
+		c.stale, c.flat = false, false
+	} else {
+		c = &component{}
+	}
+	c.flows = n.bfsLocked(seed, c.flows[:0])
+	sortFlowsBySeq(c.flows)
+	for _, f := range c.flows {
+		n.bindLocked(f, c)
+	}
+	return c
+}
+
+// soloRate is the closed-form rate of a flow alone on all its resources
+// (its component has no other member): min(windowCap, capacity/weight),
+// no progressive filling needed. Long single transfers re-allocate on
+// every per-RTT window event, so this carries the bulk of their passes.
+func soloRate(f *flow) float64 {
+	rate := f.windowCap
+	for _, rr := range f.refs() {
+		if r := rr.r.effective() / rr.w; r < rate {
+			rate = r
+		}
+	}
+	if math.IsInf(rate, 1) {
+		rate = loopbackBps
+	}
+	return rate
+}
+
+// reallocComponentLocked re-runs the progressive-filling allocator on
+// exactly the flows of seed's connected component.
+func (n *Net) reallocComponentLocked(seed *flow, now time.Duration) {
+	c := n.componentLocked(seed)
+	comp := c.flows
 	n.allocPasses++
 	n.allocFlows += uint64(len(comp))
 	if n.rec != nil {
 		n.rec.AllocPass(int64(now), int64(len(comp)), int64(n.allocPasses))
 	}
 	if len(comp) == 1 {
-		// A flow alone on all its resources (the BFS found no neighbour)
-		// has the closed-form rate min(windowCap, capacity/weight) — no
-		// need to run the full progressive filling for it. Long single
-		// transfers re-allocate on every per-RTT window event, so this
-		// path carries the bulk of their passes.
 		f := comp[0]
 		f.fold(now)
-		rate := f.windowCap
-		for _, rr := range f.refs() {
-			if r := rr.r.effective() / rr.w; r < rate {
-				rate = r
-			}
-		}
-		if math.IsInf(rate, 1) {
-			rate = loopbackBps
-		}
-		f.setRate(now, rate)
+		f.setRate(now, soloRate(f))
 		return
 	}
 	for _, f := range comp {
 		f.fold(now)
 	}
-	rates := n.allocate(comp)
+	rates := n.scr.alloc(c, n.nextResID)
 	for i, f := range comp {
 		f.setRate(now, rates[i])
 	}

@@ -1,36 +1,62 @@
 package simnet
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
-// allocScratch is the progressive-filling allocator's complete working
-// state: every scratch array the water-filling pass touches, plus the
-// CSR cache of the last flattened pass. Extracting it from Net (where
-// the arrays used to live as scr*/csr* fields) is what makes instant
-// parallelism possible: each worker lane owns one allocScratch, so
-// disjoint components can run allocation passes concurrently with no
-// shared mutable state — the pass reads only frozen per-instant inputs
-// (flow caps, resource capacities, membership edges) through the flow
-// pointers it is handed.
-//
-// The resource-indexed arrays (residual, wsum, ...) are sized to the
-// Net's global dense resource-id space and grown lazily; wsum carries
-// the only cross-pass invariant (entries must be >= 0 between passes —
-// it doubles as the "seen this pass" mark), which holds per scratch
-// because every pass re-zeroes the entries it touched before returning.
-type allocScratch struct {
-	residual []float64
-	wsum     []float64
+// component is the persistent record of one connected component of the
+// resource-sharing graph: its flows in canonical seq order and, once a
+// pass has flattened them, the CSR form of their flow->resource edges.
+// Every member flow points at it (flow.comp), so a flush whose seed
+// holds a live record skips the gather, the sort and the flatten and
+// pays only for what a window tick changes. A record caches structure
+// only — who is in the component, in what order, which edges — never a
+// value that depends on window caps, capacities or time, so a pass over
+// a record performs the same arithmetic in the same order as a pass
+// over a fresh gather. Any membership or edge change (attachLocked,
+// detachLocked, invalidateRefs) marks the records it touches stale;
+// bound counts the flows still pointing here, and the last one to leave
+// returns the record to Net.compFree.
+type component struct {
+	flows []*flow
+	bound int
+	stale bool
+
+	// CSR flatten of the flows' resource lists, valid while flat: the
+	// distinct resources in first-seen order with their dense ids, and
+	// per flow the [refStart[i], refStart[i+1]) window of refID/refW.
+	// unfrozen is the pass's worklist (every flow but an unconstrained
+	// loopback).
+	flat     bool
+	ress     []*res
 	touched  []int
-	rates    []float64
-	frozen   []bool
-	caps     []float64
-	// CSR flattening of the pass's flow->resource lists, the inverse
-	// resource->flow lists, and the per-resource water-filling state
-	// (exhaust level, last-update level, unfrozen-flow count).
 	refStart []int32
 	refID    []int32
 	refW     []float64
 	unfrozen []int32
+}
+
+// allocScratch is the progressive-filling allocator's per-pass working
+// state: every value array the water-filling touches. Each worker lane
+// of the parallel flush owns one, so disjoint components can run
+// allocation passes concurrently with no shared mutable state — a pass
+// reads only frozen per-instant inputs (flow caps, resource capacities)
+// and its own component's record.
+//
+// The resource-indexed arrays (residual, wsum, ...) are sized to the
+// Net's global dense resource-id space and grown lazily; wsum carries
+// the only cross-pass invariant (entries must be >= 0 between passes —
+// it doubles as the flatten's "seen" mark), which holds per scratch
+// because every pass re-zeroes the entries it touched before returning.
+type allocScratch struct {
+	residual []float64
+	wsum     []float64
+	rates    []float64
+	frozen   []bool
+	caps     []float64
+	// Per-resource water-filling state (unfrozen-flow count, exhaust
+	// level, last-update level) and the inverse resource->flow lists.
 	resCnt   []int32
 	exhaust  []float64
 	lastLv   []float64
@@ -39,31 +65,15 @@ type allocScratch struct {
 	invFlow  []int32
 	live     []int
 	capHeap  []int32
-
-	// CSR cache: a component that re-allocates on every window-growth
-	// tick (the steady state of a long transfer) has an unchanged flow
-	// list and unchanged flow->resource edges from one flush to the
-	// next, so the flatten pass can be skipped and only the per-flow
-	// caps and per-resource residuals refreshed. The Net-owned csrGen
-	// invalidates the cache on any membership or edge change (attach,
-	// detach, disk rebinding); with static component-to-lane fan
-	// assignment a steady component hits the same scratch — and a warm
-	// cache — every flush.
-	csrFlows      []*flow
-	csrTouchedRes []*res
-	csrGenAt      uint64
-	csrValid      bool
-	csrHits       uint64 // multi-flow passes served from the CSR cache
-	csrLookups    uint64 // multi-flow passes that consulted the cache
 }
 
 // alloc computes the weighted max-min fair rate (bits/s) for each flow
-// by progressive filling, honouring per-flow window caps, link
+// of c by progressive filling, honouring per-flow window caps, link
 // capacities, and host CPU/disk budgets. It does not mutate the flows;
-// rates[i] corresponds to fs[i]. The returned slice is scratch owned by
-// sc and is only valid until the next alloc call on it. nResID is the
-// Net's dense resource-id bound and csrGen its membership generation;
-// both are frozen for the duration of a flush.
+// rates[i] corresponds to c.flows[i]. The returned slice is scratch
+// owned by sc and is only valid until the next alloc call on it. nResID
+// is the Net's dense resource-id bound, frozen for the duration of a
+// flush.
 //
 // The filling is phrased in water levels rather than per-round deltas:
 // every unfrozen flow's rate equals the global level T, each resource
@@ -76,7 +86,8 @@ type allocScratch struct {
 // updates. Since every live resource has at least one unfrozen flow,
 // every round freezes at least one flow and the loop terminates in at
 // most len(fs) rounds — no floating-point residue can stall it.
-func (sc *allocScratch) alloc(fs []*flow, nResID int, csrGen uint64) []float64 {
+func (sc *allocScratch) alloc(c *component, nResID int) []float64 {
+	fs := c.flows
 	if cap(sc.rates) < len(fs) {
 		sc.rates = make([]float64, len(fs))
 		sc.frozen = make([]bool, len(fs))
@@ -108,97 +119,25 @@ func (sc *allocScratch) alloc(fs []*flow, nResID int, csrGen uint64) []float64 {
 	lastLv := sc.lastLv
 	invStart := sc.invStart
 	invCur := sc.invCur
-	touched := sc.touched[:0]
 
-	// A steady-state component re-allocates on every window-growth tick
-	// with the same flows in the same order and the same flow->resource
-	// edges; only window caps and resource capacities move. If the cached
-	// CSR still matches, skip the flatten and refresh just those.
-	hit := sc.csrValid && sc.csrGenAt == csrGen && len(sc.csrFlows) == len(fs)
-	if hit {
-		for i, f := range fs {
-			if sc.csrFlows[i] != f {
-				hit = false
-				break
-			}
-		}
-	}
-	sc.csrLookups++
-	if hit {
-		sc.csrHits++
-	}
-	refStart := sc.refStart
-	refID := sc.refID
-	refW := sc.refW
-	unfrozen := sc.unfrozen[:0]
-	if hit {
-		touched = sc.touched[:len(sc.csrTouchedRes)]
-		for j, r := range sc.csrTouchedRes {
-			residual[touched[j]] = r.effective()
+	if c.flat {
+		// A steady-state component re-allocates on every window-growth
+		// tick with the same flows in the same order and the same edges;
+		// only window caps and resource capacities move. Refresh those.
+		for j, r := range c.ress {
+			residual[c.touched[j]] = r.effective()
 		}
 		for i, f := range fs {
 			caps[i] = f.windowCap
-			unfrozen = append(unfrozen, int32(i))
 		}
 	} else {
-		// Flatten the pass's flow->resource lists into CSR scratch
-		// (refStart / refID / refW) and collect the unfrozen worklist, so
-		// every round below is pure dense-array arithmetic with no pointer
-		// chasing.
-		refStart = refStart[:0]
-		refID = refID[:0]
-		refW = refW[:0]
-		touchedRes := sc.csrTouchedRes[:0]
-		for i, f := range fs {
-			refStart = append(refStart, int32(len(refID)))
-			caps[i] = f.windowCap
-			refs := f.refs()
-			if len(refs) == 0 && math.IsInf(f.windowCap, 1) {
-				// Loopback with no constraining resource: effectively instant.
-				rates[i] = loopbackBps
-				frozen[i] = true
-				continue
-			}
-			unfrozen = append(unfrozen, int32(i))
-			for _, rr := range refs {
-				id := rr.r.id
-				if wsum[id] >= 0 { // wsum doubles as the "seen this pass" mark
-					wsum[id] = -1
-					residual[id] = rr.r.effective()
-					touched = append(touched, id)
-					touchedRes = append(touchedRes, rr.r)
-				}
-				refID = append(refID, int32(id))
-				refW = append(refW, rr.w)
-			}
-		}
-		refStart = append(refStart, int32(len(refID)))
-		sc.touched = touched
-		sc.refStart = refStart
-		sc.refID = refID
-		sc.refW = refW
-		sc.csrTouchedRes = touchedRes
-		// Cache only all-unfrozen passes: a hit can then rebuild the
-		// worklist as the identity without tracking loopback freezes.
-		sc.csrValid = len(unfrozen) == len(fs)
-		if sc.csrValid {
-			sc.csrFlows = append(sc.csrFlows[:0], fs...)
-			sc.csrGenAt = csrGen
-		}
+		sc.flatten(c, rates, frozen, caps)
 	}
-
-	// Weighted demand on each touched resource, computed once; a freezing
-	// flow withdraws its weights instead of any round recomputing them.
-	for _, id := range touched {
-		wsum[id] = 0
-		rescnt[id] = 0
-	}
-	for _, fi := range unfrozen {
-		for k := refStart[fi]; k < refStart[fi+1]; k++ {
-			wsum[refID[k]] += refW[k]
-			rescnt[refID[k]]++
-		}
-	}
+	touched := c.touched
+	refStart := c.refStart
+	refID := c.refID
+	refW := c.refW
+	unfrozen := c.unfrozen
 
 	// Fast path: when every flow can take its full window cap without
 	// exhausting any resource, the allocation is simply the caps, and the
@@ -213,13 +152,13 @@ func (sc *allocScratch) alloc(fs []*flow, nResID int, csrGen uint64) []float64 {
 		exhaust[id] = 0
 	}
 	for _, fi := range unfrozen {
-		c := caps[fi]
-		if math.IsInf(c, 1) {
+		fc := caps[fi]
+		if math.IsInf(fc, 1) {
 			feasible = false
 			break
 		}
 		for k := refStart[fi]; k < refStart[fi+1]; k++ {
-			exhaust[refID[k]] += refW[k] * c
+			exhaust[refID[k]] += refW[k] * fc
 		}
 	}
 	if feasible {
@@ -234,11 +173,21 @@ func (sc *allocScratch) alloc(fs []*flow, nResID int, csrGen uint64) []float64 {
 		for _, fi := range unfrozen {
 			rates[fi] = caps[fi]
 		}
-		for _, id := range touched {
-			wsum[id] = 0
-		}
-		sc.unfrozen = unfrozen[:0]
 		return rates
+	}
+
+	// Weighted demand on each touched resource, computed once; a freezing
+	// flow withdraws its weights instead of any round recomputing them.
+	// Only the water-filling needs it, so the fast path above never pays.
+	for _, id := range touched {
+		wsum[id] = 0
+		rescnt[id] = 0
+	}
+	for _, fi := range unfrozen {
+		for k := refStart[fi]; k < refStart[fi+1]; k++ {
+			wsum[refID[k]] += refW[k]
+			rescnt[refID[k]]++
+		}
 	}
 
 	// Per-resource water levels: exhaust is the fill level at which the
@@ -433,8 +382,54 @@ func (sc *allocScratch) alloc(fs []*flow, nResID int, csrGen uint64) []float64 {
 	for _, id := range touched {
 		wsum[id] = 0
 	}
-	sc.unfrozen = unfrozen[:0]
 	return rates
+}
+
+// flatten builds c's CSR form — flow->resource lists as dense arrays, so
+// every round of the filling is pure array arithmetic with no pointer
+// chasing — and loads this pass's caps and residuals on the way.
+func (sc *allocScratch) flatten(c *component, rates []float64, frozen []bool, caps []float64) {
+	residual, wsum := sc.residual, sc.wsum
+	// Size every array once, to its bound: a run with many components
+	// holds many records, and growing each by doubling is what it would
+	// pay for them.
+	nf, nref := len(c.flows), 0
+	for _, f := range c.flows {
+		nref += len(f.refs())
+	}
+	c.ress, c.touched = slices.Grow(c.ress[:0], nref), slices.Grow(c.touched[:0], nref)
+	c.refStart, c.unfrozen = slices.Grow(c.refStart[:0], nf+1), slices.Grow(c.unfrozen[:0], nf)
+	c.refID, c.refW = slices.Grow(c.refID[:0], nref), slices.Grow(c.refW[:0], nref)
+	for i, f := range c.flows {
+		c.refStart = append(c.refStart, int32(len(c.refID)))
+		caps[i] = f.windowCap
+		refs := f.refs()
+		if len(refs) == 0 && math.IsInf(f.windowCap, 1) {
+			// Loopback with no constraining resource: effectively instant.
+			rates[i] = loopbackBps
+			frozen[i] = true
+			continue
+		}
+		c.unfrozen = append(c.unfrozen, int32(i))
+		for _, rr := range refs {
+			id := rr.r.id
+			if wsum[id] >= 0 { // wsum doubles as the "seen this pass" mark
+				wsum[id] = -1
+				residual[id] = rr.r.effective()
+				c.touched = append(c.touched, id)
+				c.ress = append(c.ress, rr.r)
+			}
+			c.refID = append(c.refID, int32(id))
+			c.refW = append(c.refW, rr.w)
+		}
+	}
+	c.refStart = append(c.refStart, int32(len(c.refID)))
+	for _, id := range c.touched {
+		wsum[id] = 0
+	}
+	// Keep only all-unfrozen flattens: a later pass then has nothing to
+	// re-freeze before it starts.
+	c.flat = len(c.unfrozen) == len(c.flows)
 }
 
 // capHeapPop removes the root of the window-cap min-heap.

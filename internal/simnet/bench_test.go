@@ -66,20 +66,21 @@ func buildBenchNet(nFlows int) (*Net, []*flow) {
 var benchSizes = []int{16, 256, 1024}
 
 // BenchmarkAllocate measures one progressive-filling pass over all active
-// flows — the inner allocator kernel, which must be allocation-free in
-// steady state.
+// flows on a flattened record — the inner allocator kernel, which must be
+// allocation-free in steady state.
 func BenchmarkAllocate(b *testing.B) {
 	for _, size := range benchSizes {
 		b.Run(fmt.Sprintf("flows=%d", size), func(b *testing.B) {
 			n, flows := buildBenchNet(size)
+			c := &component{flows: flows}
 			n.mu.Lock()
-			n.allocate(flows) // warm scratch
+			n.scr.alloc(c, n.nextResID) // warm scratch, flatten
 			n.mu.Unlock()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				n.mu.Lock()
-				n.allocate(flows)
+				n.scr.alloc(c, n.nextResID)
 				n.mu.Unlock()
 			}
 		})
@@ -118,6 +119,23 @@ func BenchmarkRecompute(b *testing.B) {
 				n.mu.Unlock()
 			}
 		})
+	}
+}
+
+// recomputeLocked is the seed's full recomputation, kept only as this
+// file's yardstick: fold every flow at the current instant, re-run the
+// fair allocation over all active flows, apply the rates. No production
+// path calls it; the differential cross-check (SetVerifyAllocations)
+// compares against a bare allocate over the same flows instead.
+func (n *Net) recomputeLocked() {
+	now := n.clk.Elapsed()
+	fs := n.activeFlowsLocked()
+	for f := range n.flows {
+		f.fold(now)
+	}
+	rates := n.allocate(fs)
+	for i, f := range fs {
+		f.setRate(now, rates[i])
 	}
 }
 

@@ -76,10 +76,13 @@ type flow struct {
 
 	// Incremental allocation state (alloc.go): whether the flow is
 	// entered in its resources' membership lists, its position in each
-	// (parallel to resRefs), the flush visit stamp, whether it is queued
-	// as a dirty seed, and its slot in the Net's (src,dst) pair index.
+	// (parallel to resRefs), its component's persistent record (nil until
+	// the first flush after an attach), the flush visit stamp, whether it
+	// is queued as a dirty seed, and its slot in the Net's (src,dst) pair
+	// index.
 	attached bool
 	resPos   []int
+	comp     *component
 	epoch    uint64
 	dirty    bool
 	pairPos  int
@@ -114,10 +117,10 @@ func (f *flow) refs() []hostRes {
 }
 
 // invalidateRefs drops the cached resource list (e.g. on SetDiskBound)
-// and with it any CSR built from the old edges.
+// and with it any component record flattened from the old edges.
 func (f *flow) invalidateRefs() {
 	f.resRefs = nil
-	f.net.csrGen++
+	f.comp.markStale()
 	f.net.markStructuralLocked()
 }
 

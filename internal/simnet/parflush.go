@@ -1,17 +1,15 @@
 package simnet
 
-import (
-	"math"
-	"time"
-)
+import "time"
 
 // Parallel end-of-instant flush.
 //
 // Max-min allocation decomposes exactly over connected components of the
 // resource-sharing graph (alloc.go), and the flush already re-allocates
 // one component at a time. This file fans those per-component passes out
-// to the clock's worker pool (vtime.Fan): the BFS gather stays serial
-// under Net.mu, the pure compute — folding transmission progress and
+// to the clock's worker pool (vtime.Fan): the gather (componentLocked,
+// the same one the sequential flush calls) stays serial under Net.mu,
+// the pure compute — folding transmission progress and
 // running the water-filling kernel on each component's private
 // allocScratch — runs on parallel lanes, and every observable effect is
 // applied afterwards by the advancing goroutine in canonical component
@@ -55,66 +53,23 @@ type parRunner struct{ n *Net }
 //esglint:hotpath parallel-flush worker body; every component rate solve runs here
 func (pr *parRunner) RunTask(task, worker int) {
 	n := pr.n
-	lo, hi := n.parComps[task], n.parComps[task+1]
-	comp := n.parFlows[lo:hi]
+	c := n.parRecs[task]
+	lo := n.parComps[task]
 	now := n.parNow
-	for _, f := range comp {
+	for _, f := range c.flows {
 		f.fold(now)
 	}
-	if len(comp) == 1 {
-		// Same closed form as the sequential single-flow fast path.
-		f := comp[0]
-		rate := f.windowCap
-		for _, rr := range f.refs() {
-			if r := rr.r.effective() / rr.w; r < rate {
-				rate = r
-			}
-		}
-		if math.IsInf(rate, 1) {
-			rate = loopbackBps
-		}
-		n.parRates[lo] = rate
+	if len(c.flows) == 1 {
+		n.parRates[lo] = soloRate(c.flows[0])
 		return
 	}
-	rates := n.parScr[worker].alloc(comp, n.nextResID, n.csrGen)
-	copy(n.parRates[lo:hi], rates)
+	copy(n.parRates[lo:], n.parScr[worker].alloc(c, n.nextResID))
 }
 
 // markStructuralLocked latches a component-structure change for the
 // current instant: the next flush takes the conservative sequential
 // path. Caller holds Net.mu.
 func (n *Net) markStructuralLocked() { n.parUnsafe = true }
-
-// gatherComponentLocked appends seed's connected component (flows
-// transitively linked through shared resources) to buf, epoch-stamping
-// flows and resources so each is visited once per flush. Identical
-// traversal to reallocComponentLocked's gather, so discovery order —
-// and with it allocation order and floating-point rounding — matches
-// the sequential flush exactly. Caller holds Net.mu.
-func (n *Net) gatherComponentLocked(seed *flow, buf []*flow) []*flow {
-	base := len(buf)
-	seed.epoch = n.epoch
-	buf = append(buf, seed)
-	for i := base; i < len(buf); i++ {
-		for _, rr := range buf[i].refs() {
-			r := rr.r
-			if r.epoch == n.epoch {
-				continue
-			}
-			r.epoch = n.epoch
-			for _, e := range r.flows {
-				if e.f.epoch != n.epoch {
-					e.f.epoch = n.epoch
-					buf = append(buf, e.f)
-				}
-			}
-		}
-	}
-	// Same canonical in-component order as the sequential path, so the
-	// kernel's float rounding and the merge's setRate order match it.
-	sortFlowsBySeq(buf[base:])
-	return buf
-}
 
 // tryParallelFlushLocked runs the gather / fan / merge flush when the
 // instant qualifies; it reports false (having consumed nothing) when
@@ -133,39 +88,32 @@ func (n *Net) tryParallelFlushLocked(now time.Duration) bool {
 	}
 
 	// Serial gather, in the sequential flush's dirty-seed order.
-	comps := n.parComps[:0]
-	buf := n.parFlows[:0]
+	n.parComps, n.parRecs = n.parComps[:0], n.parRecs[:0]
+	nflows := 0
 	for _, f := range n.dirtyFlows {
 		f.dirty = false
 		if f.removed || !f.active || f.epoch == n.epoch {
 			continue
 		}
-		//esglint:hotpath comps reuses n.parComps' backing array; it grows only to the component-count high-water mark, then never again
-		comps = append(comps, int32(len(buf)))
-		buf = n.gatherComponentLocked(f, buf)
+		nflows = n.parGatherLocked(f, nflows)
 	}
 	for _, r := range n.dirtyRes {
 		r.dirty = false
 		for _, e := range r.flows {
 			if e.f.epoch != n.epoch {
-				//esglint:hotpath comps reuses n.parComps' backing array; it grows only to the component-count high-water mark, then never again
-				comps = append(comps, int32(len(buf)))
-				buf = n.gatherComponentLocked(e.f, buf)
+				nflows = n.parGatherLocked(e.f, nflows)
 			}
 		}
 	}
-	//esglint:hotpath comps reuses n.parComps' backing array; it grows only to the component-count high-water mark, then never again
-	comps = append(comps, int32(len(buf)))
-	n.parComps = comps
-	n.parFlows = buf
-	ncomp := len(comps) - 1
+	comps := n.parComps
+	ncomp := len(comps)
 	if ncomp == 0 {
 		return true // all seeds were stale; nothing to do
 	}
-	if cap(n.parRates) < len(buf) {
-		n.parRates = make([]float64, len(buf))
+	if cap(n.parRates) < nflows {
+		n.parRates = make([]float64, nflows)
 	}
-	n.parRates = n.parRates[:len(buf)]
+	n.parRates = n.parRates[:nflows]
 	for len(n.parScr) < w {
 		//esglint:hotpath parScr grows to the worker count once, then is reused for the life of the Net
 		n.parScr = append(n.parScr, &allocScratch{})
@@ -174,7 +122,7 @@ func (n *Net) tryParallelFlushLocked(now time.Duration) bool {
 
 	// Parallel compute — or inline on lane 0 when the batch is too small
 	// or has no cross-lane parallelism to exploit.
-	if ncomp >= 2 && len(buf) >= parMinFlows {
+	if ncomp >= 2 && nflows >= parMinFlows {
 		n.parFlushes++
 		//esglint:hotpath &parRun points into long-lived Net state; boxing a pointer fills the interface word without allocating
 		n.clk.Fan(ncomp, &n.parRun)
@@ -188,24 +136,29 @@ func (n *Net) tryParallelFlushLocked(now time.Duration) bool {
 	// Canonical merge: all observable effects, in discovery order — the
 	// same (record, rate application, timer, RNG) sequence per component
 	// the sequential flush produces.
-	for t := 0; t < ncomp; t++ {
-		lo, hi := comps[t], comps[t+1]
-		comp := n.parFlows[lo:hi]
+	for t, c := range n.parRecs {
 		n.allocPasses++
-		n.allocFlows += uint64(len(comp))
+		n.allocFlows += uint64(len(c.flows))
 		if n.rec != nil {
-			n.rec.AllocPass(int64(now), int64(len(comp)), int64(n.allocPasses))
+			n.rec.AllocPass(int64(now), int64(len(c.flows)), int64(n.allocPasses))
 		}
-		for i, f := range comp {
-			f.setRate(now, n.parRates[int(lo)+i])
+		for i, f := range c.flows {
+			f.setRate(now, n.parRates[int(comps[t])+i])
 		}
-	}
-	// Drop gathered flow pointers so completed transfers are collectable
-	// (the tail beyond len is already nil from the previous flush's clear).
-	for i := range buf {
-		buf[i] = nil
 	}
 	return true
+}
+
+// parGatherLocked queues seed's component as the next fan task, its
+// rates to land at offset lo of the flat rate buffer, and returns the
+// offset after it.
+//
+//esglint:hotpath one call per dirty component of every fanned flush
+func (n *Net) parGatherLocked(seed *flow, lo int) int {
+	c := n.componentLocked(seed)
+	//esglint:hotpath parComps and parRecs grow only to the component-count high-water mark, then never again
+	n.parComps, n.parRecs = append(n.parComps, int32(lo)), append(n.parRecs, c)
+	return lo + len(c.flows)
 }
 
 // ParStats reports how flushes have executed since the Net was created:

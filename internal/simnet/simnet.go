@@ -164,22 +164,25 @@ type Net struct {
 	allocFlows   uint64 // diagnostic: flows visited across those passes
 
 	// Allocator working state. scr is the sequential scratch (flush,
-	// verification, estimation and the reference recompute all share
-	// it); scrFlows/scrComp are the gather-side buffers the BFS and
-	// active-flow snapshots reuse. csrGen is the membership generation
-	// every scratch's CSR cache keys on — bumped by any attach, detach
-	// or edge change, it invalidates all cached flattens at once.
+	// verification and estimation share it) and scrFlows the buffer
+	// active-flow snapshots and the estimation probe reuse. compFree
+	// recycles component records (a plain LIFO, like segFree); tmpComp
+	// is the throwaway record of allocate's ad-hoc flow lists, so they
+	// never disturb a live component's. compHits counts the passes whose
+	// record was still live (CSRStats).
 	scr      allocScratch
 	scrFlows []*flow
-	scrComp  []*flow
-	csrGen   uint64
+	compFree []*component
+	tmpComp  component
+	compHits uint64
 
-	// Parallel flush state (parflush.go): flat gathered-component
-	// buffers, per-worker-lane scratches, the structural-change latch
-	// that forces the conservative (sequential) merge path, and the
-	// flush-mode counters ParStats reports.
+	// Parallel flush state (parflush.go): the gathered components and
+	// their offsets into the flat rate buffer, per-worker-lane scratches,
+	// the structural-change latch that forces the conservative
+	// (sequential) merge path, and the flush-mode counters ParStats
+	// reports.
 	parComps    []int32
-	parFlows    []*flow
+	parRecs     []*component
 	parRates    []float64
 	parScr      []*allocScratch
 	parNow      time.Duration
@@ -287,10 +290,13 @@ func New(clk *vtime.Sim) *Net {
 	n.parRun.n = n
 	n.flushFn = func() {
 		n.mu.Lock()
+		// Deferred, so a verification panic leaves the hook with mu free:
+		// the goroutine advancing the clock is usually parked in a
+		// Cond.Wait whose deferred re-lock of mu runs as the panic unwinds.
+		defer n.mu.Unlock()
 		n.flushPending = false
 		//esglint:vtblock flushLocked runs under Net.mu by design; Fan's flush workers touch only component-local flow state and never take Net.mu, and the barrier completes without advancing virtual time
 		n.flushLocked()
-		n.mu.Unlock()
 	}
 	// The flush rides the clock's end-of-instant hook: it fires exactly
 	// where its former zero-delay event did (after every event due at the
@@ -327,18 +333,13 @@ func (n *Net) AttachFlight(rec *flight.Recorder) {
 	n.rec = rec
 }
 
-// CSRStats reports how often the allocator's CSR flatten cache served a
-// multi-flow pass: hits out of lookups (single-flow closed-form passes
-// bypass the cache entirely).
+// CSRStats reports how often a flush found its component's persistent
+// record (membership, canonical order and CSR flatten) still live: hits
+// out of lookups, one lookup per allocation pass.
 func (n *Net) CSRStats() (hits, lookups uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	hits, lookups = n.scr.csrHits, n.scr.csrLookups
-	for _, sc := range n.parScr {
-		hits += sc.csrHits
-		lookups += sc.csrLookups
-	}
-	return hits, lookups
+	return n.compHits, n.allocPasses
 }
 
 // AddNode registers a router/switch node with the given name.
@@ -603,32 +604,14 @@ func (n *Net) EstimateBandwidth(a, b string) (float64, error) {
 		probe.dst = hb
 	}
 	// The probe only contends with flows in its own component: gather it
-	// with the same epoch-stamped BFS the incremental allocator uses,
-	// instead of allocating over every active flow in the network.
+	// with the allocator's own BFS instead of allocating over every active
+	// flow in the network. The probe is attached nowhere and the pass runs
+	// on the throwaway record, so no live component's record is touched.
 	//esglint:vtblock flushLocked runs under Net.mu by design; Fan's flush workers touch only component-local flow state and never take Net.mu, and the barrier completes without advancing virtual time
 	n.flushLocked()
 	n.epoch++
-	comp := n.scrComp[:0]
-	probe.epoch = n.epoch
-	comp = append(comp, probe)
-	for i := 0; i < len(comp); i++ {
-		for _, rr := range comp[i].refs() {
-			r := rr.r
-			if r.epoch == n.epoch {
-				continue
-			}
-			r.epoch = n.epoch
-			for _, e := range r.flows {
-				if e.f.epoch != n.epoch {
-					e.f.epoch = n.epoch
-					comp = append(comp, e.f)
-				}
-			}
-		}
-	}
-	n.scrComp = comp
-	rates := n.allocate(comp)
-	return rates[0], nil
+	n.scrFlows = n.bfsLocked(probe, n.scrFlows[:0])
+	return n.allocate(n.scrFlows)[0], nil
 }
 
 // newResIDLocked hands out dense resource indices.
@@ -655,36 +638,14 @@ func (n *Net) activeFlowsLocked() []*flow {
 }
 
 // allocate computes the weighted max-min fair rate (bits/s) for each
-// flow in fs. The progressive-filling kernel and all of its scratch live
-// on allocScratch (allocscratch.go); this wrapper runs it on the Net's
-// own sequential scratch, which every serial path (flush, verification,
-// bandwidth estimation, the reference recompute) shares. Parallel
-// flushes use per-worker-lane scratches instead (parflush.go). The
-// returned slice is scratch and only valid until the next allocate call.
+// flow in fs, an ad-hoc list (every active flow for verification, a
+// probe and its neighbours for estimation) flattened afresh on the Net's
+// sequential scratch. The flush itself passes component records to the
+// kernel (allocscratch.go) directly. The returned slice is scratch and
+// only valid until the next pass on n.scr.
 func (n *Net) allocate(fs []*flow) []float64 {
-	return n.scr.alloc(fs, n.nextResID, n.csrGen)
-}
-
-// recomputeLocked is the reference full recomputation: it folds elapsed
-// time into every flow's counters at the current instant, re-runs the
-// fair allocation over all active flows, and reschedules completion
-// events for flows whose rate changed.
-//
-// Production event paths no longer call this — they mark dirty state and
-// let the coalesced, component-scoped flush (alloc.go) re-allocate just
-// the flows an event can influence. This full path is kept as the
-// reference implementation that differential tests (and the
-// SetVerifyAllocations cross-check) compare the incremental path against.
-func (n *Net) recomputeLocked() {
-	now := n.clk.Elapsed()
-	fs := n.activeFlowsLocked()
-	for f := range n.flows {
-		f.fold(now)
-	}
-	rates := n.allocate(fs)
-	for i, f := range fs {
-		f.setRate(now, rates[i])
-	}
+	n.tmpComp.flows, n.tmpComp.flat = fs, false
+	return n.scr.alloc(&n.tmpComp, n.nextResID)
 }
 
 // TotalBytesBetween returns cumulative payload bytes transmitted on flows
