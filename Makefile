@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build cross vet lint test race race-soak bench-smoke bench bench-json bench-diff perf perf-aa cover fuzz-smoke check
+.PHONY: all build cross vet lint test race bench-smoke bench perf perf-aa cover fuzz-smoke check
 
 all: check
 
@@ -41,14 +41,6 @@ race:
 	$(GO) test -race -timeout 5m $(VT_PKGS)
 	$(GO) test -race $(OTHER_PKGS)
 
-# Race soak for the parallel executor: all 25 seeded chaos schedules
-# with the worker fan engaged, under the race detector. `make race`
-# (part of check) already runs a bounded smoke slice of the same test;
-# this is the full pass for executor changes. Failing runs drop flight
-# dumps into $$ESG_FLIGHT_DIR next to their replay seeds.
-race-soak:
-	ESG_RACE_SOAK=full $(GO) test -race ./internal/experiments/ -run TestRaceSoak -count=1 -v
-
 # One iteration of the allocator microbenchmarks — proves the benchmark
 # harness itself still compiles and runs, without paying for full timing.
 bench-smoke:
@@ -57,24 +49,6 @@ bench-smoke:
 # Full paper-figure and allocator benchmark suite.
 bench:
 	$(GO) test -bench . -benchtime=1x ./...
-
-# Machine-readable benchmark snapshot (BENCH_PR9.json at the repo
-# root): name -> ns/op, allocs/op. CI archives it per run.
-bench-json:
-	./scripts/bench.sh
-
-# Benchmark regression gate: nonzero exit when NEW regresses past the
-# tolerance vs BASE (default 20%; override via BENCH_DIFF_NS_TOL /
-# BENCH_DIFF_ALLOC_TOL — wall time under -benchtime=1x is noisy, so CI
-# loosens the ns/op bound and gates chiefly on allocation counts).
-# PR7's recorder-overhead acceptance gate runs this as
-#   BENCH_DIFF_NS_TOL=5 make bench-diff
-# on a quiet machine: the always-on flight recorder must stay within 5%
-# of the PR6 baseline on BenchmarkTable1/BenchmarkFigure8.
-BENCH_BASE ?= BENCH_PR8.json
-BENCH_NEW ?= BENCH_PR9.json
-bench-diff:
-	./scripts/bench_diff.sh $(BENCH_BASE) $(BENCH_NEW)
 
 # esgperf, the benchmark behind BENCHMARK.json (bench/README.md): the
 # gated pass over all six workloads, and the A/A check of its bounds.

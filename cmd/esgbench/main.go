@@ -5,13 +5,11 @@
 //
 // Usage:
 //
-//	esgbench [-exp all|table1|figure8|chancache|parallel|buffers|stripes|
-//	               replicasel|multisite|hrm|largefile|cpu|nws|chaos|monitor|
-//	               provenance|demo]
-//	         [-full] [-seed N] [-alerts s14.jsonl]
+//	esgbench [-exp all|name[,name...]] [-full] [-seed N] [-alerts s14.jsonl]
 //
-// -full runs the paper-scale durations (1 h Table 1, 14 h Figure 8);
-// the default uses shorter metered windows that preserve the shape.
+// esgbench -h lists the experiment names. -full runs the paper-scale
+// durations (1 h Table 1, 14 h Figure 8); the default uses shorter
+// metered windows that preserve the shape.
 package main
 
 import (
@@ -27,10 +25,11 @@ import (
 )
 
 func main() {
-	expFlag := flag.String("exp", "all", "experiment to run (all, table1, figure8, chancache, parallel, buffers, stripes, replicasel, multisite, hrm, largefile, cpu, nws, subset, scale, lifeline, chaos, monitor, provenance, demo)")
+	order := []string{"table1", "figure8", "chancache", "parallel", "buffers", "stripes",
+		"replicasel", "multisite", "hrm", "largefile", "cpu", "nws", "subset", "scale", "lifeline", "chaos", "monitor", "provenance", "telemetry", "demo"}
+	expFlag := flag.String("exp", "all", "experiments to run, comma-separated (all, "+strings.Join(order, ", ")+")")
 	full := flag.Bool("full", false, "paper-scale durations (1h Table 1, 14h Figure 8)")
 	seed := flag.Int64("seed", 2000, "simulation seed")
-	flag.IntVar(&workers, "workers", 0, "parallel component-executor lanes for table1/figure8/scale/chaos (0 or 1 = sequential; results are byte-identical at any width)")
 	flag.StringVar(&traceFile, "trace", "", "write the lifeline experiment's event stream to this file (.jsonl for JSONL, anything else for ULM)")
 	flag.StringVar(&alertsFile, "alerts", "", "write the monitor experiment's labeled alert stream to this JSONL file")
 	flag.StringVar(&telemetryFile, "telemetry", "", "write the telemetry experiment's grid+alert stream to this JSONL file (replayable with esgmon -grid -replay)")
@@ -58,8 +57,6 @@ func main() {
 		"telemetry":  runTelemetry,
 		"demo":       runDemo,
 	}
-	order := []string{"table1", "figure8", "chancache", "parallel", "buffers", "stripes",
-		"replicasel", "multisite", "hrm", "largefile", "cpu", "nws", "subset", "scale", "lifeline", "chaos", "monitor", "provenance", "telemetry", "demo"}
 
 	var selected []string
 	if *expFlag == "all" {
@@ -83,10 +80,6 @@ func main() {
 	}
 }
 
-// workers is the -workers flag: the deterministic parallel executor's
-// lane count, applied to the experiments whose configs accept it.
-var workers int
-
 func header(title, paper string) {
 	fmt.Println("================================================================")
 	fmt.Println(title)
@@ -99,7 +92,6 @@ func header(title, paper string) {
 func runTable1(seed int64, full bool) error {
 	cfg := experiments.DefaultTable1Config()
 	cfg.Seed = seed
-	cfg.Workers = workers
 	if !full {
 		cfg.Duration = 10 * time.Minute
 	}
@@ -119,7 +111,6 @@ func runTable1(seed int64, full bool) error {
 func runFigure8(seed int64, full bool) error {
 	cfg := experiments.DefaultFigure8Config()
 	cfg.Seed = seed
-	cfg.Workers = workers
 	if !full {
 		cfg.Duration = 3 * time.Hour
 		cfg.ParallelismSchedule = []int{1, 2, 4, 8}
@@ -301,7 +292,7 @@ func runScale(seed int64, full bool) error {
 	}
 	header("S11 — simulator scalability: N concurrent clients",
 		"component-scoped incremental allocation keeps per-event cost O(component)")
-	r, err := experiments.RunScaleWorkers(seed, clients, mb, workers)
+	r, err := experiments.RunScale(seed, clients, mb)
 	if err != nil {
 		return err
 	}
@@ -349,7 +340,6 @@ func runLifeline(seed int64, full bool) error {
 func runChaos(seed int64, full bool) error {
 	cfg := experiments.DefaultChaosConfig()
 	cfg.Seed = seed
-	cfg.Workers = workers
 	if full {
 		cfg.Files = 6
 		cfg.FileMB = 32

@@ -44,9 +44,6 @@ type ChaosConfig struct {
 	// run (host-machine measurements: useful interactively via esgprof,
 	// never part of the deterministic record stream).
 	WallProfile bool
-	// Workers sets the event core's parallel component executor width
-	// (0 or 1 = sequential reference; results are byte-identical).
-	Workers int
 }
 
 // DefaultChaosConfig keeps runs small enough for the test suite while
@@ -167,7 +164,6 @@ func RunChaosSchedule(cfg ChaosConfig, sched chaos.Schedule) (ChaosRun, error) {
 		return ChaosRun{}, fmt.Errorf("experiments: bad chaos config %+v", cfg)
 	}
 	clk := vtime.NewSim(cfg.Seed)
-	clk.SetWorkers(cfg.Workers)
 	n := simnet.New(clk)
 	// The flight recorder rides along on every chaos run: core events via
 	// the clock tap, connection transitions and allocator passes via the

@@ -1,41 +1,34 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 	"time"
 
 	"esgrid/internal/simnet"
 )
 
-// Differential suite for the deterministic parallel executor (DESIGN.md
-// §13). Every experiment here runs once in sequential reference mode and
-// once per worker count in {1, 2, 4, 8}; everything observable — result
-// metrics, netlogger JSONL, flight-recorder dumps — must be
-// byte-identical across all of them. Wall-clock readings are the only
-// values allowed to differ, so fingerprints exclude exactly those; the
-// allocator's record-hit counters are compared too, since records are
-// looked up in the serial gather at every worker count.
-
-// diffWorkers is the sweep the acceptance criteria name. 1 exercises
-// the SetWorkers(1) no-pool path, which must equal SetWorkers(0).
-var diffWorkers = []int{1, 2, 4, 8}
+// Differential suite for the repo's central promise: equal seed,
+// byte-identical artifacts. Every experiment here runs twice from the
+// same seed; everything observable — result metrics, netlogger JSONL,
+// flight-recorder dumps, the allocator's per-flush fingerprint stream —
+// must be byte-identical between the two. Wall-clock readings are the
+// only values allowed to differ, so the compared artifacts exclude
+// exactly those.
 
 // skipUnderRace skips differential byte-identity checks for the two
 // experiments whose drivers block same-instant goroutine cohorts on
 // condition broadcasts (Table 1's striped writers, Figure 8's staged
 // parallelism). The race detector's scheduler perturbation changes the
 // order in which a woken cohort re-acquires locks and schedules its next
-// events, so two *sequential* runs of the same seed diverge — workers=1,
-// which never constructs a pool, diverges from workers=0 exactly as the
-// fanned widths do. That is a pre-existing property of cohort wake-ups
-// under adversarial scheduling (it reproduces on the seed commit), not a
-// worker-pool effect, so under -race these two tests would measure
-// scheduler noise rather than the executor. The chaos and S11 scale
-// differentials, whose drivers are event-paced, stay on under -race.
+// events, so two runs of the same seed diverge. That is a pre-existing
+// property of cohort wake-ups under adversarial scheduling (it
+// reproduces on the seed commit), so under -race these two tests would
+// measure scheduler noise. The chaos and S11 scale differentials, whose
+// drivers are event-paced, stay on under -race.
 func skipUnderRace(t *testing.T) {
 	t.Helper()
 	if raceEnabled {
@@ -50,7 +43,7 @@ func skipUnderRace(t *testing.T) {
 // earlier tests in the binary left behind. Disabling the collector for
 // the test and collecting at each run boundary makes every run's
 // preemption points a function of the run itself, so the comparison
-// measures the executor, not allocation history. The runs' own heaps
+// measures the run, not allocation history. The runs' own heaps
 // are small (the PR 6 overhaul left the short configs at tens of
 // thousands of allocations), so running them uncollected is cheap.
 func pinGC(t *testing.T) {
@@ -59,159 +52,201 @@ func pinGC(t *testing.T) {
 	t.Cleanup(func() { debug.SetGCPercent(old) })
 }
 
-// captureFlushes installs a simnet.FlushObserver that folds the whole
-// per-flush fingerprint stream into one (hash, count) pair, so a run's
-// entire allocation history can be compared in O(1). The returned stop
-// function uninstalls the observer and reports the fold; callers must
-// invoke it before starting the next run.
-func captureFlushes() (stop func() (uint64, int)) {
-	const prime64 = 1099511628211
-	h := uint64(1469598103934665603)
-	count := 0
+// flushRec is one simnet.FlushObserver call.
+type flushRec struct {
+	now    time.Duration
+	sig    uint64
+	nflows int
+}
+
+// replay is what one run leaves behind that an equal-seed run must
+// reproduce byte for byte.
+type replay struct {
+	metrics string // the result's %+v, wall-clock fields cleared
+	flushes []flushRec
+	dump    string // flight-recorder dump
+	jsonl   string // netlogger export (chaos only)
+}
+
+// captureFlushes installs a simnet.FlushObserver that records the
+// per-flush fingerprint stream. The returned stop function uninstalls
+// the observer and reports the stream; callers must invoke it before
+// starting the next run.
+func captureFlushes() (stop func() []flushRec) {
+	var recs []flushRec
 	simnet.FlushObserver = func(now time.Duration, sig uint64, nflows int) {
-		h ^= uint64(now) ^ sig ^ uint64(nflows)
-		h *= prime64
-		count++
+		recs = append(recs, flushRec{now, sig, nflows})
 	}
-	return func() (uint64, int) {
+	return func() []flushRec {
 		simnet.FlushObserver = nil
-		return h, count
+		return recs
+	}
+}
+
+// firstDiff is the offset of the first byte at which a and b differ, or
+// -1 when they are equal.
+func firstDiff(a, b string) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return n
+	}
+	return -1
+}
+
+// divergence says where equal-seed run b parted from run a: the index
+// and virtual instant of the first differing flush — the allocation
+// boundary that introduced the difference — and the first differing
+// byte offset of each artifact, with the metrics around it. It is empty
+// when the two runs are identical.
+func (a replay) divergence(b replay) string {
+	var out []string
+	n, i := min(len(a.flushes), len(b.flushes)), 0
+	for i < n && a.flushes[i] == b.flushes[i] {
+		i++
+	}
+	if i < n {
+		fa, fb := a.flushes[i], b.flushes[i]
+		out = append(out, fmt.Sprintf("first diverging flush is #%d of %d at %v: fingerprint %#x over %d flows, run 2 %#x over %d flows at %v",
+			i, len(a.flushes), fa.now, fa.sig, fa.nflows, fb.sig, fb.nflows, fb.now))
+	} else if len(a.flushes) != len(b.flushes) {
+		out = append(out, fmt.Sprintf("flush streams agree for %d flushes, then run 1 has %d and run 2 %d",
+			n, len(a.flushes), len(b.flushes)))
+	}
+	if i := firstDiff(a.dump, b.dump); i >= 0 {
+		out = append(out, fmt.Sprintf("flight dumps (%d and %d bytes) differ from byte %d", len(a.dump), len(b.dump), i))
+	}
+	if i := firstDiff(a.jsonl, b.jsonl); i >= 0 {
+		out = append(out, fmt.Sprintf("JSONL (%d and %d bytes) differs from byte %d", len(a.jsonl), len(b.jsonl), i))
+	}
+	if i := firstDiff(a.metrics, b.metrics); i >= 0 {
+		lo := max(i-40, 0)
+		out = append(out, fmt.Sprintf("metrics differ from byte %d: %q, run 2 %q",
+			i, a.metrics[lo:min(i+40, len(a.metrics))], b.metrics[lo:min(i+40, len(b.metrics))]))
+	}
+	return strings.Join(out, "\n")
+}
+
+// sameReplay runs the experiment twice and fails the test with the
+// divergence when the second run does not reproduce the first.
+func sameReplay(t *testing.T, run func() replay) {
+	t.Helper()
+	a := run()
+	if d := a.divergence(run()); d != "" {
+		t.Errorf("equal-seed runs diverged:\n%s", d)
+	}
+}
+
+// TestDivergenceLocalises: one flipped rate bit changes the fingerprint
+// of the flush that applied it; the report must name that flush and its
+// instant, and byte offsets in place of the artifacts themselves.
+func TestDivergenceLocalises(t *testing.T) {
+	a := replay{
+		metrics: "{Peak:1.07e+09 Sustained:4.5e+08}",
+		flushes: []flushRec{{time.Second, 0xa1, 32}, {2 * time.Second, 0xb2, 32}, {3 * time.Second, 0xc3, 31}},
+		dump:    "core 1\ncore 2\ncore 3\n",
+	}
+	if d := a.divergence(a); d != "" {
+		t.Fatalf("identical runs reported a divergence: %s", d)
+	}
+	b := a
+	b.flushes = append([]flushRec(nil), a.flushes...)
+	b.flushes[1].sig ^= 1
+	b.flushes[2].sig ^= 0x55
+	b.dump = "core 1\ncore 2\ncore 4\n"
+	d := a.divergence(b)
+	for _, want := range []string{"first diverging flush is #1 of 3 at 2s", "0xb2", "0xb3", "differ from byte 19"} {
+		if !strings.Contains(d, want) {
+			t.Errorf("report lacks %q:\n%s", want, d)
+		}
+	}
+	if strings.Contains(d, "#2") || strings.Contains(d, "metrics") {
+		t.Errorf("report names more than the first divergence:\n%s", d)
 	}
 }
 
 func TestDifferentialTable1(t *testing.T) {
 	skipUnderRace(t)
 	pinGC(t)
-	run := func(w int) (string, []byte, uint64, int) {
+	sameReplay(t, func() replay {
 		runtime.GC()
 		stop := captureFlushes()
-		cfg := shortTable1()
-		cfg.Workers = w
-		r, err := RunTable1(cfg)
-		sig, flushes := stop()
+		r, err := RunTable1(shortTable1())
+		flushes := stop()
 		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
+			t.Fatal(err)
 		}
-		dump := r.Flight.Dump()
-		r.Config.Workers = 0 // the knob itself is the only allowed config delta
+		dump := string(r.Flight.Dump())
 		r.Flight = nil
-		return fmt.Sprintf("%+v", r), dump, sig, flushes
-	}
-	base, baseDump, baseSig, baseFlushes := run(0)
-	for _, w := range diffWorkers {
-		got, gotDump, gotSig, gotFlushes := run(w)
-		if got != base {
-			t.Errorf("workers=%d: Table 1 metrics diverged from sequential:\nseq: %s\npar: %s", w, base, got)
-		}
-		if !bytes.Equal(gotDump, baseDump) {
-			t.Errorf("workers=%d: Table 1 flight dump diverged (%d vs %d bytes)", w, len(gotDump), len(baseDump))
-		}
-		if gotSig != baseSig || gotFlushes != baseFlushes {
-			t.Errorf("workers=%d: Table 1 flush trace diverged: seq %d flushes sig %x, par %d flushes sig %x",
-				w, baseFlushes, baseSig, gotFlushes, gotSig)
-		}
-	}
+		return replay{metrics: fmt.Sprintf("%+v", r), flushes: flushes, dump: dump}
+	})
 }
 
 func TestDifferentialFigure8(t *testing.T) {
 	skipUnderRace(t)
 	pinGC(t)
-	run := func(w int) (string, []byte, uint64, int) {
+	sameReplay(t, func() replay {
 		runtime.GC()
 		stop := captureFlushes()
 		cfg := DefaultFigure8Config()
 		cfg.Duration = 45 * time.Minute
 		cfg.ParallelismSchedule = []int{1, 8}
 		cfg.Faults = true
-		cfg.Workers = w
 		r, err := RunFigure8(cfg)
-		sig, flushes := stop()
+		flushes := stop()
 		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
+			t.Fatal(err)
 		}
-		dump := r.Flight.Dump()
-		r.Config.Workers = 0
+		dump := string(r.Flight.Dump())
 		r.Flight = nil
-		return fmt.Sprintf("%+v", r), dump, sig, flushes
-	}
-	base, baseDump, baseSig, baseFlushes := run(0)
-	for _, w := range diffWorkers {
-		got, gotDump, gotSig, gotFlushes := run(w)
-		if got != base {
-			t.Errorf("workers=%d: Figure 8 metrics diverged from sequential:\nseq: %s\npar: %s", w, base, got)
-		}
-		if !bytes.Equal(gotDump, baseDump) {
-			t.Errorf("workers=%d: Figure 8 flight dump diverged (%d vs %d bytes)", w, len(gotDump), len(baseDump))
-		}
-		if gotSig != baseSig || gotFlushes != baseFlushes {
-			t.Errorf("workers=%d: Figure 8 flush trace diverged: seq %d flushes sig %x, par %d flushes sig %x",
-				w, baseFlushes, baseSig, gotFlushes, gotSig)
-		}
-	}
+		return replay{metrics: fmt.Sprintf("%+v", r), flushes: flushes, dump: dump}
+	})
 }
 
-// TestDifferentialScale is the S11 population the executor exists for:
-// 1024 clients over 128 disjoint site components — the widest fan the
-// suite produces. Wall-clock is the one field allowed to differ.
+// TestDifferentialScale is S11's widest population: 1024 clients over
+// 128 disjoint site components, many of them dirty in one instant.
+// Wall-clock is the one field allowed to differ.
 func TestDifferentialScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1024-client differential in -short mode")
 	}
-	run := func(w int) string {
-		r, err := RunScaleWorkers(3, []int{1024}, 2, w)
+	sameReplay(t, func() replay {
+		r, err := RunScale(3, []int{1024}, 2)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
+			t.Fatal(err)
 		}
 		r.WallElapsed = nil
-		return fmt.Sprintf("%+v", r)
-	}
-	base := run(0)
-	for _, w := range diffWorkers {
-		if got := run(w); got != base {
-			t.Errorf("workers=%d: S11 metrics diverged from sequential:\nseq: %s\npar: %s", w, base, got)
-		}
-	}
+		return replay{metrics: fmt.Sprintf("%+v", r)}
+	})
 }
 
-// TestDifferentialChaos replays one randomized S13 fault schedule at
-// every worker count and demands byte-identical netlogger JSONL and
-// flight dumps — the strongest equality the harness can state, since
-// the JSONL carries every timestamped transfer event and the dump the
-// core event window, allocator passes and connection transitions.
+// TestDifferentialChaos replays one randomized S13 fault schedule and
+// demands byte-identical netlogger JSONL and flight dumps — the
+// strongest equality the harness can state, since the JSONL carries
+// every timestamped transfer event and the dump the core event window,
+// allocator passes and connection transitions.
 func TestDifferentialChaos(t *testing.T) {
-	run := func(w int) (string, string, []byte, uint64, int) {
+	sameReplay(t, func() replay {
 		stop := captureFlushes()
 		cfg := soakConfig(41)
-		cfg.Workers = w
-		sched := ChaosScheduleFor(cfg, 41, 4)
-		r, err := RunChaosSchedule(cfg, sched)
-		sig, flushes := stop()
+		r, err := RunChaosSchedule(cfg, ChaosScheduleFor(cfg, 41, 4))
+		flushes := stop()
 		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
+			t.Fatal(err)
 		}
 		if err := r.Report.Err(); err != nil {
-			t.Fatalf("workers=%d: invariants: %v", w, err)
+			t.Fatalf("invariants: %v", err)
 		}
-		dump := r.Flight.Dump()
-		fp := fmt.Sprintf("elapsed=%v activations=%d attempts=%d files=%+v vitals=%+v",
-			r.Elapsed, r.Activations, r.Attempts, r.Files, r.Vitals)
-		return fp, r.JSONL, dump, sig, flushes
-	}
-	base, baseJSONL, baseDump, baseSig, baseFlushes := run(0)
-	for _, w := range diffWorkers {
-		got, gotJSONL, gotDump, gotSig, gotFlushes := run(w)
-		if got != base {
-			t.Errorf("workers=%d: chaos metrics diverged from sequential:\nseq: %s\npar: %s", w, base, got)
+		return replay{
+			metrics: fmt.Sprintf("elapsed=%v activations=%d attempts=%d files=%+v vitals=%+v",
+				r.Elapsed, r.Activations, r.Attempts, r.Files, r.Vitals),
+			flushes: flushes,
+			dump:    string(r.Flight.Dump()),
+			jsonl:   r.JSONL,
 		}
-		if gotJSONL != baseJSONL {
-			t.Errorf("workers=%d: chaos JSONL diverged (%d vs %d bytes)", w, len(gotJSONL), len(baseJSONL))
-		}
-		if !bytes.Equal(gotDump, baseDump) {
-			t.Errorf("workers=%d: chaos flight dump diverged (%d vs %d bytes)", w, len(gotDump), len(baseDump))
-		}
-		if gotSig != baseSig || gotFlushes != baseFlushes {
-			t.Errorf("workers=%d: chaos flush trace diverged: seq %d flushes sig %x, par %d flushes sig %x",
-				w, baseFlushes, baseSig, gotFlushes, gotSig)
-		}
-	}
+	})
 }

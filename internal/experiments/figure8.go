@@ -44,9 +44,6 @@ type Figure8Config struct {
 	HandshakeCost time.Duration
 	// Bucket is the series resolution (default 60s).
 	Bucket time.Duration
-	// Workers sets the event core's parallel component executor width
-	// (0 or 1 = sequential reference; results are byte-identical).
-	Workers int
 }
 
 // DefaultFigure8Config reproduces the paper's run.
@@ -118,7 +115,6 @@ func RunFigure8(cfg Figure8Config) (Figure8Result, error) {
 		cfg.ParallelismSchedule = []int{8}
 	}
 	clk := vtime.NewSim(cfg.Seed)
-	clk.SetWorkers(cfg.Workers)
 	n := simnet.New(clk)
 	rec := flight.New(0, 0)
 	rec.AttachCore(clk)

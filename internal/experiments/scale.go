@@ -45,14 +45,6 @@ const scaleSiteClients = 8
 // start times are staggered deterministically, so a given seed always
 // produces the same event trace.
 func RunScale(seed int64, clients []int, fileMB int64) (ScaleResult, error) {
-	return RunScaleWorkers(seed, clients, fileMB, 0)
-}
-
-// RunScaleWorkers is RunScale with the event core's parallel component
-// executor set to the given lane count (0 or 1 = sequential reference).
-// Every reported value except WallElapsed is byte-identical across
-// worker counts — that invariant is what differential_test.go pins.
-func RunScaleWorkers(seed int64, clients []int, fileMB int64, workers int) (ScaleResult, error) {
 	if len(clients) == 0 {
 		clients = []int{16, 64, 256, 1024}
 	}
@@ -61,7 +53,7 @@ func RunScaleWorkers(seed int64, clients []int, fileMB int64, workers int) (Scal
 	}
 	res := ScaleResult{Clients: clients, FileBytes: fileMB << 20}
 	for _, nClients := range clients {
-		sim, wall, bytes, passes, visited, tail, err := runScaleOnce(seed, nClients, res.FileBytes, workers)
+		sim, wall, bytes, passes, visited, tail, err := runScaleOnce(seed, nClients, res.FileBytes)
 		if err != nil {
 			return res, err
 		}
@@ -75,9 +67,8 @@ func RunScaleWorkers(seed int64, clients []int, fileMB int64, workers int) (Scal
 	return res, nil
 }
 
-func runScaleOnce(seed int64, nClients int, fileBytes int64, workers int) (sim, wall time.Duration, bytes int64, passes, visited uint64, tail netlogger.Tail, err error) {
+func runScaleOnce(seed int64, nClients int, fileBytes int64) (sim, wall time.Duration, bytes int64, passes, visited uint64, tail netlogger.Tail, err error) {
 	clk := vtime.NewSim(seed)
-	clk.SetWorkers(workers)
 	n := simnet.New(clk)
 	nSites := (nClients + scaleSiteClients - 1) / scaleSiteClients
 	for s := 0; s < nSites; s++ {

@@ -58,10 +58,6 @@ type Table1Config struct {
 	CongestedLossRate  float64
 	CleanDwellMean     time.Duration
 	CongestedDwellMean time.Duration
-	// Workers sets the event core's parallel component executor width
-	// (0 or 1 = sequential reference). Output is byte-identical either
-	// way; this only changes wall-clock cost.
-	Workers int
 }
 
 // DefaultTable1Config reproduces the paper's configuration.
@@ -132,7 +128,6 @@ func RunTable1(cfg Table1Config) (Table1Result, error) {
 		return Table1Result{}, fmt.Errorf("experiments: bad table1 config %+v", cfg)
 	}
 	clk := vtime.NewSim(cfg.Seed)
-	clk.SetWorkers(cfg.Workers)
 	n := simnet.New(clk)
 	rec := flight.New(0, 0)
 	rec.AttachCore(clk)

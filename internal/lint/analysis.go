@@ -11,8 +11,7 @@
 //     (seededrand),
 //  3. anything folded into the emitted event stream is canonically
 //     ordered (maprange) and structurally well-formed (emitkv),
-//  4. locks are never copied (mutexcopy) and fan task bodies are
-//     effect-free (workershared).
+//  4. locks are never copied (mutexcopy).
 //
 // Whole-program (interprocedural, propagated through the facts layer in
 // facts.go):

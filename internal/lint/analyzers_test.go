@@ -89,13 +89,3 @@ func TestHotPath(t *testing.T) {
 func TestStaleEscape(t *testing.T) {
 	RunAnalyzer(t, "testdata", "stalefix", VTimeClock)
 }
-
-func TestWorkerShared(t *testing.T) {
-	RunAnalyzer(t, "testdata", "workershared", WorkerShared)
-}
-
-func TestWorkerSharedIgnoresNonRunners(t *testing.T) {
-	// The fixture vtime package defines no RunTask, so the analyzer has
-	// nothing to say there.
-	RunAnalyzer(t, "testdata", "esgrid/internal/vtime", WorkerShared)
-}

@@ -57,7 +57,6 @@ var blockSeedNames = map[string]bool{
 	"SleepSite":   true, // Sim.SleepSite
 	"park":        true, // Sim.park — every cond/timer wait funnels through it
 	"Run":         true, // Sim.Run joins managed goroutines
-	"Fan":         true, // Sim.Fan barriers on the worker pool
 	"Wait":        true, // Cond.Wait, WaitGroup.Wait
 	"WaitTimeout": true,
 }

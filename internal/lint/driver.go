@@ -8,12 +8,12 @@ import (
 	"sort"
 )
 
-// All is the esglint analyzer suite, in reporting order: the six
+// All is the esglint analyzer suite, in reporting order: the five
 // per-file analyzers, then the three whole-program ones built on the
 // facts layer. The "esglint" annotation audit and the "staleescape"
 // dead-escape audit run inside the driver and are not listed.
 var All = []*Analyzer{
-	VTimeClock, SeededRand, EmitKV, MapRange, MutexCopy, WorkerShared,
+	VTimeClock, SeededRand, EmitKV, MapRange, MutexCopy,
 	VTBlock, ManagedGo, HotPath,
 }
 

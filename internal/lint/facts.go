@@ -31,7 +31,7 @@ import (
 type Fact interface{ AFact() }
 
 // MayBlock marks a function that may suspend the calling goroutine on
-// virtual time: directly (Sim.Sleep, Cond.Wait, Fan, a channel receive,
+// virtual time: directly (Sim.Sleep, Cond.Wait, a channel receive,
 // a telemetry frame read) or by calling something that does. Via names
 // the first blocking reason on a shortest known chain, for diagnostics.
 type MayBlock struct{ Via string }

@@ -12,8 +12,8 @@ import "go/ast"
 // goroutines still unwinding their stacks raced Run's caller reading
 // final state.
 //
-// Only internal/vtime is exempt: Sim.Go, Real.Go and the worker pool
-// are the sanctioned implementations a bare go statement becomes.
+// Only internal/vtime is exempt: Sim.Go and Real.Go are the sanctioned
+// implementations a bare go statement becomes.
 // (Test files never reach the loader.) The rare legitimate bare spawn —
 // a detached operator-facing helper on a real-time-only path that must
 // outlive its spawner — carries //esglint:managedgo <reason>.

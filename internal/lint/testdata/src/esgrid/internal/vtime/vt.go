@@ -24,17 +24,9 @@ func (s *Sim) SleepSite(d time.Duration, site int) {}
 // Run joins managed goroutines before returning (blocking seed).
 func (s *Sim) Run(fn func()) {}
 
-// Fan barriers on the worker pool (blocking seed).
-func (s *Sim) Fan(tasks int, r Runner) {}
-
 // Go starts a managed goroutine (spawn seed); the bare go statement in
 // its body is the sanctioned implementation managedgo exempts.
 func (s *Sim) Go(fn func()) { go fn() }
-
-// Runner is the fan-out work interface.
-type Runner interface {
-	RunTask(task, worker int)
-}
 
 // Cond is the condition-variable twin. Wait and WaitTimeout are
 // blocking seeds, but vtblock exempts them when called with a lock held:

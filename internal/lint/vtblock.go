@@ -19,7 +19,7 @@ import (
 // computes — and exports through the facts layer, so the knowledge
 // crosses package boundaries in dependency order — a MayBlock fact:
 // the function directly suspends on virtual time (Sim.Sleep, Cond.Wait,
-// Sim.Fan, Sim.Run, WaitGroup.Wait, a channel receive or select, a
+// Sim.Run, WaitGroup.Wait, a channel receive or select, a
 // telemetry frame read) or calls, transitively through any number of
 // packages, something that does. It also exports SpawnsGoroutine facts
 // (consumed by hotpath). Within each function, lock/unlock pairing is

@@ -57,7 +57,6 @@ func (n *Net) attachLocked(f *flow) {
 	if f.attached {
 		return
 	}
-	n.markStructuralLocked()
 	refs := f.refs()
 	if cap(f.resPos) < len(refs) {
 		f.resPos = make([]int, len(refs))
@@ -82,7 +81,6 @@ func (n *Net) detachLocked(f *flow) {
 	if !f.attached {
 		return
 	}
-	n.markStructuralLocked()
 	f.comp.markStale()
 	n.bindLocked(f, nil)
 	for j, rr := range f.refs() {
@@ -160,36 +158,28 @@ func (n *Net) flushLocked() {
 	// marks in whatever order they reach the lock, and progressive
 	// filling's floating-point rounding depends on visit order — sorting
 	// by creation stamp makes every flush (and so every rate bit) a pure
-	// function of the event history, which is also what lets the
-	// parallel fan's canonical merge reproduce this path exactly.
+	// function of the event history.
 	sortFlowsBySeq(n.dirtyFlows)
 	sortResByID(n.dirtyRes)
-	// When workers are enabled and the instant is structurally quiet,
-	// the flush fans the per-component passes out to the worker pool
-	// (parflush.go) and merges in canonical order; otherwise this is
-	// the sequential reference path.
-	if !n.tryParallelFlushLocked(now) {
-		for _, f := range n.dirtyFlows {
-			f.dirty = false
-			if f.removed || !f.active || f.epoch == n.epoch {
-				continue
-			}
-			n.reallocComponentLocked(f, now)
+	for _, f := range n.dirtyFlows {
+		f.dirty = false
+		if f.removed || !f.active || f.epoch == n.epoch {
+			continue
 		}
-		for _, r := range n.dirtyRes {
-			r.dirty = false
-			// Every flow on r is in r's component; the first unvisited one
-			// pulls in all the others with its component.
-			for _, e := range r.flows {
-				if e.f.epoch != n.epoch {
-					n.reallocComponentLocked(e.f, now)
-				}
+		n.reallocComponentLocked(f, now)
+	}
+	for _, r := range n.dirtyRes {
+		r.dirty = false
+		// Every flow on r is in r's component; the first unvisited one
+		// pulls in all the others with its component.
+		for _, e := range r.flows {
+			if e.f.epoch != n.epoch {
+				n.reallocComponentLocked(e.f, now)
 			}
 		}
 	}
 	n.dirtyFlows = n.dirtyFlows[:0]
 	n.dirtyRes = n.dirtyRes[:0]
-	n.parUnsafe = false
 	if n.verifyAllocs {
 		n.verifyAllocationsLocked()
 	}
@@ -251,7 +241,7 @@ func (n *Net) bfsLocked(seed *flow, buf []*flow) []*flow {
 // canonical seq order and bound to a recycled record. Caller holds
 // Net.mu.
 //
-//esglint:hotpath the per-pass gather: every component of every flush, sequential or fanned, comes through here
+//esglint:hotpath the per-pass gather: every component of every flush comes through here
 func (n *Net) componentLocked(seed *flow) *component {
 	if c := seed.comp; c != nil && !c.stale {
 		n.compHits++

@@ -38,11 +38,9 @@ type component struct {
 }
 
 // allocScratch is the progressive-filling allocator's per-pass working
-// state: every value array the water-filling touches. Each worker lane
-// of the parallel flush owns one, so disjoint components can run
-// allocation passes concurrently with no shared mutable state — a pass
-// reads only frozen per-instant inputs (flow caps, resource capacities)
-// and its own component's record.
+// state: every value array the water-filling touches. A pass reads only
+// frozen per-instant inputs (flow caps, resource capacities) and its
+// own component's record.
 //
 // The resource-indexed arrays (residual, wsum, ...) are sized to the
 // Net's global dense resource-id space and grown lazily; wsum carries

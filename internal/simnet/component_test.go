@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -59,6 +60,101 @@ func steadyTick(n *Net, f *flow) {
 	n.mu.Unlock()
 }
 
+// dirtyAll marks every active flow dirty, the way a burst of same-instant
+// window events would, with the flush latch held so tests drive flushes
+// by hand.
+func dirtyAll(n *Net, flows []*flow) {
+	n.mu.Lock()
+	n.flushPending = true
+	for _, f := range flows {
+		if f.active {
+			n.markFlowDirtyLocked(f)
+		}
+	}
+	n.mu.Unlock()
+}
+
+func flushByHand(n *Net) {
+	n.mu.Lock()
+	n.flushLocked()
+	n.mu.Unlock()
+}
+
+// buildParBenchNet builds nComp disjoint components of perComp flows
+// each sharing one saturated 1 Gb/s link (half the flows window-limited
+// below their fair share, so every pass runs the full water-filling
+// rounds, never the caps-feasible fast path).
+func buildParBenchNet(nComp, perComp int) (*Net, []*flow) {
+	clk := vtime.NewSim(1)
+	n := New(clk)
+	flows := make([]*flow, 0, nComp*perComp)
+	for p := 0; p < nComp; p++ {
+		src := n.AddHost(fmt.Sprintf("s%04d", p), HostConfig{})
+		dst := n.AddHost(fmt.Sprintf("d%04d", p), HostConfig{})
+		n.AddLink(src.name, dst.name, LinkConfig{CapacityBps: 1e9, Delay: 5 * time.Millisecond})
+		n.mu.Lock()
+		path, err := n.routeLocked(src.name, dst.name)
+		n.mu.Unlock()
+		if err != nil {
+			panic(err)
+		}
+		for k := 0; k < perComp; k++ {
+			windowCap := math.Inf(1)
+			if k%2 == 1 {
+				windowCap = 4e6 // well below the 1e9/perComp fair share
+			}
+			f := newChurnFlow(n, src, dst, path, windowCap)
+			f.active = true
+			n.mu.Lock()
+			n.flowActivatedLocked(f)
+			n.mu.Unlock()
+			flows = append(flows, f)
+		}
+	}
+	n.mu.Lock()
+	n.flushPending = true
+	n.flushLocked()
+	n.mu.Unlock()
+	return n, flows
+}
+
+// flushRec is one FlushObserver call.
+type flushRec struct {
+	now    time.Duration
+	sig    uint64
+	nflows int
+}
+
+// recordFlushes installs a FlushObserver that appends every flush to
+// the returned slice until the test ends.
+func recordFlushes(t *testing.T) *[]flushRec {
+	t.Helper()
+	var recs []flushRec
+	FlushObserver = func(now time.Duration, sig uint64, nflows int) {
+		recs = append(recs, flushRec{now, sig, nflows})
+	}
+	t.Cleanup(func() { FlushObserver = nil })
+	return &recs
+}
+
+// sameFlushes fails the test at the first flush where two equal-seed
+// runs' fingerprint streams part, naming its index and virtual instant.
+func sameFlushes(t *testing.T, a, b []flushRec) {
+	t.Helper()
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			t.Fatalf("flush %d diverged: run 1 at %v fingerprint %#x over %d flows, run 2 at %v fingerprint %#x over %d flows",
+				i, a[i].now, a[i].sig, a[i].nflows, b[i].now, b[i].sig, b[i].nflows)
+		}
+	}
+	if len(a) != len(b) {
+		t.Fatalf("run 1 flushed %d times, run 2 %d; the first %d flushes agree", len(a), len(b), min(len(a), len(b)))
+	}
+	if len(a) == 0 {
+		t.Fatal("no flush observed; the comparison proved nothing")
+	}
+}
+
 // TestProbeLeavesComponentRecordLive: a bandwidth-estimation probe runs
 // its own pass over the probed component plus the probe. It must do so
 // on the throwaway record — the live component's record, flatten and
@@ -112,17 +208,14 @@ func TestRecordHitFlushAllocFree(t *testing.T) {
 	}
 }
 
-// TestParallelHitFlushFingerprints: steady rounds — every pass a record
-// hit — must leave the same per-flush FNV fingerprint stream whether the
-// flush runs sequentially or fans over 1, 2 or 4 lanes, each of which
-// refreshes the records it is handed on its own scratch.
+// TestParallelHitFlushFingerprints: steady rounds over twelve disjoint
+// components must every one be a record hit, and two identical builds
+// driven through them must leave the same per-flush FNV fingerprint
+// stream.
 func TestParallelHitFlushFingerprints(t *testing.T) {
-	run := func(workers int) (sigs []uint64, par uint64) {
+	run := func() []flushRec {
 		n, flows := buildBenchNet(96)
-		n.clk.SetWorkers(workers)
-		defer n.clk.SetWorkers(1)
-		FlushObserver = func(_ time.Duration, sig uint64, _ int) { sigs = append(sigs, sig) }
-		defer func() { FlushObserver = nil }()
+		recs := recordFlushes(t)
 		dirtyAll(n, flows)
 		flushByHand(n) // first flush after the build: gathers every record
 		hits0, passes0 := n.CSRStats()
@@ -137,26 +230,115 @@ func TestParallelHitFlushFingerprints(t *testing.T) {
 		}
 		hits, passes := n.CSRStats()
 		if hits-hits0 != passes-passes0 || passes == passes0 {
-			t.Fatalf("workers=%d: %d hits in %d steady passes", workers, hits-hits0, passes-passes0)
+			t.Fatalf("%d hits in %d steady passes", hits-hits0, passes-passes0)
 		}
-		par, _, _ = n.ParStats()
-		return sigs, par
+		return *recs
 	}
-	base, _ := run(0)
-	for _, workers := range []int{1, 2, 4} {
-		got, par := run(workers)
-		if len(got) != len(base) {
-			t.Fatalf("workers=%d: %d flushes, sequential %d", workers, len(got), len(base))
-		}
-		for i := range got {
-			if got[i] != base[i] {
-				t.Fatalf("workers=%d: flush %d fingerprint %#x, sequential %#x", workers, i, got[i], base[i])
+	sameFlushes(t, run(), run())
+}
+
+// pairsOutcome is what one replayPairs run leaves behind.
+type pairsOutcome struct {
+	done    []time.Duration // completion instant of each transfer
+	passes  uint64
+	visited uint64
+	flushes []flushRec
+}
+
+// replayPairs runs conns concurrent transfers of total bytes on each of
+// pairs disjoint two-host components under the real event loop; the
+// c-th connection of every pair dials at c*stagger, so the first ones
+// all land on the same virtual instant.
+func replayPairs(t *testing.T, seed int64, pairs, conns int, link LinkConfig, stagger time.Duration, total int64) pairsOutcome {
+	t.Helper()
+	clk := vtime.NewSim(seed)
+	n := New(clk)
+	for p := 0; p < pairs; p++ {
+		a, b := fmt.Sprintf("a%d", p), fmt.Sprintf("b%d", p)
+		n.AddHost(a, HostConfig{DefaultBufferBytes: 1 << 20})
+		n.AddHost(b, HostConfig{DefaultBufferBytes: 1 << 20})
+		n.AddLink(a, b, link)
+	}
+	recs := recordFlushes(t)
+	out := pairsOutcome{done: make([]time.Duration, pairs*conns)}
+	clk.Run(func() {
+		wg := vtime.NewWaitGroup(clk)
+		for p := 0; p < pairs; p++ {
+			l, err := n.Host(fmt.Sprintf("b%d", p)).Listen(":9000")
+			if err != nil {
+				t.Errorf("listen: %v", err)
+				return
+			}
+			for c := 0; c < conns; c++ {
+				clk.Go(func() {
+					cc, err := l.Accept()
+					if err != nil {
+						t.Errorf("accept: %v", err)
+						return
+					}
+					defer cc.Close()
+					transport.ReadVirtualFrom(cc, total)
+				})
+				wg.Go(func() {
+					if c > 0 {
+						clk.Sleep(time.Duration(c) * stagger)
+					}
+					cc, err := n.Host(fmt.Sprintf("a%d", p)).Dial(fmt.Sprintf("b%d:9000", p))
+					if err != nil {
+						t.Errorf("dial: %v", err)
+						return
+					}
+					defer cc.Close()
+					if _, err := transport.WriteVirtualTo(cc, total); err != nil {
+						t.Errorf("write: %v", err)
+						return
+					}
+					out.done[p*conns+c] = clk.Now().Sub(vtime.Epoch)
+				})
 			}
 		}
-		if workers >= 2 && par == 0 {
-			t.Fatalf("workers=%d: no flush fanned", workers)
-		}
+		wg.Wait()
+	})
+	out.passes, out.visited = n.AllocStats()
+	out.flushes = *recs
+	return out
+}
+
+// sameReplay fails the test unless two equal-seed runs agree on every
+// flush fingerprint, every completion instant and the allocator
+// accounting.
+func sameReplay(t *testing.T, run func() pairsOutcome) {
+	t.Helper()
+	a, b := run(), run()
+	sameFlushes(t, a.flushes, b.flushes)
+	if !slices.Equal(a.done, b.done) || a.passes != b.passes || a.visited != b.visited {
+		t.Fatalf("equal-seed runs diverged:\nrun 1 done %v, %d passes over %d flows\nrun 2 done %v, %d passes over %d flows",
+			a.done, a.passes, a.visited, b.done, b.passes, b.visited)
 	}
+	if slices.Contains(a.done, 0) {
+		t.Fatalf("a transfer never completed: %v", a.done)
+	}
+}
+
+// TestSameInstantCrossComponentDials: two clients in disjoint
+// components dial at the same virtual instant, so the dial instant
+// attaches flows in two different components at once and whichever
+// goroutine reaches Net.mu first marks its flow dirty first. Equal-seed
+// runs must not see that order.
+func TestSameInstantCrossComponentDials(t *testing.T) {
+	sameReplay(t, func() pairsOutcome {
+		return replayPairs(t, 11, 2, 1, LinkConfig{CapacityBps: 100e6, Delay: 2 * time.Millisecond}, 0, 4<<20)
+	})
+}
+
+// TestParallelRunByteIdentical is the end-to-end simnet determinism
+// check with loss (RNG draws on the flush path): sixteen transfers over
+// four disjoint lossy site pairs, four dialling in each instant.
+func TestParallelRunByteIdentical(t *testing.T) {
+	sameReplay(t, func() pairsOutcome {
+		link := LinkConfig{CapacityBps: 200e6, Delay: 3 * time.Millisecond, LossRate: 1e-5}
+		return replayPairs(t, 23, 4, 4, link, 100*time.Microsecond, 2<<20)
+	})
 }
 
 // checkRecordsLocked is the record's whole contract, checked from

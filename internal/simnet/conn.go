@@ -55,7 +55,6 @@ func (h *Host) CPUUtilization() float64 {
 	n := h.net
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	//esglint:vtblock flushLocked runs under Net.mu by design; Fan's flush workers touch only component-local flow state and never take Net.mu, and the barrier completes without advancing virtual time
 	n.flushLocked()
 	var used float64
 	for _, e := range h.cpu.flows {
@@ -705,10 +704,6 @@ func (h *Host) SetDown(down bool) {
 	n := h.net
 	n.mu.Lock()
 	h.down = down
-	// A crash (or reboot) restructures components this instant: the
-	// resets below detach flows, but latch conservatively up front so
-	// even a connectionless host-down flushes sequentially.
-	n.markStructuralLocked()
 	var victims []*Conn
 	if down {
 		victims = h.connsBySeqLocked()

@@ -121,7 +121,6 @@ func (f *flow) refs() []hostRes {
 func (f *flow) invalidateRefs() {
 	f.resRefs = nil
 	f.comp.markStale()
-	f.net.markStructuralLocked()
 }
 
 func newFlow(n *Net, c *Conn, dir int, src, dst *Host, path []*simplex, buffer int, mss int) *flow {

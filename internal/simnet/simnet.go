@@ -163,7 +163,7 @@ type Net struct {
 	allocPasses  uint64 // diagnostic: component allocation passes run
 	allocFlows   uint64 // diagnostic: flows visited across those passes
 
-	// Allocator working state. scr is the sequential scratch (flush,
+	// Allocator working state. scr is the scratch (flush,
 	// verification and estimation share it) and scrFlows the buffer
 	// active-flow snapshots and the estimation probe reuse. compFree
 	// recycles component records (a plain LIFO, like segFree); tmpComp
@@ -175,22 +175,6 @@ type Net struct {
 	compFree []*component
 	tmpComp  component
 	compHits uint64
-
-	// Parallel flush state (parflush.go): the gathered components and
-	// their offsets into the flat rate buffer, per-worker-lane scratches,
-	// the structural-change latch that forces the conservative
-	// (sequential) merge path, and the flush-mode counters ParStats
-	// reports.
-	parComps    []int32
-	parRecs     []*component
-	parRates    []float64
-	parScr      []*allocScratch
-	parNow      time.Duration
-	parRun      parRunner
-	parUnsafe   bool
-	parFlushes  uint64
-	consFlushes uint64
-	seqFlushes  uint64
 
 	// flushFn is the cached zero-delay flush callback, so arming a flush
 	// does not allocate a closure per event burst.
@@ -287,7 +271,6 @@ func New(clk *vtime.Sim) *Net {
 		dnsUp:     true,
 		nextPort:  40000,
 	}
-	n.parRun.n = n
 	n.flushFn = func() {
 		n.mu.Lock()
 		// Deferred, so a verification panic leaves the hook with mu free:
@@ -295,7 +278,6 @@ func New(clk *vtime.Sim) *Net {
 		// Cond.Wait whose deferred re-lock of mu runs as the panic unwinds.
 		defer n.mu.Unlock()
 		n.flushPending = false
-		//esglint:vtblock flushLocked runs under Net.mu by design; Fan's flush workers touch only component-local flow state and never take Net.mu, and the barrier completes without advancing virtual time
 		n.flushLocked()
 	}
 	// The flush rides the clock's end-of-instant hook: it fires exactly
@@ -564,7 +546,6 @@ func (l *Link) Utilization() float64 {
 	n := l.net
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	//esglint:vtblock flushLocked runs under Net.mu by design; Fan's flush workers touch only component-local flow state and never take Net.mu, and the barrier completes without advancing virtual time
 	n.flushLocked()
 	var fwd, rev float64
 	for _, e := range l.fwd.flows {
@@ -607,7 +588,6 @@ func (n *Net) EstimateBandwidth(a, b string) (float64, error) {
 	// with the allocator's own BFS instead of allocating over every active
 	// flow in the network. The probe is attached nowhere and the pass runs
 	// on the throwaway record, so no live component's record is touched.
-	//esglint:vtblock flushLocked runs under Net.mu by design; Fan's flush workers touch only component-local flow state and never take Net.mu, and the barrier completes without advancing virtual time
 	n.flushLocked()
 	n.epoch++
 	n.scrFlows = n.bfsLocked(probe, n.scrFlows[:0])
@@ -640,7 +620,7 @@ func (n *Net) activeFlowsLocked() []*flow {
 // allocate computes the weighted max-min fair rate (bits/s) for each
 // flow in fs, an ad-hoc list (every active flow for verification, a
 // probe and its neighbours for estimation) flattened afresh on the Net's
-// sequential scratch. The flush itself passes component records to the
+// scratch. The flush itself passes component records to the
 // kernel (allocscratch.go) directly. The returned slice is scratch and
 // only valid until the next pass on n.scr.
 func (n *Net) allocate(fs []*flow) []float64 {
@@ -654,7 +634,6 @@ func (n *Net) allocate(fs []*flow) []float64 {
 func (n *Net) TotalBytesBetween(a, b string) float64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	//esglint:vtblock flushLocked runs under Net.mu by design; Fan's flush workers touch only component-local flow state and never take Net.mu, and the barrier completes without advancing virtual time
 	n.flushLocked()
 	now := n.clk.Elapsed()
 	var total float64

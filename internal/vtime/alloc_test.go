@@ -130,23 +130,3 @@ func TestSimCondWaitAllocFree(t *testing.T) {
 		}
 	})
 }
-
-// TestFanAllocFree pins the parallel dispatch path: handing a batch of
-// tasks to the worker pool and collecting them at the barrier must not
-// allocate in steady state, for the same reason the sequential core is
-// allocation-free — the fan runs on the hottest path in the tree (the
-// allocator's end-of-instant flush) once per dirty instant.
-func TestFanAllocFree(t *testing.T) {
-	s := NewSim(1)
-	s.SetWorkers(4)
-	defer s.SetWorkers(1)
-	const tasks = 32
-	p := newFanProbe(tasks)
-	s.Fan(tasks, p) // warm the pool (lazy scratch, park/wake churn)
-	allocs := testing.AllocsPerRun(200, func() {
-		s.Fan(tasks, p)
-	})
-	if allocs > 0 {
-		t.Errorf("Fan allocates %.1f objects per dispatch, want 0", allocs)
-	}
-}

@@ -95,12 +95,6 @@ type Sim struct {
 	rng    *rand.Rand
 	rngMu  sync.Mutex
 
-	// pool serves Fan calls when SetWorkers opted into parallel
-	// instant-boundary execution (parallel.go); nWorkers mirrors the
-	// configured lane count for lock-free reads on flush paths.
-	pool     *workerPool
-	nWorkers atomic.Int32
-
 	// Observability (always on; see site.go and internal/flight).
 	// lastFired is the seq of the event most recently delivered at the
 	// current instant: the causal parent stamped onto events scheduled
