@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build cross vet lint test race bench-smoke bench perf perf-aa cover fuzz-smoke check
+.PHONY: all build cross fmt vet lint test race bench-smoke bench perf perf-aa cover fuzz-smoke check
 
 all: check
 
@@ -17,6 +17,15 @@ cross:
 	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 	GOOS=windows $(GO) build ./internal/... ./cmd/...
 
+# gofmt drift fails the build. The fixtures under testdata/ are exempt:
+# some carry `// want` comments gofmt would realign.
+fmt:
+	@out=$$(gofmt -l . | grep -v /testdata/); \
+	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
+# vet's copylocks pass is what enforces "locks are never copied"
+# (DESIGN.md §10); internal/lint's TestVetCatchesCopiedLock pins that it
+# still catches an injected copy.
 vet:
 	$(GO) vet ./...
 
@@ -68,4 +77,4 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzControlChannel -fuzztime=10s -run '^$$' ./internal/gridftp/
 	$(GO) test -fuzz=FuzzFilter -fuzztime=10s -run '^$$' ./internal/ldapd/
 
-check: build cross vet lint race bench-smoke fuzz-smoke
+check: build cross fmt vet lint race bench-smoke fuzz-smoke

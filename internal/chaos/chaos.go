@@ -144,15 +144,6 @@ func (t *Targets) AddStager(name string, s Stager) *Targets { t.stagers[name] = 
 // SetDNS registers the name-service injector.
 func (t *Targets) SetDNS(d DNSInjector) *Targets { t.dns = d; return t }
 
-// LinkNames returns registered link names, sorted.
-func (t *Targets) LinkNames() []string { return sortedKeys(t.links) }
-
-// HostNames returns registered host names, sorted.
-func (t *Targets) HostNames() []string { return sortedKeys(t.hosts) }
-
-// StagerNames returns registered stager names, sorted.
-func (t *Targets) StagerNames() []string { return sortedKeys(t.stagers) }
-
 func sortedKeys[V any](m map[string]V) []string {
 	ks := make([]string, 0, len(m))
 	for k := range m {

@@ -40,13 +40,13 @@ type LifelineConfig struct {
 // commodity RTT, disk-limited sink, authenticated sessions.
 func DefaultLifelineConfig() LifelineConfig {
 	return LifelineConfig{
-		Seed:          7,
-		Files:         4,
-		FileMB:        96,
-		NICBps:        100e6,
-		DiskBps:       82e6,
-		RTT:           24 * time.Millisecond,
-		LossRate:      3e-4,
+		Seed:        7,
+		Files:       4,
+		FileMB:      96,
+		NICBps:      100e6,
+		DiskBps:     82e6,
+		RTT:         24 * time.Millisecond,
+		LossRate:    3e-4,
 		BufferBytes: 1 << 20,
 		// A single stream keeps the trace fully deterministic: with
 		// parallel streams the sender's block distribution across data

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"esgrid/internal/gridftp"
-	"esgrid/internal/netlogger"
 	"esgrid/internal/nws"
 	"esgrid/internal/simnet"
 	"esgrid/internal/vtime"
@@ -553,17 +552,4 @@ func (r ChannelCacheResult) Rows() []Row {
 		{"with channel caching (post-SC'00)", fmt.Sprintf("%s  (%v)", mbps(r.WarmBps), r.WarmElapsed.Round(time.Millisecond))},
 		{"speedup", fmt.Sprintf("%.2fx", r.WarmBps/r.ColdBps)},
 	}
-}
-
-// rateOfSeries is a helper exposing mean of a series in bps.
-func rateOfSeries(s netlogger.Series) float64 {
-	vals := s.Values()
-	if len(vals) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range vals {
-		sum += v
-	}
-	return sum / float64(len(vals))
 }

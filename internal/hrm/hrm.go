@@ -25,7 +25,6 @@ import (
 // the virtual clock (flight-recorder attribution).
 var siteStageWait = vtime.RegisterSite("hrm.stage-wait")
 
-
 // Errors returned by the HRM.
 var (
 	ErrNotOnTape   = errors.New("hrm: file not in the archive")

@@ -10,23 +10,24 @@
 //  2. randomness is explicitly seeded and threaded from config
 //     (seededrand),
 //  3. anything folded into the emitted event stream is canonically
-//     ordered (maprange) and structurally well-formed (emitkv),
-//  4. locks are never copied (mutexcopy).
+//     ordered (maprange) and structurally well-formed (emitkv).
 //
-// Whole-program (interprocedural, propagated through the facts layer in
-// facts.go):
+// Whole-program (interprocedural):
 //
-//  5. no lock is held across a call that may block on virtual time
-//     (vtblock),
-//  6. every goroutine is a managed one Sim.Run can join (managedgo),
-//  7. functions annotated //esglint:hotpath contain no obvious
-//     allocation sources (hotpath).
+//  4. no lock is held across a call that may block on virtual time
+//     (vtblock; may-block knowledge crosses packages through
+//     Pass.mayBlock, see facts.go),
+//  5. every goroutine is a managed one Sim.Run can join (managedgo).
+//
+// Two invariants the suite once checked itself are enforced elsewhere:
+// "locks are never copied" by go vet's copylocks (make vet), and
+// "allocation-free hot paths" by the AllocsPerRun tests that pin each
+// such function at 0 allocs/op (DESIGN.md §10 has the audit).
 //
 // The analyzers are written against a small in-repo kernel whose API
 // deliberately mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
-// Diagnostic, object facts, analysistest-style want comments), so that
-// swapping the kernel for the upstream module is a mechanical change;
-// the repo's stdlib-only constraint is kept intact (see DESIGN.md §10).
+// Diagnostic, analysistest-style want comments); the repo's stdlib-only
+// constraint is kept intact (see DESIGN.md §10).
 //
 // Escape hatch: a comment of the form
 //
@@ -60,16 +61,6 @@ type Analyzer struct {
 	// (reason required). Empty means the analyzer has no escape hatch.
 	Escape string
 
-	// SyntaxOnly marks an analyzer that needs parsed files but no type
-	// information. When every selected analyzer is syntax-only the
-	// driver skips `go list -export` and the type-check entirely.
-	SyntaxOnly bool
-
-	// NeedsFacts marks an analyzer that exports or imports object facts
-	// (facts.go). Fact-using analyzers see packages in dependency order,
-	// so imported facts are always complete.
-	NeedsFacts bool
-
 	// Exempt, when non-nil, reports package paths this analyzer
 	// deliberately stays silent in (e.g. vtimeclock inside
 	// internal/vtime, the one package allowed to touch the wall clock).
@@ -87,15 +78,14 @@ type Pass struct {
 	Path     string // package import path
 	Fset     *token.FileSet
 	Files    []*ast.File
-	Pkg      *types.Package // nil under a syntax-only load
-	Info     *types.Info    // nil under a syntax-only load
+	Pkg      *types.Package
+	Info     *types.Info
 
 	diags *[]Diagnostic
-	facts *factStore
-	// markUsed records that the annotation at (file, line) is load-
-	// bearing even though it suppressed no diagnostic — the hotpath
-	// marker annotations, chiefly — so staleescape keeps quiet about it.
-	markUsed func(file string, line int)
+	// mayBlock is the one piece of whole-program state: for every
+	// function vtblock has found may suspend on virtual time, the reason.
+	// One map is shared by every pass of an AnalyzeProgram run (facts.go).
+	mayBlock map[*types.Func]string
 }
 
 // Reportf records a diagnostic at pos attributed to the running analyzer.
@@ -105,15 +95,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// MarkAnnotationUsed records that the esglint annotation at (file, line)
-// is consumed by this analyzer as a marker rather than a suppression,
-// exempting it from the staleescape audit.
-func (p *Pass) MarkAnnotationUsed(file string, line int) {
-	if p.markUsed != nil {
-		p.markUsed(file, line)
-	}
 }
 
 // A Diagnostic is one finding, attributed to the analyzer that made it.
@@ -129,20 +110,20 @@ type Diagnostic struct {
 const StaleEscapeAnalyzer = "staleescape"
 
 // Analyze runs the given analyzers over a single package. It is the
-// single-package form of AnalyzeProgram; facts do not cross into or out
-// of the call, so interprocedural analyzers see only local and seeded
-// knowledge. The fixture harness and single-package tests use it.
+// single-package form of AnalyzeProgram; may-block knowledge does not
+// cross into or out of the call, so vtblock sees only local and seeded
+// knowledge. Single-package tests use it.
 func Analyze(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return AnalyzeProgram([]*Package{pkg}, analyzers)
 }
 
-// AnalyzeProgram runs the analyzers over every package, propagating
-// facts across package boundaries, and returns the surviving
-// diagnostics in (file, line, column, analyzer) order.
+// AnalyzeProgram runs the analyzers over every package, carrying
+// may-block knowledge across package boundaries, and returns the
+// surviving diagnostics in (file, line, column, analyzer) order.
 //
 // Determinism: packages are visited in topologically sorted import
-// order with lexicographic tie-breaks, so fact propagation — and with
-// it every diagnostic — is a pure function of the source tree,
+// order with lexicographic tie-breaks, so may-block propagation — and
+// with it every diagnostic — is a pure function of the source tree,
 // independent of the order pkgs arrived in (the property
 // TestFactPropagationOrderIndependent pins).
 //
@@ -162,9 +143,8 @@ func AnalyzeProgram(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error
 	fset := pkgs[0].Fset
 	ordered := topoSortPackages(pkgs)
 
-	facts := newFactStore()
+	mayBlock := map[*types.Func]string{}
 	used := map[annKey]bool{}
-	markUsed := func(file string, line int) { used[annKey{file, line}] = true }
 
 	type pkgAnns struct {
 		path string
@@ -179,9 +159,6 @@ func AnalyzeProgram(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error
 
 		var pkgDiags []Diagnostic
 		for _, a := range analyzers {
-			if pkg.Info == nil && !a.SyntaxOnly {
-				return nil, fmt.Errorf("%s: %s: analyzer needs type information but the load was syntax-only", a.Name, pkg.Path)
-			}
 			pass := &Pass{
 				Analyzer: a,
 				Path:     pkg.Path,
@@ -190,10 +167,7 @@ func AnalyzeProgram(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error
 				Pkg:      pkg.Types,
 				Info:     pkg.Info,
 				diags:    &pkgDiags,
-				markUsed: markUsed,
-			}
-			if a.NeedsFacts {
-				pass.facts = facts
+				mayBlock: mayBlock,
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)

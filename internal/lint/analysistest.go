@@ -29,25 +29,17 @@ type testingT interface {
 }
 
 // RunAnalyzer checks analyzer a against the fixture package at
-// srcRoot/src/<path>.
-func RunAnalyzer(t testingT, srcRoot, path string, a *Analyzer) {
-	t.Helper()
-	RunAnalyzers(t, srcRoot, path, []*Analyzer{a})
-}
-
-// RunAnalyzers checks the analyzers — run together as one program, so
-// facts propagate between them and across fixture packages — against
-// the fixture package at srcRoot/src/<path>. Fixture-tree imports are
-// loaded and analyzed too (dependencies first, so their facts are
+// srcRoot/src/<path>. Fixture-tree imports are loaded and analyzed too
+// (dependencies first, so what vtblock learned about them is
 // available), but want-comments are only diffed for the target package.
-func RunAnalyzers(t testingT, srcRoot, path string, as []*Analyzer) {
+func RunAnalyzer(t testingT, srcRoot, path string, a *Analyzer) {
 	t.Helper()
 	pkgs, err := loadTestdataProgram(srcRoot, path)
 	if err != nil {
 		t.Fatalf("loading testdata package %s: %v", path, err)
 	}
 	target := pkgs[len(pkgs)-1]
-	diags, err := AnalyzeProgram(pkgs, as)
+	diags, err := AnalyzeProgram(pkgs, []*Analyzer{a})
 	if err != nil {
 		t.Fatalf("analyzing %s: %v", path, err)
 	}
@@ -64,19 +56,9 @@ func RunAnalyzers(t testingT, srcRoot, path string, as []*Analyzer) {
 	checkWants(t, target, kept)
 }
 
-// loadTestdata loads srcRoot/src/<path> as a type-checked package.
-// Imports that exist under srcRoot/src are loaded (recursively) from the
-// fixture tree; all other imports resolve through export data.
-func loadTestdata(srcRoot, path string) (*Package, error) {
-	pkgs, err := loadTestdataProgram(srcRoot, path)
-	if err != nil {
-		return nil, err
-	}
-	return pkgs[len(pkgs)-1], nil
-}
-
 // loadTestdataProgram loads srcRoot/src/<path> plus every fixture-tree
 // package it (transitively) imports, dependencies first, target last.
+// All other imports resolve through export data.
 func loadTestdataProgram(srcRoot, path string) ([]*Package, error) {
 	fset := token.NewFileSet()
 	imp := newExportImporter(fset, nil)

@@ -43,10 +43,11 @@ func TestTelemetryFixture(t *testing.T) {
 	// any tree fanout, so child folds must never iterate in map order.
 	// The fixture carries wants for all three analyzers the package is
 	// subject to, so they run as one battery.
-	pkg, err := loadTestdata("testdata", "esgrid/internal/telemetry")
+	pkgs, err := loadTestdataProgram("testdata", "esgrid/internal/telemetry")
 	if err != nil {
 		t.Fatalf("loading testdata package: %v", err)
 	}
+	pkg := pkgs[len(pkgs)-1]
 	diags, err := Analyze(pkg, []*Analyzer{MapRange, VTimeClock, EmitKV})
 	if err != nil {
 		t.Fatal(err)
@@ -54,20 +55,16 @@ func TestTelemetryFixture(t *testing.T) {
 	checkWants(t, pkg, diags)
 }
 
-func TestMutexCopy(t *testing.T) {
-	RunAnalyzer(t, "testdata", "mutexcopy", MutexCopy)
-}
-
 func TestVTBlock(t *testing.T) {
 	// vtheld imports vtdeps imports the vtime twin: the harness analyzes
 	// all three as one program, so the cross-package want exercises real
-	// fact propagation.
+	// may-block propagation.
 	RunAnalyzer(t, "testdata", "vtheld", VTBlock)
 }
 
 func TestVTBlockExemptsVtime(t *testing.T) {
-	// The twin's own bodies are the blocking machinery; facts are
-	// computed there but no lock checks run.
+	// The twin's own bodies are the blocking machinery; may-block entries
+	// are computed there but no lock checks run.
 	RunAnalyzer(t, "testdata", "esgrid/internal/vtime", VTBlock)
 }
 
@@ -78,12 +75,6 @@ func TestManagedGo(t *testing.T) {
 func TestManagedGoExemptsVtime(t *testing.T) {
 	// Sim.Go and WaitGroup.Go contain the sanctioned bare go statements.
 	RunAnalyzer(t, "testdata", "esgrid/internal/vtime", ManagedGo)
-}
-
-func TestHotPath(t *testing.T) {
-	// VTBlock runs first so its SpawnsGoroutine facts reach hotpath's
-	// transitive-spawn check (the kickTwice fixture).
-	RunAnalyzers(t, "testdata", "hotpaths", []*Analyzer{VTBlock, HotPath})
 }
 
 func TestStaleEscape(t *testing.T) {

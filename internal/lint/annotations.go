@@ -137,12 +137,12 @@ func auditAnnotations(anns map[string]map[int]annotation, analyzers []*Analyzer)
 
 // staleEscapes is the dead-escape audit (pseudo-analyzer
 // "staleescape"): a well-formed escape annotation that suppressed no
-// diagnostic of its analyzer — and was not claimed as a marker via
-// MarkAnnotationUsed — no longer documents a live exception and must be
-// deleted (or the regression it papered over re-examined). Escapes are
-// only audited when their owning analyzer ran over the package and does
-// not exempt it, so `-only` runs and documentation escapes inside
-// exempt packages (wallclock inside internal/vtime) stay quiet.
+// diagnostic of its analyzer no longer documents a live exception and
+// must be deleted (or the regression it papered over re-examined).
+// Escapes are only audited when their owning analyzer ran over the
+// package and does not exempt it, so `-only` runs and documentation
+// escapes inside exempt packages (wallclock inside internal/vtime) stay
+// quiet.
 func staleEscapes(pkgPath string, anns map[string]map[int]annotation, analyzers []*Analyzer, used map[annKey]bool) []Diagnostic {
 	owners := map[string]*Analyzer{} // escape name -> owning analyzer in this run
 	for _, a := range analyzers {

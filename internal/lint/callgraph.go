@@ -7,10 +7,9 @@ import (
 	"strings"
 )
 
-// Shared interprocedural machinery for the facts-based analyzers: the
-// per-package function table, the blocking/spawning seed sets, and the
-// rules for attributing a func literal's behavior to its enclosing
-// declaration.
+// Interprocedural machinery for vtblock: the per-package function
+// table, the blocking seed set, and the rules for attributing a func
+// literal's behavior to its enclosing declaration.
 
 // funcDecl pairs one declared function with its types object.
 type funcDecl struct {
@@ -19,8 +18,8 @@ type funcDecl struct {
 }
 
 // packageFuncs returns the package's declared functions with bodies, in
-// file/position order — the canonical iteration order every fixpoint
-// and every exported fact follows.
+// file/position order — the canonical iteration order the may-block
+// fixpoint follows.
 func packageFuncs(pass *Pass) []funcDecl {
 	var out []funcDecl
 	for _, f := range pass.Files {
@@ -95,19 +94,6 @@ func condWaitExempt(fn *types.Func) bool {
 	return recv == "Cond" || recv == "chanCond"
 }
 
-// spawnSeed reports whether calling fn starts a goroutine by design:
-// the managed-spawn helpers themselves. (Bare go statements are
-// managedgo's business; here they only feed the SpawnsGoroutine fact.)
-func spawnSeed(fn *types.Func) (string, bool) {
-	if fn == nil || fn.Pkg() == nil || !isVtimePath(fn.Pkg().Path()) {
-		return "", false
-	}
-	if fn.Name() == "Go" {
-		return "vtime." + recvPrefix(fn) + "Go", true
-	}
-	return "", false
-}
-
 // recvTypeName returns the name of fn's receiver type ("" for
 // package-level functions), with any pointer indirection stripped.
 func recvTypeName(fn *types.Func) string {
@@ -122,10 +108,7 @@ func recvTypeName(fn *types.Func) string {
 	if n, ok := t.(*types.Named); ok {
 		return n.Obj().Name()
 	}
-	if n, ok := t.(*types.Interface); ok {
-		_ = n // unnamed interface receiver: no name
-	}
-	return ""
+	return "" // unnamed interface receiver
 }
 
 func recvPrefix(fn *types.Func) string {
@@ -161,9 +144,7 @@ func detachedLit(lit *ast.FuncLit, parent ast.Node) bool {
 
 // inspectAttributed walks body like ast.Inspect, restricted to code
 // that runs on the enclosing function's own goroutine: go-statement
-// subtrees are reported (the *ast.GoStmt node itself reaches visit) but
-// never descended into, and func literals detached per detachedLit are
-// skipped.
+// subtrees and func literals detached per detachedLit are skipped.
 func inspectAttributed(body ast.Node, visit func(n ast.Node) bool) {
 	var parents []ast.Node
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -176,8 +157,7 @@ func inspectAttributed(body ast.Node, visit func(n ast.Node) bool) {
 				return false
 			}
 		}
-		if g, ok := n.(*ast.GoStmt); ok {
-			visit(g)
+		if _, ok := n.(*ast.GoStmt); ok {
 			return false
 		}
 		parents = append(parents, n)

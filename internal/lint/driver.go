@@ -8,38 +8,13 @@ import (
 	"sort"
 )
 
-// All is the esglint analyzer suite, in reporting order: the five
-// per-file analyzers, then the three whole-program ones built on the
-// facts layer. The "esglint" annotation audit and the "staleescape"
-// dead-escape audit run inside the driver and are not listed.
+// All is the esglint analyzer suite, in reporting order: the four
+// per-file analyzers, then the two whole-program ones. The "esglint"
+// annotation audit and the "staleescape" dead-escape audit run inside
+// the driver and are not listed.
 var All = []*Analyzer{
-	VTimeClock, SeededRand, EmitKV, MapRange, MutexCopy,
-	VTBlock, ManagedGo, HotPath,
-}
-
-// syntaxOnly reports whether every selected analyzer can run on parsed
-// source alone, letting the driver skip export loading entirely.
-func syntaxOnly(analyzers []*Analyzer) bool {
-	for _, a := range analyzers {
-		if !a.SyntaxOnly {
-			return false
-		}
-	}
-	return len(analyzers) > 0
-}
-
-// loadFor loads the packages matched by patterns with the cheapest
-// loader the analyzer selection permits: parse-only when every analyzer
-// is syntax-level, the full `go list -export` type-checking load
-// otherwise.
-func loadFor(dir string, patterns []string, analyzers []*Analyzer) ([]*Package, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	if syntaxOnly(analyzers) {
-		return LoadPackagesSyntax(dir, patterns...)
-	}
-	return LoadPackages(dir, patterns...)
+	VTimeClock, SeededRand, EmitKV, MapRange,
+	VTBlock, ManagedGo,
 }
 
 // relName shortens name to be relative to absDir when it is inside it.
@@ -50,30 +25,44 @@ func relName(absDir, name string) string {
 	return name
 }
 
-// Run loads the packages matched by patterns (relative to dir) and runs
-// the analyzers over every non-test file as one program, writing one
-// "path:line:col: message (analyzer)" line per finding to w in
-// deterministic (file, line, column, analyzer) order. It returns the
-// number of findings; a load or type-check failure is an error.
-func Run(dir string, patterns []string, analyzers []*Analyzer, w io.Writer) (int, error) {
-	pkgs, err := loadFor(dir, patterns, analyzers)
+// findings loads the packages matched by patterns (relative to dir),
+// runs the analyzers over every non-test file as one program, and
+// returns the diagnostics, file names relative to dir, in
+// AnalyzeProgram's order, along with the packages they came from.
+func findings(dir string, patterns []string, analyzers []*Analyzer) ([]JSONFinding, []*Package, error) {
+	pkgs, err := LoadPackages(dir, patterns...)
 	if err != nil {
-		return 0, err
-	}
-	if len(pkgs) == 0 {
-		return 0, nil
+		return nil, nil, err
 	}
 	diags, err := AnalyzeProgram(pkgs, analyzers)
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
 	absDir, _ := filepath.Abs(dir)
-	fset := pkgs[0].Fset
+	out := make([]JSONFinding, 0, len(diags)) // never nil: the JSON report renders "no findings" as []
 	for _, d := range diags {
-		pos := fset.Position(d.Pos)
-		fmt.Fprintf(w, "%s:%d:%d: %s (%s)\n", relName(absDir, pos.Filename), pos.Line, pos.Column, d.Message, d.Analyzer)
+		pos := pkgs[0].Fset.Position(d.Pos)
+		out = append(out, JSONFinding{
+			File:     relName(absDir, pos.Filename),
+			Line:     pos.Line,
+			Col:      pos.Column,
+			Analyzer: d.Analyzer,
+			Message:  d.Message,
+		})
 	}
-	return len(diags), nil
+	return out, pkgs, nil
+}
+
+// Run writes one "path:line:col: message (analyzer)" line per finding
+// (see findings) to w in deterministic (file, line, column, analyzer)
+// order. It returns the number of findings; a load or type-check
+// failure is an error.
+func Run(dir string, patterns []string, analyzers []*Analyzer, w io.Writer) (int, error) {
+	fs, _, err := findings(dir, patterns, analyzers)
+	for _, f := range fs {
+		fmt.Fprintf(w, "%s:%d:%d: %s (%s)\n", f.File, f.Line, f.Col, f.Message, f.Analyzer)
+	}
+	return len(fs), err
 }
 
 // JSONFinding is one diagnostic in the machine-readable report.
@@ -100,32 +89,17 @@ type JSONReport struct {
 // The encoding is deterministic: findings are pre-sorted and Go's JSON
 // encoder emits map keys in sorted order.
 func RunJSON(dir string, patterns []string, analyzers []*Analyzer, w io.Writer) (int, error) {
-	pkgs, err := loadFor(dir, patterns, analyzers)
+	fs, pkgs, err := findings(dir, patterns, analyzers)
 	if err != nil {
 		return 0, err
 	}
 	report := JSONReport{
-		Findings: []JSONFinding{},
+		Findings: fs,
 		Counts:   map[string]int{},
 		Escapes:  map[string]int{},
 	}
-	var diags []Diagnostic
-	if len(pkgs) > 0 {
-		if diags, err = AnalyzeProgram(pkgs, analyzers); err != nil {
-			return 0, err
-		}
-	}
-	absDir, _ := filepath.Abs(dir)
-	for _, d := range diags {
-		pos := pkgs[0].Fset.Position(d.Pos)
-		report.Findings = append(report.Findings, JSONFinding{
-			File:     relName(absDir, pos.Filename),
-			Line:     pos.Line,
-			Col:      pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		})
-		report.Counts[d.Analyzer]++
+	for _, f := range fs {
+		report.Counts[f.Analyzer]++
 	}
 	known := map[string]bool{}
 	for _, a := range analyzers {
@@ -163,8 +137,5 @@ func RunJSON(dir string, patterns []string, analyzers []*Analyzer, w io.Writer) 
 	})
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		return len(diags), err
-	}
-	return len(diags), nil
+	return len(fs), enc.Encode(report)
 }

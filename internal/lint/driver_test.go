@@ -3,6 +3,7 @@ package lint
 import (
 	"bytes"
 	"encoding/json"
+	"os/exec"
 	"sort"
 	"strings"
 	"testing"
@@ -11,10 +12,10 @@ import (
 // TestDriverCatchesInjectedViolations runs the full suite over the
 // fixture module at testdata/mod, which deliberately violates each
 // invariant once: a wall-clock read, a global rand.Intn, an odd-arity
-// Emit, an unsorted map-range on an ordered-output path, a copied
-// mutex, a lock held across a virtual-time block, a bare goroutine
-// spawn, an allocating hot path, and a dead escape. Each must be caught
-// and attributed by analyzer name.
+// Emit, an unsorted map-range on an ordered-output path, a lock held
+// across a virtual-time block, a bare goroutine spawn, and a dead
+// escape. Each must be caught and attributed by analyzer name. (The
+// module's copied mutex is go vet's to catch: TestVetCatchesCopiedLock.)
 func TestDriverCatchesInjectedViolations(t *testing.T) {
 	var buf bytes.Buffer
 	n, err := Run("testdata/mod", nil, All, &buf)
@@ -29,10 +30,8 @@ func TestDriverCatchesInjectedViolations(t *testing.T) {
 		{"clocks/clocks.go", "(seededrand)"},
 		{"internal/monitor/fold.go", "(emitkv)"},
 		{"internal/monitor/fold.go", "(maprange)"},
-		{"locks/locks.go", "(mutexcopy)"},
 		{"held/held.go", "(vtblock)"},
 		{"held/held.go", "(managedgo)"},
-		{"held/held.go", "(hotpath)"},
 		{"held/held.go", "(staleescape)"},
 		// The reasonless escape in clocks.go is itself a finding.
 		{"clocks/clocks.go", "(esglint)"},
@@ -51,12 +50,12 @@ func TestDriverCatchesInjectedViolations(t *testing.T) {
 	}
 
 	// WallClock and MissingReason are unsuppressed (2 vtimeclock), plus
-	// seededrand, emitkv, maprange, mutexcopy, vtblock, managedgo,
-	// hotpath, staleescape, and the esglint annotation audit: 11
-	// findings. Annotated() must stay suppressed, and the fixture vtime
-	// twin (wall sleep, bare go) must stay exempt.
-	if n != 11 {
-		t.Errorf("Run reported %d findings, want 11", n)
+	// seededrand, emitkv, maprange, vtblock, managedgo, staleescape, and
+	// the esglint annotation audit: 9 findings. Annotated() must stay
+	// suppressed, and the fixture vtime twin (wall sleep, bare go) must
+	// stay exempt.
+	if n != 9 {
+		t.Errorf("Run reported %d findings, want 9", n)
 	}
 	if strings.Contains(out, "clean/clean.go") {
 		t.Errorf("clean package was flagged:\n%s", out)
@@ -66,6 +65,21 @@ func TestDriverCatchesInjectedViolations(t *testing.T) {
 	}
 	if strings.Contains(out, "clocks.go:15") {
 		t.Errorf("escape with reason was not suppressed:\n%s", out)
+	}
+}
+
+// TestVetCatchesCopiedLock pins "locks are never copied" on the tool
+// that enforces it: `go vet` (make vet) with its copylocks pass must
+// reject the fixture module's injected copy.
+func TestVetCatchesCopiedLock(t *testing.T) {
+	cmd := exec.Command("go", "vet", "-copylocks", "./locks")
+	cmd.Dir = "testdata/mod"
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("go vet -copylocks accepted the injected lock copy:\n%s", out)
+	}
+	if !strings.Contains(string(out), "locks/locks.go") || !strings.Contains(string(out), "copies lock value") {
+		t.Errorf("go vet failed without reporting the copy in locks/locks.go: %v\n%s", err, out)
 	}
 }
 
@@ -99,45 +113,8 @@ func TestDriverBadPattern(t *testing.T) {
 }
 
 func TestLoadPackagesTypeError(t *testing.T) {
-	if _, err := loadTestdata("testdata", "no-such-fixture"); err == nil {
-		t.Fatal("loadTestdata succeeded on a missing fixture package")
-	}
-}
-
-// TestDriverSyntaxOnlySelection proves an -only selection of purely
-// syntactic analyzers runs from parse alone: the syntax loader leaves
-// Info nil, yet managedgo still catches the injected bare spawn.
-func TestDriverSyntaxOnlySelection(t *testing.T) {
-	pkgs, err := LoadPackagesSyntax("testdata/mod", "./...")
-	if err != nil {
-		t.Fatalf("LoadPackagesSyntax: %v", err)
-	}
-	for _, p := range pkgs {
-		if p.Info != nil || p.Types != nil {
-			t.Fatalf("syntax load type-checked %s", p.Path)
-		}
-	}
-
-	var buf bytes.Buffer
-	n, err := Run("testdata/mod", nil, []*Analyzer{ManagedGo}, &buf)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if n != 1 || !strings.Contains(buf.String(), "held/held.go") {
-		t.Errorf("managedgo-only run reported %d finding(s), want the held.go spawn:\n%s", n, buf.String())
-	}
-}
-
-// TestAnalyzeProgramRejectsSyntaxLoadForTypedAnalyzer pins the error
-// path: a type-needing analyzer over a syntax-only load must fail
-// loudly, not silently skip.
-func TestAnalyzeProgramRejectsSyntaxLoadForTypedAnalyzer(t *testing.T) {
-	pkgs, err := LoadPackagesSyntax("testdata/mod", "./clean")
-	if err != nil {
-		t.Fatalf("LoadPackagesSyntax: %v", err)
-	}
-	if _, err := AnalyzeProgram(pkgs, []*Analyzer{VTimeClock}); err == nil {
-		t.Fatal("AnalyzeProgram accepted a typed analyzer over a syntax-only load")
+	if _, err := loadTestdataProgram("testdata", "no-such-fixture"); err == nil {
+		t.Fatal("loadTestdataProgram succeeded on a missing fixture package")
 	}
 }
 

@@ -1,145 +1,27 @@
 package lint
 
 import (
-	"fmt"
 	"go/token"
-	"go/types"
-	"reflect"
 	"sort"
 )
 
-// The facts layer: interprocedural state analyzers attach to objects
-// (functions, mostly) and read back across package boundaries. The
-// shape deliberately mirrors golang.org/x/tools/go/analysis object
-// facts — ExportObjectFact / ImportObjectFact keyed by (object, fact
-// type) — so that porting the suite onto the upstream module stays the
-// mechanical change DESIGN.md §10 promises. The one structural
-// difference: upstream serializes facts into export data between
-// separate driver processes, while this kernel analyzes the whole
-// program in one process, so the store is a plain in-memory map shared
-// by every pass of one AnalyzeProgram run.
+// Whole-program state is one map: Pass.mayBlock, from function to the
+// reason it may suspend the calling goroutine on virtual time. vtblock
+// fills it package by package and reads it back when a later package
+// calls into an earlier one; every pass of one AnalyzeProgram run
+// shares the same map.
 //
-// Determinism contract: facts must make analyzer output a pure function
-// of the source tree. AnalyzeProgram guarantees packages are visited in
+// Determinism contract: the map must make analyzer output a pure
+// function of the source tree. AnalyzeProgram visits packages in
 // topologically sorted import order (ties broken by import path), so an
-// importer always sees its dependencies' facts fully computed, and the
-// same tree produces the same facts regardless of load order — see
-// TestFactPropagationOrderIndependent.
-
-// A Fact is interprocedural information attached to a types.Object.
-// Implementations must be pointer types; AFact is a marker.
-type Fact interface{ AFact() }
-
-// MayBlock marks a function that may suspend the calling goroutine on
-// virtual time: directly (Sim.Sleep, Cond.Wait, a channel receive,
-// a telemetry frame read) or by calling something that does. Via names
-// the first blocking reason on a shortest known chain, for diagnostics.
-type MayBlock struct{ Via string }
-
-// AFact implements Fact.
-func (*MayBlock) AFact() {}
-
-func (f *MayBlock) String() string { return "mayBlock(via " + f.Via + ")" }
-
-// SpawnsGoroutine marks a function that starts a goroutine — a bare go
-// statement or a managed-spawn helper (Clock.Go, Sim.Go,
-// WaitGroup.Go) — directly or transitively. Via names the first spawn
-// site reason on a known chain.
-type SpawnsGoroutine struct{ Via string }
-
-// AFact implements Fact.
-func (*SpawnsGoroutine) AFact() {}
-
-func (f *SpawnsGoroutine) String() string { return "spawnsGoroutine(via " + f.Via + ")" }
-
-// factKey identifies one fact: which object, which fact type.
-type factKey struct {
-	obj types.Object
-	typ reflect.Type
-}
-
-// factStore holds every fact exported during one AnalyzeProgram run.
-type factStore struct {
-	m map[factKey]Fact
-}
-
-func newFactStore() *factStore {
-	return &factStore{m: map[factKey]Fact{}}
-}
-
-// ExportObjectFact associates fact with obj, overwriting any previous
-// fact of the same type. The pass's analyzer must declare NeedsFacts.
-func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
-	if p.facts == nil {
-		panic(fmt.Sprintf("lint: analyzer %s exports facts without NeedsFacts", p.Analyzer.Name))
-	}
-	if obj == nil {
-		return
-	}
-	p.facts.m[factKey{obj, reflect.TypeOf(fact)}] = fact
-}
-
-// ImportObjectFact copies the fact of fact's type attached to obj into
-// fact and reports whether one was found. obj may belong to any package
-// analyzed earlier in the program (or this one).
-func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
-	if p.facts == nil || obj == nil {
-		return false
-	}
-	f, ok := p.facts.m[factKey{obj, reflect.TypeOf(fact)}]
-	if !ok {
-		return false
-	}
-	reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(f).Elem())
-	return true
-}
-
-// ObjectFact is one exported fact, for deterministic enumeration.
-type ObjectFact struct {
-	Obj  types.Object
-	Fact Fact
-}
-
-// AllObjectFacts returns every fact in the store, sorted by the
-// object's package path, object name, and fact type name — a canonical
-// order independent of map iteration and load order.
-func (p *Pass) AllObjectFacts() []ObjectFact {
-	if p.facts == nil {
-		return nil
-	}
-	out := make([]ObjectFact, 0, len(p.facts.m))
-	for k, f := range p.facts.m {
-		out = append(out, ObjectFact{Obj: k.obj, Fact: f})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		pi, pj := objPkgPath(out[i].Obj), objPkgPath(out[j].Obj)
-		if pi != pj {
-			return pi < pj
-		}
-		if out[i].Obj.Name() != out[j].Obj.Name() {
-			return out[i].Obj.Name() < out[j].Obj.Name()
-		}
-		ti := reflect.TypeOf(out[i].Fact).String()
-		tj := reflect.TypeOf(out[j].Fact).String()
-		if ti != tj {
-			return ti < tj
-		}
-		return out[i].Obj.Pos() < out[j].Obj.Pos()
-	})
-	return out
-}
-
-func objPkgPath(o types.Object) string {
-	if o == nil || o.Pkg() == nil {
-		return ""
-	}
-	return o.Pkg().Path()
-}
+// importer always sees its dependencies' entries fully computed, and
+// the same tree produces the same entries regardless of load order —
+// see TestFactPropagationOrderIndependent.
 
 // topoSortPackages orders pkgs dependencies-first, ties broken by
 // import path, independent of the input order. Only edges between
 // packages in the set matter; everything else (stdlib) is already
-// compiled export data with no facts to contribute.
+// compiled export data with nothing to contribute.
 func topoSortPackages(pkgs []*Package) []*Package {
 	byPath := make(map[string]*Package, len(pkgs))
 	paths := make([]string, 0, len(pkgs))
@@ -156,11 +38,7 @@ func topoSortPackages(pkgs []*Package) []*Package {
 	deps := make(map[string][]string, len(paths))
 	indeg := make(map[string]int, len(paths))
 	for _, path := range paths {
-		p := byPath[path]
-		if p.Types == nil {
-			continue // syntax-only load: no import graph, lexical order
-		}
-		for _, imp := range p.Types.Imports() {
+		for _, imp := range byPath[path].Types.Imports() {
 			if _, in := byPath[imp.Path()]; in && imp.Path() != path {
 				deps[path] = append(deps[path], imp.Path())
 				indeg[path]++

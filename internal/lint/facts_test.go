@@ -24,7 +24,7 @@ func renderDiags(pkgs []*Package, t *testing.T) string {
 }
 
 // TestFactPropagationOrderIndependent is the determinism property the
-// facts layer promises: diagnostics are a pure function of the source
+// may-block map promises: diagnostics are a pure function of the source
 // tree, independent of the order packages arrive in. The driver
 // canonicalizes via topoSortPackages, so every permutation of the load
 // order must produce byte-identical output.

@@ -41,26 +41,10 @@ type listPkg struct {
 // main module's packages from source while importing every dependency
 // (stdlib included) from export data — no network, no GOPATH layout.
 func goList(dir string, patterns []string) ([]listPkg, error) {
-	return goListArgs(dir, []string{
+	args := append([]string{
 		"list", "-export", "-deps",
 		"-json=ImportPath,Dir,GoFiles,Export,Standard,Name",
-	}, patterns)
-}
-
-// goListSyntax is goList without -export and -deps: pattern resolution
-// and file discovery only, no compilation of dependencies. The
-// syntax-only load path uses it, which is what makes `esglint -only
-// managedgo` start in milliseconds instead of paying a full
-// build-cache-priming `go list -export` run.
-func goListSyntax(dir string, patterns []string) ([]listPkg, error) {
-	return goListArgs(dir, []string{
-		"list",
-		"-json=ImportPath,Dir,GoFiles,Standard,Name",
-	}, patterns)
-}
-
-func goListArgs(dir string, base, patterns []string) ([]listPkg, error) {
-	args := append(base, patterns...)
+	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -125,11 +109,15 @@ func (im *exportImporter) Import(path string) (*types.Package, error) {
 }
 
 // LoadPackages loads and type-checks the non-stdlib packages matched by
-// patterns (resolved relative to dir, a directory inside a Go module),
-// plus their in-module dependencies, in dependency order. Test files are
-// not loaded: the esglint invariants govern non-test code, and tests
-// exercise the invariant machinery itself (fixed clocks, raw kv arity).
+// patterns (resolved relative to dir, a directory inside a Go module;
+// none means ./...), plus their in-module dependencies, in dependency
+// order. Test files are not loaded: the esglint invariants govern
+// non-test code, and tests exercise the invariant machinery itself
+// (fixed clocks, raw kv arity).
 func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
+	}
 	pkgs, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err
@@ -166,35 +154,6 @@ func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
 		// identity per path across the load.
 		imp.local[p.ImportPath] = pkg.Types
 		out = append(out, pkg)
-	}
-	return out, nil
-}
-
-// LoadPackagesSyntax loads the non-stdlib packages matched by patterns
-// parsed but not type-checked: Types and Info are nil. It never
-// compiles anything — no `go list -export`, no dependency walk — so a
-// selection of purely syntactic analyzers (Analyzer.SyntaxOnly) starts
-// without priming the build cache.
-func LoadPackagesSyntax(dir string, patterns ...string) ([]*Package, error) {
-	pkgs, err := goListSyntax(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	fset := token.NewFileSet()
-	var out []*Package
-	for _, p := range pkgs {
-		if p.Standard {
-			continue
-		}
-		var files []*ast.File
-		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
-			if err != nil {
-				return nil, err
-			}
-			files = append(files, f)
-		}
-		out = append(out, &Package{Path: p.ImportPath, Fset: fset, Files: files})
 	}
 	return out, nil
 }

@@ -17,17 +17,12 @@ import "go/ast"
 // (Test files never reach the loader.) The rare legitimate bare spawn —
 // a detached operator-facing helper on a real-time-only path that must
 // outlive its spawner — carries //esglint:managedgo <reason>.
-//
-// The check is purely syntactic (SyntaxOnly), so `esglint -only
-// managedgo` runs from parse alone, without `go list -export` priming
-// the build cache.
 var ManagedGo = &Analyzer{
-	Name:       "managedgo",
-	Doc:        "require goroutines to be spawned via the managed helpers (Clock.Go / WaitGroup.Go), not bare go statements",
-	Escape:     "managedgo",
-	SyntaxOnly: true,
-	Exempt:     isVtimePath,
-	Run:        runManagedGo,
+	Name:   "managedgo",
+	Doc:    "require goroutines to be spawned via the managed helpers (Clock.Go / WaitGroup.Go), not bare go statements",
+	Escape: "managedgo",
+	Exempt: isVtimePath,
+	Run:    runManagedGo,
 }
 
 func runManagedGo(pass *Pass) error {

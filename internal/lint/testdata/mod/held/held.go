@@ -1,7 +1,7 @@
 // Package held injects one violation of each interprocedural invariant
 // for the driver test: a lock held across a virtual-time block
-// (vtblock), a bare goroutine spawn (managedgo), an allocating hot path
-// (hotpath), and a dead escape (staleescape).
+// (vtblock), a bare goroutine spawn (managedgo), and a dead escape
+// (staleescape).
 package held
 
 import (
@@ -28,11 +28,6 @@ func (g *Gate) BareSpawn() {
 }
 
 func (g *Gate) work() {}
-
-//esglint:hotpath injected: pinned at 0 allocs/op by the benchmarks
-func (g *Gate) HotAppend(v int) {
-	g.buf = append(g.buf, v) // injected hotpath violation
-}
 
 func (g *Gate) Stale() int {
 	return len(g.buf) //esglint:unordered injected stale escape; suppresses nothing

@@ -1,4 +1,5 @@
-// Package locks injects a copied mutex for the driver test.
+// Package locks injects a copied mutex for TestVetCatchesCopiedLock: go
+// vet's copylocks, not esglint, owns that invariant.
 package locks
 
 import "sync"
@@ -9,5 +10,5 @@ type Counter struct {
 }
 
 func Snapshot(c *Counter) Counter {
-	return *c // injected mutexcopy violation
+	return *c // injected copylocks violation
 }

@@ -2,7 +2,7 @@
 // the wall clock may be read (vtimeclock), where bare go statements are
 // the sanctioned spawn implementation (managedgo), and whose blocking
 // primitives — matched by name and path, exactly like the real package —
-// seed the vtblock facts layer.
+// seed vtblock's may-block map.
 package vtime
 
 import "time"
@@ -12,7 +12,7 @@ func RealNow() time.Time { return time.Now() }
 func RealSleep(d time.Duration) { time.Sleep(d) }
 
 // Sim is the simulated clock twin: its method names are the blocking
-// and spawning seeds the interprocedural analyzers root their facts at.
+// seeds vtblock roots its may-block map at.
 type Sim struct{}
 
 // Sleep suspends the caller on virtual time (blocking seed).

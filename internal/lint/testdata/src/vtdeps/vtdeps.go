@@ -1,5 +1,5 @@
 // Package vtdeps wraps the vtime twin behind an extra package boundary,
-// so the vtheld fixture can prove MayBlock facts propagate across
+// so the vtheld fixture can prove may-block entries propagate across
 // packages (not just across functions within one).
 package vtdeps
 
@@ -12,7 +12,7 @@ import (
 var clk vtime.Sim
 
 // Fetch simulates a remote read: it parks on virtual time, so the
-// facts layer must export MayBlock for it.
+// may-block map must gain an entry for it.
 func Fetch(d time.Duration) {
 	clk.Sleep(d)
 }

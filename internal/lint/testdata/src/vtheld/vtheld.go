@@ -38,7 +38,7 @@ func (s *Server) unlockFirst(d time.Duration) {
 }
 
 // helper blocks one call below the seed; the local fixpoint must give
-// it a MayBlock fact.
+// it a may-block entry.
 func (s *Server) helper(d time.Duration) {
 	s.clk.Sleep(d)
 }
@@ -61,8 +61,8 @@ func (s *Server) deep(d time.Duration) {
 	s.mu.Unlock()
 }
 
-// Transitive across a package boundary: vtdeps.Fetch's MayBlock fact
-// was exported when its package was analyzed (dependencies first).
+// Transitive across a package boundary: vtdeps.Fetch's may-block entry
+// was recorded when its package was analyzed (dependencies first).
 func (s *Server) crossPackage(d time.Duration) {
 	s.mu.Lock()
 	vtdeps.Fetch(d) // want `s\.mu held across a call to vtdeps\.Fetch \(may block via vtime\.Sim\.Sleep\)`

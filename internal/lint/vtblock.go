@@ -16,38 +16,36 @@ import (
 // lock.
 //
 // The analysis is whole-program. For every function the analyzer
-// computes — and exports through the facts layer, so the knowledge
-// crosses package boundaries in dependency order — a MayBlock fact:
-// the function directly suspends on virtual time (Sim.Sleep, Cond.Wait,
+// computes — and records in Pass.mayBlock, so the knowledge crosses
+// package boundaries in dependency order — whether it may block: the
+// function directly suspends on virtual time (Sim.Sleep, Cond.Wait,
 // Sim.Run, WaitGroup.Wait, a channel receive or select, a
 // telemetry frame read) or calls, transitively through any number of
-// packages, something that does. It also exports SpawnsGoroutine facts
-// (consumed by hotpath). Within each function, lock/unlock pairing is
-// tracked flow-insensitively in source order per body: x.Lock()/x.RLock()
-// adds x to the held set, x.Unlock()/x.RUnlock() removes it, a deferred
-// unlock holds to the end of the body. Any call to a may-block function
-// (or a direct receive/select) while the held set is non-empty is a
-// finding.
+// packages, something that does. Within each function, lock/unlock
+// pairing is tracked flow-insensitively in source order per body:
+// x.Lock()/x.RLock() adds x to the held set, x.Unlock()/x.RUnlock()
+// removes it, a deferred unlock holds to the end of the body. Any call
+// to a may-block function (or a direct receive/select) while the held
+// set is non-empty is a finding.
 //
 // Exemptions: internal/vtime itself (its internals are the blocking
-// machinery — facts are still computed there and exported for
+// machinery — its may-block entries are still computed, for
 // everyone else), and Cond.Wait/WaitTimeout called while holding a lock
 // (the condition variable releases its locker before suspending; that
 // is the sanctioned pattern). Genuinely safe sites — a lock provably
 // disjoint from everything the callee's blocking path touches — carry
 // //esglint:vtblock <reason>.
 var VTBlock = &Analyzer{
-	Name:       "vtblock",
-	Doc:        "flag mutexes held across calls that may (transitively) block on virtual time",
-	Escape:     "vtblock",
-	NeedsFacts: true,
-	Exempt:     isVtimePath,
-	Run:        runVTBlock,
+	Name:   "vtblock",
+	Doc:    "flag mutexes held across calls that may (transitively) block on virtual time",
+	Escape: "vtblock",
+	Exempt: isVtimePath,
+	Run:    runVTBlock,
 }
 
 func runVTBlock(pass *Pass) error {
 	funcs := packageFuncs(pass)
-	computeBlockFacts(pass, funcs)
+	computeMayBlock(pass, funcs)
 	if pass.Analyzer.Exempt(pass.Path) {
 		return nil
 	}
@@ -58,42 +56,28 @@ func runVTBlock(pass *Pass) error {
 }
 
 // mayBlockVia resolves whether calling fn may block, consulting the
-// seed set first and then the fact store (same-package facts are
-// already exported by the local fixpoint; dependency facts were
-// exported when their package was analyzed).
+// seed set first and then pass.mayBlock (same-package entries are
+// recorded by the fixpoint before any lock check runs; dependency
+// entries were recorded when their package was analyzed).
 func mayBlockVia(pass *Pass, fn *types.Func) (string, bool) {
 	if via, ok := blockSeed(fn); ok {
 		return via, true
 	}
-	var f MayBlock
-	if pass.ImportObjectFact(fn, &f) {
-		return f.Via, true
-	}
-	return "", false
+	via, ok := pass.mayBlock[fn]
+	return via, ok
 }
 
-// computeBlockFacts runs the intra-package fixpoint: a function blocks
-// (or spawns) if its attributed body blocks (spawns) directly or calls
-// a function already known to. Functions are scanned in position order
-// and the loop runs until no new fact appears, so mutual recursion
-// converges and the result is independent of declaration order.
-func computeBlockFacts(pass *Pass, funcs []funcDecl) {
-	type state struct{ blockVia, spawnVia string }
-	local := make(map[*types.Func]*state, len(funcs))
-	for _, fd := range funcs {
-		local[fd.fn] = &state{}
-	}
-
-	scan := func(fd funcDecl) (blockVia, spawnVia string) {
-		st := local[fd.fn]
-		blockVia, spawnVia = st.blockVia, st.spawnVia
+// computeMayBlock runs the intra-package fixpoint: a function blocks if
+// its attributed body blocks directly or calls a function already known
+// to. Functions are scanned in position order and the loop runs until
+// no new entry appears, so mutual recursion converges and the result is
+// independent of declaration order.
+func computeMayBlock(pass *Pass, funcs []funcDecl) {
+	scan := func(fd funcDecl) string {
+		blockVia := ""
 		var visit func(n ast.Node) bool
 		visit = func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.GoStmt:
-				if spawnVia == "" {
-					spawnVia = "go statement"
-				}
 			case *ast.UnaryExpr:
 				if n.Op == token.ARROW && blockVia == "" {
 					blockVia = "channel receive"
@@ -129,50 +113,27 @@ func computeBlockFacts(pass *Pass, funcs []funcDecl) {
 				if blockVia == "" {
 					if via, seeded := blockSeed(fn); seeded {
 						blockVia = via
-					} else if via, ok := mayBlockVia(pass, fn); ok {
+					} else if via, ok := pass.mayBlock[fn]; ok {
 						blockVia = callName(fn) + " → " + firstHop(via)
-					} else if st, ok := local[fn]; ok && st.blockVia != "" {
-						blockVia = callName(fn) + " → " + firstHop(st.blockVia)
-					}
-				}
-				if spawnVia == "" {
-					if via, ok := spawnSeed(fn); ok {
-						spawnVia = via
-					} else {
-						var f SpawnsGoroutine
-						if pass.ImportObjectFact(fn, &f) {
-							spawnVia = callName(fn)
-						} else if st, ok := local[fn]; ok && st.spawnVia != "" {
-							spawnVia = callName(fn)
-						}
 					}
 				}
 			}
 			return true
 		}
 		inspectAttributed(fd.decl.Body, visit)
-		return blockVia, spawnVia
+		return blockVia
 	}
 
 	for changed := true; changed; {
 		changed = false
 		for _, fd := range funcs {
-			st := local[fd.fn]
-			blockVia, spawnVia := scan(fd)
-			if blockVia != st.blockVia || spawnVia != st.spawnVia {
-				st.blockVia, st.spawnVia = blockVia, spawnVia
+			if _, known := pass.mayBlock[fd.fn]; known {
+				continue
+			}
+			if via := scan(fd); via != "" {
+				pass.mayBlock[fd.fn] = via
 				changed = true
 			}
-		}
-	}
-
-	for _, fd := range funcs {
-		st := local[fd.fn]
-		if st.blockVia != "" {
-			pass.ExportObjectFact(fd.fn, &MayBlock{Via: st.blockVia})
-		}
-		if st.spawnVia != "" {
-			pass.ExportObjectFact(fd.fn, &SpawnsGoroutine{Via: st.spawnVia})
 		}
 	}
 }
@@ -204,13 +165,6 @@ func selectHasDefault(s *ast.SelectStmt) bool {
 		}
 	}
 	return false
-}
-
-// heldLock is one mutex the flow-insensitive walk currently considers
-// held: the rendered receiver expression plus the read/write mode.
-type heldLock struct {
-	key  string
-	name string // for diagnostics: "s.mu" or "s.mu (RLock)"
 }
 
 // checkLocksHeld walks one function body in source order, maintaining

@@ -559,26 +559,6 @@ func EncodeAlerts(alerts []Alert) string {
 // AlertJSONL renders the alert stream via EncodeAlerts.
 func (m *Monitor) AlertJSONL() string { return EncodeAlerts(m.Alerts()) }
 
-// StageSnapshots exports the monitor's stage-latency digests as
-// mergeable sketches in sorted stage order — the rows a site-level
-// telemetry fold consumes. The fold is exact: merging snapshots sums
-// raw bucket counts, so a site or grid quantile is computed from the
-// union population, not approximated twice.
-func (m *Monitor) StageSnapshots() []netlogger.NamedHist {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	stages := make([]string, 0, len(m.stages))
-	for st := range m.stages {
-		stages = append(stages, st)
-	}
-	sort.Strings(stages)
-	out := make([]netlogger.NamedHist, 0, len(stages))
-	for _, st := range stages {
-		out = append(out, netlogger.NamedHist{Name: st, H: m.stages[st].Snapshot()})
-	}
-	return out
-}
-
 // statusOf derives a host's health status from its recent alert
 // history: stall-class alerts within the decay window mean down,
 // anything else recent means degraded.

@@ -184,9 +184,6 @@ func (m *Meter) Stop() {
 	}
 }
 
-// Interval returns the sampling cadence.
-func (m *Meter) Interval() time.Duration { return m.interval }
-
 func (m *Meter) snapshot() []float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()

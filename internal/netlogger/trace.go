@@ -14,7 +14,6 @@ package netlogger
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -172,17 +171,6 @@ func (s *Span) Child(stage, name string, kv ...string) *Span {
 	return c
 }
 
-// SetHost overrides the host a span (and events derived from it) is
-// attributed to.
-func (s *Span) SetHost(host string) {
-	if s == nil {
-		return
-	}
-	s.tr.mu.Lock()
-	s.host = host
-	s.tr.mu.Unlock()
-}
-
 // Annotate appends key/value attributes to the span.
 func (s *Span) Annotate(kv ...string) {
 	if s == nil || len(kv) == 0 {
@@ -268,34 +256,4 @@ func (t *Tracer) Snapshot() []SpanRecord {
 		return out[i].ID < out[j].ID
 	})
 	return out
-}
-
-// TraceIDs lists the distinct trace IDs recorded, ascending.
-func (t *Tracer) TraceIDs() []int {
-	seen := map[int]bool{}
-	var ids []int
-	for _, r := range t.Snapshot() {
-		if !seen[r.TraceID] {
-			seen[r.TraceID] = true
-			ids = append(ids, r.TraceID)
-		}
-	}
-	sort.Ints(ids)
-	return ids
-}
-
-// FormatAttrs renders alternating kv pairs as "k=v k=v" for display.
-func FormatAttrs(kv []string) string {
-	var b strings.Builder
-	for i := 0; i < len(kv); i += 2 {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		v := ""
-		if i+1 < len(kv) {
-			v = kv[i+1]
-		}
-		fmt.Fprintf(&b, "%s=%s", kv[i], v)
-	}
-	return b.String()
 }

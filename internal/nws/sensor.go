@@ -214,15 +214,3 @@ func (s *Sensor) History(from, to string) []float64 {
 	}
 	return append([]float64(nil), st.history...)
 }
-
-// ForecasterErrors reports the per-method bandwidth forecast errors for a
-// pair (experiment S9).
-func (s *Sensor) ForecasterErrors(from, to string) map[string]float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.state[[2]string{from, to}]
-	if st == nil {
-		return nil
-	}
-	return st.bw.Errors()
-}

@@ -240,8 +240,6 @@ func (n *Net) bfsLocked(seed *flow, buf []*flow) []*flow {
 // sort, no flatten. Otherwise the component is gathered, put in
 // canonical seq order and bound to a recycled record. Caller holds
 // Net.mu.
-//
-//esglint:hotpath the per-pass gather: every component of every flush comes through here
 func (n *Net) componentLocked(seed *flow) *component {
 	if c := seed.comp; c != nil && !c.stale {
 		n.compHits++

@@ -715,22 +715,6 @@ func (h *Host) SetDown(down bool) {
 	}
 }
 
-// IsDown reports whether the host is crashed.
-func (h *Host) IsDown() bool {
-	h.net.mu.Lock()
-	defer h.net.mu.Unlock()
-	return h.down
-}
-
-// BytesWritten returns cumulative payload bytes transmitted from this
-// endpoint (continuous in virtual time).
-func (ep *Endpoint) BytesWritten() float64 {
-	n := ep.conn.net
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return ep.conn.flows[ep.idx].transmittedAt(n.nowOff())
-}
-
 // RTT returns the connection's round-trip propagation delay.
 func (ep *Endpoint) RTT() time.Duration {
 	return ep.conn.flows[ep.idx].rtt

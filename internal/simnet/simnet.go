@@ -540,27 +540,6 @@ func (l *Link) LossRate() float64 {
 	return l.fwd.loss
 }
 
-// Utilization returns the current utilization (0..1) of the busier
-// direction of the link.
-func (l *Link) Utilization() float64 {
-	n := l.net
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.flushLocked()
-	var fwd, rev float64
-	for _, e := range l.fwd.flows {
-		fwd += e.f.rate
-	}
-	for _, e := range l.rev.flows {
-		rev += e.f.rate
-	}
-	u := math.Max(fwd, rev)
-	if c := l.fwd.effective(); c > 0 {
-		return u / c
-	}
-	return 0
-}
-
 // EstimateBandwidth predicts the rate, in bits/s, that one additional
 // greedy flow from a to b would obtain right now, given current traffic.
 // This is what the Network Weather Service's bandwidth sensor measures.

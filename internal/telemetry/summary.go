@@ -161,8 +161,6 @@ func (a *Accumulator) Reset() {
 }
 
 // Add folds one child summary into the accumulator.
-//
-//esglint:hotpath per-frame fold on every aggregation edge; aligned fast path is pinned at 0 allocs/op
 func (a *Accumulator) Add(s Summary) {
 	a.n++
 	a.sum.Tick = s.Tick

@@ -76,8 +76,6 @@ func NewCoreRing(capacity int) *CoreRing {
 // Put appends one record. The Sim calls this inline under its lock;
 // tests may call it directly to build synthetic rings. It never
 // allocates or blocks.
-//
-//esglint:hotpath the Sim fire loop records every event here; AllocsPerRun pins it at 0 allocs/op
 func (r *CoreRing) Put(kind CoreKind, at, due int64, seq, parent uint64, site Site) {
 	r.recs[r.n&r.mask] = coreRec{
 		at: at, due: due, parent: parent,

@@ -725,8 +725,6 @@ func (s *Sim) unpark(ch chan struct{}) {
 // while parker wakeups are delivered inline under the lock (the wake
 // channel is buffered and carries at most one pending signal, so the send
 // cannot block).
-//
-//esglint:hotpath the fire loop: every scheduled event in every run dispatches through this body
 func (s *Sim) maybeAdvanceLocked() {
 	for s.runnable == 0 && s.parked > 0 && !s.advancing && !s.stopped {
 		if s.hookArmed.Load() && !s.nextDueNowLocked() {
@@ -744,7 +742,6 @@ func (s *Sim) maybeAdvanceLocked() {
 		if i < 0 {
 			n := s.parked
 			s.mu.Unlock()
-			//esglint:hotpath deadlock panic: cold path, the simulation is already dead when it formats
 			panic(fmt.Sprintf("vtime: deadlock: %d goroutine(s) parked with no pending events", n))
 		}
 		sl := &s.slots[i]
