@@ -50,10 +50,11 @@ race:
 	$(GO) test -race -timeout 5m $(VT_PKGS)
 	$(GO) test -race $(OTHER_PKGS)
 
-# One iteration of the allocator microbenchmarks — proves the benchmark
-# harness itself still compiles and runs, without paying for full timing.
+# One iteration of the allocator microbenchmarks (the kernel alone, and
+# the per-event recompute path) — proves the benchmark harness itself
+# still compiles and runs, without paying for full timing.
 bench-smoke:
-	$(GO) test ./internal/simnet/ -run '^$$' -bench BenchmarkAllocate -benchtime=1x
+	$(GO) test ./internal/simnet/ -run '^$$' -bench '^Benchmark(Allocate|Recompute)$$' -benchtime=1x
 
 # Full paper-figure and allocator benchmark suite.
 bench:

@@ -161,6 +161,14 @@ func (n *Net) flushLocked() {
 	// function of the event history.
 	sortFlowsBySeq(n.dirtyFlows)
 	sortResByID(n.dirtyRes)
+	// A dirty resource is how a capacity change (Link.SetUp,
+	// Link.SetCapacityFactor) reaches the allocator: every record with a
+	// flow on it re-reads its capacities, before any pass can run on it.
+	for _, r := range n.dirtyRes {
+		for _, e := range r.flows {
+			e.f.comp.dropCaps()
+		}
+	}
 	for _, f := range n.dirtyFlows {
 		f.dirty = false
 		if f.removed || !f.active || f.epoch == n.epoch {

@@ -7,17 +7,19 @@ import (
 
 // component is the persistent record of one connected component of the
 // resource-sharing graph: its flows in canonical seq order and, once a
-// pass has flattened them, the CSR form of their flow->resource edges.
-// Every member flow points at it (flow.comp), so a flush whose seed
-// holds a live record skips the gather, the sort and the flatten and
-// pays only for what a window tick changes. A record caches structure
-// only — who is in the component, in what order, which edges — never a
-// value that depends on window caps, capacities or time, so a pass over
-// a record performs the same arithmetic in the same order as a pass
-// over a fresh gather. Any membership or edge change (attachLocked,
-// detachLocked, invalidateRefs) marks the records it touches stale;
-// bound counts the flows still pointing here, and the last one to leave
-// returns the record to Net.compFree.
+// pass has flattened them, the CSR form of their flow->resource edges
+// plus the feasibility memo built beside it. Every member flow points at
+// it (flow.comp), so a flush whose seed holds a live record skips the
+// gather, the sort and the flatten and pays only for what a window tick
+// changes. The structure — who is in the component, in what order, which
+// edges — is what a fresh gather would rebuild. The only values a record
+// holds are memos of arithmetic a pass would redo bit for bit from
+// inputs it re-checks every pass (see capsFeasible), so a pass over a
+// record decides exactly what a pass over a fresh gather decides. Any
+// membership or edge change (attachLocked, detachLocked, invalidateRefs)
+// marks the records it touches stale; bound counts the flows still
+// pointing here, and the last one to leave returns the record to
+// Net.compFree.
 type component struct {
 	flows []*flow
 	bound int
@@ -35,6 +37,46 @@ type component struct {
 	refID    []int32
 	refW     []float64
 	unfrozen []int32
+
+	// Feasibility memo, built by flatten and valid while flat. caps[i] is
+	// the window cap flow i had at the last pass. refRes holds each CSR
+	// edge's resource as its index j into ress. load[j] is the ordered
+	// sum 0 + t1 + t2 + ... of w*cap over resource j's edges, in CSR
+	// visit order, at the stored caps. The same edges grouped by resource
+	// — colFlow/colW over [colStart[j], colStart[j+1]) — are what a
+	// re-sum walks; rep[j] is the first of the run of adjacent resources
+	// whose columns are identical to j's (same flows, same order,
+	// bit-equal weights), all of which one re-sum serves. Both are valid
+	// while cols (see columns). capEff[j] is resource j's effective
+	// capacity, valid while capsOK: flushLocked clears it when a resource
+	// the record touches is marked dirty, the only way a capacity change
+	// reaches the allocator. nInf counts the infinite stored caps and
+	// over the resources with load[j] > capEff[j].
+	caps     []float64
+	refRes   []int32
+	load     []float64
+	colStart []int32
+	colFlow  []int32
+	colW     []float64
+	rep      []int32
+	cols     bool
+	capEff   []float64
+	capsOK   bool
+	nInf     int
+	over     int
+
+	// The backing stores every int32 and float64 array above is carved
+	// from, sized once per flatten.
+	i32 []int32
+	f64 []float64
+}
+
+// dropCaps marks the record's stored capacities stale; its next pass
+// re-reads them.
+func (c *component) dropCaps() {
+	if c != nil {
+		c.capsOK = false
+	}
 }
 
 // allocScratch is the progressive-filling allocator's per-pass working
@@ -43,16 +85,19 @@ type component struct {
 // own component's record.
 //
 // The resource-indexed arrays (residual, wsum, ...) are sized to the
-// Net's global dense resource-id space and grown lazily; wsum carries
-// the only cross-pass invariant (entries must be >= 0 between passes —
-// it doubles as the flatten's "seen" mark), which holds per scratch
-// because every pass re-zeroes the entries it touched before returning.
+// Net's global dense resource-id space and grown lazily. Two of them
+// carry a cross-pass invariant, which holds per scratch because every
+// pass restores the entries it touched before returning: wsum entries
+// are >= 0 between passes (it doubles as the flatten's "seen" mark), and
+// queued entries are false (queued[r] marks column r, a record-local
+// index, as on queue for a re-sum this pass).
 type allocScratch struct {
 	residual []float64
 	wsum     []float64
+	queued   []bool
+	queue    []int32
 	rates    []float64
 	frozen   []bool
-	caps     []float64
 	// Per-resource water-filling state (unfrozen-flow count, exhaust
 	// level, last-update level) and the inverse resource->flow lists.
 	resCnt   []int32
@@ -68,8 +113,9 @@ type allocScratch struct {
 // alloc computes the weighted max-min fair rate (bits/s) for each flow
 // of c by progressive filling, honouring per-flow window caps, link
 // capacities, and host CPU/disk budgets. It does not mutate the flows;
-// rates[i] corresponds to c.flows[i]. The returned slice is scratch
-// owned by sc and is only valid until the next alloc call on it. nResID
+// rates[i] corresponds to c.flows[i]. The returned slice is scratch —
+// sc's, or c's stored caps — and is only valid until the next alloc
+// call on either, and it must not be written. nResID
 // is the Net's dense resource-id bound, frozen for the duration of a
 // flush.
 //
@@ -89,21 +135,18 @@ func (sc *allocScratch) alloc(c *component, nResID int) []float64 {
 	if cap(sc.rates) < len(fs) {
 		sc.rates = make([]float64, len(fs))
 		sc.frozen = make([]bool, len(fs))
-		sc.caps = make([]float64, len(fs))
 	}
+	// rates needs no clearing: flatten writes the frozen loopbacks' and
+	// the filling every other flow's.
 	rates := sc.rates[:len(fs)]
 	frozen := sc.frozen[:len(fs)]
-	caps := sc.caps[:len(fs)]
-	for i := range rates {
-		rates[i] = 0
-		frozen[i] = false
-	}
 	if len(fs) == 0 {
 		return rates
 	}
 	if len(sc.residual) < nResID {
 		sc.residual = make([]float64, nResID)
 		sc.wsum = make([]float64, nResID)
+		sc.queued = make([]bool, nResID)
 		sc.resCnt = make([]int32, nResID)
 		sc.exhaust = make([]float64, nResID)
 		sc.lastLv = make([]float64, nResID)
@@ -118,60 +161,38 @@ func (sc *allocScratch) alloc(c *component, nResID int) []float64 {
 	invStart := sc.invStart
 	invCur := sc.invCur
 
-	if c.flat {
-		// A steady-state component re-allocates on every window-growth
-		// tick with the same flows in the same order and the same edges;
-		// only window caps and resource capacities move. Refresh those.
-		for j, r := range c.ress {
-			residual[c.touched[j]] = r.effective()
-		}
-		for i, f := range fs {
-			caps[i] = f.windowCap
-		}
-	} else {
-		sc.flatten(c, rates, frozen, caps)
+	flattened := !c.flat
+	if flattened {
+		clear(frozen)
+		sc.flatten(c, rates, frozen)
 	}
 	touched := c.touched
 	refStart := c.refStart
 	refID := c.refID
 	refW := c.refW
 	unfrozen := c.unfrozen
+	caps := c.caps
 
 	// Fast path: when every flow can take its full window cap without
 	// exhausting any resource, the allocation is simply the caps, and the
 	// water-filling rounds below are skipped. This is the common case in
 	// the paper's window-limited regime — underfilled WAN pipes are the
 	// entire motivation for parallel and striped transfers — where every
-	// pass ends with all flows frozen at their caps anyway. One
-	// accumulation over the edges decides (exhaust doubles as the cap-load
-	// scratch; it is rebuilt below when the check fails).
-	feasible := true
-	for _, id := range touched {
-		exhaust[id] = 0
-	}
-	for _, fi := range unfrozen {
-		fc := caps[fi]
-		if math.IsInf(fc, 1) {
-			feasible = false
-			break
+	// pass ends with all flows frozen at their caps anyway.
+	if sc.capsFeasible(c) {
+		if c.flat {
+			return caps // every flow is unfrozen
 		}
-		for k := refStart[fi]; k < refStart[fi+1]; k++ {
-			exhaust[refID[k]] += refW[k] * fc
-		}
-	}
-	if feasible {
-		for _, id := range touched {
-			if exhaust[id] > residual[id] {
-				feasible = false
-				break
-			}
-		}
-	}
-	if feasible {
 		for _, fi := range unfrozen {
 			rates[fi] = caps[fi]
 		}
 		return rates
+	}
+	if !flattened {
+		clear(frozen)
+	}
+	for j, id := range touched {
+		residual[id] = c.capEff[j]
 	}
 
 	// Weighted demand on each touched resource, computed once; a freezing
@@ -383,24 +404,170 @@ func (sc *allocScratch) alloc(c *component, nResID int) []float64 {
 	return rates
 }
 
+// capsFeasible reports whether every unfrozen flow of c can take its
+// full window cap without exhausting any resource, bringing c's memo up
+// to date on the way:
+//
+//  1. each flow's cap is compared with the stored one by bit pattern,
+//     and the columns of a flow whose cap moved are queued for a re-sum
+//     (once per run of identical columns);
+//  2. exactly those loads are re-summed from zero, over the same terms
+//     in the same order, and each resource whose load moved is compared
+//     with its stored capacity before and after, keeping the count of
+//     resources over capacity exact;
+//  3. if a capacity moved since the last pass, every capacity is re-read
+//     and every resource compared afresh.
+//
+// No load is ever adjusted by a delta: each is the left fold a pass
+// from scratch would compute, over inputs checked this pass, and every
+// comparison whose inputs moved is redone, so the decision is bit for
+// bit the from-scratch one — including that any infinite cap makes the
+// caps infeasible. Every queued mark is cleared before returning.
+func (sc *allocScratch) capsFeasible(c *component) bool {
+	// The record's slices in locals: the compiler reloads fields of c on
+	// every iteration otherwise. The column arrays are carved by layout,
+	// so their headers stay valid when columns fills them.
+	queued, queue := sc.queued, sc.queue[:0]
+	flows, caps, refStart, refRes, rep := c.flows, c.caps, c.refStart, c.refRes, c.rep
+	for _, fi := range c.unfrozen {
+		fc := flows[fi].windowCap
+		if math.Float64bits(fc) == math.Float64bits(caps[fi]) {
+			continue
+		}
+		if !c.cols {
+			sc.columns(c)
+		}
+		c.nInf += isInf(fc) - isInf(caps[fi])
+		caps[fi] = fc
+		for _, j := range refRes[refStart[fi]:refStart[fi+1]] {
+			if r := rep[j]; !queued[r] {
+				queued[r] = true
+				queue = append(queue, r)
+			}
+		}
+	}
+	sc.queue = queue
+	load, capEff := c.load, c.capEff
+	colStart, colFlow, colW := c.colStart, c.colFlow, c.colW
+	for _, r := range queue {
+		queued[r] = false
+		s, e := colStart[r], colStart[r+1]
+		l := colLoad(colFlow[s:e], colW[s:e], caps)
+		for j := int(r); j < len(rep) && rep[j] == r; j++ {
+			if load[j] > capEff[j] {
+				c.over--
+			}
+			if load[j] = l; l > capEff[j] {
+				c.over++
+			}
+		}
+	}
+	if !c.capsOK {
+		c.over = 0
+		for j, res := range c.ress {
+			if capEff[j] = res.effective(); load[j] > capEff[j] {
+				c.over++
+			}
+		}
+		c.capsOK = true
+	}
+	return c.nInf == 0 && c.over == 0
+}
+
+// columns builds c's resource-major edge lists and their shared-column
+// reps: a counting sort of the edges by resource, stable in CSR order.
+// It runs on the first pass that must re-sum a load, so a record that
+// is re-gathered before it ever sees a cap move never pays for it. resCnt
+// is free until the filling starts; it holds the fill cursors.
+func (sc *allocScratch) columns(c *component) {
+	colStart, colFlow, colW, rep := c.colStart, c.colFlow, c.colW, c.rep
+	cur := sc.resCnt[:len(rep)]
+	clear(cur)
+	for _, j := range c.refRes {
+		cur[j]++
+	}
+	var off int32
+	for j, n := range cur {
+		colStart[j], cur[j] = off, off
+		off += n
+	}
+	colStart[len(rep)] = off
+	refStart, refRes, refW := c.refStart, c.refRes, c.refW
+	for _, fi := range c.unfrozen {
+		for k := refStart[fi]; k < refStart[fi+1]; k++ {
+			p := cur[refRes[k]]
+			cur[refRes[k]] = p + 1
+			colFlow[p], colW[p] = fi, refW[k]
+		}
+	}
+	// Links in series along a shared path carry the same flows, so they
+	// sit next to each other in first-seen order: comparing each column
+	// with its predecessor finds them in O(edges).
+	for j := range rep {
+		rep[j] = int32(j)
+		if j > 0 && sameColumn(colFlow, colW, colStart[j-1], colStart[j], colStart[j+1]) {
+			rep[j] = rep[j-1]
+		}
+	}
+	c.cols = true
+}
+
+// colLoad is one column's load at caps: the left fold
+// 0 + w1*cap1 + w2*cap2 + ... in CSR visit order.
+func colLoad(flows []int32, w []float64, caps []float64) float64 {
+	w = w[:len(flows)]
+	load := 0.0
+	for e, fi := range flows {
+		load += w[e] * caps[fi]
+	}
+	return load
+}
+
+// isInf is 1 for an infinite cap, else 0.
+func isInf(x float64) int {
+	if math.IsInf(x, 1) {
+		return 1
+	}
+	return 0
+}
+
+// sameColumn reports whether the adjacent columns [a, b) and [b, end)
+// are identical: the same flows in the same order with bit-equal
+// weights.
+func sameColumn(colFlow []int32, colW []float64, a, b, end int32) bool {
+	if end-b != b-a {
+		return false
+	}
+	for e := range b - a {
+		if colFlow[a+e] != colFlow[b+e] || math.Float64bits(colW[a+e]) != math.Float64bits(colW[b+e]) {
+			return false
+		}
+	}
+	return true
+}
+
 // flatten builds c's CSR form — flow->resource lists as dense arrays, so
 // every round of the filling is pure array arithmetic with no pointer
-// chasing — and loads this pass's caps and residuals on the way.
-func (sc *allocScratch) flatten(c *component, rates []float64, frozen []bool, caps []float64) {
-	residual, wsum := sc.residual, sc.wsum
-	// Size every array once, to its bound: a run with many components
-	// holds many records, and growing each by doubling is what it would
-	// pay for them.
+// chasing — and beside it the feasibility memo: this pass's caps and
+// every resource's load, summed in CSR visit order, leaving the
+// capacities for the pass to read and the columns for the first re-sum
+// (columns).
+func (sc *allocScratch) flatten(c *component, rates []float64, frozen []bool) {
+	// local is water-filling scratch, free until it starts.
+	wsum, local := sc.wsum, sc.invCur
+	// Size every array once, to its bound (a component has at most nref
+	// distinct resources): a run with many components holds many
+	// records, and growing each by doubling is what it would pay for
+	// them.
 	nf, nref := len(c.flows), 0
 	for _, f := range c.flows {
 		nref += len(f.refs())
 	}
 	c.ress, c.touched = slices.Grow(c.ress[:0], nref), slices.Grow(c.touched[:0], nref)
-	c.refStart, c.unfrozen = slices.Grow(c.refStart[:0], nf+1), slices.Grow(c.unfrozen[:0], nf)
-	c.refID, c.refW = slices.Grow(c.refID[:0], nref), slices.Grow(c.refW[:0], nref)
+	c.layout(nf, nref)
 	for i, f := range c.flows {
 		c.refStart = append(c.refStart, int32(len(c.refID)))
-		caps[i] = f.windowCap
+		c.caps[i] = f.windowCap
 		refs := f.refs()
 		if len(refs) == 0 && math.IsInf(f.windowCap, 1) {
 			// Loopback with no constraining resource: effectively instant.
@@ -413,11 +580,12 @@ func (sc *allocScratch) flatten(c *component, rates []float64, frozen []bool, ca
 			id := rr.r.id
 			if wsum[id] >= 0 { // wsum doubles as the "seen this pass" mark
 				wsum[id] = -1
-				residual[id] = rr.r.effective()
+				local[id] = int32(len(c.touched))
 				c.touched = append(c.touched, id)
 				c.ress = append(c.ress, rr.r)
 			}
 			c.refID = append(c.refID, int32(id))
+			c.refRes = append(c.refRes, local[id])
 			c.refW = append(c.refW, rr.w)
 		}
 	}
@@ -425,9 +593,63 @@ func (sc *allocScratch) flatten(c *component, rates []float64, frozen []bool, ca
 	for _, id := range c.touched {
 		wsum[id] = 0
 	}
+
+	nres := len(c.touched)
+	c.colStart, c.rep = c.colStart[:nres+1], c.rep[:nres]
+	c.load, c.capEff = c.load[:nres], c.capEff[:nres]
+	c.cols = false
+	c.sumLoads()
+	c.capsOK = false // the first pass reads them and counts over
 	// Keep only all-unfrozen flattens: a later pass then has nothing to
 	// re-freeze before it starts.
 	c.flat = len(c.unfrozen) == len(c.flows)
+}
+
+// layout sizes c's backing stores for nf flows and nref edges (so at
+// most nref resources) and carves every int32 and float64 array from
+// them; the CSR arrays start empty, the per-resource ones at their
+// bound. It and sumLoads are kept out of flatten to keep its frame
+// small: flatten's call to f.refs is the flush's deepest stack, and a
+// deeper one makes goroutine stacks grow again after every GC shrinks
+// them (S11 measured it).
+func (c *component) layout(nf, nref int) {
+	i32 := resize(&c.i32, 2*nf+5*nref+2)
+	f64 := resize(&c.f64, nf+4*nref)
+	c.refStart, c.unfrozen = carve(&i32, nf+1)[:0], carve(&i32, nf)[:0]
+	c.refID, c.refRes, c.refW = carve(&i32, nref)[:0], carve(&i32, nref)[:0], carve(&f64, nref)[:0]
+	c.colStart, c.rep, c.colFlow = carve(&i32, nref+1), carve(&i32, nref), carve(&i32, nref)
+	c.caps, c.load, c.capEff, c.colW = carve(&f64, nf), carve(&f64, nref), carve(&f64, nref), carve(&f64, nref)
+}
+
+// sumLoads sums every resource's load at the stored caps, each the left
+// fold 0 + t1 + t2 + ... over its edges in CSR visit order — the order a
+// column walk re-sums them in — and counts the infinite caps.
+func (c *component) sumLoads() {
+	load, caps, refStart, refRes, refW := c.load, c.caps, c.refStart, c.refRes, c.refW
+	clear(load)
+	c.nInf = 0
+	for _, fi := range c.unfrozen {
+		fc := caps[fi]
+		c.nInf += isInf(fc)
+		for k := refStart[fi]; k < refStart[fi+1]; k++ {
+			load[refRes[k]] += refW[k] * fc
+		}
+	}
+}
+
+// resize sets *buf to n elements, reallocating only when its capacity
+// falls short, and returns it.
+func resize[T any](buf *[]T, n int) []T {
+	*buf = slices.Grow((*buf)[:0], n)[:n]
+	return *buf
+}
+
+// carve takes the first n elements off *buf, capped at n so appends to
+// the result never run into what is carved next.
+func carve[T any](buf *[]T, n int) []T {
+	s := (*buf)[:n:n]
+	*buf = (*buf)[n:]
+	return s
 }
 
 // capHeapPop removes the root of the window-cap min-heap.

@@ -87,11 +87,67 @@ func BenchmarkAllocate(b *testing.B) {
 	}
 }
 
+// buildTable1Net builds Table 1's component shape: 32 window-limited
+// flows between two hosts with CPU budgets, over one shared 3-link path.
+// Every pass over it is caps-feasible, and the three links' columns are
+// identical.
+func buildTable1Net() (*Net, []*flow) {
+	clk := vtime.NewSim(1)
+	n := New(clk)
+	src := n.AddHost("src", HostConfig{CPU: GigabitHostCPU(4)})
+	dst := n.AddHost("dst", HostConfig{CPU: GigabitHostCPU(4)})
+	n.AddLink("src", "sw-a", LinkConfig{CapacityBps: 1e9, Delay: time.Millisecond})
+	n.AddLink("sw-a", "sw-b", LinkConfig{CapacityBps: 622e6, Delay: 20 * time.Millisecond})
+	n.AddLink("sw-b", "dst", LinkConfig{CapacityBps: 1e9, Delay: time.Millisecond})
+	n.mu.Lock()
+	path, err := n.routeLocked("src", "dst")
+	n.mu.Unlock()
+	if err != nil {
+		panic(err)
+	}
+	flows := make([]*flow, 32)
+	for i := range flows {
+		flows[i] = newChurnFlow(n, src, dst, path, 10e6)
+		flows[i].active = true
+		n.mu.Lock()
+		n.flowActivatedLocked(flows[i])
+		n.mu.Unlock()
+	}
+	n.mu.Lock()
+	n.flushPending = true // benches drive flushes by hand
+	n.flushLocked()
+	n.mu.Unlock()
+	return n, flows
+}
+
 // BenchmarkRecompute measures the production per-event path: one flow's
-// window changes, its component is marked dirty and the coalesced flush
-// re-allocates just that component. Cost is O(component), independent of
-// the total flow population — compare BenchmarkRecomputeFull.
+// window cap moves, its component is marked dirty and the coalesced
+// flush re-allocates just that component. Cost is O(component),
+// independent of the total flow population — compare
+// BenchmarkRecomputeFull. Each visit to a seed flow moves its cap
+// between two window-limited values, so every pass re-sums the moved
+// flow's resources. The flows=N cases are buildBenchNet's site pairs,
+// whose unlimited flows make every pass water-fill; table1 is
+// buildTable1Net, where every pass is caps-feasible.
 func BenchmarkRecompute(b *testing.B) {
+	run := func(b *testing.B, n *Net, seeds []*flow) {
+		n.mu.Lock()
+		for _, f := range seeds {
+			n.markFlowDirtyLocked(f)
+			n.flushLocked()
+		}
+		n.mu.Unlock()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f := seeds[i%len(seeds)]
+			n.mu.Lock()
+			f.windowCap = float64(50+i/len(seeds)%2) * 1e6
+			n.markFlowDirtyLocked(f)
+			n.flushLocked()
+			n.mu.Unlock()
+		}
+	}
 	for _, size := range benchSizes {
 		b.Run(fmt.Sprintf("flows=%d", size), func(b *testing.B) {
 			n, flows := buildBenchNet(size)
@@ -104,22 +160,13 @@ func BenchmarkRecompute(b *testing.B) {
 					seeds = append(seeds, f)
 				}
 			}
-			n.mu.Lock()
-			for _, f := range seeds {
-				n.markFlowDirtyLocked(f)
-				n.flushLocked()
-			}
-			n.mu.Unlock()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n.mu.Lock()
-				n.markFlowDirtyLocked(seeds[i%len(seeds)])
-				n.flushLocked()
-				n.mu.Unlock()
-			}
+			run(b, n, seeds)
 		})
 	}
+	b.Run("table1", func(b *testing.B) {
+		n, flows := buildTable1Net()
+		run(b, n, flows[:1])
+	})
 }
 
 // recomputeLocked is the seed's full recomputation, kept only as this

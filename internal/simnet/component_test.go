@@ -80,11 +80,11 @@ func flushByHand(n *Net) {
 	n.mu.Unlock()
 }
 
-// buildParBenchNet builds nComp disjoint components of perComp flows
+// buildSaturatedNet builds nComp disjoint components of perComp flows
 // each sharing one saturated 1 Gb/s link (half the flows window-limited
 // below their fair share, so every pass runs the full water-filling
 // rounds, never the caps-feasible fast path).
-func buildParBenchNet(nComp, perComp int) (*Net, []*flow) {
+func buildSaturatedNet(nComp, perComp int) (*Net, []*flow) {
 	clk := vtime.NewSim(1)
 	n := New(clk)
 	flows := make([]*flow, 0, nComp*perComp)
@@ -185,18 +185,26 @@ func TestProbeLeavesComponentRecordLive(t *testing.T) {
 	}
 }
 
-// TestRecordHitFlushAllocFree pins the steady-state hit flush of a
-// 32-flow component — Table 1's shape: stamp, fold, refresh caps and
-// residuals, feasibility sum, setRate — at zero allocations, and checks
-// that every one of those flushes really was a hit.
-func TestRecordHitFlushAllocFree(t *testing.T) {
-	n, flows := buildParBenchNet(1, 32)
+// windowLimited32 is a steady 32-flow record on one saturated link with
+// every flow window-limited far below its share: every pass takes the
+// caps-feasible fast path. The first tick has warmed it.
+func windowLimited32() (*Net, []*flow) {
+	n, flows := buildSaturatedNet(1, 32)
 	n.mu.Lock()
 	for _, f := range flows {
-		f.windowCap = 4e6 // window-limited: the caps-feasible fast path
+		f.windowCap = 4e6
 	}
 	n.mu.Unlock()
-	steadyTick(n, flows[0]) // warm
+	steadyTick(n, flows[0])
+	return n, flows
+}
+
+// TestRecordHitFlushAllocFree pins the steady-state hit flush of a
+// 32-flow component — Table 1's shape: stamp, fold, cap compare,
+// feasibility check, setRate — at zero allocations, and checks that
+// every one of those flushes really was a hit.
+func TestRecordHitFlushAllocFree(t *testing.T) {
+	n, flows := windowLimited32()
 	hits0, _ := n.CSRStats()
 	const runs = 100
 	allocs := testing.AllocsPerRun(runs, func() { steadyTick(n, flows[7]) })
@@ -208,11 +216,74 @@ func TestRecordHitFlushAllocFree(t *testing.T) {
 	}
 }
 
-// TestParallelHitFlushFingerprints: steady rounds over twelve disjoint
-// components must every one be a record hit, and two identical builds
-// driven through them must leave the same per-flush FNV fingerprint
-// stream.
-func TestParallelHitFlushFingerprints(t *testing.T) {
+// TestRecordHitCapChangeFlushAllocFree is the same pin on the path most
+// of Table 1's passes take: each tick first moves one flow's window cap,
+// so the pass re-sums that flow's resources before the check. The flows
+// must come out at their new caps.
+func TestRecordHitCapChangeFlushAllocFree(t *testing.T) {
+	n, flows := windowLimited32()
+	hits0, _ := n.CSRStats()
+	const runs = 100
+	tick := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		// Every visit to a flow moves its cap: 4.1e6, 4.2e6, 4.1e6, ...
+		f := flows[tick%len(flows)]
+		n.mu.Lock()
+		f.windowCap = 4e6 + float64(tick/len(flows)%2+1)*1e5
+		n.mu.Unlock()
+		steadyTick(n, f)
+		if f.rate != f.windowCap {
+			t.Fatalf("tick %d: rate %v, want the new cap %v", tick, f.rate, f.windowCap)
+		}
+		tick++
+	})
+	if allocs != 0 {
+		t.Fatalf("cap-change hit flush allocates %v times per run, want 0", allocs)
+	}
+	if hits1, _ := n.CSRStats(); hits1-hits0 != runs+1 {
+		t.Fatalf("%d of %d cap-change flushes hit the record", hits1-hits0, runs+1)
+	}
+}
+
+// TestCapacityChangeReachesMemo: a capacity change on a steady,
+// caps-feasible record's shared link must reach the stored capacities
+// in the same instant's flush — the degraded link water-fills to the
+// fair share — and the restore must bring back the caps, on the same
+// live record throughout.
+func TestCapacityChangeReachesMemo(t *testing.T) {
+	n, flows := windowLimited32()
+	rec := flows[0].comp
+	l := n.LinkBetween("s0000", "d0000")
+	wantRates := func(step string, want float64) {
+		t.Helper()
+		flushByHand(n)
+		if flows[0].comp != rec || !rec.flat {
+			t.Fatalf("%s: the record was re-gathered", step)
+		}
+		for _, f := range flows {
+			if math.Abs(f.rate-want) > 1e-9*want {
+				t.Fatalf("%s: flow %d at %v b/s, want %v", step, f.seq, f.rate, want)
+			}
+		}
+	}
+	const share = 1e9 * 0.01 / 32
+	for range 2 {
+		l.SetCapacityFactor(0.01)
+		wantRates("SetCapacityFactor(0.01)", share)
+		l.SetCapacityFactor(1)
+		wantRates("SetCapacityFactor(1)", 4e6)
+		l.SetUp(false, false)
+		wantRates("SetUp(false)", 0)
+		l.SetUp(true, false)
+		wantRates("SetUp(true)", 4e6)
+	}
+}
+
+// TestMultiComponentHitFlushFingerprints: steady rounds over twelve
+// disjoint components must every one be a record hit, and two identical
+// builds driven through them must leave the same per-flush FNV
+// fingerprint stream.
+func TestMultiComponentHitFlushFingerprints(t *testing.T) {
 	run := func() []flushRec {
 		n, flows := buildBenchNet(96)
 		recs := recordFlushes(t)
@@ -331,10 +402,11 @@ func TestSameInstantCrossComponentDials(t *testing.T) {
 	})
 }
 
-// TestParallelRunByteIdentical is the end-to-end simnet determinism
-// check with loss (RNG draws on the flush path): sixteen transfers over
-// four disjoint lossy site pairs, four dialling in each instant.
-func TestParallelRunByteIdentical(t *testing.T) {
+// TestLossyMultiPairRunByteIdentical is the end-to-end simnet
+// determinism check with loss (RNG draws on the flush path): sixteen
+// transfers over four disjoint lossy site pairs, four dialling in each
+// instant.
+func TestLossyMultiPairRunByteIdentical(t *testing.T) {
 	sameReplay(t, func() pairsOutcome {
 		link := LinkConfig{CapacityBps: 200e6, Delay: 3 * time.Millisecond, LossRate: 1e-5}
 		return replayPairs(t, 23, 4, 4, link, 100*time.Microsecond, 2<<20)
@@ -345,9 +417,30 @@ func TestParallelRunByteIdentical(t *testing.T) {
 // outside: once a flush has run, every attached flow points at a live
 // record whose flow list is, element for element, what a fresh BFS and
 // sortFlowsBySeq produce from it now; a record's bound is the number of
-// flows pointing at it; and nothing on the free list is referenced.
-func checkRecordsLocked(t *testing.T, n *Net) {
+// flows pointing at it; nothing on the free list is referenced; and
+// every flattened record this flush re-allocated holds a memo equal to
+// recomputation (checkMemoLocked). It returns how many of the memos it
+// checked had built their columns.
+func checkRecordsLocked(t *testing.T, n *Net) int {
 	t.Helper()
+	// The flows this flush visited still carry its epoch; the gathers
+	// below move it on.
+	var memos []*component
+	for f := range n.flows {
+		if c := f.comp; f.attached && f.epoch == n.epoch && c != nil && c.flat && !slices.Contains(memos, c) {
+			memos = append(memos, c)
+		}
+	}
+	withCols := 0
+	for _, c := range memos {
+		checkMemoLocked(t, c)
+		if c.cols {
+			withCols++
+		}
+	}
+	if slices.Contains(n.scr.queued, true) {
+		t.Error("a pass left a re-sum mark set")
+	}
 	pointers := map[*component]int{}
 	var fresh []*flow
 	for f := range n.flows {
@@ -380,6 +473,80 @@ func checkRecordsLocked(t *testing.T, n *Net) {
 			t.Errorf("free record still referenced (bound %d, %d pointers)", c.bound, pointers[c])
 		}
 	}
+	return withCols
+}
+
+// memoEdge is one term of a resource's load: a flow (by record index)
+// and its weight on the resource.
+type memoEdge struct {
+	flow int32
+	w    uint64 // math.Float64bits of the weight
+}
+
+// checkMemoLocked recomputes a re-allocated record's feasibility memo
+// from the flows themselves, not from its CSR: every stored cap is the
+// flow's cap bit for bit; every resource's load is bit-identical to a
+// fresh ordered sum over the flows' resource lists at the current caps;
+// every stored capacity is the resource's effective capacity; once the
+// columns are built, every column holds exactly its resource's edges in
+// that order, and every resource sharing another's column really has
+// that resource's edges; and the infinite-cap and over-capacity counts
+// are what the fresh values give.
+func checkMemoLocked(t *testing.T, c *component) {
+	t.Helper()
+	nInf, over := 0, 0
+	column := func(r *res) (col []memoEdge, load float64) {
+		for i, f := range c.flows {
+			for _, rr := range f.refs() {
+				if rr.r == r {
+					col = append(col, memoEdge{int32(i), math.Float64bits(rr.w)})
+					load += rr.w * f.windowCap
+				}
+			}
+		}
+		return col, load
+	}
+	for i, f := range c.flows {
+		if math.Float64bits(c.caps[i]) != math.Float64bits(f.windowCap) {
+			t.Errorf("record of %d flows: stored cap %v for flow %d, its cap is %v", len(c.flows), c.caps[i], f.seq, f.windowCap)
+		}
+		if math.IsInf(f.windowCap, 1) {
+			nInf++
+		}
+	}
+	if !c.capsOK {
+		t.Errorf("record of %d flows left a pass with its capacities unread", len(c.flows))
+	}
+	for j, r := range c.ress {
+		col, load := column(r)
+		if math.Float64bits(c.load[j]) != math.Float64bits(load) {
+			t.Errorf("record of %d flows: memoised load %v on %s, a fresh sum %v", len(c.flows), c.load[j], r.name, load)
+		}
+		if c.capEff[j] != r.effective() {
+			t.Errorf("record of %d flows: stored capacity %v on %s, effective %v", len(c.flows), c.capEff[j], r.name, r.effective())
+		}
+		if c.cols {
+			var built []memoEdge
+			for e := c.colStart[j]; e < c.colStart[j+1]; e++ {
+				built = append(built, memoEdge{c.colFlow[e], math.Float64bits(c.colW[e])})
+			}
+			if !slices.Equal(built, col) {
+				t.Errorf("record of %d flows: the column of %s lists %v, its edges are %v", len(c.flows), r.name, built, col)
+			}
+			if rep := int(c.rep[j]); rep != j {
+				if repCol, _ := column(c.ress[rep]); !slices.Equal(col, repCol) {
+					t.Errorf("record of %d flows: %s shares the column of %s, but their edges differ", len(c.flows), r.name, c.ress[rep].name)
+				}
+			}
+		}
+		if load > r.effective() {
+			over++
+		}
+	}
+	if c.nInf != nInf || c.over != over {
+		t.Errorf("record of %d flows counts %d infinite caps and %d resources over capacity, fresh values give %d and %d",
+			len(c.flows), c.nInf, c.over, nInf, over)
+	}
 }
 
 // TestRecordsSurviveChurn drives the records through everything that
@@ -409,10 +576,10 @@ func TestRecordsSurviveChurn(t *testing.T) {
 			n.AddLink(names[i], "wan", LinkConfig{CapacityBps: 300e6, Delay: time.Millisecond, LossRate: 1e-5})
 		}
 		n.SetVerifyAllocations(true)
-		flushes := 0
+		flushes, memos := 0, 0
 		FlushObserver = func(time.Duration, uint64, int) {
 			flushes++
-			checkRecordsLocked(t, n)
+			memos += checkRecordsLocked(t, n)
 		}
 		clk.Run(func() {
 			for _, name := range names {
@@ -493,8 +660,8 @@ func TestRecordsSurviveChurn(t *testing.T) {
 		})
 		FlushObserver = nil
 		hits, passes := n.CSRStats()
-		if flushes == 0 || hits == 0 || hits == passes {
-			t.Fatalf("seed %d: %d flushes, %d record hits in %d passes: the churn exercised only one side", seed, flushes, hits, passes)
+		if flushes == 0 || hits == 0 || hits == passes || memos == 0 {
+			t.Fatalf("seed %d: %d flushes, %d record hits in %d passes, %d memos checked with columns: the churn exercised only one side", seed, flushes, hits, passes, memos)
 		}
 	}
 }
