@@ -56,7 +56,8 @@ race:
 bench-smoke:
 	$(GO) test ./internal/simnet/ -run '^$$' -bench '^Benchmark(Allocate|Recompute)$$' -benchtime=1x
 
-# Full paper-figure and allocator benchmark suite.
+# Every Go benchmark once (allocator, telemetry fold, the E2E
+# request path); the paper's tables and figures are cmd/esgbench's.
 bench:
 	$(GO) test -bench . -benchtime=1x ./...
 

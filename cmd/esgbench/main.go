@@ -24,10 +24,42 @@ import (
 	"esgrid/internal/experiments"
 )
 
+// experimentTable lists every experiment in the order -exp all runs
+// them.
+var experimentTable = []struct {
+	name string
+	run  func(seed int64, full bool) error
+}{
+	{"table1", runTable1},
+	{"figure8", runFigure8},
+	{"chancache", runChanCache},
+	{"parallel", runParallel},
+	{"buffers", runBuffers},
+	{"stripes", runStripes},
+	{"replicasel", runReplicaSel},
+	{"multisite", runMultiSite},
+	{"hrm", runHRM},
+	{"largefile", runLargeFile},
+	{"cpu", runCPU},
+	{"nws", runNWS},
+	{"subset", runSubsetExp},
+	{"scale", runScale},
+	{"lifeline", runLifeline},
+	{"chaos", runChaos},
+	{"monitor", runMonitor},
+	{"provenance", runProvenance},
+	{"telemetry", runTelemetry},
+	{"demo", runDemo},
+}
+
 func main() {
-	order := []string{"table1", "figure8", "chancache", "parallel", "buffers", "stripes",
-		"replicasel", "multisite", "hrm", "largefile", "cpu", "nws", "subset", "scale", "lifeline", "chaos", "monitor", "provenance", "telemetry", "demo"}
-	expFlag := flag.String("exp", "all", "experiments to run, comma-separated (all, "+strings.Join(order, ", ")+")")
+	var names []string
+	runners := map[string]func(int64, bool) error{}
+	for _, e := range experimentTable {
+		names = append(names, e.name)
+		runners[e.name] = e.run
+	}
+	expFlag := flag.String("exp", "all", "experiments to run, comma-separated (all, "+strings.Join(names, ", ")+")")
 	full := flag.Bool("full", false, "paper-scale durations (1h Table 1, 14h Figure 8)")
 	seed := flag.Int64("seed", 2000, "simulation seed")
 	flag.StringVar(&traceFile, "trace", "", "write the lifeline experiment's event stream to this file (.jsonl for JSONL, anything else for ULM)")
@@ -35,33 +67,9 @@ func main() {
 	flag.StringVar(&telemetryFile, "telemetry", "", "write the telemetry experiment's grid+alert stream to this JSONL file (replayable with esgmon -grid -replay)")
 	flag.Parse()
 
-	runners := map[string]func(int64, bool) error{
-		"table1":     runTable1,
-		"figure8":    runFigure8,
-		"chancache":  runChanCache,
-		"parallel":   runParallel,
-		"buffers":    runBuffers,
-		"stripes":    runStripes,
-		"replicasel": runReplicaSel,
-		"multisite":  runMultiSite,
-		"hrm":        runHRM,
-		"largefile":  runLargeFile,
-		"cpu":        runCPU,
-		"nws":        runNWS,
-		"subset":     runSubsetExp,
-		"scale":      runScale,
-		"lifeline":   runLifeline,
-		"chaos":      runChaos,
-		"monitor":    runMonitor,
-		"provenance": runProvenance,
-		"telemetry":  runTelemetry,
-		"demo":       runDemo,
-	}
-
-	var selected []string
-	if *expFlag == "all" {
-		selected = order
-	} else {
+	selected := names
+	if *expFlag != "all" {
+		selected = nil
 		for _, name := range strings.Split(*expFlag, ",") {
 			name = strings.TrimSpace(name)
 			if _, ok := runners[name]; !ok {
@@ -439,31 +447,45 @@ func runDemo(seed int64, full bool) error {
 	if err != nil {
 		return err
 	}
-	res, err := experiments.RunDemo(tb,
-		func() (*esgrid.Request, error) {
-			return tb.Fetch(esgrid.Query{
-				Dataset:   "pcm-b06.44",
-				Variables: []string{climate.VarTemperature, climate.VarCloudCover},
-				From:      esgrid.Month(1998, 6),
-				To:        esgrid.Month(1998, 8),
-			})
-		},
-		func() (string, error) {
-			fld, err := tb.Analyze("pcm", climate.VarTemperature, 1998, 7)
-			if err != nil {
-				return "", err
-			}
-			return fld.RenderASCII(96), nil
-		},
-		func() time.Time { return tb.Clock.Now() },
+	q := esgrid.Query{
+		Dataset:   "pcm-b06.44",
+		Variables: []string{climate.VarTemperature, climate.VarCloudCover},
+		From:      esgrid.Month(1998, 6),
+		To:        esgrid.Month(1998, 8),
+	}
+	var (
+		req          *esgrid.Request
+		elapsed      time.Duration
+		monitor, viz string
 	)
+	tb.Run(func() {
+		t0 := tb.Clock.Now()
+		if req, err = tb.Fetch(q); err != nil {
+			return
+		}
+		if err = req.Wait(); err != nil {
+			return
+		}
+		elapsed = tb.Clock.Now().Sub(t0)
+		monitor = esgrid.RenderMonitor(req, 100)
+		var fld *esgrid.Field
+		if fld, err = tb.Analyze("pcm", climate.VarTemperature, 1998, 7); err == nil {
+			viz = fld.RenderASCII(96)
+		}
+	})
 	if err != nil {
 		return err
 	}
-	fmt.Print(experiments.Table("measured:", res.Rows()))
+	fmt.Print(experiments.Table("measured:", []experiments.Row{
+		{Label: "query", Value: fmt.Sprintf("dataset=%s variables=%s period=%s..%s",
+			q.Dataset, strings.Join(q.Variables, ","), q.From.Format("2006-01"), q.To.Format("2006-01"))},
+		{Label: "files resolved and transferred", Value: fmt.Sprint(len(req.Status()))},
+		{Label: "total data moved", Value: fmt.Sprintf("%.1f GB", float64(req.TotalReceived())/1e9)},
+		{Label: "end-to-end time", Value: elapsed.Round(time.Second).String()},
+	}))
 	fmt.Println("\ntransfer monitor (Figure 4 analog):")
-	fmt.Println(res.Monitor)
+	fmt.Println(monitor)
 	fmt.Println("visualization (Figure 3 analog):")
-	fmt.Println(res.Viz)
+	fmt.Println(viz)
 	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"esgrid/internal/climate"
-	"esgrid/internal/experiments"
 )
 
 // TestEndToEndDemo replays the SC'00 demonstration flow (§7, Figures
@@ -166,45 +165,6 @@ func TestQueryValidation(t *testing.T) {
 			t.Fatal("out-of-range window fetched")
 		}
 	})
-}
-
-// TestRunDemoHarness drives the experiments.RunDemo adapter the way
-// cmd/esgbench does, verifying the demo artifacts.
-func TestRunDemoHarness(t *testing.T) {
-	tb, err := NewTestbed(TestbedConfig{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := experiments.RunDemo(tb,
-		func() (*Request, error) {
-			return tb.Fetch(Query{
-				Dataset:   "pcm-b06.44",
-				Variables: []string{climate.VarTemperature},
-				From:      Month(1999, 3),
-				To:        Month(1999, 3),
-			})
-		},
-		func() (string, error) {
-			fld, err := tb.Analyze("pcm", climate.VarTemperature, 1999, 3)
-			if err != nil {
-				return "", err
-			}
-			return fld.RenderASCII(64), nil
-		},
-		func() time.Time { return tb.Clock.Now() },
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Files) != 1 || res.TotalBytes < 2e9 {
-		t.Fatalf("demo result: %d files, %d bytes", len(res.Files), res.TotalBytes)
-	}
-	if !strings.Contains(res.Monitor, "100.0%") || !strings.Contains(res.Viz, "tas") {
-		t.Fatal("demo artifacts incomplete")
-	}
-	if len(res.Rows()) != 4 {
-		t.Fatalf("rows = %d", len(res.Rows()))
-	}
 }
 
 // TestReplicateDataset exercises §6.2's collection-copy service through

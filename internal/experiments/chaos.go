@@ -7,16 +7,10 @@ import (
 	"time"
 
 	"esgrid/internal/chaos"
-	"esgrid/internal/esgrpc"
 	"esgrid/internal/flight"
 	"esgrid/internal/gridftp"
-	"esgrid/internal/hrm"
-	"esgrid/internal/ldapd"
-	"esgrid/internal/netlogger"
-	"esgrid/internal/replica"
 	"esgrid/internal/rm"
 	"esgrid/internal/simnet"
-	"esgrid/internal/vtime"
 )
 
 // ChaosConfig parameterizes S13: a multi-file replication on the
@@ -84,12 +78,6 @@ type ChaosRun struct {
 	// Config.WallProfile was set (empty otherwise).
 	WallText string
 }
-
-// flightDisabled turns off the always-on recorder for the
-// pure-observer test, which proves an instrumented run and a bare run
-// of the same seed produce byte-identical event streams. Never set
-// outside tests.
-var flightDisabled bool
 
 // GoodputBps is useful payload delivered per wall second.
 func (r ChaosRun) GoodputBps(totalBytes int64) float64 {
@@ -163,186 +151,61 @@ func RunChaosSchedule(cfg ChaosConfig, sched chaos.Schedule) (ChaosRun, error) {
 	if cfg.Files <= 0 || cfg.FileMB <= 0 {
 		return ChaosRun{}, fmt.Errorf("experiments: bad chaos config %+v", cfg)
 	}
-	clk := vtime.NewSim(cfg.Seed)
-	n := simnet.New(clk)
-	// The flight recorder rides along on every chaos run: core events via
-	// the clock tap, connection transitions and allocator passes via the
-	// simnet hook. It records only into preallocated rings, so it cannot
-	// perturb the event stream (TestChaosFlightPureObserver pins this).
-	rec := flight.New(0, 0)
-	if !flightDisabled {
-		rec.AttachCore(clk)
-		n.AttachFlight(rec)
+	t, err := newTriangle(cfg.Seed, simnet.LinkConfig{CapacityBps: cfg.NICBps, Delay: cfg.RTT / 4, LossRate: cfg.LossRate / 2},
+		cfg.DiskBps, cfg.Files, cfg.FileMB, "chaos", "ncar", "lbnl")
+	if err == nil {
+		err = t.injector.Validate(sched)
 	}
-	if cfg.WallProfile {
-		clk.EnableWallProfile()
-	}
-	log := netlogger.NewLog(clk)
-	tracer := netlogger.NewTracer(clk, log)
-	metrics := netlogger.NewRegistry(clk)
-	n.Instrument(log, metrics)
-
-	n.AddHost("ncar", simnet.HostConfig{DefaultBufferBytes: 64 << 10})
-	n.AddHost("lbnl", simnet.HostConfig{DefaultBufferBytes: 64 << 10})
-	n.AddHost("anl", simnet.HostConfig{DefaultBufferBytes: 64 << 10, DiskBps: cfg.DiskBps})
-	n.AddNode("isp")
-	lNcar := n.AddLink("ncar", "isp", simnet.LinkConfig{CapacityBps: cfg.NICBps, Delay: cfg.RTT / 4, LossRate: cfg.LossRate / 2})
-	lLbnl := n.AddLink("lbnl", "isp", simnet.LinkConfig{CapacityBps: cfg.NICBps, Delay: cfg.RTT / 4, LossRate: cfg.LossRate / 2})
-	lAnl := n.AddLink("isp", "anl", simnet.LinkConfig{CapacityBps: 155e6, Delay: cfg.RTT / 4, LossRate: cfg.LossRate / 2})
-
-	// Real content at both replica sites; the HRM at lbnl fronts the same
-	// bytes with tape-staging semantics (its GridFTP server reads the
-	// "disk cache" MemStore; the RM's hrm.stage RPC pays the tape time).
-	size := cfg.FileMB << 20
-	srcNcar, srcLbnl := gridftp.NewMemStore(), gridftp.NewMemStore()
-	tape := hrm.New(clk, hrm.Config{
-		Drives: 2, MountTime: 3 * time.Second, SeekTime: 500 * time.Millisecond,
-		ReadBps: 200 << 20, CacheBytes: int64(cfg.Files+1) * size,
-	})
-	var names []string
-	wantHash := map[string]string{}
-	for i := 0; i < cfg.Files; i++ {
-		name := fmt.Sprintf("pcm-%02d.nc", i)
-		names = append(names, name)
-		body := chaosContent(i, size)
-		srcNcar.Put(name, body)
-		srcLbnl.Put(name, body)
-		wantHash[name] = hashHex(body)
-		tape.AddTapeFile(hrm.TapeFile{Name: name, Size: size, Tape: fmt.Sprintf("T%d", i/2)})
-	}
-
-	dir := ldapd.NewDir()
-	cat, err := replica.New(dir)
 	if err != nil {
 		return ChaosRun{}, err
 	}
-	if err := cat.CreateCollection("chaos", names); err != nil {
-		return ChaosRun{}, err
-	}
-	if err := cat.AddLocation("chaos", replica.Location{
-		Host: "ncar", Protocol: "gsiftp", Port: 2811, Path: "/d", Files: names,
-	}); err != nil {
-		return ChaosRun{}, err
-	}
-	if err := cat.AddLocation("chaos", replica.Location{
-		Host: "lbnl", Protocol: "gsiftp", Port: 2811, Path: "/hpss", Files: names, Staged: true,
-	}); err != nil {
-		return ChaosRun{}, err
+	if cfg.WallProfile {
+		t.clk.EnableWallProfile()
 	}
 
-	targets := chaos.NewTargets().
-		AddLink("ncar-isp", lNcar).
-		AddLink("lbnl-isp", lLbnl).
-		AddLink("isp-anl", lAnl).
-		AddHost("ncar", n.Host("ncar")).
-		AddHost("lbnl", n.Host("lbnl")).
-		AddStager("lbnl", tape)
-	targets.SetDNS(n)
-	runner := chaos.NewRunner(clk, log, targets)
-	if err := runner.Validate(sched); err != nil {
-		return ChaosRun{}, err
-	}
-
-	dest := gridftp.NewMemStore()
-	run := ChaosRun{Flight: rec}
+	run := ChaosRun{Flight: t.rec}
 	var statuses []rm.FileStatus
-	var rerr error
-	clk.Run(func() {
-		serve := func(host string, store gridftp.FileStore) bool {
-			h := n.Host(host)
-			srv, err := gridftp.NewServer(gridftp.Config{
-				Clock: clk, Net: h, Host: host, Store: store, DiskBound: true,
-				Log: log,
-			})
-			if err != nil {
-				rerr = err
-				return false
-			}
-			l, err := h.Listen(":2811")
-			if err != nil {
-				rerr = err
-				return false
-			}
-			clk.Go(func() { srv.Serve(l) })
-			return true
-		}
-		if !serve("ncar", srcNcar) || !serve("lbnl", srcLbnl) {
+	err = t.run(func() {
+		if !t.start(gridftp.Config{}) {
 			return
 		}
-		rpc := esgrpc.NewServer(clk, nil)
-		tape.RegisterRPC(rpc)
-		rl, err := n.Host("lbnl").Listen(":4811")
-		if err != nil {
-			rerr = err
+		req, t0 := t.submit("chaos", sched, cfg.MaxAttempts, cfg.RetryBackoff)
+		if req == nil {
 			return
 		}
-		clk.Go(func() { rpc.Serve(rl) })
-
-		mgr, err := rm.New(rm.Config{
-			Clock: clk, Net: n.Host("anl"), LocalHost: "anl", Replica: cat,
-			DestStore: dest, Policy: rm.PolicyFirst,
-			// A single stream and one file at a time keep equal-seed runs
-			// byte-identical (see LifelineConfig); the chaos determinism
-			// golden test depends on it.
-			Parallelism: 1, BufferBytes: 1 << 20,
-			CacheDataChannels: false,
-			MaxConcurrent:     1,
-			MaxAttempts:       cfg.MaxAttempts,
-			RetryBackoff:      cfg.RetryBackoff,
-			MonitorInterval:   time.Second,
-			Log:               log,
-			Tracer:            tracer,
-			Metrics:           metrics,
-		})
-		if err != nil {
-			rerr = err
-			return
-		}
-		if err := runner.Apply(sched); err != nil {
-			rerr = err
-			return
-		}
-		var reqs []rm.FileRequest
-		for _, f := range names {
-			reqs = append(reqs, rm.FileRequest{Name: f, Size: size})
-		}
-		t0 := clk.Now()
-		req, err := mgr.Submit("esg-user", "chaos", reqs)
-		if err != nil {
-			rerr = err
-			return
-		}
-		rerr = req.Wait()
-		run.Elapsed = clk.Now().Sub(t0)
+		_ = req.Wait() // failures surface in the statuses the audit checks
+		run.Elapsed = t.clk.Now().Sub(t0)
 		statuses = req.Status()
 		// Let connection teardown drain before the run ends: the last
 		// control conn's server side retires a FIN-drain after Wait
 		// returns, and without this the conn.retired event would race
 		// with Run's return instead of landing in the stream
 		// deterministically.
-		clk.Sleep(2 * time.Second)
+		t.clk.Sleep(2 * time.Second)
 	})
 	// End-of-run profiler snapshot. CoreStats cycles the Sim's lock,
 	// which also establishes the happens-before edge the recorder's
 	// quiescence contract requires before reading its rings.
-	run.Vitals = flight.Vitals{Core: clk.CoreStats(), Rec: rec.Stats()}
-	run.Vitals.CSRHits, run.Vitals.CSRLookups = n.CSRStats()
+	run.Vitals = flight.Vitals{Core: t.clk.CoreStats(), Rec: t.rec.Stats()}
+	run.Vitals.CSRHits, run.Vitals.CSRLookups = t.net.CSRStats()
 	if cfg.WallProfile {
-		run.WallText = flight.WallReport(clk)
+		run.WallText = flight.WallReport(t.clk)
 	}
-	if rerr != nil && statuses == nil {
-		return run, rerr
+	if err != nil {
+		return run, err
 	}
 
-	run.Activations = runner.Activations()
+	run.Activations = t.injector.Activations()
 	for _, st := range statuses {
 		run.Attempts += st.Attempts
 		fr := chaos.FileResult{
 			Name: st.Name, Size: st.Size, RequestedBytes: st.RequestedBytes,
 			Attempts: st.Attempts, Done: st.State == rm.StateDone, Err: st.Error,
-			WantHash: wantHash[st.Name],
 		}
-		if body, ok := dest.Get(st.Name); ok {
+		if body, ok := t.src.Get(st.Name); ok {
+			fr.WantHash = hashHex(body)
+		}
+		if body, ok := t.dest.Get(st.Name); ok {
 			fr.GotHash = hashHex(body)
 		}
 		run.Files = append(run.Files, fr)
@@ -350,12 +213,12 @@ func RunChaosSchedule(cfg ChaosConfig, sched chaos.Schedule) (ChaosRun, error) {
 	inv := chaos.Invariants{
 		// A single activation can kill at most the one in-flight transfer
 		// (MaxConcurrent=1), forcing at worst a whole-file re-request.
-		MaxRefetchBytesPerFault: size,
+		MaxRefetchBytesPerFault: t.size,
 		RetryBackoff:            cfg.RetryBackoff,
 		Slack:                   time.Millisecond,
 	}
-	run.Report = inv.Check(run.Files, log.Events(), tracer.Snapshot(), run.Activations)
-	run.JSONL = log.JSONL()
+	run.Report = inv.Check(run.Files, t.log.Events(), t.tracer.Snapshot(), run.Activations)
+	run.JSONL = t.log.JSONL()
 	return run, nil
 }
 

@@ -9,7 +9,6 @@ import (
 	"esgrid/internal/gridftp"
 	"esgrid/internal/netlogger"
 	"esgrid/internal/simnet"
-	"esgrid/internal/vtime"
 )
 
 // Figure8Config parameterizes the 14-hour reliability experiment of §7 /
@@ -76,7 +75,7 @@ type Figure8Result struct {
 	ZeroBuckets   int // buckets with no progress (outages + dips)
 	OutageBuckets int // buckets fully inside scheduled outages
 	// Flight is the run's always-on flight recorder; the differential
-	// suite compares its dump byte-for-byte across worker counts.
+	// suite compares its dump byte-for-byte between two equal-seed runs.
 	Flight *flight.Recorder
 }
 
@@ -114,11 +113,8 @@ func RunFigure8(cfg Figure8Config) (Figure8Result, error) {
 	if len(cfg.ParallelismSchedule) == 0 {
 		cfg.ParallelismSchedule = []int{8}
 	}
-	clk := vtime.NewSim(cfg.Seed)
-	n := simnet.New(clk)
-	rec := flight.New(0, 0)
-	rec.AttachCore(clk)
-	n.AttachFlight(rec)
+	g := newGrid(cfg.Seed, withFlight)
+	clk, n := g.clk, g.net
 
 	// Dallas workstation -> commodity internet -> ANL workstation. The
 	// destination's disk bounds the useful rate (§7: "most likely due to
@@ -130,23 +126,13 @@ func RunFigure8(cfg Figure8Config) (Figure8Result, error) {
 	commodity := n.AddLink("isp", "anl", simnet.LinkConfig{CapacityBps: 155e6, Delay: cfg.RTT / 4, LossRate: cfg.LossRate / 2})
 
 	file := cfg.FileMB << 20
-	store := gridftp.NewVirtualStore()
-	store.Put("climate-2gb.dat", file)
+	store := virtualStore(file, "climate-2gb.dat")
 
-	res := Figure8Result{Config: cfg, Flight: rec}
-	clk.Run(func() {
-		dallas := n.Host("dallas")
-		srv, err := gridftp.NewServer(gridftp.Config{
-			Clock: clk, Net: dallas, Host: "dallas", Store: store, DiskBound: true,
-		})
-		if err != nil {
+	res := Figure8Result{Config: cfg, Flight: g.rec}
+	err := g.run(func() {
+		if !g.serve("dallas", gridftp.Config{Store: store, DiskBound: true}) {
 			return
 		}
-		l, err := dallas.Listen(":2811")
-		if err != nil {
-			return
-		}
-		clk.Go(func() { srv.Serve(l) })
 
 		meter := netlogger.NewMeter(clk, time.Second, func() float64 {
 			return n.TotalBytesBetween("dallas", "anl")
@@ -158,12 +144,11 @@ func RunFigure8(cfg Figure8Config) (Figure8Result, error) {
 				sched = Figure8FaultSchedule(cfg.Duration)
 			}
 			targets := chaos.NewTargets().AddLink("commodity", commodity).SetDNS(n)
-			if err := chaos.NewRunner(clk, nil, targets).Apply(sched); err != nil {
+			if g.fail(chaos.NewRunner(clk, nil, targets).Apply(sched)) {
 				return
 			}
 		}
 
-		anl := n.Host("anl")
 		stop := clk.Now().Add(cfg.Duration)
 		segment := cfg.Duration / time.Duration(len(cfg.ParallelismSchedule))
 		start := clk.Now()
@@ -190,13 +175,12 @@ func RunFigure8(cfg Figure8Config) (Figure8Result, error) {
 					cached = nil
 					return c, nil
 				}
-				return gridftp.Dial(gridftp.ClientConfig{
-					Clock: clk, Net: anl,
+				return g.dial("anl", "dallas:2811", gridftp.ClientConfig{
 					Parallelism:       p,
 					BufferBytes:       cfg.BufferBytes,
 					CacheDataChannels: cfg.CacheDataChannels,
 					DiskBound:         true,
-				}, "dallas:2811")
+				})
 			}
 			var cli *gridftp.Client
 			var xferErr error
@@ -259,7 +243,7 @@ func RunFigure8(cfg Figure8Config) (Figure8Result, error) {
 			}
 		}
 	})
-	return res, nil
+	return res, err
 }
 
 // Figure8FaultSchedule is the November 7, 2000 outage narrative the paper

@@ -104,14 +104,8 @@ func RunLifeline(cfg LifelineConfig) (LifelineResult, error) {
 	if cfg.Parallelism < 1 {
 		cfg.Parallelism = 1
 	}
-	clk := vtime.NewSim(cfg.Seed)
-	n := simnet.New(clk)
-
-	log := netlogger.NewLog(clk)
-	tracer := netlogger.NewTracer(clk, log)
-	metrics := netlogger.NewRegistry(clk)
-	n.Instrument(log, metrics)
-
+	g := newGrid(cfg.Seed, withLog)
+	clk, n := g.clk, g.net
 	n.AddHost("dallas", simnet.HostConfig{DefaultBufferBytes: 64 << 10})
 	n.AddHost("anl", simnet.HostConfig{DefaultBufferBytes: 64 << 10, DiskBps: cfg.DiskBps})
 	n.AddNode("isp")
@@ -134,13 +128,8 @@ func RunLifeline(cfg LifelineConfig) (LifelineResult, error) {
 		return LifelineResult{}, err
 	}
 
-	var names []string
-	store := gridftp.NewVirtualStore()
-	for i := 0; i < cfg.Files; i++ {
-		name := fmt.Sprintf("pcm-%02d.nc", i)
-		names = append(names, name)
-		store.Put(name, cfg.FileMB<<20)
-	}
+	names := fileNames("pcm-%02d.nc", cfg.Files)
+	store := virtualStore(cfg.FileMB<<20, names...)
 	dir := ldapd.NewDir()
 	cat, err := replica.New(dir)
 	if err != nil {
@@ -156,25 +145,13 @@ func RunLifeline(cfg LifelineConfig) (LifelineResult, error) {
 	}
 
 	res := LifelineResult{Config: cfg}
-	var rerr error
-	clk.Run(func() {
-		dallas := n.Host("dallas")
-		srv, err := gridftp.NewServer(gridftp.Config{
-			Clock: clk, Net: dallas, Host: "dallas", Store: store, DiskBound: true,
+	err = g.run(func() {
+		if !g.serve("dallas", gridftp.Config{
+			Store: store, DiskBound: true, Log: g.log,
 			Auth: &gsi.Config{Identity: srvID, Trust: trust, Clock: clk, HandshakeCost: cfg.HandshakeCost},
-			Log:  log,
-		})
-		if err != nil {
-			rerr = err
+		}) {
 			return
 		}
-		l, err := dallas.Listen(":2811")
-		if err != nil {
-			rerr = err
-			return
-		}
-		clk.Go(func() { srv.Serve(l) })
-
 		mgr, err := rm.New(rm.Config{
 			Clock: clk, Net: n.Host("anl"), LocalHost: "anl", Replica: cat,
 			DestStore: gridftp.NewVirtualStore(), Policy: rm.PolicyFirst,
@@ -185,44 +162,32 @@ func RunLifeline(cfg LifelineConfig) (LifelineResult, error) {
 			CacheDataChannels: false,
 			MaxConcurrent:     1,
 			MonitorInterval:   250 * time.Millisecond,
-			Log:               log,
-			Tracer:            tracer,
-			Metrics:           metrics,
+			Log:               g.log,
+			Tracer:            g.tracer,
+			Metrics:           g.metrics,
 		})
-		if err != nil {
-			rerr = err
+		if g.fail(err) {
 			return
-		}
-		var reqs []rm.FileRequest
-		for _, f := range names {
-			reqs = append(reqs, rm.FileRequest{Name: f, Size: cfg.FileMB << 20})
 		}
 		t0 := clk.Now()
-		req, err := mgr.Submit("esg-user", "lifeline", reqs)
-		if err != nil {
-			rerr = err
-			return
+		if g.submitAll(mgr, "esg-user", "lifeline", names, cfg.FileMB<<20) != nil {
+			res.Elapsed = clk.Now().Sub(t0)
 		}
-		if err := req.Wait(); err != nil {
-			rerr = err
-			return
-		}
-		res.Elapsed = clk.Now().Sub(t0)
 	})
-	if rerr != nil {
-		return res, rerr
+	if err != nil {
+		return res, err
 	}
 
-	spans := tracer.Snapshot()
+	spans := g.tracer.Snapshot()
 	res.Spans = len(spans)
-	res.Events = len(log.Events())
+	res.Events = len(g.log.Events())
 	res.Analysis = netlogger.AnalyzeTrace(spans, 1)
 	res.Coverage = res.Analysis.Coverage
 	res.MeanGap = res.Analysis.MeanGap()
 	res.Gantt = res.Analysis.RenderGantt(96)
 	res.Stages = res.Analysis.RenderStageTable()
-	res.Metrics = metrics.Render()
-	res.ULM = log.ULM()
-	res.JSONL = log.JSONL()
+	res.Metrics = g.metrics.Render()
+	res.ULM = g.log.ULM()
+	res.JSONL = g.log.JSONL()
 	return res, nil
 }

@@ -6,20 +6,14 @@ import (
 	"time"
 
 	"esgrid/internal/chaos"
-	"esgrid/internal/esgrpc"
 	"esgrid/internal/flight"
 	"esgrid/internal/gridftp"
-	"esgrid/internal/hrm"
-	"esgrid/internal/ldapd"
 	"esgrid/internal/mds"
 	"esgrid/internal/monitor"
-	"esgrid/internal/netlogger"
 	"esgrid/internal/nws"
-	"esgrid/internal/replica"
 	"esgrid/internal/rm"
 	"esgrid/internal/simnet"
 	"esgrid/internal/transport"
-	"esgrid/internal/vtime"
 )
 
 // S14 — detector ground truth. Each MonitorCase replays a hand-labeled
@@ -143,70 +137,16 @@ func RunMonitorCase(c MonitorCase, seed int64, grace time.Duration, withMonitor 
 	if c.Files <= 0 || c.FileMB <= 0 {
 		return MonitorRun{}, fmt.Errorf("experiments: bad monitor case %+v", c)
 	}
-	clk := vtime.NewSim(seed)
-	n := simnet.New(clk)
-	rec := flight.New(0, 0)
-	if !flightDisabled {
-		rec.AttachCore(clk)
-		n.AttachFlight(rec)
-	}
-	log := netlogger.NewLog(clk)
-	tracer := netlogger.NewTracer(clk, log)
-	metrics := netlogger.NewRegistry(clk)
-	n.Instrument(log, metrics)
-
-	n.AddHost("ncar", simnet.HostConfig{DefaultBufferBytes: 64 << 10})
-	n.AddHost("lbnl", simnet.HostConfig{DefaultBufferBytes: 64 << 10})
-	n.AddHost("anl", simnet.HostConfig{DefaultBufferBytes: 64 << 10, DiskBps: 82e6})
-	n.AddNode("isp")
-	lNcar := n.AddLink("ncar", "isp", simnet.LinkConfig{CapacityBps: 100e6, Delay: 6 * time.Millisecond})
-	lLbnl := n.AddLink("lbnl", "isp", simnet.LinkConfig{CapacityBps: 100e6, Delay: 6 * time.Millisecond})
-	lAnl := n.AddLink("isp", "anl", simnet.LinkConfig{CapacityBps: 155e6, Delay: 6 * time.Millisecond})
-
-	size := c.FileMB << 20
-	src := gridftp.NewMemStore()
-	tape := hrm.New(clk, hrm.Config{
-		Drives: 2, MountTime: 3 * time.Second, SeekTime: 500 * time.Millisecond,
-		ReadBps: 200 << 20, CacheBytes: int64(c.Files+1) * size,
-	})
-	var names []string
-	for i := 0; i < c.Files; i++ {
-		name := fmt.Sprintf("pcm-%02d.nc", i)
-		names = append(names, name)
-		src.Put(name, chaosContent(i, size))
-		tape.AddTapeFile(hrm.TapeFile{Name: name, Size: size, Tape: fmt.Sprintf("T%d", i/2)})
-	}
-
-	dir := ldapd.NewDir()
-	cat, err := replica.New(dir)
+	t, err := newTriangle(seed, simnet.LinkConfig{CapacityBps: 100e6, Delay: 6 * time.Millisecond}, 82e6,
+		c.Files, c.FileMB, "mon", c.Replica)
 	if err != nil {
 		return MonitorRun{}, err
 	}
-	info, err := mds.New(dir)
+	info, err := mds.New(t.dir)
+	if err == nil {
+		err = t.injector.Validate(chaos.Schedule(c.Faults))
+	}
 	if err != nil {
-		return MonitorRun{}, err
-	}
-	if err := cat.CreateCollection("mon", names); err != nil {
-		return MonitorRun{}, err
-	}
-	loc := replica.Location{Host: c.Replica, Protocol: "gsiftp", Port: 2811, Path: "/d", Files: names}
-	if c.Replica == "lbnl" {
-		loc.Path, loc.Staged = "/hpss", true
-	}
-	if err := cat.AddLocation("mon", loc); err != nil {
-		return MonitorRun{}, err
-	}
-
-	targets := chaos.NewTargets().
-		AddLink("ncar-isp", lNcar).
-		AddLink("lbnl-isp", lLbnl).
-		AddLink("isp-anl", lAnl).
-		AddHost("ncar", n.Host("ncar")).
-		AddHost("lbnl", n.Host("lbnl")).
-		AddStager("lbnl", tape)
-	targets.SetDNS(n)
-	runner := chaos.NewRunner(clk, log, targets)
-	if err := runner.Validate(chaos.Schedule(c.Faults)); err != nil {
 		return MonitorRun{}, err
 	}
 
@@ -219,63 +159,33 @@ func RunMonitorCase(c MonitorCase, seed int64, grace time.Duration, withMonitor 
 		}
 	}
 
-	dest := gridftp.NewMemStore()
-	run := MonitorRun{Flight: rec}
+	run := MonitorRun{Flight: t.rec}
 	var mon *monitor.Monitor
-	var rerr error
-	clk.Run(func() {
-		serve := func(host string, store gridftp.FileStore) bool {
-			h := n.Host(host)
-			srv, err := gridftp.NewServer(gridftp.Config{
-				Clock: clk, Net: h, Host: host, Store: store, DiskBound: true,
-				Log: log,
-				// Fine-grained MODE E blocks: sink coverage (and so the
-				// rm.progress rate samples the collapse detector consumes)
-				// advances in BlockSize steps. At the default 4 MB a
-				// degraded link shows alternating zero/33 Mb/s samples —
-				// indistinguishable from a stall; at 256 KB the sampled
-				// rate tracks the true degraded rate.
-				BlockSize: 256 << 10,
-			})
-			if err != nil {
-				rerr = err
-				return false
-			}
-			l, err := h.Listen(":2811")
-			if err != nil {
-				rerr = err
-				return false
-			}
-			clk.Go(func() { srv.Serve(l) })
-			return true
-		}
-		if !serve("ncar", src) || !serve("lbnl", src) {
+	err = t.run(func() {
+		// Fine-grained MODE E blocks: sink coverage (and so the
+		// rm.progress rate samples the collapse detector consumes)
+		// advances in BlockSize steps. At the default 4 MB a degraded
+		// link shows alternating zero/33 Mb/s samples — indistinguishable
+		// from a stall; at 256 KB the sampled rate tracks the true
+		// degraded rate.
+		if !t.start(gridftp.Config{BlockSize: 256 << 10}) {
 			return
 		}
-		rpc := esgrpc.NewServer(clk, nil)
-		tape.RegisterRPC(rpc)
-		rl, err := n.Host("lbnl").Listen(":4811")
-		if err != nil {
-			rerr = err
-			return
-		}
-		clk.Go(func() { rpc.Serve(rl) })
 
 		// Observation plane: probe responder at the destination, sensor
 		// probing both replica→dest paths, forecasts into MDS.
-		pl, err := n.Host("anl").Listen(":8060")
-		if err != nil {
-			rerr = err
+		pl := t.listen("anl", ":8060")
+		if pl == nil {
 			return
 		}
-		clk.Go(func() { nws.ServeProbes(clk, pl) })
-		prober := nws.NewTransferProber(clk, func(h string) transport.Network {
-			return n.Host(h)
+		t.clk.Go(func() { nws.ServeProbes(t.clk, pl) })
+		prober := nws.NewTransferProber(t.clk, func(h string) transport.Network {
+			return t.net.Host(h)
 		}, 8060, 0)
-		sensor := nws.NewSensor(clk, prober, info, 2*time.Second)
+		sensor := nws.NewSensor(t.clk, prober, info, 2*time.Second)
 		sensor.Watch("ncar", "anl")
 		sensor.Watch("lbnl", "anl")
-		sensor.Instrument(log, "anl")
+		sensor.Instrument(t.log, "anl")
 		// Warm-up: the collapse detector needs a forecast baseline before
 		// the first fault lands.
 		for i := 0; i < 3; i++ {
@@ -285,57 +195,31 @@ func RunMonitorCase(c MonitorCase, seed int64, grace time.Duration, withMonitor 
 
 		if withMonitor {
 			mon = monitor.New(monitor.Config{
-				Clock: clk, Info: info, Metrics: metrics,
+				Clock: t.clk, Info: info, Metrics: t.metrics,
 			})
-			mon.Attach(log)
+			mon.Attach(t.log)
 			mon.Start()
 		}
 
-		mgr, err := rm.New(rm.Config{
-			Clock: clk, Net: n.Host("anl"), LocalHost: "anl", Replica: cat,
-			DestStore: dest, Policy: rm.PolicyFirst,
-			Parallelism: 1, BufferBytes: 1 << 20,
-			CacheDataChannels: false,
-			MaxConcurrent:     1,
-			MaxAttempts:       40,
-			RetryBackoff:      time.Second,
-			MonitorInterval:   time.Second,
-			Log:               log,
-			Tracer:            tracer,
-			Metrics:           metrics,
-		})
-		if err != nil {
-			rerr = err
+		req, start := t.submit("mon", chaos.Schedule(c.Faults), 40, time.Second)
+		if req == nil {
 			return
 		}
-		if err := runner.Apply(chaos.Schedule(c.Faults)); err != nil {
-			rerr = err
-			return
-		}
-		run.Start = clk.Now()
-		var reqs []rm.FileRequest
-		for _, f := range names {
-			reqs = append(reqs, rm.FileRequest{Name: f, Size: size})
-		}
-		req, err := mgr.Submit("esg-user", "mon", reqs)
-		if err != nil {
-			rerr = err
-			return
-		}
-		rerr = req.Wait()
-		run.Elapsed = clk.Now().Sub(run.Start)
+		run.Start = start
+		t.fail(req.Wait())
+		run.Elapsed = t.clk.Now().Sub(run.Start)
 		run.Statuses = req.Status()
 		// Drain teardown and keep the sensor probing through the last
 		// truth window, then a little past it for deterministic endings.
-		if tail := run.Start.Add(horizon).Sub(clk.Now()); tail > 0 {
-			clk.Sleep(tail)
+		if tail := run.Start.Add(horizon).Sub(t.clk.Now()); tail > 0 {
+			t.clk.Sleep(tail)
 		}
-		clk.Sleep(2 * time.Second)
+		t.clk.Sleep(2 * time.Second)
 	})
-	if rerr != nil {
-		return run, rerr
+	if err != nil {
+		return run, err
 	}
-	run.JSONL = log.JSONL()
+	run.JSONL = t.log.JSONL()
 	if mon != nil {
 		mon.Stop()
 		run.AlertJSONL = mon.AlertJSONL()

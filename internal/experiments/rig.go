@@ -1,0 +1,306 @@
+package experiments
+
+import (
+	"fmt"
+	"sync"
+	"time"
+
+	"esgrid/internal/chaos"
+	"esgrid/internal/esgrpc"
+	"esgrid/internal/flight"
+	"esgrid/internal/gridftp"
+	"esgrid/internal/hrm"
+	"esgrid/internal/ldapd"
+	"esgrid/internal/netlogger"
+	"esgrid/internal/replica"
+	"esgrid/internal/rm"
+	"esgrid/internal/simnet"
+	"esgrid/internal/transport"
+	"esgrid/internal/vtime"
+)
+
+// grid is the one way an experiment stands up a simulated testbed: a
+// seeded clock, a network on it, the observers the run asked for, and
+// a first-error latch that every setup step reports through. Callers
+// add hosts and links on net, then start services inside run in the
+// same order every time, because event seqs are assigned in that order.
+type grid struct {
+	clk *vtime.Sim
+	net *simnet.Net
+
+	rec     *flight.Recorder // set by withFlight
+	log     *netlogger.Log   // log, tracer and metrics are set by withLog
+	tracer  *netlogger.Tracer
+	metrics *netlogger.Registry
+
+	mu  sync.Mutex
+	err error
+}
+
+// flightDisabled turns off the always-on recorder for the
+// pure-observer test, which proves an instrumented run and a bare run
+// of the same seed produce byte-identical event streams. Never set
+// outside tests.
+var flightDisabled bool
+
+// withFlight gives the run an always-on flight recorder: core events via
+// the clock tap, connection transitions and allocator passes via the
+// simnet hook. It records only into preallocated rings, so it cannot
+// perturb the event stream (TestChaosFlightPureObserver pins this).
+func withFlight(g *grid) {
+	g.rec = flight.New(0, 0)
+	if !flightDisabled {
+		g.rec.AttachCore(g.clk)
+		g.net.AttachFlight(g.rec)
+	}
+}
+
+// withLog instruments the network with a NetLogger event log, a tracer
+// on it and a metrics registry.
+func withLog(g *grid) {
+	g.log = netlogger.NewLog(g.clk)
+	g.tracer = netlogger.NewTracer(g.clk, g.log)
+	g.metrics = netlogger.NewRegistry(g.clk)
+	g.net.Instrument(g.log, g.metrics)
+}
+
+// newGrid builds an empty network on a clock seeded with seed and
+// attaches observers in the order given.
+func newGrid(seed int64, observers ...func(*grid)) *grid {
+	clk := vtime.NewSim(seed)
+	g := &grid{clk: clk, net: simnet.New(clk)}
+	for _, attach := range observers {
+		attach(g)
+	}
+	return g
+}
+
+// fail latches the run's first error and reports whether err is
+// non-nil, so a setup step reads `if g.fail(err) { return }`.
+func (g *grid) fail(err error) bool {
+	if err == nil {
+		return false
+	}
+	g.mu.Lock()
+	if g.err == nil {
+		g.err = err
+	}
+	g.mu.Unlock()
+	return true
+}
+
+// run executes fn as the simulation's root goroutine and returns the
+// first error latched while it ran.
+func (g *grid) run(fn func()) error {
+	g.clk.Run(fn)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.err
+}
+
+// listen binds host:addr; nil means the error is latched.
+func (g *grid) listen(host, addr string) transport.Listener {
+	l, err := g.net.Host(host).Listen(addr)
+	if g.fail(err) {
+		return nil
+	}
+	return l
+}
+
+// serve starts a GridFTP server on host:2811. cfg's Clock, Net and Host
+// are filled in.
+func (g *grid) serve(host string, cfg gridftp.Config) bool {
+	cfg.Clock, cfg.Net, cfg.Host = g.clk, g.net.Host(host), host
+	srv, err := gridftp.NewServer(cfg)
+	if g.fail(err) {
+		return false
+	}
+	l := g.listen(host, ":2811")
+	if l != nil {
+		g.clk.Go(func() { srv.Serve(l) })
+	}
+	return l != nil
+}
+
+// serveRPC starts an esgrpc server on host:addr with the handlers
+// register installs.
+func (g *grid) serveRPC(host, addr string, register func(*esgrpc.Server)) bool {
+	rpc := esgrpc.NewServer(g.clk, nil)
+	register(rpc)
+	l := g.listen(host, addr)
+	if l != nil {
+		g.clk.Go(func() { rpc.Serve(l) })
+	}
+	return l != nil
+}
+
+// dial opens a GridFTP session from host to addr. cfg's Clock and Net
+// are filled in.
+func (g *grid) dial(host, addr string, cfg gridftp.ClientConfig) (*gridftp.Client, error) {
+	cfg.Clock, cfg.Net = g.clk, g.net.Host(host)
+	return gridftp.Dial(cfg, addr)
+}
+
+// fetch retrieves the whole of file (size bytes) from addr to host in
+// one session and checks the sink is complete.
+func (g *grid) fetch(host, addr, file string, size int64, cfg gridftp.ClientConfig) (gridftp.TransferStats, error) {
+	cli, err := g.dial(host, addr, cfg)
+	if err != nil {
+		return gridftp.TransferStats{}, err
+	}
+	defer cli.Close()
+	sink := gridftp.NewVirtualSink(size)
+	st, err := cli.Get(file, sink)
+	if err == nil {
+		err = sink.Complete()
+	}
+	return st, err
+}
+
+// submitAll requests every one of names (size bytes each) as user and
+// waits for the request to finish; nil means an error was latched on g.
+func (g *grid) submitAll(mgr *rm.Manager, user, collection string, names []string, size int64) *rm.Request {
+	reqs := make([]rm.FileRequest, len(names))
+	for i, name := range names {
+		reqs[i] = rm.FileRequest{Name: name, Size: size}
+	}
+	req, err := mgr.Submit(user, collection, reqs)
+	if g.fail(err) || g.fail(req.Wait()) {
+		return nil
+	}
+	return req
+}
+
+// virtualStore holds each named file at size bytes.
+func virtualStore(size int64, names ...string) *gridftp.VirtualStore {
+	store := gridftp.NewVirtualStore()
+	for _, name := range names {
+		store.Put(name, size)
+	}
+	return store
+}
+
+// fileNames formats the names 0..n-1 with format.
+func fileNames(format string, n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf(format, i)
+	}
+	return names
+}
+
+// triangle is the S13–S15 replication topology: ncar (disk replica)
+// and lbnl (tape-backed replica behind an HRM) both reach the anl
+// destination through the isp node. Both replica sites serve the same
+// real bytes, so destination hashes can be checked against the source.
+type triangle struct {
+	*grid
+	names    []string
+	size     int64
+	src      *gridftp.MemStore // both replica sites' content
+	dest     *gridftp.MemStore // what anl received
+	tape     *hrm.HRM          // lbnl's tape staging in front of src
+	dir      *ldapd.Dir
+	cat      *replica.Catalog
+	injector *chaos.Runner // every link, both replica hosts, the HRM and DNS
+}
+
+// newTriangle builds the topology with access links shaped like access
+// (anl's at 155 Mb/s) and a destination disk of diskBps, puts files of
+// fileMB MB each on both replica sites and on lbnl's tapes, and
+// catalogs them as collection at each of replicas: ncar's disk or
+// lbnl's staged HPSS archive.
+func newTriangle(seed int64, access simnet.LinkConfig, diskBps float64, files int, fileMB int64,
+	collection string, replicas ...string) (*triangle, error) {
+	t := &triangle{grid: newGrid(seed, withFlight, withLog), size: fileMB << 20,
+		src: gridftp.NewMemStore(), dest: gridftp.NewMemStore()}
+	n := t.net
+	n.AddHost("ncar", simnet.HostConfig{DefaultBufferBytes: 64 << 10})
+	n.AddHost("lbnl", simnet.HostConfig{DefaultBufferBytes: 64 << 10})
+	n.AddHost("anl", simnet.HostConfig{DefaultBufferBytes: 64 << 10, DiskBps: diskBps})
+	n.AddNode("isp")
+	lNcar := n.AddLink("ncar", "isp", access)
+	lLbnl := n.AddLink("lbnl", "isp", access)
+	wan := access
+	wan.CapacityBps = 155e6
+	lAnl := n.AddLink("isp", "anl", wan)
+
+	t.tape = hrm.New(t.clk, hrm.Config{
+		Drives: 2, MountTime: 3 * time.Second, SeekTime: 500 * time.Millisecond,
+		ReadBps: 200 << 20, CacheBytes: int64(files+1) * t.size,
+	})
+	t.names = fileNames("pcm-%02d.nc", files)
+	for i, name := range t.names {
+		t.src.Put(name, chaosContent(i, t.size))
+		t.tape.AddTapeFile(hrm.TapeFile{Name: name, Size: t.size, Tape: fmt.Sprintf("T%d", i/2)})
+	}
+	t.dir = ldapd.NewDir()
+	var err error
+	if t.cat, err = replica.New(t.dir); err != nil {
+		return nil, err
+	}
+	if err := t.cat.CreateCollection(collection, t.names); err != nil {
+		return nil, err
+	}
+	for _, host := range replicas {
+		loc := replica.Location{Host: host, Protocol: "gsiftp", Port: 2811, Path: "/d", Files: t.names}
+		if host == "lbnl" {
+			loc.Path, loc.Staged = "/hpss", true
+		}
+		if err := t.cat.AddLocation(collection, loc); err != nil {
+			return nil, err
+		}
+	}
+
+	targets := chaos.NewTargets().
+		AddLink("ncar-isp", lNcar).
+		AddLink("lbnl-isp", lLbnl).
+		AddLink("isp-anl", lAnl).
+		AddHost("ncar", n.Host("ncar")).
+		AddHost("lbnl", n.Host("lbnl")).
+		AddStager("lbnl", t.tape)
+	targets.SetDNS(n)
+	t.injector = chaos.NewRunner(t.clk, t.log, targets)
+	return t, nil
+}
+
+// start serves src from both replica sites over GridFTP with cfg (disk
+// bound, logged) and lbnl's HRM over esgrpc on :4811.
+func (t *triangle) start(cfg gridftp.Config) bool {
+	cfg.Store, cfg.DiskBound, cfg.Log = t.src, true, t.log
+	return t.serve("ncar", cfg) && t.serve("lbnl", cfg) && t.serveRPC("lbnl", ":4811", t.tape.RegisterRPC)
+}
+
+// submit starts anl's request manager, applies the fault schedule and
+// requests every file of collection, returning the request and the
+// instant it was submitted (nil on a latched setup error). One stream
+// and one file at a time keep equal-seed runs byte-identical (see
+// LifelineConfig); the chaos determinism golden test depends on it.
+func (t *triangle) submit(collection string, sched chaos.Schedule, maxAttempts int, backoff time.Duration) (*rm.Request, time.Time) {
+	mgr, err := rm.New(rm.Config{
+		Clock: t.clk, Net: t.net.Host("anl"), LocalHost: "anl", Replica: t.cat,
+		DestStore: t.dest, Policy: rm.PolicyFirst,
+		Parallelism: 1, BufferBytes: 1 << 20,
+		CacheDataChannels: false,
+		MaxConcurrent:     1,
+		MaxAttempts:       maxAttempts,
+		RetryBackoff:      backoff,
+		MonitorInterval:   time.Second,
+		Log:               t.log,
+		Tracer:            t.tracer,
+		Metrics:           t.metrics,
+	})
+	if t.fail(err) || t.fail(t.injector.Apply(sched)) {
+		return nil, time.Time{}
+	}
+	t0 := t.clk.Now()
+	reqs := make([]rm.FileRequest, len(t.names))
+	for i, name := range t.names {
+		reqs[i] = rm.FileRequest{Name: name, Size: t.size}
+	}
+	req, err := mgr.Submit("esg-user", collection, reqs)
+	if t.fail(err) {
+		return nil, t0
+	}
+	return req, t0
+}

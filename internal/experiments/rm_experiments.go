@@ -50,8 +50,8 @@ func RunReplicaSelection(seed int64, files int, fileMB int64) (ReplicaSelResult,
 }
 
 func runPolicyOnce(seed int64, pol rm.Policy, nFiles int, fileMB int64) (time.Duration, []string, error) {
-	clk := vtime.NewSim(seed)
-	n := simnet.New(clk)
+	g := newGrid(seed)
+	clk, n := g.clk, g.net
 	n.AddNode("wan")
 	client := n.AddHost("desk", simnet.HostConfig{DefaultBufferBytes: 1 << 20})
 	n.AddLink("desk", "wan", simnet.LinkConfig{CapacityBps: 1e9, Delay: 2 * time.Millisecond})
@@ -76,22 +76,14 @@ func runPolicyOnce(seed int64, pol rm.Policy, nFiles int, fileMB int64) (time.Du
 	if err != nil {
 		return 0, nil, err
 	}
-	var names []string
-	for i := 0; i < nFiles; i++ {
-		names = append(names, fmt.Sprintf("f%02d.nc", i))
-	}
+	names := fileNames("f%02d.nc", nFiles)
 	if err := cat.CreateCollection("sweep", names); err != nil {
 		return 0, nil, err
 	}
-	stores := map[string]*gridftp.VirtualStore{}
+	store := virtualStore(fileMB<<20, names...) // every site holds every file
 	for _, s := range sites {
 		n.AddHost(s.name, simnet.HostConfig{DefaultBufferBytes: 1 << 20})
 		n.AddLink(s.name, "wan", simnet.LinkConfig{CapacityBps: s.bps, Delay: s.owd})
-		store := gridftp.NewVirtualStore()
-		for _, f := range names {
-			store.Put(f, fileMB<<20)
-		}
-		stores[s.name] = store
 		if err := cat.AddLocation("sweep", replica.Location{
 			Host: s.name, Protocol: "gsiftp", Port: 2811, Path: "/d", Files: names,
 		}); err != nil {
@@ -100,17 +92,11 @@ func runPolicyOnce(seed int64, pol rm.Policy, nFiles int, fileMB int64) (time.Du
 	}
 	var elapsed time.Duration
 	var chosen []string
-	var rerr error
-	clk.Run(func() {
+	err = g.run(func() {
 		for _, s := range sites {
-			host := n.Host(s.name)
-			srv, err := gridftp.NewServer(gridftp.Config{Clock: clk, Net: host, Host: s.name, Store: stores[s.name]})
-			if err != nil {
-				rerr = err
+			if !g.serve(s.name, gridftp.Config{Store: store}) {
 				return
 			}
-			l, _ := host.Listen(":2811")
-			clk.Go(func() { srv.Serve(l) })
 		}
 		prober := nws.ProbeFunc(func(from, to string) (float64, time.Duration, error) {
 			bw, err := n.EstimateBandwidth(from, to)
@@ -131,22 +117,12 @@ func runPolicyOnce(seed int64, pol rm.Policy, nFiles int, fileMB int64) (time.Du
 			DestStore: gridftp.NewVirtualStore(), Policy: pol, Rand: rnd,
 			Parallelism: 2, BufferBytes: 1 << 20, MonitorInterval: time.Second,
 		})
-		if err != nil {
-			rerr = err
+		if g.fail(err) {
 			return
-		}
-		var reqs []rm.FileRequest
-		for _, f := range names {
-			reqs = append(reqs, rm.FileRequest{Name: f, Size: fileMB << 20})
 		}
 		t0 := clk.Now()
-		req, err := mgr.Submit("sweep-user", "sweep", reqs)
-		if err != nil {
-			rerr = err
-			return
-		}
-		if err := req.Wait(); err != nil {
-			rerr = err
+		req := g.submitAll(mgr, "sweep-user", "sweep", names, fileMB<<20)
+		if req == nil {
 			return
 		}
 		elapsed = clk.Now().Sub(t0)
@@ -154,7 +130,7 @@ func runPolicyOnce(seed int64, pol rm.Policy, nFiles int, fileMB int64) (time.Du
 			chosen = append(chosen, st.Replica)
 		}
 	})
-	return elapsed, chosen, rerr
+	return elapsed, chosen, err
 }
 
 // Rows formats the comparison.
@@ -213,32 +189,31 @@ func RunMultiSite(seed int64, files int, fileMB int64) (MultiSiteResult, error) 
 }
 
 func runMultiSiteOnce(seed int64, nFiles int, fileMB int64, spread bool) (time.Duration, error) {
-	clk := vtime.NewSim(seed)
-	n := simnet.New(clk)
+	g := newGrid(seed)
+	clk, n := g.clk, g.net
 	n.AddNode("wan")
 	client := n.AddHost("desk", simnet.HostConfig{DefaultBufferBytes: 1 << 20})
 	n.AddLink("desk", "wan", simnet.LinkConfig{CapacityBps: 2e9, Delay: 2 * time.Millisecond})
-	dir := ldapd.NewDir()
-	cat, _ := replica.New(dir)
-	var names []string
-	for i := 0; i < nFiles; i++ {
-		names = append(names, fmt.Sprintf("f%02d.nc", i))
+	cat, err := replica.New(ldapd.NewDir())
+	if err != nil {
+		return 0, err
 	}
-	cat.CreateCollection("pop", names)
+	names := fileNames("f%02d.nc", nFiles)
+	if err := cat.CreateCollection("pop", names); err != nil {
+		return 0, err
+	}
 	nSites := nFiles
 	if !spread {
 		nSites = 1
 	}
-	for i := 0; i < nSites; i++ {
-		site := fmt.Sprintf("site%02d", i)
+	sites := fileNames("site%02d", nSites)
+	for i, site := range sites {
 		n.AddHost(site, simnet.HostConfig{DefaultBufferBytes: 1 << 20})
 		n.AddLink(site, "wan", simnet.LinkConfig{CapacityBps: 155e6, Delay: 10 * time.Millisecond})
 		// Each site holds either everything (single) or its share (spread).
-		var holds []string
+		holds := names
 		if spread {
 			holds = []string{names[i]}
-		} else {
-			holds = names
 		}
 		if err := cat.AddLocation("pop", replica.Location{
 			Host: site, Protocol: "gsiftp", Port: 2811, Path: "/d", Files: holds,
@@ -246,50 +221,30 @@ func runMultiSiteOnce(seed int64, nFiles int, fileMB int64, spread bool) (time.D
 			return 0, err
 		}
 	}
+	// Every server stores every file; the catalog decides which it is
+	// asked for.
+	store := virtualStore(fileMB<<20, names...)
 	var elapsed time.Duration
-	var rerr error
-	clk.Run(func() {
-		for i := 0; i < nSites; i++ {
-			site := fmt.Sprintf("site%02d", i)
-			host := n.Host(site)
-			store := gridftp.NewVirtualStore()
-			for _, f := range names {
-				store.Put(f, fileMB<<20)
-			}
-			srv, err := gridftp.NewServer(gridftp.Config{Clock: clk, Net: host, Host: site, Store: store})
-			if err != nil {
-				rerr = err
+	err = g.run(func() {
+		for _, site := range sites {
+			if !g.serve(site, gridftp.Config{Store: store}) {
 				return
 			}
-			l, _ := host.Listen(":2811")
-			clk.Go(func() { srv.Serve(l) })
 		}
 		mgr, err := rm.New(rm.Config{
 			Clock: clk, Net: client, LocalHost: "desk", Replica: cat,
 			DestStore: gridftp.NewVirtualStore(), Policy: rm.PolicyFirst,
 			Parallelism: 2, BufferBytes: 1 << 20, MonitorInterval: time.Second,
 		})
-		if err != nil {
-			rerr = err
+		if g.fail(err) {
 			return
-		}
-		var reqs []rm.FileRequest
-		for _, f := range names {
-			reqs = append(reqs, rm.FileRequest{Name: f, Size: fileMB << 20})
 		}
 		t0 := clk.Now()
-		req, err := mgr.Submit("u", "pop", reqs)
-		if err != nil {
-			rerr = err
-			return
+		if g.submitAll(mgr, "u", "pop", names, fileMB<<20) != nil {
+			elapsed = clk.Now().Sub(t0)
 		}
-		if err := req.Wait(); err != nil {
-			rerr = err
-			return
-		}
-		elapsed = clk.Now().Sub(t0)
 	})
-	return elapsed, rerr
+	return elapsed, err
 }
 
 // Rows formats the comparison.

@@ -68,8 +68,8 @@ func RunScale(seed int64, clients []int, fileMB int64) (ScaleResult, error) {
 }
 
 func runScaleOnce(seed int64, nClients int, fileBytes int64) (sim, wall time.Duration, bytes int64, passes, visited uint64, tail netlogger.Tail, err error) {
-	clk := vtime.NewSim(seed)
-	n := simnet.New(clk)
+	g := newGrid(seed)
+	clk, n := g.clk, g.net
 	nSites := (nClients + scaleSiteClients - 1) / scaleSiteClients
 	for s := 0; s < nSites; s++ {
 		srv := fmt.Sprintf("srv%04d", s)
@@ -84,34 +84,16 @@ func runScaleOnce(seed int64, nClients int, fileBytes int64) (sim, wall time.Dur
 		n.AddHost(cli, simnet.HostConfig{DefaultBufferBytes: 1 << 20})
 		n.AddLink(cli, rtr, simnet.LinkConfig{CapacityBps: 100e6, Delay: 4 * time.Millisecond})
 	}
-	store := gridftp.NewVirtualStore()
-	store.Put("f", fileBytes)
+	store := virtualStore(fileBytes, "f")
 	lat := netlogger.NewLogHistogram()
 
 	var mu sync.Mutex
-	var rerr error
-	fail := func(e error) {
-		mu.Lock()
-		if rerr == nil {
-			rerr = e
-		}
-		mu.Unlock()
-	}
 	wallStart := time.Now() //esglint:wallclock S11 reports the real wall cost of simulating the scaled run
-	clk.Run(func() {
+	err = g.run(func() {
 		for s := 0; s < nSites; s++ {
-			host := n.Host(fmt.Sprintf("srv%04d", s))
-			srv, err := gridftp.NewServer(gridftp.Config{Clock: clk, Net: host, Host: host.Name(), Store: store})
-			if err != nil {
-				fail(err)
+			if !g.serve(fmt.Sprintf("srv%04d", s), gridftp.Config{Store: store}) {
 				return
 			}
-			l, err := host.Listen(":2811")
-			if err != nil {
-				fail(err)
-				return
-			}
-			clk.Go(func() { srv.Serve(l) })
 		}
 		wg := vtime.NewWaitGroup(clk)
 		for c := 0; c < nClients; c++ {
@@ -123,20 +105,9 @@ func runScaleOnce(seed int64, nClients int, fileBytes int64) (sim, wall time.Dur
 				// trace deterministic without serializing the downloads.
 				clk.Sleep(time.Duration(c) * 500 * time.Microsecond)
 				t0 := clk.Now()
-				addr := fmt.Sprintf("srv%04d:2811", c/scaleSiteClients)
-				cli, err := gridftp.Dial(gridftp.ClientConfig{
-					Clock: clk, Net: n.Host(fmt.Sprintf("cli%04d", c)),
-					Parallelism: 2, BufferBytes: 1 << 20,
-				}, addr)
-				if err != nil {
-					fail(err)
-					return
-				}
-				defer cli.Close()
-				sink := gridftp.NewVirtualSink(fileBytes)
-				st, err := cli.Get("f", sink)
-				if err != nil {
-					fail(err)
+				st, err := g.fetch(fmt.Sprintf("cli%04d", c), fmt.Sprintf("srv%04d:2811", c/scaleSiteClients), "f", fileBytes,
+					gridftp.ClientConfig{Parallelism: 2, BufferBytes: 1 << 20})
+				if g.fail(err) {
 					return
 				}
 				// Dial-to-last-byte latency for this client, in virtual
@@ -152,7 +123,7 @@ func runScaleOnce(seed int64, nClients int, fileBytes int64) (sim, wall time.Dur
 	})
 	wall = time.Since(wallStart) //esglint:wallclock S11 reports the real wall cost of simulating the scaled run
 	passes, visited = n.AllocStats()
-	return sim, wall, bytes, passes, visited, lat.Tail(), rerr
+	return sim, wall, bytes, passes, visited, lat.Tail(), err
 }
 
 // Rows formats the sweep.

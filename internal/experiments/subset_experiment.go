@@ -8,7 +8,6 @@ import (
 	"esgrid/internal/gridftp"
 	"esgrid/internal/simnet"
 	"esgrid/internal/subset"
-	"esgrid/internal/vtime"
 )
 
 // SubsetResult compares moving a whole variable-month against asking the
@@ -26,8 +25,8 @@ type SubsetResult struct {
 // RunSubset performs both fetches of a tropical-Pacific temperature
 // selection over a 45 Mb/s WAN path.
 func RunSubset(seed int64) (SubsetResult, error) {
-	clk := vtime.NewSim(seed)
-	n := simnet.New(clk)
+	g := newGrid(seed)
+	n := g.net
 	n.AddHost("ncar", simnet.HostConfig{DefaultBufferBytes: 1 << 20})
 	n.AddHost("desk", simnet.HostConfig{DefaultBufferBytes: 1 << 20})
 	n.AddLink("ncar", "desk", simnet.LinkConfig{CapacityBps: 45e6, Delay: 20 * time.Millisecond})
@@ -46,44 +45,30 @@ func RunSubset(seed int64) (SubsetResult, error) {
 
 	const spec = "var=tas;time=0:4;lat=-20:20;lon=120:280" // tropical Pacific
 	var res SubsetResult
-	var rerr error
-	clk.Run(func() {
-		srv, err := gridftp.NewServer(gridftp.Config{Clock: clk, Net: n.Host("ncar"), Host: "ncar", Store: store})
-		if err != nil {
-			rerr = err
+	err = g.run(func() {
+		if !g.serve("ncar", gridftp.Config{Store: store}) {
 			return
 		}
-		l, _ := n.Host("ncar").Listen(":2811")
-		clk.Go(func() { srv.Serve(l) })
-		cli, err := gridftp.Dial(gridftp.ClientConfig{
-			Clock: clk, Net: n.Host("desk"), Parallelism: 2, BufferBytes: 1 << 20,
-		}, "ncar:2811")
-		if err != nil {
-			rerr = err
+		cli, err := g.dial("desk", "ncar:2811", gridftp.ClientConfig{Parallelism: 2, BufferBytes: 1 << 20})
+		if g.fail(err) {
 			return
 		}
 		defer cli.Close()
 
 		full, err := cli.Size(name)
-		if err != nil {
-			rerr = err
+		if g.fail(err) {
 			return
 		}
-		sink := gridftp.NewBytesSink(full)
-		stFull, err := cli.Get(name, sink)
-		if err != nil {
-			rerr = err
+		stFull, err := cli.Get(name, gridftp.NewBytesSink(full))
+		if g.fail(err) {
 			return
 		}
 		subSize, err := cli.SubsetSize(name, spec)
-		if err != nil {
-			rerr = err
+		if g.fail(err) {
 			return
 		}
-		subSink := gridftp.NewBytesSink(subSize)
-		stSub, err := cli.GetSubset(name, spec, subSink)
-		if err != nil {
-			rerr = err
+		stSub, err := cli.GetSubset(name, spec, gridftp.NewBytesSink(subSize))
+		if g.fail(err) {
 			return
 		}
 		res = SubsetResult{
@@ -95,7 +80,7 @@ func RunSubset(seed int64) (SubsetResult, error) {
 		res.BytesSaved = 1 - float64(subSize)/float64(full)
 		res.SpeedupTotal = stFull.Duration.Seconds() / stSub.Duration.Seconds()
 	})
-	return res, rerr
+	return res, err
 }
 
 // Rows formats the comparison.

@@ -11,54 +11,39 @@ import (
 	"esgrid/internal/vtime"
 )
 
+// twoHosts is the src→dst path most sweeps measure: two hosts with
+// 64 KB default buffers on one link.
+func twoHosts(seed int64, link simnet.LinkConfig) *grid {
+	g := newGrid(seed)
+	g.net.AddHost("src", simnet.HostConfig{DefaultBufferBytes: 64 << 10})
+	g.net.AddHost("dst", simnet.HostConfig{DefaultBufferBytes: 64 << 10})
+	g.net.AddLink("src", "dst", link)
+	return g
+}
+
+// getRate serves a size-byte file from srv with cfg (its Store filled
+// in) and returns the rate in bits/s at which dst fetches it with cli.
+func getRate(g *grid, srv string, cfg gridftp.Config, size int64, cli gridftp.ClientConfig) (float64, error) {
+	cfg.Store = virtualStore(size, "f")
+	var rate float64
+	err := g.run(func() {
+		if !g.serve(srv, cfg) {
+			return
+		}
+		st, err := g.fetch("dst", srv+":2811", "f", size, cli)
+		if !g.fail(err) {
+			rate = st.Bps()
+		}
+	})
+	return rate, err
+}
+
 // measureGet runs one GridFTP fetch on a fresh two-host topology and
 // returns the achieved rate in bits/s.
 func measureGet(seed int64, linkBps float64, owd time.Duration, loss float64,
 	fileBytes int64, parallelism, buffer int) (float64, error) {
-
-	clk := vtime.NewSim(seed)
-	n := simnet.New(clk)
-	n.AddHost("src", simnet.HostConfig{DefaultBufferBytes: 64 << 10})
-	n.AddHost("dst", simnet.HostConfig{DefaultBufferBytes: 64 << 10})
-	n.AddLink("src", "dst", simnet.LinkConfig{CapacityBps: linkBps, Delay: owd, LossRate: loss})
-	store := gridftp.NewVirtualStore()
-	store.Put("f", fileBytes)
-	var rate float64
-	var rerr error
-	clk.Run(func() {
-		src := n.Host("src")
-		srv, err := gridftp.NewServer(gridftp.Config{Clock: clk, Net: src, Host: "src", Store: store})
-		if err != nil {
-			rerr = err
-			return
-		}
-		l, err := src.Listen(":2811")
-		if err != nil {
-			rerr = err
-			return
-		}
-		clk.Go(func() { srv.Serve(l) })
-		cli, err := gridftp.Dial(gridftp.ClientConfig{
-			Clock: clk, Net: n.Host("dst"), Parallelism: parallelism, BufferBytes: buffer,
-		}, "src:2811")
-		if err != nil {
-			rerr = err
-			return
-		}
-		defer cli.Close()
-		sink := gridftp.NewVirtualSink(fileBytes)
-		st, err := cli.Get("f", sink)
-		if err != nil {
-			rerr = err
-			return
-		}
-		if err := sink.Complete(); err != nil {
-			rerr = err
-			return
-		}
-		rate = st.Bps()
-	})
-	return rate, rerr
+	g := twoHosts(seed, simnet.LinkConfig{CapacityBps: linkBps, Delay: owd, LossRate: loss})
+	return getRate(g, "src", gridftp.Config{}, fileBytes, gridftp.ClientConfig{Parallelism: parallelism, BufferBytes: buffer})
 }
 
 // --- S1: parallel TCP streams under loss (§6.1, Qiu et al.) ---
@@ -182,8 +167,8 @@ func RunStripeSweep(seed int64, fileMB int64, widths []int) (StripeSweepResult, 
 }
 
 func measureStriped(seed int64, fileBytes int64, k int) (float64, error) {
-	clk := vtime.NewSim(seed)
-	n := simnet.New(clk)
+	g := newGrid(seed)
+	n := g.net
 	n.AddNode("wan")
 	n.AddHost("dst", simnet.HostConfig{DefaultBufferBytes: 4 << 20})
 	n.AddLink("dst", "wan", simnet.LinkConfig{CapacityBps: 1.6e9, Delay: 5 * time.Millisecond})
@@ -196,37 +181,8 @@ func measureStriped(seed int64, fileBytes int64, k int) (float64, error) {
 		n.AddLink(name, "wan", simnet.LinkConfig{CapacityBps: 200e6, Delay: 5 * time.Millisecond})
 		nodes = append(nodes, gridftp.DataNode{Net: h, Host: name})
 	}
-	store := gridftp.NewVirtualStore()
-	store.Put("f", fileBytes)
-	var rate float64
-	var rerr error
-	clk.Run(func() {
-		srv, err := gridftp.NewServer(gridftp.Config{
-			Clock: clk, Net: n.Host("ctl"), Host: "ctl", Store: store, DataNodes: nodes,
-		})
-		if err != nil {
-			rerr = err
-			return
-		}
-		l, _ := n.Host("ctl").Listen(":2811")
-		clk.Go(func() { srv.Serve(l) })
-		cli, err := gridftp.Dial(gridftp.ClientConfig{
-			Clock: clk, Net: n.Host("dst"), Parallelism: 2, Striped: true, BufferBytes: 4 << 20,
-		}, "ctl:2811")
-		if err != nil {
-			rerr = err
-			return
-		}
-		defer cli.Close()
-		sink := gridftp.NewVirtualSink(fileBytes)
-		st, err := cli.Get("f", sink)
-		if err != nil {
-			rerr = err
-			return
-		}
-		rate = st.Bps()
-	})
-	return rate, rerr
+	return getRate(g, "ctl", gridftp.Config{DataNodes: nodes}, fileBytes,
+		gridftp.ClientConfig{Parallelism: 2, Striped: true, BufferBytes: 4 << 20})
 }
 
 // Rows formats the sweep.
@@ -261,33 +217,19 @@ func RunLargeFile(seed int64, gb int64) (LargeFileResult, error) {
 	res.SingleBps = single
 
 	// Chunked: a fresh session (dial + slow start) per 2 GB chunk.
-	clk := vtime.NewSim(seed + 1)
-	n := simnet.New(clk)
-	n.AddHost("src", simnet.HostConfig{DefaultBufferBytes: 64 << 10})
-	n.AddHost("dst", simnet.HostConfig{DefaultBufferBytes: 64 << 10})
-	n.AddLink("src", "dst", simnet.LinkConfig{CapacityBps: 1e9, Delay: 10 * time.Millisecond})
-	store := gridftp.NewVirtualStore()
+	g := twoHosts(seed+1, simnet.LinkConfig{CapacityBps: 1e9, Delay: 10 * time.Millisecond})
 	const chunk = int64(2047 << 20) // just under the 2^31 limit
 	nChunks := int((res.FileBytes + chunk - 1) / chunk)
-	store.Put("f", res.FileBytes)
-	var rerr error
-	clk.Run(func() {
-		src := n.Host("src")
-		srv, err := gridftp.NewServer(gridftp.Config{Clock: clk, Net: src, Host: "src", Store: store})
-		if err != nil {
-			rerr = err
+	store := virtualStore(res.FileBytes, "f")
+	err = g.run(func() {
+		if !g.serve("src", gridftp.Config{Store: store}) {
 			return
 		}
-		l, _ := src.Listen(":2811")
-		clk.Go(func() { srv.Serve(l) })
-		t0 := clk.Now()
+		t0 := g.clk.Now()
 		sink := gridftp.NewVirtualSink(res.FileBytes)
 		for i := 0; i < nChunks; i++ {
-			cli, err := gridftp.Dial(gridftp.ClientConfig{
-				Clock: clk, Net: n.Host("dst"), Parallelism: 4, BufferBytes: 4 << 20,
-			}, "src:2811")
-			if err != nil {
-				rerr = err
+			cli, err := g.dial("dst", "src:2811", gridftp.ClientConfig{Parallelism: 4, BufferBytes: 4 << 20})
+			if g.fail(err) {
 				return
 			}
 			off := int64(i) * chunk
@@ -295,20 +237,17 @@ func RunLargeFile(seed int64, gb int64) (LargeFileResult, error) {
 			if off+size > res.FileBytes {
 				size = res.FileBytes - off
 			}
-			if _, err := cli.GetRanges("f", sink, []gridftp.Extent{{Off: off, Len: size}}); err != nil {
-				cli.Close()
-				rerr = err
+			_, err = cli.GetRanges("f", sink, []gridftp.Extent{{Off: off, Len: size}})
+			cli.Close()
+			if g.fail(err) {
 				return
 			}
-			cli.Close()
 		}
-		if err := sink.Complete(); err != nil {
-			rerr = err
-			return
+		if !g.fail(sink.Complete()) {
+			res.ChunkedBps = float64(res.FileBytes) * 8 / g.clk.Now().Sub(t0).Seconds()
 		}
-		res.ChunkedBps = float64(res.FileBytes) * 8 / clk.Now().Sub(t0).Seconds()
 	})
-	return res, rerr
+	return res, err
 }
 
 // Rows formats the comparison.
@@ -342,36 +281,14 @@ func RunCPUModel(seed int64, fileMB int64) (CPUModelResult, error) {
 	}
 	var res CPUModelResult
 	for _, c := range cases {
-		clk := vtime.NewSim(seed)
-		n := simnet.New(clk)
-		n.AddHost("src", simnet.HostConfig{CPU: simnet.GigabitHostCPU(c.coalesce), DefaultBufferBytes: 4 << 20, MSS: c.mss})
-		n.AddHost("dst", simnet.HostConfig{DefaultBufferBytes: 4 << 20, MSS: c.mss})
-		n.AddLink("src", "dst", simnet.LinkConfig{CapacityBps: 1e9, Delay: time.Millisecond})
-		store := gridftp.NewVirtualStore()
-		store.Put("f", fileMB<<20)
-		var rate float64
-		clk.Run(func() {
-			src := n.Host("src")
-			srv, err := gridftp.NewServer(gridftp.Config{Clock: clk, Net: src, Host: "src", Store: store})
-			if err != nil {
-				return
-			}
-			l, _ := src.Listen(":2811")
-			clk.Go(func() { srv.Serve(l) })
-			cli, err := gridftp.Dial(gridftp.ClientConfig{
-				Clock: clk, Net: n.Host("dst"), Parallelism: 4, BufferBytes: 4 << 20,
-			}, "src:2811")
-			if err != nil {
-				return
-			}
-			defer cli.Close()
-			sink := gridftp.NewVirtualSink(fileMB << 20)
-			st, err := cli.Get("f", sink)
-			if err != nil {
-				return
-			}
-			rate = st.Bps()
-		})
+		g := newGrid(seed)
+		g.net.AddHost("src", simnet.HostConfig{CPU: simnet.GigabitHostCPU(c.coalesce), DefaultBufferBytes: 4 << 20, MSS: c.mss})
+		g.net.AddHost("dst", simnet.HostConfig{DefaultBufferBytes: 4 << 20, MSS: c.mss})
+		g.net.AddLink("src", "dst", simnet.LinkConfig{CapacityBps: 1e9, Delay: time.Millisecond})
+		rate, err := getRate(g, "src", gridftp.Config{}, fileMB<<20, gridftp.ClientConfig{Parallelism: 4, BufferBytes: 4 << 20})
+		if err != nil {
+			return res, err
+		}
 		res.Labels = append(res.Labels, c.label)
 		res.Bps = append(res.Bps, rate)
 	}
@@ -472,64 +389,38 @@ func RunChannelCache(seed int64, transfers int) (ChannelCacheResult, error) {
 		transfers = 10
 	}
 	res := ChannelCacheResult{Transfers: transfers}
+	const file = int64(64) << 20
 	run := func(cache bool) (time.Duration, error) {
-		clk := vtime.NewSim(seed)
-		n := simnet.New(clk)
-		n.AddHost("src", simnet.HostConfig{DefaultBufferBytes: 64 << 10})
-		n.AddHost("dst", simnet.HostConfig{DefaultBufferBytes: 64 << 10})
-		n.AddLink("src", "dst", simnet.LinkConfig{CapacityBps: 622e6, Delay: 30 * time.Millisecond})
-		store := gridftp.NewVirtualStore()
-		const file = int64(64) << 20
-		store.Put("f", file)
+		g := twoHosts(seed, simnet.LinkConfig{CapacityBps: 622e6, Delay: 30 * time.Millisecond})
+		store := virtualStore(file, "f")
+		cli := gridftp.ClientConfig{Parallelism: 4, BufferBytes: 1 << 20, CacheDataChannels: cache}
 		var elapsed time.Duration
-		var rerr error
-		clk.Run(func() {
-			src := n.Host("src")
-			srv, err := gridftp.NewServer(gridftp.Config{Clock: clk, Net: src, Host: "src", Store: store})
-			if err != nil {
-				rerr = err
+		err := g.run(func() {
+			if !g.serve("src", gridftp.Config{Store: store}) {
 				return
 			}
-			l, _ := src.Listen(":2811")
-			clk.Go(func() { srv.Serve(l) })
-			t0 := clk.Now()
+			t0 := g.clk.Now()
 			if cache {
-				cli, err := gridftp.Dial(gridftp.ClientConfig{
-					Clock: clk, Net: n.Host("dst"), Parallelism: 4, BufferBytes: 1 << 20, CacheDataChannels: true,
-				}, "src:2811")
-				if err != nil {
-					rerr = err
+				c, err := g.dial("dst", "src:2811", cli)
+				if g.fail(err) {
 					return
 				}
-				defer cli.Close()
+				defer c.Close()
 				for i := 0; i < transfers; i++ {
-					sink := gridftp.NewVirtualSink(file)
-					if _, err := cli.Get("f", sink); err != nil {
-						rerr = err
+					if _, err := c.Get("f", gridftp.NewVirtualSink(file)); g.fail(err) {
 						return
 					}
 				}
 			} else {
 				for i := 0; i < transfers; i++ {
-					cli, err := gridftp.Dial(gridftp.ClientConfig{
-						Clock: clk, Net: n.Host("dst"), Parallelism: 4, BufferBytes: 1 << 20,
-					}, "src:2811")
-					if err != nil {
-						rerr = err
+					if _, err := g.fetch("dst", "src:2811", "f", file, cli); g.fail(err) {
 						return
 					}
-					sink := gridftp.NewVirtualSink(file)
-					if _, err := cli.Get("f", sink); err != nil {
-						cli.Close()
-						rerr = err
-						return
-					}
-					cli.Close()
 				}
 			}
-			elapsed = clk.Now().Sub(t0)
+			elapsed = g.clk.Now().Sub(t0)
 		})
-		return elapsed, rerr
+		return elapsed, err
 	}
 	var err error
 	if res.ColdElapsed, err = run(false); err != nil {
@@ -538,7 +429,7 @@ func RunChannelCache(seed int64, transfers int) (ChannelCacheResult, error) {
 	if res.WarmElapsed, err = run(true); err != nil {
 		return res, err
 	}
-	total := float64(transfers) * float64(64<<20) * 8
+	total := float64(transfers) * float64(file) * 8
 	res.ColdBps = total / res.ColdElapsed.Seconds()
 	res.WarmBps = total / res.WarmElapsed.Seconds()
 	return res, nil

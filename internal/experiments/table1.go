@@ -93,7 +93,7 @@ type Table1Result struct {
 	TransfersDone    int
 	Series           netlogger.Series // 5s aggregate-rate series
 	// Flight is the run's always-on flight recorder; the differential
-	// suite compares its dump byte-for-byte across worker counts.
+	// suite compares its dump byte-for-byte between two equal-seed runs.
 	Flight *flight.Recorder
 }
 
@@ -127,11 +127,8 @@ func RunTable1(cfg Table1Config) (Table1Result, error) {
 	if cfg.Servers <= 0 || cfg.MaxStreams <= 0 || cfg.Duration <= 0 {
 		return Table1Result{}, fmt.Errorf("experiments: bad table1 config %+v", cfg)
 	}
-	clk := vtime.NewSim(cfg.Seed)
-	n := simnet.New(clk)
-	rec := flight.New(0, 0)
-	rec.AttachCore(clk)
-	n.AttachFlight(rec)
+	g := newGrid(cfg.Seed, withFlight)
+	clk, n := g.clk, g.net
 
 	// Topology per §7 and Figure 7: cluster switches dual-bonded to exit
 	// routers, OC-48 across HSCC/NTON, a policy cap at the SCinet
@@ -170,31 +167,21 @@ func RunTable1(cfg Table1Config) (Table1Result, error) {
 	trust := gsi.NewTrustStore(ca)
 	partition := cfg.PartitionMB << 20
 
-	res := Table1Result{Config: cfg, Flight: rec}
+	res := Table1Result{Config: cfg, Flight: g.rec}
 	var mu sync.Mutex
 
-	clk.Run(func() {
+	store := virtualStore(partition, "partition.dat")
+
+	err = g.run(func() {
 		// One GridFTP server per Dallas host serving its partition.
-		for i := 0; i < cfg.Servers; i++ {
-			host := n.Host(srcNames[i])
-			store := gridftp.NewVirtualStore()
-			store.Put("partition.dat", partition)
-			id, err := ca.Issue("/CN="+srcNames[i], vtime.Epoch, 240*time.Hour)
-			if err != nil {
+		for _, src := range srcNames {
+			id, err := ca.Issue("/CN="+src, vtime.Epoch, 240*time.Hour)
+			if g.fail(err) || !g.serve(src, gridftp.Config{
+				Store: store,
+				Auth:  &gsi.Config{Identity: id, Trust: trust, Clock: clk, HandshakeCost: cfg.HandshakeCost},
+			}) {
 				return
 			}
-			srv, err := gridftp.NewServer(gridftp.Config{
-				Clock: clk, Net: host, Host: srcNames[i], Store: store,
-				Auth: &gsi.Config{Identity: id, Trust: trust, Clock: clk, HandshakeCost: cfg.HandshakeCost},
-			})
-			if err != nil {
-				return
-			}
-			l, err := host.Listen(":2811")
-			if err != nil {
-				return
-			}
-			clk.Go(func() { srv.Serve(l) })
 		}
 
 		// Aggregate byte meter across all pairs, 0.1 s samples as the
@@ -223,7 +210,7 @@ func RunTable1(cfg Table1Config) (Table1Result, error) {
 		for i := 0; i < cfg.Servers; i++ {
 			i := i
 			wg.Go(func() {
-				runPipelinedPair(clk, n, ca, trust, cfg, srcNames[i], dstNames[i], partition, stop, &mu, &res)
+				runPipelinedPair(g, ca, trust, cfg, srcNames[i], dstNames[i], partition, stop, &mu, &res)
 			})
 		}
 		wg.Wait()
@@ -238,20 +225,20 @@ func RunTable1(cfg Table1Config) (Table1Result, error) {
 			res.Series[i].V *= 8 // bytes/s -> bits/s
 		}
 	})
-	return res, nil
+	return res, err
 }
 
 // runPipelinedPair reproduces the §7 workload for one server pair: start
 // a new copy of the partition whenever the newest transfer is 25%
 // complete, keeping at most MaxStreams transfers in flight, until the
 // metering window closes.
-func runPipelinedPair(clk *vtime.Sim, n *simnet.Net, ca *gsi.CA, trust *gsi.TrustStore,
+func runPipelinedPair(g *grid, ca *gsi.CA, trust *gsi.TrustStore,
 	cfg Table1Config, src, dst string, partition int64, stop time.Time,
 	mu *sync.Mutex, res *Table1Result) {
 
-	dstHost := n.Host(dst)
+	clk := g.clk
 	id, err := ca.Issue("/CN=client-"+dst, vtime.Epoch, 240*time.Hour)
-	if err != nil {
+	if g.fail(err) {
 		return
 	}
 	auth := &gsi.Config{Identity: id, Trust: trust, Clock: clk, HandshakeCost: cfg.HandshakeCost}
@@ -287,12 +274,12 @@ func runPipelinedPair(clk *vtime.Sim, n *simnet.Net, ca *gsi.CA, trust *gsi.Trus
 				cond.Broadcast()
 				imu.Unlock()
 			}()
-			cli, err := gridftp.Dial(gridftp.ClientConfig{
-				Clock: clk, Net: dstHost, Auth: auth,
+			cli, err := g.dial(dst, src+":2811", gridftp.ClientConfig{
+				Auth:              auth,
 				Parallelism:       1,
 				BufferBytes:       cfg.BufferBytes,
 				CacheDataChannels: cfg.CacheDataChannels,
-			}, src+":2811")
+			})
 			if err != nil {
 				clk.Sleep(2 * time.Second) // outage: retry later
 				return

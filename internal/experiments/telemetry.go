@@ -12,7 +12,6 @@ import (
 	"esgrid/internal/netlogger"
 	"esgrid/internal/simnet"
 	"esgrid/internal/telemetry"
-	"esgrid/internal/vtime"
 )
 
 // --- S16: hierarchical telemetry — observer cost and sketch fidelity ---
@@ -87,8 +86,8 @@ type telemetryRun struct {
 // core, and an observer host; runs the plane for ticks; and returns the
 // published streams plus the flat-fold ground truth.
 func runTelemetryPlane(seed int64, sites, hostsPer, fanout, ticks int, slo telemetry.SLO, degrade bool) (telemetryRun, error) {
-	clk := vtime.NewSim(seed)
-	n := simnet.New(clk)
+	g := newGrid(seed)
+	clk, n := g.clk, g.net
 	info, err := mds.New(ldapd.NewDir())
 	if err != nil {
 		return telemetryRun{}, err
@@ -154,19 +153,17 @@ func runTelemetryPlane(seed int64, sites, hostsPer, fanout, ticks int, slo telem
 		}
 	}
 
-	var runErr error
-	clk.Run(func() {
-		if runErr = p.Start(); runErr != nil {
+	if err := g.run(func() {
+		if g.fail(p.Start()) {
 			return
 		}
 		for i, reg := range regs {
 			i, reg := i, reg
 			clk.Go(func() { workload(i, reg) })
 		}
-		runErr = p.Wait()
-	})
-	if runErr != nil {
-		return telemetryRun{}, runErr
+		g.fail(p.Wait())
+	}); err != nil {
+		return telemetryRun{}, err
 	}
 
 	flat := telemetry.Summary{}

@@ -12,7 +12,7 @@ import (
 // once the segment pool, flow scratch and event slots are warm, a
 // WriteVirtual call — enqueue, flow activation, allocation flush, window
 // growth, transmit wait, deactivation — must not allocate. This is the
-// path BenchmarkTable1 and BenchmarkFigure8 hammer millions of times.
+// path the Table 1 and Figure 8 experiments hammer millions of times.
 func TestWriteVirtualSteadyStateAllocFree(t *testing.T) {
 	clk := vtime.NewSim(1)
 	clk.Run(func() {
