@@ -11,9 +11,9 @@ import (
 	"log"
 	"time"
 
+	"esgrid/internal/grid"
 	"esgrid/internal/gridftp"
 	"esgrid/internal/simnet"
-	"esgrid/internal/vtime"
 )
 
 const fileSize = int64(512) << 20
@@ -43,45 +43,17 @@ func main() {
 
 // transferOnce measures one GET on a fresh src--dst topology.
 func transferOnce(parallelism, buffer int, loss float64, seed int64) float64 {
-	clk := vtime.NewSim(seed)
-	n := simnet.New(clk)
-	n.AddHost("src", simnet.HostConfig{})
-	n.AddHost("dst", simnet.HostConfig{})
-	n.AddLink("src", "dst", simnet.LinkConfig{CapacityBps: 622e6, Delay: 20 * time.Millisecond, LossRate: loss})
-	store := gridftp.NewVirtualStore()
-	store.Put("chunk.dat", fileSize)
-	var rate float64
-	clk.Run(func() {
-		srv, err := gridftp.NewServer(gridftp.Config{Clock: clk, Net: n.Host("src"), Host: "src", Store: store})
-		if err != nil {
-			log.Fatal(err)
-		}
-		l, _ := n.Host("src").Listen(":2811")
-		clk.Go(func() { srv.Serve(l) })
-		cli, err := gridftp.Dial(gridftp.ClientConfig{
-			Clock: clk, Net: n.Host("dst"), Parallelism: parallelism, BufferBytes: buffer,
-		}, "src:2811")
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer cli.Close()
-		sink := gridftp.NewVirtualSink(fileSize)
-		st, err := cli.Get("chunk.dat", sink)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := sink.Complete(); err != nil {
-			log.Fatal(err)
-		}
-		rate = st.Bps()
-	})
-	return rate
+	g := grid.New(seed)
+	g.Net.AddHost("src", simnet.HostConfig{})
+	g.Net.AddHost("dst", simnet.HostConfig{})
+	g.Net.AddLink("src", "dst", simnet.LinkConfig{CapacityBps: 622e6, Delay: 20 * time.Millisecond, LossRate: loss})
+	return getOnce(g, "src", gridftp.Config{}, gridftp.ClientConfig{Parallelism: parallelism, BufferBytes: buffer})
 }
 
 // stripedOnce measures a striped GET across k data nodes.
 func stripedOnce(k int) float64 {
-	clk := vtime.NewSim(int64(k))
-	n := simnet.New(clk)
+	g := grid.New(int64(k))
+	n := g.Net
 	n.AddNode("wan")
 	n.AddHost("dst", simnet.HostConfig{DefaultBufferBytes: 4 << 20})
 	n.AddLink("dst", "wan", simnet.LinkConfig{CapacityBps: 2e9, Delay: 5 * time.Millisecond})
@@ -94,31 +66,26 @@ func stripedOnce(k int) float64 {
 		n.AddLink(name, "wan", simnet.LinkConfig{CapacityBps: 200e6, Delay: 5 * time.Millisecond})
 		nodes = append(nodes, gridftp.DataNode{Net: h, Host: name})
 	}
-	store := gridftp.NewVirtualStore()
-	store.Put("chunk.dat", fileSize)
+	return getOnce(g, "ctl", gridftp.Config{DataNodes: nodes},
+		gridftp.ClientConfig{Parallelism: 2, Striped: true, BufferBytes: 4 << 20})
+}
+
+// getOnce serves a fileSize file from srv with cfg and returns the rate
+// of one whole-file GET of it to dst.
+func getOnce(g *grid.Grid, srv string, cfg gridftp.Config, cli gridftp.ClientConfig) float64 {
+	cfg.Store = grid.VirtualStore(fileSize, "chunk.dat")
 	var rate float64
-	clk.Run(func() {
-		srv, err := gridftp.NewServer(gridftp.Config{
-			Clock: clk, Net: n.Host("ctl"), Host: "ctl", Store: store, DataNodes: nodes,
-		})
-		if err != nil {
-			log.Fatal(err)
+	err := g.Run(func() {
+		if !g.Serve(srv, cfg) {
+			return
 		}
-		l, _ := n.Host("ctl").Listen(":2811")
-		clk.Go(func() { srv.Serve(l) })
-		cli, err := gridftp.Dial(gridftp.ClientConfig{
-			Clock: clk, Net: n.Host("dst"), Parallelism: 2, Striped: true, BufferBytes: 4 << 20,
-		}, "ctl:2811")
-		if err != nil {
-			log.Fatal(err)
+		st, err := g.Fetch("dst", srv+":2811", "chunk.dat", fileSize, cli)
+		if !g.Fail(err) {
+			rate = st.Bps()
 		}
-		defer cli.Close()
-		sink := gridftp.NewVirtualSink(fileSize)
-		st, err := cli.Get("chunk.dat", sink)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rate = st.Bps()
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	return rate
 }

@@ -160,12 +160,12 @@ func RunChaosSchedule(cfg ChaosConfig, sched chaos.Schedule) (ChaosRun, error) {
 		return ChaosRun{}, err
 	}
 	if cfg.WallProfile {
-		t.clk.EnableWallProfile()
+		t.Clock.EnableWallProfile()
 	}
 
 	run := ChaosRun{Flight: t.rec}
 	var statuses []rm.FileStatus
-	err = t.run(func() {
+	err = t.Run(func() {
 		if !t.start(gridftp.Config{}) {
 			return
 		}
@@ -174,22 +174,22 @@ func RunChaosSchedule(cfg ChaosConfig, sched chaos.Schedule) (ChaosRun, error) {
 			return
 		}
 		_ = req.Wait() // failures surface in the statuses the audit checks
-		run.Elapsed = t.clk.Now().Sub(t0)
+		run.Elapsed = t.Clock.Now().Sub(t0)
 		statuses = req.Status()
 		// Let connection teardown drain before the run ends: the last
 		// control conn's server side retires a FIN-drain after Wait
 		// returns, and without this the conn.retired event would race
 		// with Run's return instead of landing in the stream
 		// deterministically.
-		t.clk.Sleep(2 * time.Second)
+		t.Clock.Sleep(2 * time.Second)
 	})
 	// End-of-run profiler snapshot. CoreStats cycles the Sim's lock,
 	// which also establishes the happens-before edge the recorder's
 	// quiescence contract requires before reading its rings.
-	run.Vitals = flight.Vitals{Core: t.clk.CoreStats(), Rec: t.rec.Stats()}
-	run.Vitals.CSRHits, run.Vitals.CSRLookups = t.net.CSRStats()
+	run.Vitals = flight.Vitals{Core: t.Clock.CoreStats(), Rec: t.rec.Stats()}
+	run.Vitals.CSRHits, run.Vitals.CSRLookups = t.Net.CSRStats()
 	if cfg.WallProfile {
-		run.WallText = flight.WallReport(t.clk)
+		run.WallText = flight.WallReport(t.Clock)
 	}
 	if err != nil {
 		return run, err

@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§7), plus the ablation/sweep experiments DESIGN.md derives
 // from the paper's claims. Each experiment builds its own simulated
-// testbed on the rig in rig.go, replays the workload, and returns typed
-// results that cmd/esgbench formats as the paper's rows.
+// testbed on internal/grid (with the observers in rig.go), replays the
+// workload, and returns typed results that cmd/esgbench formats as the
+// paper's rows.
 package experiments
 
 import (

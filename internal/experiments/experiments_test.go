@@ -1,13 +1,9 @@
 package experiments
 
 import (
-	"errors"
 	"strings"
 	"testing"
 	"time"
-
-	"esgrid/internal/gridftp"
-	"esgrid/internal/simnet"
 )
 
 // shortTable1 is a scaled-down Table 1 used by tests: 4 servers, 3
@@ -247,32 +243,6 @@ func TestTableFormatting(t *testing.T) {
 	out := Table("T", []Row{{"a", "1"}, {"longer label", "2"}})
 	if !strings.Contains(out, "longer label  2") {
 		t.Fatalf("alignment broken:\n%s", out)
-	}
-}
-
-// TestGridReportsFirstSetupError pins the rig's error latch: a setup
-// step that fails inside run is what run returns, and a later failure
-// does not replace it.
-func TestGridReportsFirstSetupError(t *testing.T) {
-	g := newGrid(1)
-	g.net.AddHost("h", simnet.HostConfig{})
-	if _, err := g.net.Host("h").Listen(":2811"); err != nil {
-		t.Fatal(err)
-	}
-	served, laterFailed, nilFailed := true, false, true
-	err := g.run(func() {
-		served = g.serve("h", gridftp.Config{Store: virtualStore(1, "f")})
-		laterFailed = g.fail(errors.New("later failure"))
-		nilFailed = g.fail(nil)
-	})
-	if served {
-		t.Error("serve on a bound port reported success")
-	}
-	if !laterFailed || nilFailed {
-		t.Errorf("fail(error) = %v, fail(nil) = %v; want true, false", laterFailed, nilFailed)
-	}
-	if err == nil || !strings.Contains(err.Error(), "already in use") {
-		t.Fatalf("run returned %v, want the address-in-use error from serve", err)
 	}
 }
 

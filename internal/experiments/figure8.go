@@ -6,6 +6,7 @@ import (
 
 	"esgrid/internal/chaos"
 	"esgrid/internal/flight"
+	"esgrid/internal/grid"
 	"esgrid/internal/gridftp"
 	"esgrid/internal/netlogger"
 	"esgrid/internal/simnet"
@@ -113,8 +114,8 @@ func RunFigure8(cfg Figure8Config) (Figure8Result, error) {
 	if len(cfg.ParallelismSchedule) == 0 {
 		cfg.ParallelismSchedule = []int{8}
 	}
-	g := newGrid(cfg.Seed, withFlight)
-	clk, n := g.clk, g.net
+	g := newRig(cfg.Seed, withFlight)
+	clk, n := g.Clock, g.Net
 
 	// Dallas workstation -> commodity internet -> ANL workstation. The
 	// destination's disk bounds the useful rate (§7: "most likely due to
@@ -126,11 +127,11 @@ func RunFigure8(cfg Figure8Config) (Figure8Result, error) {
 	commodity := n.AddLink("isp", "anl", simnet.LinkConfig{CapacityBps: 155e6, Delay: cfg.RTT / 4, LossRate: cfg.LossRate / 2})
 
 	file := cfg.FileMB << 20
-	store := virtualStore(file, "climate-2gb.dat")
+	store := grid.VirtualStore(file, "climate-2gb.dat")
 
 	res := Figure8Result{Config: cfg, Flight: g.rec}
-	err := g.run(func() {
-		if !g.serve("dallas", gridftp.Config{Store: store, DiskBound: true}) {
+	err := g.Run(func() {
+		if !g.Serve("dallas", gridftp.Config{Store: store, DiskBound: true}) {
 			return
 		}
 
@@ -144,7 +145,7 @@ func RunFigure8(cfg Figure8Config) (Figure8Result, error) {
 				sched = Figure8FaultSchedule(cfg.Duration)
 			}
 			targets := chaos.NewTargets().AddLink("commodity", commodity).SetDNS(n)
-			if g.fail(chaos.NewRunner(clk, nil, targets).Apply(sched)) {
+			if g.Fail(chaos.NewRunner(clk, nil, targets).Apply(sched)) {
 				return
 			}
 		}
@@ -175,7 +176,7 @@ func RunFigure8(cfg Figure8Config) (Figure8Result, error) {
 					cached = nil
 					return c, nil
 				}
-				return g.dial("anl", "dallas:2811", gridftp.ClientConfig{
+				return g.Dial("anl", "dallas:2811", gridftp.ClientConfig{
 					Parallelism:       p,
 					BufferBytes:       cfg.BufferBytes,
 					CacheDataChannels: cfg.CacheDataChannels,

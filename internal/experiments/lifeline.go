@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"esgrid/internal/grid"
 	"esgrid/internal/gridftp"
 	"esgrid/internal/gsi"
 	"esgrid/internal/ldapd"
@@ -104,8 +105,8 @@ func RunLifeline(cfg LifelineConfig) (LifelineResult, error) {
 	if cfg.Parallelism < 1 {
 		cfg.Parallelism = 1
 	}
-	g := newGrid(cfg.Seed, withLog)
-	clk, n := g.clk, g.net
+	g := newRig(cfg.Seed, withLog)
+	clk, n := g.Clock, g.Net
 	n.AddHost("dallas", simnet.HostConfig{DefaultBufferBytes: 64 << 10})
 	n.AddHost("anl", simnet.HostConfig{DefaultBufferBytes: 64 << 10, DiskBps: cfg.DiskBps})
 	n.AddNode("isp")
@@ -129,7 +130,7 @@ func RunLifeline(cfg LifelineConfig) (LifelineResult, error) {
 	}
 
 	names := fileNames("pcm-%02d.nc", cfg.Files)
-	store := virtualStore(cfg.FileMB<<20, names...)
+	store := grid.VirtualStore(cfg.FileMB<<20, names...)
 	dir := ldapd.NewDir()
 	cat, err := replica.New(dir)
 	if err != nil {
@@ -145,8 +146,8 @@ func RunLifeline(cfg LifelineConfig) (LifelineResult, error) {
 	}
 
 	res := LifelineResult{Config: cfg}
-	err = g.run(func() {
-		if !g.serve("dallas", gridftp.Config{
+	err = g.Run(func() {
+		if !g.Serve("dallas", gridftp.Config{
 			Store: store, DiskBound: true, Log: g.log,
 			Auth: &gsi.Config{Identity: srvID, Trust: trust, Clock: clk, HandshakeCost: cfg.HandshakeCost},
 		}) {
@@ -166,7 +167,7 @@ func RunLifeline(cfg LifelineConfig) (LifelineResult, error) {
 			Tracer:            g.tracer,
 			Metrics:           g.metrics,
 		})
-		if g.fail(err) {
+		if g.Fail(err) {
 			return
 		}
 		t0 := clk.Now()

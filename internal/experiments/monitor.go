@@ -13,7 +13,6 @@ import (
 	"esgrid/internal/nws"
 	"esgrid/internal/rm"
 	"esgrid/internal/simnet"
-	"esgrid/internal/transport"
 )
 
 // S14 — detector ground truth. Each MonitorCase replays a hand-labeled
@@ -161,7 +160,7 @@ func RunMonitorCase(c MonitorCase, seed int64, grace time.Duration, withMonitor 
 
 	run := MonitorRun{Flight: t.rec}
 	var mon *monitor.Monitor
-	err = t.run(func() {
+	err = t.Run(func() {
 		// Fine-grained MODE E blocks: sink coverage (and so the
 		// rm.progress rate samples the collapse detector consumes)
 		// advances in BlockSize steps. At the default 4 MB a degraded
@@ -174,15 +173,11 @@ func RunMonitorCase(c MonitorCase, seed int64, grace time.Duration, withMonitor 
 
 		// Observation plane: probe responder at the destination, sensor
 		// probing both replica→dest paths, forecasts into MDS.
-		pl := t.listen("anl", ":8060")
-		if pl == nil {
+		prober := t.ActiveProber("anl")
+		if prober == nil {
 			return
 		}
-		t.clk.Go(func() { nws.ServeProbes(t.clk, pl) })
-		prober := nws.NewTransferProber(t.clk, func(h string) transport.Network {
-			return t.net.Host(h)
-		}, 8060, 0)
-		sensor := nws.NewSensor(t.clk, prober, info, 2*time.Second)
+		sensor := nws.NewSensor(t.Clock, prober, info, 2*time.Second)
 		sensor.Watch("ncar", "anl")
 		sensor.Watch("lbnl", "anl")
 		sensor.Instrument(t.log, "anl")
@@ -195,7 +190,7 @@ func RunMonitorCase(c MonitorCase, seed int64, grace time.Duration, withMonitor 
 
 		if withMonitor {
 			mon = monitor.New(monitor.Config{
-				Clock: t.clk, Info: info, Metrics: t.metrics,
+				Clock: t.Clock, Info: info, Metrics: t.metrics,
 			})
 			mon.Attach(t.log)
 			mon.Start()
@@ -206,15 +201,15 @@ func RunMonitorCase(c MonitorCase, seed int64, grace time.Duration, withMonitor 
 			return
 		}
 		run.Start = start
-		t.fail(req.Wait())
-		run.Elapsed = t.clk.Now().Sub(run.Start)
+		t.Fail(req.Wait())
+		run.Elapsed = t.Clock.Now().Sub(run.Start)
 		run.Statuses = req.Status()
 		// Drain teardown and keep the sensor probing through the last
 		// truth window, then a little past it for deterministic endings.
-		if tail := run.Start.Add(horizon).Sub(t.clk.Now()); tail > 0 {
-			t.clk.Sleep(tail)
+		if tail := run.Start.Add(horizon).Sub(t.Clock.Now()); tail > 0 {
+			t.Clock.Sleep(tail)
 		}
-		t.clk.Sleep(2 * time.Second)
+		t.Clock.Sleep(2 * time.Second)
 	})
 	if err != nil {
 		return run, err

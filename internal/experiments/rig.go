@@ -2,12 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"esgrid/internal/chaos"
-	"esgrid/internal/esgrpc"
 	"esgrid/internal/flight"
+	"esgrid/internal/grid"
 	"esgrid/internal/gridftp"
 	"esgrid/internal/hrm"
 	"esgrid/internal/ldapd"
@@ -15,26 +14,16 @@ import (
 	"esgrid/internal/replica"
 	"esgrid/internal/rm"
 	"esgrid/internal/simnet"
-	"esgrid/internal/transport"
-	"esgrid/internal/vtime"
 )
 
-// grid is the one way an experiment stands up a simulated testbed: a
-// seeded clock, a network on it, the observers the run asked for, and
-// a first-error latch that every setup step reports through. Callers
-// add hosts and links on net, then start services inside run in the
-// same order every time, because event seqs are assigned in that order.
-type grid struct {
-	clk *vtime.Sim
-	net *simnet.Net
+// rig is an experiment's grid plus the observers the run asked for.
+type rig struct {
+	*grid.Grid
 
 	rec     *flight.Recorder // set by withFlight
 	log     *netlogger.Log   // log, tracer and metrics are set by withLog
 	tracer  *netlogger.Tracer
 	metrics *netlogger.Registry
-
-	mu  sync.Mutex
-	err error
 }
 
 // flightDisabled turns off the always-on recorder for the
@@ -47,137 +36,45 @@ var flightDisabled bool
 // the clock tap, connection transitions and allocator passes via the
 // simnet hook. It records only into preallocated rings, so it cannot
 // perturb the event stream (TestChaosFlightPureObserver pins this).
-func withFlight(g *grid) {
+func withFlight(g *rig) {
 	g.rec = flight.New(0, 0)
 	if !flightDisabled {
-		g.rec.AttachCore(g.clk)
-		g.net.AttachFlight(g.rec)
+		g.rec.AttachCore(g.Clock)
+		g.Net.AttachFlight(g.rec)
 	}
 }
 
 // withLog instruments the network with a NetLogger event log, a tracer
 // on it and a metrics registry.
-func withLog(g *grid) {
-	g.log = netlogger.NewLog(g.clk)
-	g.tracer = netlogger.NewTracer(g.clk, g.log)
-	g.metrics = netlogger.NewRegistry(g.clk)
-	g.net.Instrument(g.log, g.metrics)
+func withLog(g *rig) {
+	g.log = netlogger.NewLog(g.Clock)
+	g.tracer = netlogger.NewTracer(g.Clock, g.log)
+	g.metrics = netlogger.NewRegistry(g.Clock)
+	g.Net.Instrument(g.log, g.metrics)
 }
 
-// newGrid builds an empty network on a clock seeded with seed and
-// attaches observers in the order given.
-func newGrid(seed int64, observers ...func(*grid)) *grid {
-	clk := vtime.NewSim(seed)
-	g := &grid{clk: clk, net: simnet.New(clk)}
+// newRig builds an empty grid on a clock seeded with seed and attaches
+// observers in the order given.
+func newRig(seed int64, observers ...func(*rig)) *rig {
+	g := &rig{Grid: grid.New(seed)}
 	for _, attach := range observers {
 		attach(g)
 	}
 	return g
 }
 
-// fail latches the run's first error and reports whether err is
-// non-nil, so a setup step reads `if g.fail(err) { return }`.
-func (g *grid) fail(err error) bool {
-	if err == nil {
-		return false
-	}
-	g.mu.Lock()
-	if g.err == nil {
-		g.err = err
-	}
-	g.mu.Unlock()
-	return true
-}
-
-// run executes fn as the simulation's root goroutine and returns the
-// first error latched while it ran.
-func (g *grid) run(fn func()) error {
-	g.clk.Run(fn)
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.err
-}
-
-// listen binds host:addr; nil means the error is latched.
-func (g *grid) listen(host, addr string) transport.Listener {
-	l, err := g.net.Host(host).Listen(addr)
-	if g.fail(err) {
-		return nil
-	}
-	return l
-}
-
-// serve starts a GridFTP server on host:2811. cfg's Clock, Net and Host
-// are filled in.
-func (g *grid) serve(host string, cfg gridftp.Config) bool {
-	cfg.Clock, cfg.Net, cfg.Host = g.clk, g.net.Host(host), host
-	srv, err := gridftp.NewServer(cfg)
-	if g.fail(err) {
-		return false
-	}
-	l := g.listen(host, ":2811")
-	if l != nil {
-		g.clk.Go(func() { srv.Serve(l) })
-	}
-	return l != nil
-}
-
-// serveRPC starts an esgrpc server on host:addr with the handlers
-// register installs.
-func (g *grid) serveRPC(host, addr string, register func(*esgrpc.Server)) bool {
-	rpc := esgrpc.NewServer(g.clk, nil)
-	register(rpc)
-	l := g.listen(host, addr)
-	if l != nil {
-		g.clk.Go(func() { rpc.Serve(l) })
-	}
-	return l != nil
-}
-
-// dial opens a GridFTP session from host to addr. cfg's Clock and Net
-// are filled in.
-func (g *grid) dial(host, addr string, cfg gridftp.ClientConfig) (*gridftp.Client, error) {
-	cfg.Clock, cfg.Net = g.clk, g.net.Host(host)
-	return gridftp.Dial(cfg, addr)
-}
-
-// fetch retrieves the whole of file (size bytes) from addr to host in
-// one session and checks the sink is complete.
-func (g *grid) fetch(host, addr, file string, size int64, cfg gridftp.ClientConfig) (gridftp.TransferStats, error) {
-	cli, err := g.dial(host, addr, cfg)
-	if err != nil {
-		return gridftp.TransferStats{}, err
-	}
-	defer cli.Close()
-	sink := gridftp.NewVirtualSink(size)
-	st, err := cli.Get(file, sink)
-	if err == nil {
-		err = sink.Complete()
-	}
-	return st, err
-}
-
 // submitAll requests every one of names (size bytes each) as user and
 // waits for the request to finish; nil means an error was latched on g.
-func (g *grid) submitAll(mgr *rm.Manager, user, collection string, names []string, size int64) *rm.Request {
+func (g *rig) submitAll(mgr *rm.Manager, user, collection string, names []string, size int64) *rm.Request {
 	reqs := make([]rm.FileRequest, len(names))
 	for i, name := range names {
 		reqs[i] = rm.FileRequest{Name: name, Size: size}
 	}
 	req, err := mgr.Submit(user, collection, reqs)
-	if g.fail(err) || g.fail(req.Wait()) {
+	if g.Fail(err) || g.Fail(req.Wait()) {
 		return nil
 	}
 	return req
-}
-
-// virtualStore holds each named file at size bytes.
-func virtualStore(size int64, names ...string) *gridftp.VirtualStore {
-	store := gridftp.NewVirtualStore()
-	for _, name := range names {
-		store.Put(name, size)
-	}
-	return store
 }
 
 // fileNames formats the names 0..n-1 with format.
@@ -194,7 +91,7 @@ func fileNames(format string, n int) []string {
 // destination through the isp node. Both replica sites serve the same
 // real bytes, so destination hashes can be checked against the source.
 type triangle struct {
-	*grid
+	*rig
 	names    []string
 	size     int64
 	src      *gridftp.MemStore // both replica sites' content
@@ -212,9 +109,9 @@ type triangle struct {
 // lbnl's staged HPSS archive.
 func newTriangle(seed int64, access simnet.LinkConfig, diskBps float64, files int, fileMB int64,
 	collection string, replicas ...string) (*triangle, error) {
-	t := &triangle{grid: newGrid(seed, withFlight, withLog), size: fileMB << 20,
+	t := &triangle{rig: newRig(seed, withFlight, withLog), size: fileMB << 20,
 		src: gridftp.NewMemStore(), dest: gridftp.NewMemStore()}
-	n := t.net
+	n := t.Net
 	n.AddHost("ncar", simnet.HostConfig{DefaultBufferBytes: 64 << 10})
 	n.AddHost("lbnl", simnet.HostConfig{DefaultBufferBytes: 64 << 10})
 	n.AddHost("anl", simnet.HostConfig{DefaultBufferBytes: 64 << 10, DiskBps: diskBps})
@@ -225,7 +122,7 @@ func newTriangle(seed int64, access simnet.LinkConfig, diskBps float64, files in
 	wan.CapacityBps = 155e6
 	lAnl := n.AddLink("isp", "anl", wan)
 
-	t.tape = hrm.New(t.clk, hrm.Config{
+	t.tape = hrm.New(t.Clock, hrm.Config{
 		Drives: 2, MountTime: 3 * time.Second, SeekTime: 500 * time.Millisecond,
 		ReadBps: 200 << 20, CacheBytes: int64(files+1) * t.size,
 	})
@@ -260,7 +157,7 @@ func newTriangle(seed int64, access simnet.LinkConfig, diskBps float64, files in
 		AddHost("lbnl", n.Host("lbnl")).
 		AddStager("lbnl", t.tape)
 	targets.SetDNS(n)
-	t.injector = chaos.NewRunner(t.clk, t.log, targets)
+	t.injector = chaos.NewRunner(t.Clock, t.log, targets)
 	return t, nil
 }
 
@@ -268,7 +165,7 @@ func newTriangle(seed int64, access simnet.LinkConfig, diskBps float64, files in
 // bound, logged) and lbnl's HRM over esgrpc on :4811.
 func (t *triangle) start(cfg gridftp.Config) bool {
 	cfg.Store, cfg.DiskBound, cfg.Log = t.src, true, t.log
-	return t.serve("ncar", cfg) && t.serve("lbnl", cfg) && t.serveRPC("lbnl", ":4811", t.tape.RegisterRPC)
+	return t.Serve("ncar", cfg) && t.Serve("lbnl", cfg) && t.ServeRPC("lbnl", ":4811", t.tape.RegisterRPC)
 }
 
 // submit starts anl's request manager, applies the fault schedule and
@@ -278,7 +175,7 @@ func (t *triangle) start(cfg gridftp.Config) bool {
 // LifelineConfig); the chaos determinism golden test depends on it.
 func (t *triangle) submit(collection string, sched chaos.Schedule, maxAttempts int, backoff time.Duration) (*rm.Request, time.Time) {
 	mgr, err := rm.New(rm.Config{
-		Clock: t.clk, Net: t.net.Host("anl"), LocalHost: "anl", Replica: t.cat,
+		Clock: t.Clock, Net: t.Net.Host("anl"), LocalHost: "anl", Replica: t.cat,
 		DestStore: t.dest, Policy: rm.PolicyFirst,
 		Parallelism: 1, BufferBytes: 1 << 20,
 		CacheDataChannels: false,
@@ -290,16 +187,16 @@ func (t *triangle) submit(collection string, sched chaos.Schedule, maxAttempts i
 		Tracer:            t.tracer,
 		Metrics:           t.metrics,
 	})
-	if t.fail(err) || t.fail(t.injector.Apply(sched)) {
+	if t.Fail(err) || t.Fail(t.injector.Apply(sched)) {
 		return nil, time.Time{}
 	}
-	t0 := t.clk.Now()
+	t0 := t.Clock.Now()
 	reqs := make([]rm.FileRequest, len(t.names))
 	for i, name := range t.names {
 		reqs[i] = rm.FileRequest{Name: name, Size: t.size}
 	}
 	req, err := mgr.Submit("esg-user", collection, reqs)
-	if t.fail(err) {
+	if t.Fail(err) {
 		return nil, t0
 	}
 	return req, t0

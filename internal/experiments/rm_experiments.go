@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"esgrid/internal/grid"
 	"esgrid/internal/gridftp"
 	"esgrid/internal/hrm"
 	"esgrid/internal/ldapd"
@@ -50,8 +51,8 @@ func RunReplicaSelection(seed int64, files int, fileMB int64) (ReplicaSelResult,
 }
 
 func runPolicyOnce(seed int64, pol rm.Policy, nFiles int, fileMB int64) (time.Duration, []string, error) {
-	g := newGrid(seed)
-	clk, n := g.clk, g.net
+	g := newRig(seed)
+	clk, n := g.Clock, g.Net
 	n.AddNode("wan")
 	client := n.AddHost("desk", simnet.HostConfig{DefaultBufferBytes: 1 << 20})
 	n.AddLink("desk", "wan", simnet.LinkConfig{CapacityBps: 1e9, Delay: 2 * time.Millisecond})
@@ -80,7 +81,7 @@ func runPolicyOnce(seed int64, pol rm.Policy, nFiles int, fileMB int64) (time.Du
 	if err := cat.CreateCollection("sweep", names); err != nil {
 		return 0, nil, err
 	}
-	store := virtualStore(fileMB<<20, names...) // every site holds every file
+	store := grid.VirtualStore(fileMB<<20, names...) // every site holds every file
 	for _, s := range sites {
 		n.AddHost(s.name, simnet.HostConfig{DefaultBufferBytes: 1 << 20})
 		n.AddLink(s.name, "wan", simnet.LinkConfig{CapacityBps: s.bps, Delay: s.owd})
@@ -92,21 +93,13 @@ func runPolicyOnce(seed int64, pol rm.Policy, nFiles int, fileMB int64) (time.Du
 	}
 	var elapsed time.Duration
 	var chosen []string
-	err = g.run(func() {
+	err = g.Run(func() {
 		for _, s := range sites {
-			if !g.serve(s.name, gridftp.Config{Store: store}) {
+			if !g.Serve(s.name, gridftp.Config{Store: store}) {
 				return
 			}
 		}
-		prober := nws.ProbeFunc(func(from, to string) (float64, time.Duration, error) {
-			bw, err := n.EstimateBandwidth(from, to)
-			if err != nil {
-				return 0, 0, err
-			}
-			rtt, err := n.PathRTT(from, to)
-			return bw, rtt, err
-		})
-		sensor := nws.NewSensor(clk, prober, info, 15*time.Second)
+		sensor := nws.NewSensor(clk, g.OracleProber(0), info, 15*time.Second)
 		for _, s := range sites {
 			sensor.Watch(s.name, "desk")
 		}
@@ -117,7 +110,7 @@ func runPolicyOnce(seed int64, pol rm.Policy, nFiles int, fileMB int64) (time.Du
 			DestStore: gridftp.NewVirtualStore(), Policy: pol, Rand: rnd,
 			Parallelism: 2, BufferBytes: 1 << 20, MonitorInterval: time.Second,
 		})
-		if g.fail(err) {
+		if g.Fail(err) {
 			return
 		}
 		t0 := clk.Now()
@@ -189,8 +182,8 @@ func RunMultiSite(seed int64, files int, fileMB int64) (MultiSiteResult, error) 
 }
 
 func runMultiSiteOnce(seed int64, nFiles int, fileMB int64, spread bool) (time.Duration, error) {
-	g := newGrid(seed)
-	clk, n := g.clk, g.net
+	g := newRig(seed)
+	clk, n := g.Clock, g.Net
 	n.AddNode("wan")
 	client := n.AddHost("desk", simnet.HostConfig{DefaultBufferBytes: 1 << 20})
 	n.AddLink("desk", "wan", simnet.LinkConfig{CapacityBps: 2e9, Delay: 2 * time.Millisecond})
@@ -223,11 +216,11 @@ func runMultiSiteOnce(seed int64, nFiles int, fileMB int64, spread bool) (time.D
 	}
 	// Every server stores every file; the catalog decides which it is
 	// asked for.
-	store := virtualStore(fileMB<<20, names...)
+	store := grid.VirtualStore(fileMB<<20, names...)
 	var elapsed time.Duration
-	err = g.run(func() {
+	err = g.Run(func() {
 		for _, site := range sites {
-			if !g.serve(site, gridftp.Config{Store: store}) {
+			if !g.Serve(site, gridftp.Config{Store: store}) {
 				return
 			}
 		}
@@ -236,7 +229,7 @@ func runMultiSiteOnce(seed int64, nFiles int, fileMB int64, spread bool) (time.D
 			DestStore: gridftp.NewVirtualStore(), Policy: rm.PolicyFirst,
 			Parallelism: 2, BufferBytes: 1 << 20, MonitorInterval: time.Second,
 		})
-		if g.fail(err) {
+		if g.Fail(err) {
 			return
 		}
 		t0 := clk.Now()

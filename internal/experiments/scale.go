@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"esgrid/internal/grid"
 	"esgrid/internal/gridftp"
 	"esgrid/internal/netlogger"
 	"esgrid/internal/simnet"
@@ -68,8 +69,8 @@ func RunScale(seed int64, clients []int, fileMB int64) (ScaleResult, error) {
 }
 
 func runScaleOnce(seed int64, nClients int, fileBytes int64) (sim, wall time.Duration, bytes int64, passes, visited uint64, tail netlogger.Tail, err error) {
-	g := newGrid(seed)
-	clk, n := g.clk, g.net
+	g := newRig(seed)
+	clk, n := g.Clock, g.Net
 	nSites := (nClients + scaleSiteClients - 1) / scaleSiteClients
 	for s := 0; s < nSites; s++ {
 		srv := fmt.Sprintf("srv%04d", s)
@@ -84,14 +85,14 @@ func runScaleOnce(seed int64, nClients int, fileBytes int64) (sim, wall time.Dur
 		n.AddHost(cli, simnet.HostConfig{DefaultBufferBytes: 1 << 20})
 		n.AddLink(cli, rtr, simnet.LinkConfig{CapacityBps: 100e6, Delay: 4 * time.Millisecond})
 	}
-	store := virtualStore(fileBytes, "f")
+	store := grid.VirtualStore(fileBytes, "f")
 	lat := netlogger.NewLogHistogram()
 
 	var mu sync.Mutex
 	wallStart := time.Now() //esglint:wallclock S11 reports the real wall cost of simulating the scaled run
-	err = g.run(func() {
+	err = g.Run(func() {
 		for s := 0; s < nSites; s++ {
-			if !g.serve(fmt.Sprintf("srv%04d", s), gridftp.Config{Store: store}) {
+			if !g.Serve(fmt.Sprintf("srv%04d", s), gridftp.Config{Store: store}) {
 				return
 			}
 		}
@@ -105,9 +106,9 @@ func runScaleOnce(seed int64, nClients int, fileBytes int64) (sim, wall time.Dur
 				// trace deterministic without serializing the downloads.
 				clk.Sleep(time.Duration(c) * 500 * time.Microsecond)
 				t0 := clk.Now()
-				st, err := g.fetch(fmt.Sprintf("cli%04d", c), fmt.Sprintf("srv%04d:2811", c/scaleSiteClients), "f", fileBytes,
+				st, err := g.Fetch(fmt.Sprintf("cli%04d", c), fmt.Sprintf("srv%04d:2811", c/scaleSiteClients), "f", fileBytes,
 					gridftp.ClientConfig{Parallelism: 2, BufferBytes: 1 << 20})
-				if g.fail(err) {
+				if g.Fail(err) {
 					return
 				}
 				// Dial-to-last-byte latency for this client, in virtual

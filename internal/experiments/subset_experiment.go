@@ -25,8 +25,8 @@ type SubsetResult struct {
 // RunSubset performs both fetches of a tropical-Pacific temperature
 // selection over a 45 Mb/s WAN path.
 func RunSubset(seed int64) (SubsetResult, error) {
-	g := newGrid(seed)
-	n := g.net
+	g := newRig(seed)
+	n := g.Net
 	n.AddHost("ncar", simnet.HostConfig{DefaultBufferBytes: 1 << 20})
 	n.AddHost("desk", simnet.HostConfig{DefaultBufferBytes: 1 << 20})
 	n.AddLink("ncar", "desk", simnet.LinkConfig{CapacityBps: 45e6, Delay: 20 * time.Millisecond})
@@ -45,30 +45,30 @@ func RunSubset(seed int64) (SubsetResult, error) {
 
 	const spec = "var=tas;time=0:4;lat=-20:20;lon=120:280" // tropical Pacific
 	var res SubsetResult
-	err = g.run(func() {
-		if !g.serve("ncar", gridftp.Config{Store: store}) {
+	err = g.Run(func() {
+		if !g.Serve("ncar", gridftp.Config{Store: store}) {
 			return
 		}
-		cli, err := g.dial("desk", "ncar:2811", gridftp.ClientConfig{Parallelism: 2, BufferBytes: 1 << 20})
-		if g.fail(err) {
+		cli, err := g.Dial("desk", "ncar:2811", gridftp.ClientConfig{Parallelism: 2, BufferBytes: 1 << 20})
+		if g.Fail(err) {
 			return
 		}
 		defer cli.Close()
 
 		full, err := cli.Size(name)
-		if g.fail(err) {
+		if g.Fail(err) {
 			return
 		}
 		stFull, err := cli.Get(name, gridftp.NewBytesSink(full))
-		if g.fail(err) {
+		if g.Fail(err) {
 			return
 		}
 		subSize, err := cli.SubsetSize(name, spec)
-		if g.fail(err) {
+		if g.Fail(err) {
 			return
 		}
 		stSub, err := cli.GetSubset(name, spec, gridftp.NewBytesSink(subSize))
-		if g.fail(err) {
+		if g.Fail(err) {
 			return
 		}
 		res = SubsetResult{

@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"esgrid/internal/grid"
 	"esgrid/internal/gridftp"
 	"esgrid/internal/nws"
 	"esgrid/internal/simnet"
@@ -13,25 +14,25 @@ import (
 
 // twoHosts is the src→dst path most sweeps measure: two hosts with
 // 64 KB default buffers on one link.
-func twoHosts(seed int64, link simnet.LinkConfig) *grid {
-	g := newGrid(seed)
-	g.net.AddHost("src", simnet.HostConfig{DefaultBufferBytes: 64 << 10})
-	g.net.AddHost("dst", simnet.HostConfig{DefaultBufferBytes: 64 << 10})
-	g.net.AddLink("src", "dst", link)
+func twoHosts(seed int64, link simnet.LinkConfig) *rig {
+	g := newRig(seed)
+	g.Net.AddHost("src", simnet.HostConfig{DefaultBufferBytes: 64 << 10})
+	g.Net.AddHost("dst", simnet.HostConfig{DefaultBufferBytes: 64 << 10})
+	g.Net.AddLink("src", "dst", link)
 	return g
 }
 
 // getRate serves a size-byte file from srv with cfg (its Store filled
 // in) and returns the rate in bits/s at which dst fetches it with cli.
-func getRate(g *grid, srv string, cfg gridftp.Config, size int64, cli gridftp.ClientConfig) (float64, error) {
-	cfg.Store = virtualStore(size, "f")
+func getRate(g *rig, srv string, cfg gridftp.Config, size int64, cli gridftp.ClientConfig) (float64, error) {
+	cfg.Store = grid.VirtualStore(size, "f")
 	var rate float64
-	err := g.run(func() {
-		if !g.serve(srv, cfg) {
+	err := g.Run(func() {
+		if !g.Serve(srv, cfg) {
 			return
 		}
-		st, err := g.fetch("dst", srv+":2811", "f", size, cli)
-		if !g.fail(err) {
+		st, err := g.Fetch("dst", srv+":2811", "f", size, cli)
+		if !g.Fail(err) {
 			rate = st.Bps()
 		}
 	})
@@ -167,8 +168,8 @@ func RunStripeSweep(seed int64, fileMB int64, widths []int) (StripeSweepResult, 
 }
 
 func measureStriped(seed int64, fileBytes int64, k int) (float64, error) {
-	g := newGrid(seed)
-	n := g.net
+	g := newRig(seed)
+	n := g.Net
 	n.AddNode("wan")
 	n.AddHost("dst", simnet.HostConfig{DefaultBufferBytes: 4 << 20})
 	n.AddLink("dst", "wan", simnet.LinkConfig{CapacityBps: 1.6e9, Delay: 5 * time.Millisecond})
@@ -220,16 +221,16 @@ func RunLargeFile(seed int64, gb int64) (LargeFileResult, error) {
 	g := twoHosts(seed+1, simnet.LinkConfig{CapacityBps: 1e9, Delay: 10 * time.Millisecond})
 	const chunk = int64(2047 << 20) // just under the 2^31 limit
 	nChunks := int((res.FileBytes + chunk - 1) / chunk)
-	store := virtualStore(res.FileBytes, "f")
-	err = g.run(func() {
-		if !g.serve("src", gridftp.Config{Store: store}) {
+	store := grid.VirtualStore(res.FileBytes, "f")
+	err = g.Run(func() {
+		if !g.Serve("src", gridftp.Config{Store: store}) {
 			return
 		}
-		t0 := g.clk.Now()
+		t0 := g.Clock.Now()
 		sink := gridftp.NewVirtualSink(res.FileBytes)
 		for i := 0; i < nChunks; i++ {
-			cli, err := g.dial("dst", "src:2811", gridftp.ClientConfig{Parallelism: 4, BufferBytes: 4 << 20})
-			if g.fail(err) {
+			cli, err := g.Dial("dst", "src:2811", gridftp.ClientConfig{Parallelism: 4, BufferBytes: 4 << 20})
+			if g.Fail(err) {
 				return
 			}
 			off := int64(i) * chunk
@@ -239,12 +240,12 @@ func RunLargeFile(seed int64, gb int64) (LargeFileResult, error) {
 			}
 			_, err = cli.GetRanges("f", sink, []gridftp.Extent{{Off: off, Len: size}})
 			cli.Close()
-			if g.fail(err) {
+			if g.Fail(err) {
 				return
 			}
 		}
-		if !g.fail(sink.Complete()) {
-			res.ChunkedBps = float64(res.FileBytes) * 8 / g.clk.Now().Sub(t0).Seconds()
+		if !g.Fail(sink.Complete()) {
+			res.ChunkedBps = float64(res.FileBytes) * 8 / g.Clock.Now().Sub(t0).Seconds()
 		}
 	})
 	return res, err
@@ -281,10 +282,10 @@ func RunCPUModel(seed int64, fileMB int64) (CPUModelResult, error) {
 	}
 	var res CPUModelResult
 	for _, c := range cases {
-		g := newGrid(seed)
-		g.net.AddHost("src", simnet.HostConfig{CPU: simnet.GigabitHostCPU(c.coalesce), DefaultBufferBytes: 4 << 20, MSS: c.mss})
-		g.net.AddHost("dst", simnet.HostConfig{DefaultBufferBytes: 4 << 20, MSS: c.mss})
-		g.net.AddLink("src", "dst", simnet.LinkConfig{CapacityBps: 1e9, Delay: time.Millisecond})
+		g := newRig(seed)
+		g.Net.AddHost("src", simnet.HostConfig{CPU: simnet.GigabitHostCPU(c.coalesce), DefaultBufferBytes: 4 << 20, MSS: c.mss})
+		g.Net.AddHost("dst", simnet.HostConfig{DefaultBufferBytes: 4 << 20, MSS: c.mss})
+		g.Net.AddLink("src", "dst", simnet.LinkConfig{CapacityBps: 1e9, Delay: time.Millisecond})
 		rate, err := getRate(g, "src", gridftp.Config{}, fileMB<<20, gridftp.ClientConfig{Parallelism: 4, BufferBytes: 4 << 20})
 		if err != nil {
 			return res, err
@@ -392,33 +393,33 @@ func RunChannelCache(seed int64, transfers int) (ChannelCacheResult, error) {
 	const file = int64(64) << 20
 	run := func(cache bool) (time.Duration, error) {
 		g := twoHosts(seed, simnet.LinkConfig{CapacityBps: 622e6, Delay: 30 * time.Millisecond})
-		store := virtualStore(file, "f")
+		store := grid.VirtualStore(file, "f")
 		cli := gridftp.ClientConfig{Parallelism: 4, BufferBytes: 1 << 20, CacheDataChannels: cache}
 		var elapsed time.Duration
-		err := g.run(func() {
-			if !g.serve("src", gridftp.Config{Store: store}) {
+		err := g.Run(func() {
+			if !g.Serve("src", gridftp.Config{Store: store}) {
 				return
 			}
-			t0 := g.clk.Now()
+			t0 := g.Clock.Now()
 			if cache {
-				c, err := g.dial("dst", "src:2811", cli)
-				if g.fail(err) {
+				c, err := g.Dial("dst", "src:2811", cli)
+				if g.Fail(err) {
 					return
 				}
 				defer c.Close()
 				for i := 0; i < transfers; i++ {
-					if _, err := c.Get("f", gridftp.NewVirtualSink(file)); g.fail(err) {
+					if _, err := c.Get("f", gridftp.NewVirtualSink(file)); g.Fail(err) {
 						return
 					}
 				}
 			} else {
 				for i := 0; i < transfers; i++ {
-					if _, err := g.fetch("dst", "src:2811", "f", file, cli); g.fail(err) {
+					if _, err := g.Fetch("dst", "src:2811", "f", file, cli); g.Fail(err) {
 						return
 					}
 				}
 			}
-			elapsed = g.clk.Now().Sub(t0)
+			elapsed = g.Clock.Now().Sub(t0)
 		})
 		return elapsed, err
 	}

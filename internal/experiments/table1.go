@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"esgrid/internal/flight"
+	"esgrid/internal/grid"
 	"esgrid/internal/gridftp"
 	"esgrid/internal/gsi"
 	"esgrid/internal/netlogger"
@@ -127,8 +128,8 @@ func RunTable1(cfg Table1Config) (Table1Result, error) {
 	if cfg.Servers <= 0 || cfg.MaxStreams <= 0 || cfg.Duration <= 0 {
 		return Table1Result{}, fmt.Errorf("experiments: bad table1 config %+v", cfg)
 	}
-	g := newGrid(cfg.Seed, withFlight)
-	clk, n := g.clk, g.net
+	g := newRig(cfg.Seed, withFlight)
+	clk, n := g.Clock, g.Net
 
 	// Topology per §7 and Figure 7: cluster switches dual-bonded to exit
 	// routers, OC-48 across HSCC/NTON, a policy cap at the SCinet
@@ -170,13 +171,13 @@ func RunTable1(cfg Table1Config) (Table1Result, error) {
 	res := Table1Result{Config: cfg, Flight: g.rec}
 	var mu sync.Mutex
 
-	store := virtualStore(partition, "partition.dat")
+	store := grid.VirtualStore(partition, "partition.dat")
 
-	err = g.run(func() {
+	err = g.Run(func() {
 		// One GridFTP server per Dallas host serving its partition.
 		for _, src := range srcNames {
 			id, err := ca.Issue("/CN="+src, vtime.Epoch, 240*time.Hour)
-			if g.fail(err) || !g.serve(src, gridftp.Config{
+			if g.Fail(err) || !g.Serve(src, gridftp.Config{
 				Store: store,
 				Auth:  &gsi.Config{Identity: id, Trust: trust, Clock: clk, HandshakeCost: cfg.HandshakeCost},
 			}) {
@@ -232,13 +233,13 @@ func RunTable1(cfg Table1Config) (Table1Result, error) {
 // a new copy of the partition whenever the newest transfer is 25%
 // complete, keeping at most MaxStreams transfers in flight, until the
 // metering window closes.
-func runPipelinedPair(g *grid, ca *gsi.CA, trust *gsi.TrustStore,
+func runPipelinedPair(g *rig, ca *gsi.CA, trust *gsi.TrustStore,
 	cfg Table1Config, src, dst string, partition int64, stop time.Time,
 	mu *sync.Mutex, res *Table1Result) {
 
-	clk := g.clk
+	clk := g.Clock
 	id, err := ca.Issue("/CN=client-"+dst, vtime.Epoch, 240*time.Hour)
-	if g.fail(err) {
+	if g.Fail(err) {
 		return
 	}
 	auth := &gsi.Config{Identity: id, Trust: trust, Clock: clk, HandshakeCost: cfg.HandshakeCost}
@@ -274,7 +275,7 @@ func runPipelinedPair(g *grid, ca *gsi.CA, trust *gsi.TrustStore,
 				cond.Broadcast()
 				imu.Unlock()
 			}()
-			cli, err := g.dial(dst, src+":2811", gridftp.ClientConfig{
+			cli, err := g.Dial(dst, src+":2811", gridftp.ClientConfig{
 				Auth:              auth,
 				Parallelism:       1,
 				BufferBytes:       cfg.BufferBytes,

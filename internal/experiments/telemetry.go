@@ -86,8 +86,8 @@ type telemetryRun struct {
 // core, and an observer host; runs the plane for ticks; and returns the
 // published streams plus the flat-fold ground truth.
 func runTelemetryPlane(seed int64, sites, hostsPer, fanout, ticks int, slo telemetry.SLO, degrade bool) (telemetryRun, error) {
-	g := newGrid(seed)
-	clk, n := g.clk, g.net
+	g := newRig(seed)
+	clk, n := g.Clock, g.Net
 	info, err := mds.New(ldapd.NewDir())
 	if err != nil {
 		return telemetryRun{}, err
@@ -153,15 +153,15 @@ func runTelemetryPlane(seed int64, sites, hostsPer, fanout, ticks int, slo telem
 		}
 	}
 
-	if err := g.run(func() {
-		if g.fail(p.Start()) {
+	if err := g.Run(func() {
+		if g.Fail(p.Start()) {
 			return
 		}
 		for i, reg := range regs {
 			i, reg := i, reg
 			clk.Go(func() { workload(i, reg) })
 		}
-		g.fail(p.Wait())
+		g.Fail(p.Wait())
 	}); err != nil {
 		return telemetryRun{}, err
 	}

@@ -32,8 +32,8 @@ type Host struct {
 	disk *res
 
 	conns          map[*Conn]bool
-	retiredBytesTo map[string]float64
-	down           bool // crashed: dials to/from this host fail
+	retiredBytesTo map[string]int64 // in byteUnits, see toByteUnits
+	down           bool             // crashed: dials to/from this host fail
 }
 
 // Name returns the host's node name.

@@ -503,9 +503,9 @@ func (f *flow) remove(now time.Duration) {
 	f.doneEv, f.lossEv, f.growEv, f.lingerEv = 0, 0, 0, 0
 	if f.src != nil && f.dst != nil {
 		if f.src.retiredBytesTo == nil {
-			f.src.retiredBytesTo = map[string]float64{}
+			f.src.retiredBytesTo = map[string]int64{}
 		}
-		f.src.retiredBytesTo[f.dst.name] += f.transmitted
+		f.src.retiredBytesTo[f.dst.name] += toByteUnits(f.transmitted)
 	}
 	f.net.unregisterFlowLocked(f)
 }

@@ -615,15 +615,23 @@ func (n *Net) TotalBytesBetween(a, b string) float64 {
 	defer n.mu.Unlock()
 	n.flushLocked()
 	now := n.clk.Elapsed()
-	var total float64
+	var total int64
 	for _, f := range n.pairFlows[pairKey{a, b}] {
-		total += f.transmittedAt(now)
+		total += toByteUnits(f.transmittedAt(now))
 	}
 	if h := n.hosts[a]; h != nil {
 		total += h.retiredBytesTo[b]
 	}
-	return total
+	return float64(total) / byteUnits
 }
+
+// byteUnits is the fixed-point scale of summed byte counts. Sums are
+// kept as int64 multiples of 1/byteUnits byte, so a total does not
+// depend on the order its terms arrive in (flows register and retire
+// in lock-arrival order).
+const byteUnits = 1 << 16
+
+func toByteUnits(b float64) int64 { return int64(math.Round(b * byteUnits)) }
 
 // registerFlowLocked enters a newly created flow into the live-flow set
 // and the (src,dst) pair index that TotalBytesBetween polls.

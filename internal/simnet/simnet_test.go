@@ -3,6 +3,7 @@ package simnet
 import (
 	"errors"
 	"io"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -590,4 +591,37 @@ func TestCPUUtilizationReporting(t *testing.T) {
 			t.Fatalf("sender CPU utilization = %.2f, want ~1.0 (saturated)", u)
 		}
 	})
+}
+
+// TestTotalBytesBetweenOrderFree registers and retires the same flows in
+// two orders and requires a bit-identical byte total: the live and
+// retired sums must not depend on the order their terms arrive in.
+func TestTotalBytesBetweenOrderFree(t *testing.T) {
+	bytes := []float64{0.1, 0.2, 0.3, 0.2, 0.2, 0.7}
+	const retired = 3 // the first three retire, the rest stay live
+	total := func(order []int) float64 {
+		n, a, b := twoHosts(vtime.NewSim(1), gbps, time.Millisecond, 0)
+		fs := make([]*flow, len(bytes))
+		n.mu.Lock()
+		for _, i := range order {
+			fs[i] = &flow{net: n, src: a, dst: b, transmitted: bytes[i]}
+			n.registerFlowLocked(fs[i])
+		}
+		for _, i := range order {
+			if i < retired {
+				fs[i].remove(0)
+			}
+		}
+		n.mu.Unlock()
+		return n.TotalBytesBetween("a", "b")
+	}
+	want := total([]int{0, 1, 2, 3, 4, 5})
+	for _, order := range [][]int{
+		{5, 4, 3, 2, 1, 0}, // retirement order reversed
+		{0, 1, 2, 5, 4, 3}, // live flows listed in the other order
+	} {
+		if got := total(order); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("order %v: TotalBytesBetween = %.17g, want %.17g", order, got, want)
+		}
+	}
 }

@@ -260,11 +260,13 @@ func (wg *WaitGroup) Go(fn func()) {
 	})
 }
 
-// Wait blocks until the counter is zero.
+// Wait blocks until the counter is zero. The Unlock is deferred because
+// the cond relocks mu even when the simulation's teardown unwinds the
+// wait, and members unwinding through Done need mu back.
 func (wg *WaitGroup) Wait() {
 	wg.mu.Lock()
+	defer wg.mu.Unlock()
 	for wg.n != 0 {
 		wg.cond.Wait()
 	}
-	wg.mu.Unlock()
 }

@@ -269,6 +269,38 @@ func TestWaitGroupWaitsForAll(t *testing.T) {
 	}
 }
 
+// TestWaitGroupUnwindsAtTeardown: when Run returns with a goroutine
+// parked in WaitGroup.Wait and others parked inside the group, the
+// teardown unwinds them all. Wait's cond relocks the group's mutex as it
+// unwinds, so Wait must release it, or the members' deferred Done blocks
+// on it and Run never returns.
+func TestWaitGroupUnwindsAtTeardown(t *testing.T) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s := NewSim(1)
+		s.Run(func() {
+			wg := NewWaitGroup(s)
+			var mu sync.Mutex
+			never := s.NewCond(&mu)
+			for i := 0; i < 8; i++ {
+				wg.Go(func() {
+					mu.Lock()
+					defer mu.Unlock()
+					never.Wait()
+				})
+			}
+			s.Go(wg.Wait)
+			s.Sleep(time.Second)
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return: a WaitGroup member's Done blocked during teardown")
+	}
+}
+
 func TestSimManyGoroutinesStress(t *testing.T) {
 	s := NewSim(3)
 	const n = 500

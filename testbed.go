@@ -6,7 +6,7 @@ import (
 
 	"esgrid/internal/analysis"
 	"esgrid/internal/climate"
-	"esgrid/internal/esgrpc"
+	"esgrid/internal/grid"
 	"esgrid/internal/gridftp"
 	"esgrid/internal/gsi"
 	"esgrid/internal/hrm"
@@ -19,7 +19,6 @@ import (
 	"esgrid/internal/replicate"
 	"esgrid/internal/rm"
 	"esgrid/internal/simnet"
-	"esgrid/internal/transport"
 	"esgrid/internal/vtime"
 )
 
@@ -121,6 +120,7 @@ type Testbed struct {
 
 	cfg      TestbedConfig
 	sites    []Site
+	grid     *grid.Grid
 	client   *simnet.Host
 	started  bool
 	userAuth *gsi.Config
@@ -155,8 +155,8 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 		cfg.NWSPeriod = 30 * time.Second
 	}
 
-	clk := vtime.NewSim(cfg.Seed)
-	n := simnet.New(clk)
+	g := grid.New(cfg.Seed)
+	clk, n := g.Clock, g.Net
 	tb := &Testbed{
 		Clock:  clk,
 		Net:    n,
@@ -165,6 +165,7 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 		Stores: map[string]*gridftp.VirtualStore{},
 		cfg:    cfg,
 		sites:  cfg.Sites,
+		grid:   g,
 	}
 
 	// Topology: star over a wide-area backbone (Figure 7 simplified).
@@ -322,38 +323,37 @@ func (tb *Testbed) site(name string) (Site, error) {
 
 // Run executes fn inside the simulation with all services started.
 func (tb *Testbed) Run(fn func()) {
-	tb.Clock.Run(func() {
-		if err := tb.start(); err != nil {
-			panic("esgrid: testbed start: " + err.Error())
+	err := tb.grid.Run(func() {
+		if tb.start() {
+			fn()
 		}
-		fn()
 	})
+	if err != nil {
+		panic("esgrid: testbed start: " + err.Error())
+	}
 }
 
 // start launches GridFTP servers, HRM RPC services and NWS sensors; it
-// must run on the simulation scheduler.
-func (tb *Testbed) start() error {
+// must run on the simulation scheduler. False means a setup error is
+// latched on the grid.
+func (tb *Testbed) start() bool {
 	if tb.started {
-		return nil
+		return true
 	}
 	tb.started = true
+	g := tb.grid
 	var trust *gsi.TrustStore
 	if tb.CA != nil {
 		trust = gsi.NewTrustStore(tb.CA)
 	}
 	for _, s := range tb.sites {
-		host := tb.Net.Host(s.Name)
 		var store gridftp.FileStore
 		if h := tb.HRMs[s.Name]; h != nil {
 			store = h.Store()
 			// HRM RPC endpoint (the CORBA interface of §4).
-			rpcSrv := esgrpc.NewServer(tb.Clock, nil)
-			h.RegisterRPC(rpcSrv)
-			l, err := host.Listen(":4811")
-			if err != nil {
-				return err
+			if !g.ServeRPC(s.Name, ":4811", h.RegisterRPC) {
+				return false
 			}
-			tb.Clock.Go(func() { rpcSrv.Serve(l) })
 		} else {
 			vs := tb.Stores[s.Name]
 			if vs == nil {
@@ -366,64 +366,30 @@ func (tb *Testbed) start() error {
 		var auth *gsi.Config
 		if tb.CA != nil {
 			id, err := tb.CA.Issue("/O=ESG/CN=gridftp/"+s.Name, vtime.Epoch, 30*24*time.Hour)
-			if err != nil {
-				return err
+			if g.Fail(err) {
+				return false
 			}
 			auth = &gsi.Config{Identity: id, Trust: trust, Clock: tb.Clock, HandshakeCost: tb.cfg.HandshakeCost}
 		}
-		srv, err := gridftp.NewServer(gridftp.Config{
-			Clock: tb.Clock, Net: host, Host: s.Name, Store: store, Auth: auth,
-		})
-		if err != nil {
-			return err
-		}
-		l, err := host.Listen(":2811")
-		if err != nil {
-			return err
-		}
-		tb.Clock.Go(func() { srv.Serve(l) })
-		if err := tb.Info.RegisterHost(mds.HostInfo{
-			Name: s.Name, Site: s.Name, Services: []string{"gridftp:2811"},
-		}); err != nil {
-			return err
+		if !g.Serve(s.Name, gridftp.Config{Store: store, Auth: auth}) ||
+			g.Fail(tb.Info.RegisterHost(mds.HostInfo{
+				Name: s.Name, Site: s.Name, Services: []string{"gridftp:2811"},
+			})) {
+			return false
 		}
 	}
-	// NWS: measure every site -> client pair and publish into MDS (§5).
-	var prober nws.Prober
+	// NWS: measure every site -> client pair and publish into MDS (§5),
+	// with real probe transfers between hosts or the simulator's oracle
+	// estimate plus short-probe noise.
+	prober := g.OracleProber(0.05)
 	if tb.cfg.ActiveProbes {
-		// Wolski-style sensors: probe responders at every host, real
-		// probe transfers for each measurement.
-		const probePort = 8060
-		hosts := append([]Site{{Name: tb.cfg.ClientSite}}, tb.sites...)
-		for _, s := range hosts {
-			h := tb.Net.Host(s.Name)
-			l, err := h.Listen(fmt.Sprintf(":%d", probePort))
-			if err != nil {
-				return err
-			}
-			tb.Clock.Go(func() { nws.ServeProbes(tb.Clock, l) })
+		hosts := []string{tb.cfg.ClientSite}
+		for _, s := range tb.sites {
+			hosts = append(hosts, s.Name)
 		}
-		prober = nws.NewTransferProber(tb.Clock, func(name string) transport.Network {
-			h := tb.Net.Host(name)
-			if h == nil {
-				return nil
-			}
-			return h
-		}, probePort, nws.DefaultProbeBytes)
-	} else {
-		prober = nws.ProbeFunc(func(from, to string) (float64, time.Duration, error) {
-			bw, err := tb.Net.EstimateBandwidth(from, to)
-			if err != nil {
-				return 0, 0, err
-			}
-			rtt, err := tb.Net.PathRTT(from, to)
-			if err != nil {
-				return 0, 0, err
-			}
-			// Oracle mode: short-probe noise without the probe traffic.
-			bw *= 1 + 0.05*(2*tb.Clock.Rand()-1)
-			return bw, rtt, nil
-		})
+		if prober = g.ActiveProber(hosts...); prober == nil {
+			return false
+		}
 	}
 	tb.Sensor = nws.NewSensor(tb.Clock, prober, tb.Info, tb.cfg.NWSPeriod)
 	for _, s := range tb.sites {
@@ -431,7 +397,7 @@ func (tb *Testbed) start() error {
 	}
 	tb.Sensor.MeasureNow()
 	tb.Sensor.Start()
-	return nil
+	return true
 }
 
 // Fetch resolves a query in the metadata catalog and submits the
