@@ -64,7 +64,7 @@ func main() {
 	seed := flag.Int64("seed", 2000, "simulation seed")
 	flag.StringVar(&traceFile, "trace", "", "write the lifeline experiment's event stream to this file (.jsonl for JSONL, anything else for ULM)")
 	flag.StringVar(&alertsFile, "alerts", "", "write the monitor experiment's labeled alert stream to this JSONL file")
-	flag.StringVar(&telemetryFile, "telemetry", "", "write the telemetry experiment's grid+alert stream to this JSONL file (replayable with esgmon -grid -replay)")
+	flag.StringVar(&telemetryFile, "telemetry", "", "write the telemetry experiment's grid+alert stream to this JSONL file (replayable with esgmon -grid -jsonl)")
 	flag.Parse()
 
 	selected := names
@@ -394,7 +394,7 @@ func runMonitor(seed int64, full bool) error {
 }
 
 // telemetryFile receives the S16 grid+alert stream (-telemetry flag),
-// replayable with esgmon -grid -replay.
+// replayable with esgmon -grid -jsonl.
 var telemetryFile string
 
 func runTelemetry(seed int64, full bool) error {

@@ -8,7 +8,6 @@
 //	esgmon -addr host:9111 [-interval 2s] [-once] [-alerts-only]
 //	esgmon -jsonl run.jsonl [-alerts]
 //	esgmon -grid -jsonl s16.jsonl [-alerts]
-//	esgmon -grid -addr host:9112 [-interval 2s] [-once] [-alerts-only]
 //
 // Live mode polls mon.snapshot and mon.alerts: new alerts stream to
 // stdout as they fire, and the text dashboard (per-site goodput, the
@@ -16,11 +15,10 @@
 // Replay mode feeds the recorded events through a fresh monitor and
 // prints the final dashboard plus every alert the detectors raise.
 //
-// -grid switches both modes to the hierarchical telemetry plane
-// (internal/telemetry): replay walks a grid+alert stream written by
-// `esgbench -exp telemetry -telemetry file.jsonl` and prints each
-// tick's grid rollup; live polls the tel.grid / tel.alerts /
-// tel.traffic endpoints a plane registers over esgrpc.
+// -grid replays the hierarchical telemetry plane (internal/telemetry)
+// instead: it walks a grid+alert stream written by `esgbench -exp
+// telemetry -telemetry file.jsonl` and prints each tick's grid rollup.
+// The plane has no live endpoint, so -grid takes -jsonl only.
 package main
 
 import (
@@ -48,7 +46,7 @@ func main() {
 	once := flag.Bool("once", false, "live mode: poll a single frame and exit")
 	alertsOnly := flag.Bool("alerts-only", false, "live mode: tail alerts without the dashboard")
 	alerts := flag.Bool("alerts", false, "replay mode: print alert JSONL instead of the dashboard")
-	grid := flag.Bool("grid", false, "operate on the hierarchical telemetry plane instead of the per-host monitor")
+	grid := flag.Bool("grid", false, "replay mode: read a telemetry grid+alert stream instead of NetLogger events")
 	width := flag.Int("width", 96, "dashboard width")
 	credPath := flag.String("cred", "", "identity file for GSI authentication")
 	trustPath := flag.String("trust", "", "trust anchor file")
@@ -59,10 +57,8 @@ func main() {
 		if err := gridReplay(*jsonl, *alerts); err != nil {
 			log.Fatalf("esgmon: %v", err)
 		}
-	case *grid && *addr != "":
-		if err := gridLive(*addr, *interval, *once, *alertsOnly, loadAuth(*credPath, *trustPath)); err != nil {
-			log.Fatalf("esgmon: %v", err)
-		}
+	case *grid:
+		usage()
 	case *jsonl != "":
 		if err := replay(*jsonl, *alerts, *width); err != nil {
 			log.Fatalf("esgmon: %v", err)
@@ -72,9 +68,13 @@ func main() {
 			log.Fatalf("esgmon: %v", err)
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "usage: esgmon -addr host:port | -jsonl events.jsonl  (see -h)")
-		os.Exit(2)
+		usage()
 	}
+}
+
+func usage() {
+	fmt.Fprintln(os.Stderr, "usage: esgmon -addr host:port | -jsonl events.jsonl | -grid -jsonl grid.jsonl  (see -h)")
+	os.Exit(2)
 }
 
 func loadAuth(credPath, trustPath string) *gsi.Config {
@@ -191,50 +191,6 @@ func gridReplay(path string, alertsOnly bool) error {
 	}
 	fmt.Printf("replayed %d ticks, %d grid alerts from %s\n", ticks, len(alerts), path)
 	return nil
-}
-
-// gridLive polls a running telemetry root: new grid alerts stream as
-// they fire, the grid rollup redraws each interval.
-func gridLive(addr string, interval time.Duration, once, alertsOnly bool, auth *gsi.Config) error {
-	cli, err := esgrpc.Dial(vtime.Real{}, transport.Real{}, addr, auth)
-	if err != nil {
-		return err
-	}
-	defer cli.Close()
-
-	seen := 0
-	for {
-		var ar telemetry.AlertsReply
-		if err := cli.Call("tel.alerts", nil, &ar); err != nil {
-			return err
-		}
-		for _, a := range ar.Alerts[min(seen, len(ar.Alerts)):] {
-			fmt.Printf("ALERT %s  %-16s %-8s %-16s %s\n", a.TS, a.Detector, a.Host, a.Subject, a.Detail)
-		}
-		seen = len(ar.Alerts)
-		if !alertsOnly {
-			var g telemetry.GridSnapshot
-			if err := cli.Call("tel.grid", nil, &g); err != nil {
-				return err
-			}
-			var tr telemetry.TrafficReply
-			if err := cli.Call("tel.traffic", nil, &tr); err != nil {
-				return err
-			}
-			fmt.Print(telemetry.RenderGridSnapshot(g, tr.Tiers))
-		}
-		if once {
-			return nil
-		}
-		time.Sleep(interval) //esglint:wallclock live tail paces real polls of a running daemon
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // live tails a remote monitor: alerts stream as they fire, the

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"sort"
 
 	esgrid "esgrid"
 	"esgrid/internal/climate"
@@ -23,8 +24,14 @@ func main() {
 	}
 	tb.Run(func() {
 		fmt.Println("== selecting data by application attributes (Figure 2) ==")
-		for v, desc := range climate.AllVariables() {
-			fmt.Printf("  %-4s %s\n", v, desc)
+		vars := climate.AllVariables()
+		names := make([]string, 0, len(vars))
+		for v := range vars {
+			names = append(names, v)
+		}
+		sort.Strings(names)
+		for _, v := range names {
+			fmt.Printf("  %-4s %s\n", v, vars[v])
 		}
 		req, err := tb.Fetch(esgrid.Query{
 			Dataset:   "pcm-b06.44",

@@ -45,9 +45,6 @@ type Table1Config struct {
 	// Coalesce is the interrupt-coalescing factor of the GigE NICs
 	// (paper: "we were, in fact, using interrupt coalescing at SC").
 	Coalesce float64
-	// JumboFrames uses 9000-byte frames (paper: router did not support
-	// them, so the baseline is standard frames).
-	JumboFrames bool
 	// WANLossRate is the baseline per-packet loss probability on the
 	// shared SCinet/HSCC path during clean periods.
 	WANLossRate float64

@@ -64,7 +64,7 @@ type TelemetryResult struct {
 	FanoutIdentical bool
 	// SLOAlerts counts burn-rate alerts from the degraded scenario;
 	// ReplayJSONL is that scenario's full telemetry stream (grid
-	// snapshots interleaved with alerts) for esgmon -grid -replay.
+	// snapshots interleaved with alerts) for esgmon -grid -jsonl.
 	SLOAlerts   int
 	ReplayJSONL string
 }
@@ -93,7 +93,7 @@ func runTelemetryPlane(seed int64, sites, hostsPer, fanout, ticks int, slo telem
 		return telemetryRun{}, err
 	}
 	p, err := telemetry.New(telemetry.Config{
-		Clock: clk, Tick: time.Second, Ticks: ticks, Fanout: fanout,
+		Clock: clk, Ticks: ticks, Fanout: fanout,
 		SLO: slo, Info: info,
 	})
 	if err != nil {
@@ -272,7 +272,7 @@ func RunTelemetry(cfg TelemetryConfig) (TelemetryResult, error) {
 
 	// Degraded scenario: site s00 goes slow and quiet, the grid SLO
 	// burns through, alerts land on the stream esgmon replays.
-	slo := telemetry.SLO{StageP999Max: 4 * time.Second, GoodputMinBps: 8e6, Burn: 3}
+	slo := telemetry.SLO{StageP999Max: 4 * time.Second, GoodputMinBps: 8e6}
 	deg, err := runTelemetryPlane(cfg.Seed+1, 4, 4, 4, cfg.Ticks, slo, true)
 	if err != nil {
 		return res, fmt.Errorf("slo scenario: %w", err)

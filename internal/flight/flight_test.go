@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"esgrid/internal/netlogger"
 	"esgrid/internal/vtime"
 )
 
@@ -243,7 +242,7 @@ func TestDumpToFile(t *testing.T) {
 	}
 }
 
-func TestVitalsPublishRender(t *testing.T) {
+func TestVitalsRender(t *testing.T) {
 	rec := New(0, 0)
 	s := runWorkload(13, rec)
 	v := Vitals{Core: s.CoreStats(), Rec: rec.Stats(), CSRHits: 3, CSRLookups: 4}
@@ -252,15 +251,6 @@ func TestVitalsPublishRender(t *testing.T) {
 	}
 	if (Vitals{}).CSRHitRate() != 0 {
 		t.Fatal("empty CSRHitRate should be 0")
-	}
-	reg := netlogger.NewRegistry(s)
-	Publish(reg, v)
-	Publish(nil, v) // nil registry must no-op
-	snap := reg.Render()
-	for _, want := range []string{"flight.core.heap.max", "flight.csr.hitrate", "flight.rec.core.written"} {
-		if !strings.Contains(snap, want) {
-			t.Errorf("registry snapshot missing %q:\n%s", want, snap)
-		}
 	}
 	out := v.Render()
 	for _, want := range []string{"CORE VITALS", "heap", "arena", "csr-cache"} {

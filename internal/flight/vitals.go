@@ -1,6 +1,5 @@
 // Core-profiler surface: a point-in-time bundle of event-core and
-// data-path vital signs, publishable into the netlogger metrics
-// registry and renderable as the esgprof vitals panel.
+// data-path vital signs, renderable as the esgprof vitals panel.
 package flight
 
 import (
@@ -8,7 +7,6 @@ import (
 	"sort"
 	"strings"
 
-	"esgrid/internal/netlogger"
 	"esgrid/internal/vtime"
 )
 
@@ -29,28 +27,6 @@ func (v Vitals) CSRHitRate() float64 {
 		return 0
 	}
 	return float64(v.CSRHits) / float64(v.CSRLookups)
-}
-
-// Publish writes the vitals into reg under the flight.* namespace, so
-// the core profiler shows up in the same snapshot table as every other
-// instrument (and in esgrpc mon.snapshot via the monitor).
-func Publish(reg *netlogger.Registry, v Vitals) {
-	if reg == nil {
-		return
-	}
-	reg.Gauge("flight.core.heap.len").Set(float64(v.Core.HeapLen))
-	reg.Gauge("flight.core.heap.max").Set(float64(v.Core.HeapMax))
-	reg.Gauge("flight.core.imm.len").Set(float64(v.Core.ImmLen))
-	reg.Gauge("flight.core.imm.max").Set(float64(v.Core.ImmMax))
-	reg.Gauge("flight.core.arena.slots").Set(float64(v.Core.ArenaSlots))
-	reg.Gauge("flight.core.arena.free").Set(float64(v.Core.FreeSlots))
-	reg.Gauge("flight.core.events.scheduled").Set(float64(v.Core.Scheduled))
-	reg.Gauge("flight.core.events.fired").Set(float64(v.Core.Fired))
-	reg.Gauge("flight.core.events.cancelled").Set(float64(v.Core.Cancelled))
-	reg.Gauge("flight.core.events.rearmed").Set(float64(v.Core.Rearmed))
-	reg.Gauge("flight.rec.core.written").Set(float64(v.Rec.CoreWritten))
-	reg.Gauge("flight.rec.data.written").Set(float64(v.Rec.DataWritten))
-	reg.Gauge("flight.csr.hitrate").Set(v.CSRHitRate())
 }
 
 // Render formats the vitals as the esgprof text panel.

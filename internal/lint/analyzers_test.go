@@ -37,6 +37,12 @@ func TestMapRangeFlight(t *testing.T) {
 	RunAnalyzer(t, "testdata", "esgrid/internal/flight", MapRange)
 }
 
+func TestMapRangeExamples(t *testing.T) {
+	// Commands, examples and the root package print to a user, so their
+	// map iteration is in scope too.
+	RunAnalyzer(t, "testdata", "esgrid/examples/listing", MapRange)
+}
+
 func TestTelemetryFixture(t *testing.T) {
 	// internal/telemetry joined the ordered-output packages in PR 9:
 	// grid snapshots and alert streams are equal-seed byte-identical at

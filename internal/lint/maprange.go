@@ -8,10 +8,12 @@ import (
 
 // MapRange flags `for … range` over a map in the packages that fold
 // state into ordered output — the netlogger export surfaces, the
-// monitor's snapshot/alert plane, and the mds directory records. Map
-// iteration order is deliberately randomized by the runtime, so an
-// unsorted fold on one of these paths is exactly the class of latent
-// determinism bug the PR 4 canonical-export fix addressed.
+// monitor's snapshot/alert plane, the mds directory records — and in
+// every package whose stdout is user output: the commands, the examples
+// and the root esgrid package. Map iteration order is deliberately
+// randomized by the runtime, so an unsorted fold on one of these paths
+// is exactly the class of latent determinism bug the PR 4
+// canonical-export fix addressed.
 //
 // Two shapes pass without annotation:
 //
@@ -38,17 +40,31 @@ var orderedPathSuffixes = []string{
 	"internal/mds",
 	"internal/flight",
 	"internal/telemetry",
+	"esgrid",
+}
+
+// orderedPathPrefixes selects whole trees of them: every command and
+// every example prints to a user.
+var orderedPathPrefixes = []string{"esgrid/cmd/", "esgrid/examples/"}
+
+// orderedPath reports whether the package at path is in the analyzer's
+// scope.
+func orderedPath(path string) bool {
+	for _, suf := range orderedPathSuffixes {
+		if strings.HasSuffix(path, suf) {
+			return true
+		}
+	}
+	for _, pre := range orderedPathPrefixes {
+		if strings.HasPrefix(path, pre) {
+			return true
+		}
+	}
+	return false
 }
 
 func runMapRange(pass *Pass) error {
-	ordered := false
-	for _, suf := range orderedPathSuffixes {
-		if strings.HasSuffix(pass.Path, suf) {
-			ordered = true
-			break
-		}
-	}
-	if !ordered {
+	if !orderedPath(pass.Path) {
 		return nil
 	}
 	for _, f := range pass.Files {

@@ -17,117 +17,78 @@ const (
 	DetectorSensorDead  = "sensor-dead"
 )
 
-// Context is the view a detector gets of the monitor. Both hooks run
-// with the monitor's lock held, so Context methods must not lock and
-// detectors must not call back into the Monitor's public API.
-type Context struct{ m *Monitor }
-
-// Transfers returns the tracked transfers in first-seen order. The
-// pointers are live: detectors may read and update the per-transfer
-// detector fields.
-func (c *Context) Transfers() []*Transfer {
-	out := make([]*Transfer, 0, len(c.m.tOrder))
-	for _, name := range c.m.tOrder {
-		out = append(out, c.m.transfers[name])
+// detectLocked routes one ingested event, after its own state update,
+// to the detector that watches its name. The four event-driven
+// detectors watch disjoint names, so no event reaches two of them; the
+// fifth, the stall watchdog, runs on each tick (stallLocked). All run
+// with the monitor's lock held.
+func (m *Monitor) detectLocked(ev netlogger.Event) {
+	switch ev.Name {
+	case "rm.progress":
+		m.collapseLocked(ev)
+	case "rm.attempt.start":
+		m.retryStormLocked(ev)
+	case "gridftp.retr.start", "gridftp.retr.end":
+		m.teardownGapLocked(ev)
+	case "nws.probe.error":
+		m.sensorDeadLocked(ev)
 	}
-	return out
 }
 
-// Forecast looks up the NWS bandwidth forecast for a directed pair.
-func (c *Context) Forecast(from, to string) (float64, bool) {
-	if c.m.cfg.Forecast == nil {
-		return 0, false
-	}
-	return c.m.cfg.Forecast(from, to)
-}
-
-// Raise records an alert at the given instant, charged to host.
-func (c *Context) Raise(at time.Time, detector, host, subject, detail string) {
-	c.m.raiseLocked(at, detector, host, subject, detail)
-}
-
-// Config exposes the monitor's tunables to custom detectors.
-func (c *Context) Config() Config { return c.m.cfg }
-
-// Detector is one pluggable anomaly rule. OnEvent sees every ingested
-// event (after the monitor's own state update); OnTick fires at each
-// Epoch-aligned series boundary.
-type Detector interface {
-	Name() string
-	OnEvent(ctx *Context, ev netlogger.Event)
-	OnTick(ctx *Context, now time.Time)
-}
-
-// stallDetector is the stalled-transfer watchdog: a transfer that has
-// attempted at least once but advanced no bytes for `after` is stalled.
-// Tape staging gets its own, longer allowance (staging legitimately
-// moves no client-visible bytes). An episode alerts once; any byte
-// advance re-arms.
-type stallDetector struct {
-	after      time.Duration
-	stageAfter time.Duration
-}
-
-func (d *stallDetector) Name() string                      { return DetectorStall }
-func (d *stallDetector) OnEvent(*Context, netlogger.Event) {}
-func (d *stallDetector) OnTick(ctx *Context, now time.Time) {
-	for _, t := range ctx.Transfers() {
+// stallLocked is the stalled-transfer watchdog: a transfer that has
+// attempted at least once but advanced no bytes for stallAfter is
+// stalled. Tape staging gets its own, longer allowance (staging
+// legitimately moves no client-visible bytes). An episode alerts once;
+// any byte advance re-arms.
+func (m *Monitor) stallLocked(now time.Time) {
+	for _, name := range m.tOrder {
+		t := m.transfers[name]
 		if t.State == "done" || t.Attempts == 0 || t.stallAlerted {
 			continue
 		}
 		if t.staging {
-			if idle := now.Sub(t.stagingSince); idle >= d.stageAfter {
+			if idle := now.Sub(t.stagingSince); idle >= stageStallAfter {
 				t.stallAlerted = true
-				ctx.Raise(now, DetectorStall, t.Replica, t.File,
+				m.raiseLocked(now, DetectorStall, t.Replica, t.File,
 					fmt.Sprintf("tape staging idle %.1fs (limit %.1fs)",
-						idle.Seconds(), d.stageAfter.Seconds()))
+						idle.Seconds(), stageStallAfter.Seconds()))
 			}
 			continue
 		}
 		if t.lastAdvance.IsZero() {
 			continue
 		}
-		if idle := now.Sub(t.lastAdvance); idle >= d.after {
+		if idle := now.Sub(t.lastAdvance); idle >= stallAfter {
 			t.stallAlerted = true
-			ctx.Raise(now, DetectorStall, t.Replica, t.File,
+			m.raiseLocked(now, DetectorStall, t.Replica, t.File,
 				fmt.Sprintf("no byte progress for %.1fs (limit %.1fs)",
-					idle.Seconds(), d.after.Seconds()))
+					idle.Seconds(), stallAfter.Seconds()))
 		}
 	}
 }
 
-// collapseDetector compares each progress sample against the NWS
-// forecast for the transfer's path: `streak` consecutive samples below
-// frac×forecast mean the path collapsed under its predicted capacity —
-// the residual signature the SC'00 operators spotted by eye on the
-// Dallas↔Berkeley link. Zero-rate samples are the stall watchdog's
-// business and are excluded here.
-type collapseDetector struct {
-	frac   float64
-	streak int
-}
-
-func (d *collapseDetector) Name() string               { return DetectorCollapse }
-func (d *collapseDetector) OnTick(*Context, time.Time) {}
-func (d *collapseDetector) OnEvent(ctx *Context, ev netlogger.Event) {
-	if ev.Name != "rm.progress" {
-		return
-	}
-	t := ctx.m.transfers[ev.Fields["file"]]
+// collapseLocked compares each progress sample against the NWS forecast
+// for the transfer's path: collapseStreak consecutive samples below
+// collapseFraction×forecast mean the path collapsed under its predicted
+// capacity — the residual signature the SC'00 operators spotted by eye
+// on the Dallas↔Berkeley link. Zero-rate samples are the stall
+// watchdog's business and are excluded here.
+func (m *Monitor) collapseLocked(ev netlogger.Event) {
+	t := m.transfers[ev.Fields["file"]]
 	if t == nil || t.Replica == "" || t.RateBps <= 0 {
 		return
 	}
-	fc, ok := ctx.Forecast(t.Replica, t.Dest)
+	fc, ok := m.forecast(t.Replica, t.Dest)
 	if !ok {
 		return
 	}
-	if t.RateBps < d.frac*fc {
+	if t.RateBps < collapseFraction*fc {
 		t.lowStreak++
-		if t.lowStreak >= d.streak && !t.lowAlerted {
+		if t.lowStreak >= collapseStreak && !t.lowAlerted {
 			t.lowAlerted = true
-			ctx.Raise(ev.Time, DetectorCollapse, t.Replica, t.File,
+			m.raiseLocked(ev.Time, DetectorCollapse, t.Replica, t.File,
 				fmt.Sprintf("rate %.1f Mb/s < %.0f%% of %.1f Mb/s forecast for %d samples",
-					t.RateBps/1e6, d.frac*100, fc/1e6, t.lowStreak))
+					t.RateBps/1e6, collapseFraction*100, fc/1e6, t.lowStreak))
 		}
 	} else {
 		t.lowStreak = 0
@@ -135,91 +96,80 @@ func (d *collapseDetector) OnEvent(ctx *Context, ev netlogger.Event) {
 	}
 }
 
-// retryStormDetector counts retry attempts (rm.attempt.start with n>1)
+// forecast is the collapse baseline: the NWS bandwidth forecast Info
+// holds for a directed pair (none without Info).
+func (m *Monitor) forecast(from, to string) (float64, bool) {
+	if m.cfg.Info == nil {
+		return 0, false
+	}
+	f, err := m.cfg.Info.Forecast(from, to)
+	if err != nil || f.BandwidthBps <= 0 {
+		return 0, false
+	}
+	return f.BandwidthBps, true
+}
+
+// retryStormLocked counts retry attempts (rm.attempt.start with n>1)
 // per replica host inside a sliding window; crossing the threshold
 // raises one alert, suppressed for a window so a single storm doesn't
 // spam.
-type retryStormDetector struct {
-	window    time.Duration
-	threshold int
-}
-
-func (d *retryStormDetector) Name() string               { return DetectorRetryStorm }
-func (d *retryStormDetector) OnTick(*Context, time.Time) {}
-func (d *retryStormDetector) OnEvent(ctx *Context, ev netlogger.Event) {
-	if ev.Name != "rm.attempt.start" || ev.Fields["n"] == "1" || ev.Fields["n"] == "" {
+func (m *Monitor) retryStormLocked(ev netlogger.Event) {
+	if ev.Fields["n"] == "1" || ev.Fields["n"] == "" {
 		return
 	}
 	host := ev.Fields["replica"]
 	if host == "" {
 		return
 	}
-	h := ctx.m.host(host)
+	h := m.host(host)
 	h.retries = append(h.retries, ev.Time)
 	keep := h.retries[:0]
 	for _, r := range h.retries {
-		if ev.Time.Sub(r) <= d.window {
+		if ev.Time.Sub(r) <= retryWindow {
 			keep = append(keep, r)
 		}
 	}
 	h.retries = keep
-	if len(h.retries) >= d.threshold &&
-		(h.lastStorm.IsZero() || ev.Time.Sub(h.lastStorm) > d.window) {
+	if len(h.retries) >= retryThreshold &&
+		(h.lastStorm.IsZero() || ev.Time.Sub(h.lastStorm) > retryWindow) {
 		h.lastStorm = ev.Time
-		ctx.Raise(ev.Time, DetectorRetryStorm, host, host,
-			fmt.Sprintf("%d retries within %.0fs", len(h.retries), d.window.Seconds()))
+		m.raiseLocked(ev.Time, DetectorRetryStorm, host, host,
+			fmt.Sprintf("%d retries within %.0fs", len(h.retries), retryWindow.Seconds()))
 	}
 }
 
-// teardownGapDetector watches the idle gap between consecutive GridFTP
+// teardownGapLocked watches the idle gap between consecutive GridFTP
 // retrievals served by the same host — the paper's ~0.8 s per-file TCP
 // teardown cost. It learns a per-host baseline mean from healthy gaps
-// and alerts when a gap regresses past factor× that baseline.
-type teardownGapDetector struct {
-	factor float64
-	min    time.Duration
-}
-
-func (d *teardownGapDetector) Name() string               { return DetectorTeardownGap }
-func (d *teardownGapDetector) OnTick(*Context, time.Time) {}
-func (d *teardownGapDetector) OnEvent(ctx *Context, ev netlogger.Event) {
-	switch ev.Name {
-	case "gridftp.retr.end":
-		ctx.m.host(ev.Host).lastRetrEnd = ev.Time
-	case "gridftp.retr.start":
-		h := ctx.m.host(ev.Host)
-		if h.lastRetrEnd.IsZero() {
-			return
-		}
-		gap := ev.Time.Sub(h.lastRetrEnd).Seconds()
-		if h.gapN >= 3 && gap > d.factor*h.gapMean && gap > d.min.Seconds() {
-			ctx.Raise(ev.Time, DetectorTeardownGap, ev.Host, ev.Host,
-				fmt.Sprintf("inter-retrieval gap %.2fs vs %.2fs baseline", gap, h.gapMean))
-			return // regressed gaps don't poison the baseline
-		}
-		h.gapN++
-		h.gapMean += (gap - h.gapMean) / float64(h.gapN)
-	}
-}
-
-// sensorDeadDetector listens for the nws.probe.error events the sensor
-// emits (PR 4's nws bugfix) and alerts when a pair's consecutive
-// failure count reaches the threshold — exactly once per outage, since
-// the counter resets on the first success.
-type sensorDeadDetector struct {
-	failures int
-}
-
-func (d *sensorDeadDetector) Name() string               { return DetectorSensorDead }
-func (d *sensorDeadDetector) OnTick(*Context, time.Time) {}
-func (d *sensorDeadDetector) OnEvent(ctx *Context, ev netlogger.Event) {
-	if ev.Name != "nws.probe.error" {
+// and alerts when a gap regresses past gapFactor× that baseline.
+func (m *Monitor) teardownGapLocked(ev netlogger.Event) {
+	h := m.host(ev.Host)
+	if ev.Name == "gridftp.retr.end" {
+		h.lastRetrEnd = ev.Time
 		return
 	}
-	if ev.Fields["consecutive"] != fmt.Sprint(d.failures) {
+	if h.lastRetrEnd.IsZero() {
+		return
+	}
+	gap := ev.Time.Sub(h.lastRetrEnd).Seconds()
+	if h.gapN >= 3 && gap > gapFactor*h.gapMean && gap > gapMin.Seconds() {
+		m.raiseLocked(ev.Time, DetectorTeardownGap, ev.Host, ev.Host,
+			fmt.Sprintf("inter-retrieval gap %.2fs vs %.2fs baseline", gap, h.gapMean))
+		return // regressed gaps don't poison the baseline
+	}
+	h.gapN++
+	h.gapMean += (gap - h.gapMean) / float64(h.gapN)
+}
+
+// sensorDeadLocked listens for the nws.probe.error events the sensor
+// emits and alerts when a pair's consecutive failure count reaches
+// sensorFailures — exactly once per outage, since the counter resets on
+// the first success.
+func (m *Monitor) sensorDeadLocked(ev netlogger.Event) {
+	if ev.Fields["consecutive"] != fmt.Sprint(sensorFailures) {
 		return
 	}
 	pair := ev.Fields["from"] + "->" + ev.Fields["to"]
-	ctx.Raise(ev.Time, DetectorSensorDead, ev.Fields["from"], pair,
-		fmt.Sprintf("%d consecutive probe failures: %s", d.failures, ev.Fields["err"]))
+	m.raiseLocked(ev.Time, DetectorSensorDead, ev.Fields["from"], pair,
+		fmt.Sprintf("%d consecutive probe failures: %s", sensorFailures, ev.Fields["err"]))
 }

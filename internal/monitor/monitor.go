@@ -4,9 +4,9 @@
 // and annotate the timeline (§5, Figure 8). Here that becomes a
 // subsystem: the monitor subscribes to the netlogger event stream,
 // maintains bounded ring-buffer time series per host and transfer plus
-// streaming stage-latency digests, runs pluggable anomaly detectors,
-// and publishes HostHealth/PathHealth verdicts into MDS so replica
-// selection can route around unhealthy paths.
+// streaming stage-latency digests, runs a fixed battery of five
+// anomaly detectors, and publishes HostHealth/PathHealth verdicts into
+// MDS so replica selection can route around unhealthy paths.
 //
 // The plane is a pure observer by default: it never emits into the log
 // it watches, keeps its alerts in its own buffer, and advances its tick
@@ -28,90 +28,38 @@ import (
 	"esgrid/internal/vtime"
 )
 
-// Config tunes the monitor plane. The zero value of every field is
-// usable: defaults are filled in by New.
+// Config wires the monitor plane to its surroundings. The zero value is
+// a replay-mode monitor.
 type Config struct {
 	// Clock drives the live tick loop (Start) and stamps MDS
 	// publications. Optional: a replay-mode monitor (esgmon -jsonl) has
 	// no clock and advances purely on event timestamps.
 	Clock vtime.Clock
-	// Tick is the series sampling cadence (default 1s).
-	Tick time.Duration
-	// RingLen bounds every per-host series (default 120 ticks).
-	RingLen int
 	// Info, when set, receives HostHealth/PathHealth records each live
-	// tick and supplies NWS forecasts to the collapse detector.
+	// tick and supplies the NWS forecasts the collapse detector compares
+	// against (with no Info that detector is idle).
 	Info *mds.Service
 	// Metrics, when set, is sampled each tick for the active-flow gauge.
 	Metrics *netlogger.Registry
-	// Forecast overrides the collapse baseline lookup (defaults to
-	// Info.Forecast; with neither, the collapse detector is idle).
-	Forecast func(from, to string) (float64, bool)
-	// Detectors replaces the default battery when non-nil.
-	Detectors []Detector
-
-	// Detector tunables (defaults in parentheses).
-	StallAfter       time.Duration // no byte progress for this long → stall (3s)
-	StageStallAfter  time.Duration // tape staging longer than this → stall (8s)
-	CollapseFraction float64       // rate below frac×forecast counts (0.3)
-	CollapseStreak   int           // consecutive low samples to alarm (3)
-	RetryWindow      time.Duration // retry-storm window (15s)
-	RetryThreshold   int           // retries within window to alarm (3)
-	GapFactor        float64       // teardown gap vs baseline mean (4×)
-	GapMin           time.Duration // ignore gaps smaller than this (1s)
-	SensorFailures   int           // consecutive probe errors → dead (3)
-	DecayWindow      time.Duration // how long an alert colors health (10s)
 }
 
-func (c Config) withDefaults() Config {
-	if c.Tick <= 0 {
-		c.Tick = time.Second
-	}
-	if c.RingLen <= 0 {
-		c.RingLen = 120
-	}
-	if c.StallAfter <= 0 {
-		c.StallAfter = 3 * time.Second
-	}
-	if c.StageStallAfter <= 0 {
-		c.StageStallAfter = 8 * time.Second
-	}
-	if c.CollapseFraction <= 0 {
-		c.CollapseFraction = 0.3
-	}
-	if c.CollapseStreak <= 0 {
-		c.CollapseStreak = 3
-	}
-	if c.RetryWindow <= 0 {
-		c.RetryWindow = 15 * time.Second
-	}
-	if c.RetryThreshold <= 0 {
-		c.RetryThreshold = 3
-	}
-	if c.GapFactor <= 0 {
-		c.GapFactor = 4
-	}
-	if c.GapMin <= 0 {
-		c.GapMin = time.Second
-	}
-	if c.SensorFailures <= 0 {
-		c.SensorFailures = 3
-	}
-	if c.DecayWindow <= 0 {
-		c.DecayWindow = 10 * time.Second
-	}
-	if c.Forecast == nil && c.Info != nil {
-		info := c.Info
-		c.Forecast = func(from, to string) (float64, bool) {
-			f, err := info.Forecast(from, to)
-			if err != nil || f.BandwidthBps <= 0 {
-				return 0, false
-			}
-			return f.BandwidthBps, true
-		}
-	}
-	return c
-}
+// The plane's cadence, series bound and detector thresholds. They are
+// fixed: S14's alert stream and every esgmon replay are pinned at these
+// values.
+const (
+	tickPeriod       = time.Second      // series sampling cadence
+	ringLen          = 120              // samples kept per series
+	stallAfter       = 3 * time.Second  // no byte progress for this long → stall
+	stageStallAfter  = 8 * time.Second  // tape staging longer than this → stall
+	collapseFraction = 0.3              // rate below this × forecast is low
+	collapseStreak   = 3                // consecutive low samples to alarm
+	retryWindow      = 15 * time.Second // retry-storm window
+	retryThreshold   = 3                // retries within window to alarm
+	gapFactor        = 4                // teardown gap vs baseline mean
+	gapMin           = time.Second      // ignore gaps smaller than this
+	sensorFailures   = 3                // consecutive probe errors → dead
+	decayWindow      = 10 * time.Second // how long an alert colors health
+)
 
 // Alert is one detector firing.
 type Alert struct {
@@ -198,7 +146,6 @@ type Monitor struct {
 	flows     *Ring
 	starts    map[string]spanStart // trid → open staged span
 	alerts    []Alert
-	detectors []Detector
 	lastSeen  time.Time // latest ingested event timestamp
 	stopped   bool
 }
@@ -206,28 +153,17 @@ type Monitor struct {
 // New builds a monitor. Call Attach to feed it a live log, Start to run
 // the tick/publication loop, or Observe to replay recorded events.
 func New(cfg Config) *Monitor {
-	cfg = cfg.withDefaults()
 	m := &Monitor{
 		cfg:       cfg,
 		transfers: map[string]*Transfer{},
 		hosts:     map[string]*hostState{},
 		pairs:     map[pairKey]*pairState{},
 		stages:    map[string]*netlogger.LogHistogram{},
-		flows:     NewRing(cfg.RingLen),
+		flows:     NewRing(ringLen),
 		starts:    map[string]spanStart{},
 	}
-	m.detectors = cfg.Detectors
-	if m.detectors == nil {
-		m.detectors = []Detector{
-			&stallDetector{after: cfg.StallAfter, stageAfter: cfg.StageStallAfter},
-			&collapseDetector{frac: cfg.CollapseFraction, streak: cfg.CollapseStreak},
-			&retryStormDetector{window: cfg.RetryWindow, threshold: cfg.RetryThreshold},
-			&teardownGapDetector{factor: cfg.GapFactor, min: cfg.GapMin},
-			&sensorDeadDetector{failures: cfg.SensorFailures},
-		}
-	}
 	if cfg.Clock != nil {
-		m.nextTick = nextBoundary(cfg.Clock.Now(), cfg.Tick)
+		m.nextTick = nextBoundary(cfg.Clock.Now(), tickPeriod)
 	}
 	return m
 }
@@ -241,14 +177,14 @@ func nextBoundary(t time.Time, tick time.Duration) time.Time {
 // Attach subscribes the monitor to log's event stream.
 func (m *Monitor) Attach(log *netlogger.Log) { log.Subscribe(m.Observe) }
 
-// Start launches the live tick loop: every Tick it fires any due series
+// Start launches the live tick loop: every tick it fires any due series
 // boundaries and publishes health into MDS (when Info is set). Requires
 // a Clock.
 func (m *Monitor) Start() {
 	clk := m.cfg.Clock
 	clk.Go(func() {
 		for {
-			clk.Sleep(m.cfg.Tick)
+			clk.Sleep(tickPeriod)
 			m.mu.Lock()
 			if m.stopped {
 				m.mu.Unlock()
@@ -285,7 +221,7 @@ func (m *Monitor) Observe(ev netlogger.Event) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.nextTick.IsZero() {
-		m.nextTick = nextBoundary(ev.Time, m.cfg.Tick)
+		m.nextTick = nextBoundary(ev.Time, tickPeriod)
 	}
 	if ev.Time.After(m.lastSeen) {
 		m.lastSeen = ev.Time
@@ -301,7 +237,7 @@ func (m *Monitor) AdvanceTo(t time.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.nextTick.IsZero() {
-		m.nextTick = nextBoundary(t.Add(-m.cfg.Tick), m.cfg.Tick)
+		m.nextTick = nextBoundary(t.Add(-tickPeriod), tickPeriod)
 	}
 	if t.After(m.lastSeen) {
 		m.lastSeen = t
@@ -327,7 +263,7 @@ func (m *Monitor) advanceLocked(t time.Time) {
 	}
 	for !m.nextTick.After(t) {
 		m.tickLocked(m.nextTick)
-		m.nextTick = m.nextTick.Add(m.cfg.Tick)
+		m.nextTick = m.nextTick.Add(tickPeriod)
 	}
 }
 
@@ -374,10 +310,7 @@ func (m *Monitor) tickLocked(at time.Time) {
 	if m.cfg.Metrics != nil {
 		m.flows.Push(m.cfg.Metrics.Gauge("simnet.flows.active").Value())
 	}
-	ctx := &Context{m: m}
-	for _, d := range m.detectors {
-		d.OnTick(ctx, at)
-	}
+	m.stallLocked(at)
 }
 
 func (m *Monitor) host(name string) *hostState {
@@ -385,7 +318,7 @@ func (m *Monitor) host(name string) *hostState {
 	if h == nil {
 		h = &hostState{
 			name:      name,
-			goodput:   NewRing(m.cfg.RingLen),
+			goodput:   NewRing(ringLen),
 			lastAlert: map[string]time.Time{},
 		}
 		m.hosts[name] = h
@@ -416,7 +349,7 @@ func (m *Monitor) pair(from, to string) *pairState {
 }
 
 // handleLocked routes one event into the tracked state, then to the
-// detector battery.
+// event-driven detectors.
 func (m *Monitor) handleLocked(ev netlogger.Event) {
 	switch ev.Name {
 	case "rm.file.start":
@@ -477,10 +410,8 @@ func (m *Monitor) handleLocked(ev netlogger.Event) {
 		if t.Replica != "" && t.Dest != "" {
 			p := m.pair(t.Replica, t.Dest)
 			p.observed = rate
-			if m.cfg.Forecast != nil {
-				if f, ok := m.cfg.Forecast(t.Replica, t.Dest); ok {
-					p.forecast = f
-				}
+			if f, ok := m.forecast(t.Replica, t.Dest); ok {
+				p.forecast = f
 			}
 		}
 	}
@@ -504,10 +435,7 @@ func (m *Monitor) handleLocked(ev netlogger.Event) {
 			}
 		}
 	}
-	ctx := &Context{m: m}
-	for _, d := range m.detectors {
-		d.OnEvent(ctx, ev)
-	}
+	m.detectLocked(ev)
 }
 
 // raiseLocked records an alert and charges it to the host.
@@ -565,7 +493,7 @@ func (m *Monitor) AlertJSONL() string { return EncodeAlerts(m.Alerts()) }
 func (m *Monitor) statusOf(h *hostState, now time.Time) string {
 	recent := func(det string) bool {
 		t, ok := h.lastAlert[det]
-		return ok && now.Sub(t) <= m.cfg.DecayWindow
+		return ok && now.Sub(t) <= decayWindow
 	}
 	switch {
 	case recent(DetectorStall):

@@ -103,14 +103,14 @@ func TestStallDetectorStagingAllowance(t *testing.T) {
 }
 
 func TestCollapseDetector(t *testing.T) {
-	m := New(Config{
-		Forecast: func(from, to string) (float64, bool) {
-			if from == "ncar" && to == "anl" {
-				return 100e6, true
-			}
-			return 0, false
-		},
-	})
+	info, err := mds.New(ldapd.NewDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := info.PublishForecast(mds.NetForecast{From: "ncar", To: "anl", BandwidthBps: 100e6}); err != nil {
+		t.Fatal(err)
+	}
+	m := New(Config{Info: info})
 	low := func(at time.Duration, recv string) netlogger.Event {
 		return ev(at, "anl", "rm.progress",
 			"file", "c.nc", "replica", "ncar", "received", recv, "ratebps", "10000000")
@@ -455,15 +455,6 @@ func TestRPCRoundTrip(t *testing.T) {
 		}
 		if len(more.Alerts) != 0 || more.Next != 1 {
 			t.Fatalf("incremental reply = %+v", more)
-		}
-		// Detector names and Context config are exposed to pluggable users.
-		for _, d := range m.detectors {
-			if d.Name() == "" {
-				t.Fatal("unnamed detector")
-			}
-		}
-		if (&Context{m: m}).Config().Tick != time.Second {
-			t.Fatal("context config")
 		}
 	})
 }

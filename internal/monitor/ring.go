@@ -5,10 +5,9 @@ package monitor
 // host (goodput) plus one for the global active-flow gauge, bounding
 // memory no matter how long the plane runs.
 type Ring struct {
-	vals  []float64
-	head  int // next write position
-	n     int // samples stored (<= cap)
-	total int // samples ever pushed
+	vals []float64
+	head int // next write position
+	n    int // samples stored (<= cap)
 }
 
 // NewRing returns a ring holding the last capacity samples (min 1).
@@ -26,14 +25,10 @@ func (r *Ring) Push(v float64) {
 	if r.n < len(r.vals) {
 		r.n++
 	}
-	r.total++
 }
 
 // Len reports how many samples are held.
 func (r *Ring) Len() int { return r.n }
-
-// Total reports how many samples were ever pushed.
-func (r *Ring) Total() int { return r.total }
 
 // Last returns the most recent sample (0 when empty).
 func (r *Ring) Last() float64 {
@@ -66,15 +61,4 @@ func (r *Ring) Mean(n int) float64 {
 		sum += r.vals[(r.head-1-i+len(r.vals)*2)%len(r.vals)]
 	}
 	return sum / float64(n)
-}
-
-// Max returns the largest held sample (0 when empty).
-func (r *Ring) Max() float64 {
-	var mx float64
-	for i, v := range r.Values() {
-		if i == 0 || v > mx {
-			mx = v
-		}
-	}
-	return mx
 }

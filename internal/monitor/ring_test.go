@@ -7,7 +7,7 @@ import (
 
 func TestRingEviction(t *testing.T) {
 	r := NewRing(3)
-	if r.Len() != 0 || r.Last() != 0 || r.Mean(0) != 0 || r.Max() != 0 {
+	if r.Len() != 0 || r.Last() != 0 || r.Mean(0) != 0 {
 		t.Fatal("empty ring not zero-valued")
 	}
 	for _, v := range []float64{1, 2, 3} {
@@ -20,17 +20,14 @@ func TestRingEviction(t *testing.T) {
 	if got := r.Values(); len(got) != 3 || got[0] != 2 || got[2] != 4 {
 		t.Fatalf("after eviction: %v", got)
 	}
-	if r.Last() != 4 || r.Total() != 4 || r.Len() != 3 {
-		t.Fatalf("Last=%v Total=%d Len=%d", r.Last(), r.Total(), r.Len())
+	if r.Last() != 4 || r.Len() != 3 {
+		t.Fatalf("Last=%v Len=%d", r.Last(), r.Len())
 	}
 	if got := r.Mean(2); got != 3.5 {
 		t.Fatalf("Mean(2) = %v", got)
 	}
 	if got := r.Mean(0); got != 3 {
 		t.Fatalf("Mean(all) = %v", got)
-	}
-	if got := r.Max(); got != 4 {
-		t.Fatalf("Max = %v", got)
 	}
 }
 

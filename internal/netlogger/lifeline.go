@@ -2,7 +2,7 @@
 // paper built from NetLogger life-lines — a per-stage attribution of
 // where each request's wall time went, the inter-file gap signature that
 // exposed Figure 8's ~0.8 s TCP teardown pauses, an ASCII gantt chart,
-// and ULM/JSONL/CSV exports of the raw event stream.
+// and ULM/JSONL exports of the raw event stream.
 package netlogger
 
 import (
@@ -198,22 +198,6 @@ func (a TraceAnalysis) RenderStageTable() string {
 	}
 	fmt.Fprintf(&b, "%-16s %12s %6.2f%%\n", "(other)", fmtDur(a.Other), otherShare)
 	fmt.Fprintf(&b, "%-16s %12s %6.2f%%\n", "total", fmtDur(a.Wall), 100.0)
-	return b.String()
-}
-
-// StagesCSV exports the breakdown as "stage,seconds,share" lines.
-func (a TraceAnalysis) StagesCSV() string {
-	var b strings.Builder
-	b.WriteString("stage,seconds,share\n")
-	for _, st := range a.Stages {
-		share := 0.0
-		if a.Wall > 0 {
-			share = float64(st.Dur) / float64(a.Wall)
-		}
-		fmt.Fprintf(&b, "%s,%.6f,%.4f\n", st.Stage, st.Dur.Seconds(), share)
-	}
-	fmt.Fprintf(&b, "other,%.6f,%.4f\n", a.Other.Seconds(),
-		1-a.Coverage)
 	return b.String()
 }
 

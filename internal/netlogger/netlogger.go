@@ -8,7 +8,7 @@
 // questions the paper's instrumentation answered: peak rate over any
 // 0.1 s window, peak over any 5 s window, sustained average, and total
 // bytes moved. Series can be rendered as ASCII charts (the Figure 8
-// analog) or exported as CSV.
+// analog).
 package netlogger
 
 import (
@@ -309,21 +309,6 @@ func Summarize(vs []float64) Stats {
 	}
 	st.P50, st.P90, st.P99 = pct(0.50), pct(0.90), pct(0.99)
 	return st
-}
-
-// CSV renders a series as "seconds,value" lines (seconds relative to the
-// first sample).
-func (s Series) CSV() string {
-	var b strings.Builder
-	if len(s) == 0 {
-		return ""
-	}
-	t0 := s[0].T
-	b.WriteString("seconds,value\n")
-	for _, p := range s {
-		fmt.Fprintf(&b, "%.3f,%.6g\n", p.T.Sub(t0).Seconds(), p.V)
-	}
-	return b.String()
 }
 
 // Values extracts the sample values.

@@ -146,7 +146,7 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestSeriesCSVAndPlot(t *testing.T) {
+func TestSeriesPlot(t *testing.T) {
 	t0 := vtime.Epoch
 	var s Series
 	for i := 0; i < 60; i++ {
@@ -155,13 +155,6 @@ func TestSeriesCSVAndPlot(t *testing.T) {
 			v = 100
 		}
 		s = append(s, Point{T: t0.Add(time.Duration(i) * time.Second), V: v})
-	}
-	csv := s.CSV()
-	if !strings.HasPrefix(csv, "seconds,value\n0.000,50\n") {
-		t.Fatalf("csv head: %q", csv[:40])
-	}
-	if len(strings.Split(strings.TrimSpace(csv), "\n")) != 61 {
-		t.Fatal("csv row count")
 	}
 	plot := s.Plot("step function", "units", 60, 8)
 	if !strings.Contains(plot, "step function") || !strings.Contains(plot, "#") {
@@ -175,9 +168,6 @@ func TestSeriesCSVAndPlot(t *testing.T) {
 	}
 	if (Series{}).Plot("empty", "u", 40, 6) == "" {
 		t.Fatal("empty plot")
-	}
-	if (Series{}).CSV() != "" {
-		t.Fatal("empty csv")
 	}
 }
 

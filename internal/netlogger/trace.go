@@ -112,16 +112,6 @@ func (r SpanRecord) Dur() time.Duration {
 	return r.End.Sub(r.Start)
 }
 
-// Attr returns the value of the named attribute, or "".
-func (r SpanRecord) Attr(key string) string {
-	for i := 0; i+1 < len(r.Attrs); i += 2 {
-		if r.Attrs[i] == key {
-			return r.Attrs[i+1]
-		}
-	}
-	return ""
-}
-
 // StartTrace mints a new trace and returns its root span.
 func (t *Tracer) StartTrace(name, host string, kv ...string) *Span {
 	if t == nil {

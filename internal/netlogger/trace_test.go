@@ -101,7 +101,7 @@ func TestTracerSpanTreeAndEvents(t *testing.T) {
 		if recs[1].Dur() != 2*time.Second {
 			t.Errorf("child duration %v, want 2s", recs[1].Dur())
 		}
-		if recs[0].Attr("user") != "alice" || recs[1].Attr("bytes") != "100" {
+		if got := strings.Join(append(recs[0].Attrs, recs[1].Attrs...), " "); got != "user alice file a.nc bytes 100" {
 			t.Errorf("attrs lost: %+v", recs)
 		}
 		if got := recs[1].Stage; got != StageData {
@@ -229,10 +229,6 @@ func TestAnalyzeTraceAttributionAndGaps(t *testing.T) {
 		table := a.RenderStageTable()
 		if !strings.Contains(table, StageData) || !strings.Contains(table, "total") {
 			t.Errorf("stage table:\n%s", table)
-		}
-		csv := a.StagesCSV()
-		if !strings.Contains(csv, "data,5.000000") {
-			t.Errorf("csv:\n%s", csv)
 		}
 	})
 }

@@ -22,26 +22,33 @@ type HostNet interface {
 	Name() string
 }
 
+// The plane's fixed shape. Equal-seed S16 artifacts are pinned at these
+// values.
+const (
+	tickPeriod = time.Second // Epoch-aligned fold cadence
+	// basePort is the leaf→site telemetry port; tier t aggregators
+	// listen on basePort+t so one host can serve several tiers.
+	basePort = 7070
+	// goodputCounter names the byte counter goodput is derived from;
+	// rates are bits per second over a tick.
+	goodputCounter = "bytes.total"
+	// stagePrefix selects the stage-latency histograms SLOs watch.
+	stagePrefix = "stage."
+	// burnTicks is how many consecutive breaching ticks turn a
+	// degradation into an alert (burn-rate detection).
+	burnTicks = 3
+)
+
 // SLO holds the grid service-level objectives the root enforces. Both
 // thresholds are optional (zero disables); GoodputMinBps is a per-host
 // floor, scaled by the number of hosts a summary covers before
 // comparison.
 type SLO struct {
 	// StageP999Max is the worst acceptable p999 across stage-latency
-	// histograms (names under Config.StagePrefix).
+	// histograms (names under "stage.").
 	StageP999Max time.Duration
 	// GoodputMinBps is the minimum acceptable delivered rate per host.
 	GoodputMinBps float64
-	// Burn is how many consecutive breaching ticks turn a degradation
-	// into an alert (burn-rate detection, default 3).
-	Burn int
-}
-
-func (s SLO) burnTicks() int {
-	if s.Burn > 0 {
-		return s.Burn
-	}
-	return 3
 }
 
 // burnState tracks one SLO dimension's consecutive-breach streak.
@@ -50,14 +57,14 @@ type burnState struct{ streak int }
 // observe advances the streak and reports the resulting health status
 // plus whether the streak just crossed the burn threshold (the rising
 // edge on which an alert fires).
-func (b *burnState) observe(breach bool, burn int) (string, bool) {
+func (b *burnState) observe(breach bool) (string, bool) {
 	if !breach {
 		b.streak = 0
 		return mds.HealthOK, false
 	}
 	b.streak++
-	if b.streak >= burn {
-		return mds.HealthDown, b.streak == burn
+	if b.streak >= burnTicks {
+		return mds.HealthDown, b.streak == burnTicks
 	}
 	return mds.HealthDegraded, false
 }
@@ -81,24 +88,13 @@ func worseStatus(a, b string) string {
 // Config parameterises a telemetry plane.
 type Config struct {
 	Clock vtime.Clock
-	// Tick is the Epoch-aligned fold cadence (default 1s).
-	Tick time.Duration
 	// Ticks is how many folds each agent performs before the plane
 	// drains; required.
 	Ticks int
 	// Fanout bounds the children of any aggregator above the site tier
 	// (default 4, minimum 2).
 	Fanout int
-	// Port is the base telemetry port; tier t aggregators listen on
-	// Port+t so one host can serve several tiers.
-	Port int
-	// GoodputCounter names the byte counter goodput is derived from
-	// (default "bytes.total"); rates are bits per second over a tick.
-	GoodputCounter string
-	// StagePrefix selects the stage-latency histograms SLOs watch
-	// (default "stage.").
-	StagePrefix string
-	SLO         SLO
+	SLO    SLO
 	// Info, when set, receives ou=health grid rollups each tick.
 	Info *mds.Service
 }
@@ -186,23 +182,11 @@ func New(cfg Config) (*Plane, error) {
 	if cfg.Ticks <= 0 {
 		return nil, errors.New("telemetry: Config.Ticks must be positive")
 	}
-	if cfg.Tick <= 0 {
-		cfg.Tick = time.Second
-	}
 	if cfg.Fanout == 0 {
 		cfg.Fanout = 4
 	}
 	if cfg.Fanout < 2 {
 		return nil, errors.New("telemetry: Config.Fanout must be at least 2")
-	}
-	if cfg.Port == 0 {
-		cfg.Port = 7070
-	}
-	if cfg.GoodputCounter == "" {
-		cfg.GoodputCounter = "bytes.total"
-	}
-	if cfg.StagePrefix == "" {
-		cfg.StagePrefix = "stage."
 	}
 	p := &Plane{
 		cfg:     cfg,
@@ -320,7 +304,7 @@ func (p *Plane) Start() error {
 				host: chunk[0].host, tierLabel: fmt.Sprintf("t%d:agg%d", tier+1, tier),
 				children: nodeNames(chunk),
 			}
-			addr := hostPort(a.host.Name(), p.cfg.Port+tier)
+			addr := hostPort(a.host.Name(), basePort+tier)
 			for _, c := range chunk {
 				c.parentAddr = addr
 			}
@@ -333,7 +317,7 @@ func (p *Plane) Start() error {
 		p: p, name: "grid", host: p.rootHost,
 		children: nodeNames(level), isRoot: true,
 	}
-	rootAddr := hostPort(root.host.Name(), p.cfg.Port+tier+1)
+	rootAddr := hostPort(root.host.Name(), basePort+tier+1)
 	for _, c := range level {
 		c.parentAddr = rootAddr
 	}
@@ -342,7 +326,7 @@ func (p *Plane) Start() error {
 	// Bind every listener before any agent runs, so dials cannot race
 	// listener setup.
 	for _, a := range all {
-		port := p.cfg.Port
+		port := basePort
 		switch {
 		case a.isRoot:
 			port += tier + 1
@@ -367,7 +351,7 @@ func (p *Plane) Start() error {
 	}
 	for _, name := range siteNames {
 		s := p.sites[name]
-		addr := hostPort(s.agg.Name(), p.cfg.Port)
+		addr := hostPort(s.agg.Name(), basePort)
 		for _, l := range s.leaves {
 			l := l
 			p.cfg.Clock.Go(func() { p.runLeaf(l, addr) })
@@ -386,13 +370,6 @@ func nodeNames(nodes []*aggNode) []string {
 
 func hostPort(host string, port int) string { return fmt.Sprintf("%s:%d", host, port) }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // runLeaf is the host-side agent: every tick boundary it snapshots the
 // local registry and ships the summary to its site aggregator.
 func (p *Plane) runLeaf(l leafDef, parentAddr string) {
@@ -404,9 +381,9 @@ func (p *Plane) runLeaf(l leafDef, parentAddr string) {
 	defer conn.Close()
 	clk := p.cfg.Clock
 	for i := 0; i < p.cfg.Ticks; i++ {
-		b := vtime.NextTick(clk.Now(), p.cfg.Tick)
+		b := vtime.NextTick(clk.Now(), tickPeriod)
 		clk.Sleep(b.Sub(clk.Now()))
-		tick := int64(b.Sub(vtime.Epoch) / p.cfg.Tick)
+		tick := int64(b.Sub(vtime.Epoch) / tickPeriod)
 		sum := Summary{Tick: tick, Hosts: 1, RegistrySnapshot: l.reg.Mergeable()}
 		payload, err := EncodeFrame(Frame{Node: l.host.Name(), Tick: tick, Sum: sum})
 		if err == nil {
@@ -526,12 +503,12 @@ func (a *aggNode) expects(child string) bool {
 // and SLO status from its own burn streak.
 func (a *aggNode) siteRow(sum Summary) SiteRow {
 	p := a.p
-	cur := sum.Counter(p.cfg.GoodputCounter)
-	goodput := (cur - a.prevBytes) * 8 / p.cfg.Tick.Seconds()
+	cur := sum.Counter(goodputCounter)
+	goodput := (cur - a.prevBytes) * 8 / tickPeriod.Seconds()
 	a.prevBytes = cur
-	p999, _ := maxStageP999(sum, p.cfg.StagePrefix)
+	p999, _ := maxStageP999(sum)
 	breach := p.cfg.SLO.stageBreach(p999) || p.cfg.SLO.goodputBreach(goodput, sum.Hosts)
-	status, _ := a.burn.observe(breach, p.cfg.SLO.burnTicks())
+	status, _ := a.burn.observe(breach)
 	return SiteRow{
 		Site: a.site, Hosts: sum.Hosts,
 		GoodputBps: goodput, StageP999s: p999, Status: status,
@@ -548,10 +525,10 @@ func (s SLO) goodputBreach(goodputBps float64, hosts int64) bool {
 
 // maxStageP999 returns the worst p999 across stage histograms and which
 // stage owns it.
-func maxStageP999(sum Summary, prefix string) (float64, string) {
+func maxStageP999(sum Summary) (float64, string) {
 	worst, name := 0.0, ""
 	for _, nh := range sum.Hists {
-		if !strings.HasPrefix(nh.Name, prefix) {
+		if !strings.HasPrefix(nh.Name, stagePrefix) {
 			continue
 		}
 		if q := nh.H.Quantile(0.999); q > worst {
@@ -565,9 +542,8 @@ func maxStageP999(sum Summary, prefix string) (float64, string) {
 // advance the SLO burn streaks, fire rising-edge alerts, publish
 // ou=health entries, and append the JSONL record stream.
 func (p *Plane) rootFold(tick int64, sum Summary, rows []SiteRow) {
-	ts := TickTime(tick, p.cfg.Tick)
+	ts := TickTime(tick, tickPeriod)
 	tsStr := ts.UTC().Format(time.RFC3339Nano)
-	burn := p.cfg.SLO.burnTicks()
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -575,18 +551,18 @@ func (p *Plane) rootFold(tick int64, sum Summary, rows []SiteRow) {
 		return
 	}
 
-	cur := sum.Counter(p.cfg.GoodputCounter)
-	goodput := (cur - p.prevBytes) * 8 / p.cfg.Tick.Seconds()
+	cur := sum.Counter(goodputCounter)
+	goodput := (cur - p.prevBytes) * 8 / tickPeriod.Seconds()
 	p.prevBytes = cur
-	p999, worstStage := maxStageP999(sum, p.cfg.StagePrefix)
+	p999, worstStage := maxStageP999(sum)
 
-	stStatus, stFired := p.stageBurn.observe(p.cfg.SLO.stageBreach(p999), burn)
-	gpStatus, gpFired := p.goodBurn.observe(p.cfg.SLO.goodputBreach(goodput, sum.Hosts), burn)
+	stStatus, stFired := p.stageBurn.observe(p.cfg.SLO.stageBreach(p999))
+	gpStatus, gpFired := p.goodBurn.observe(p.cfg.SLO.goodputBreach(goodput, sum.Hosts))
 	status := worseStatus(stStatus, gpStatus)
 
 	var stages []StageTail
 	for _, nh := range sum.Hists {
-		if !strings.HasPrefix(nh.Name, p.cfg.StagePrefix) {
+		if !strings.HasPrefix(nh.Name, stagePrefix) {
 			continue
 		}
 		stages = append(stages, StageTail{
@@ -609,12 +585,12 @@ func (p *Plane) rootFold(tick int64, sum Summary, rows []SiteRow) {
 	if stFired {
 		p.fireAlert(ts, "slo.stage.burn", worstStage, fmt.Sprintf(
 			"stage p999 %.3fs over SLO %.3fs for %d ticks",
-			p999, p.cfg.SLO.StageP999Max.Seconds(), burn))
+			p999, p.cfg.SLO.StageP999Max.Seconds(), burnTicks))
 	}
 	if gpFired {
-		p.fireAlert(ts, "slo.goodput.burn", p.cfg.GoodputCounter, fmt.Sprintf(
+		p.fireAlert(ts, "slo.goodput.burn", goodputCounter, fmt.Sprintf(
 			"grid goodput %.3g bps under floor %.3g bps for %d ticks",
-			goodput, p.cfg.SLO.GoodputMinBps*float64(sum.Hosts), burn))
+			goodput, p.cfg.SLO.GoodputMinBps*float64(sum.Hosts), burnTicks))
 	}
 
 	if p.cfg.Info != nil {

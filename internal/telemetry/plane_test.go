@@ -38,7 +38,7 @@ func runGrid(t *testing.T, seed int64, sites, hostsPer, fanout, ticks int, slo S
 		t.Fatal(err)
 	}
 	p, err := New(Config{
-		Clock: clk, Tick: time.Second, Ticks: ticks, Fanout: fanout,
+		Clock: clk, Ticks: ticks, Fanout: fanout,
 		SLO: slo, Info: info,
 	})
 	if err != nil {
@@ -197,7 +197,7 @@ func TestPlaneSLOBurnAlertsAndHealth(t *testing.T) {
 	// Impossible objectives: latency ceiling under the workload's floor
 	// and a goodput floor above what leaves deliver — both dimensions
 	// breach from tick 1 and burn through at tick 3.
-	slo := SLO{StageP999Max: 10 * time.Millisecond, GoodputMinBps: 1e12, Burn: 3}
+	slo := SLO{StageP999Max: 10 * time.Millisecond, GoodputMinBps: 1e12}
 	r := runGrid(t, 11, sites, hostsPer, 4, ticks, slo)
 
 	var lines []string
@@ -378,4 +378,25 @@ func runGridPlane(t *testing.T) *Plane {
 		t.Fatal(runErr)
 	}
 	return p
+}
+
+func TestRenderGridEmptyAndUnits(t *testing.T) {
+	clk := vtime.NewSim(1)
+	p, err := New(Config{Clock: clk, Ticks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.RenderGrid(); !strings.Contains(got, "no snapshot") {
+		t.Fatalf("empty render = %q", got)
+	}
+	for v, want := range map[float64]string{
+		2.5e9: "2.50 Gb/s", 5e6: "5.00 Mb/s", 1.2e3: "1.20 kb/s", 42: "42 b/s",
+	} {
+		if got := fmtBps(v); got != want {
+			t.Errorf("fmtBps(%g) = %q, want %q", v, got, want)
+		}
+	}
+	if k, _, _, err := DecodeTelemetryLine(`{"kind":"alert","alert":{"ts":"x","detector":"d"}}`); err != nil || k != "alert" {
+		t.Fatalf("alert line: %q %v", k, err)
+	}
 }
