@@ -32,6 +32,11 @@ type rig struct {
 // outside tests.
 var flightDisabled bool
 
+// rigBuilt, when set, is handed every rig newRig builds, so a test can
+// read the counters of the run's network afterwards. Never set outside
+// tests.
+var rigBuilt func(*rig)
+
 // withFlight gives the run an always-on flight recorder: core events via
 // the clock tap, connection transitions and allocator passes via the
 // simnet hook. It records only into preallocated rings, so it cannot
@@ -59,6 +64,9 @@ func newRig(seed int64, observers ...func(*rig)) *rig {
 	g := &rig{Grid: grid.New(seed)}
 	for _, attach := range observers {
 		attach(g)
+	}
+	if rigBuilt != nil {
+		rigBuilt(g)
 	}
 	return g
 }

@@ -136,7 +136,13 @@ var siteMeterSample = vtime.RegisterSite("netlogger.meter-sample")
 // instead of one rounds differently in the last float bits — enough to
 // make two runs of the same seed disagree. The timer keeps every sample
 // a pure function of the event history.
+//
+// It panics if interval <= 0, as time.NewTicker does: on a Sim such a
+// meter would sample once and stop, on a real clock it would spin.
 func NewMeter(clk vtime.Clock, interval time.Duration, fn func() float64) *Meter {
+	if interval <= 0 {
+		panic("netlogger: non-positive interval for NewMeter")
+	}
 	m := &Meter{clk: clk, interval: interval, sample: fn, t0: clk.Now()}
 	m.lastAt = m.t0
 	m.samples = append(m.samples, fn())

@@ -123,6 +123,24 @@ func TestMeterStopIdempotent(t *testing.T) {
 	})
 }
 
+// A meter with no positive interval would sample once and stop on a
+// Sim and spin on a real clock; it panics instead, as time.NewTicker does.
+func TestMeterNonPositiveIntervalPanics(t *testing.T) {
+	clocks := []vtime.Clock{vtime.NewSim(1), vtime.Real{}}
+	for _, clk := range clocks {
+		for _, d := range []time.Duration{0, -time.Second} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("NewMeter(%T, %v) did not panic", clk, d)
+					}
+				}()
+				NewMeter(clk, d, func() float64 { return 0 })
+			}()
+		}
+	}
+}
+
 func TestSummarize(t *testing.T) {
 	st := Summarize([]float64{1, 2, 3, 4, 100})
 	if st.N != 5 || st.Min != 1 || st.Max != 100 {

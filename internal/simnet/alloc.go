@@ -298,19 +298,53 @@ func (n *Net) reallocComponentLocked(seed *flow, now time.Duration) {
 	if n.rec != nil {
 		n.rec.AllocPass(int64(now), int64(len(comp)), int64(n.allocPasses))
 	}
+	at := n.flushOrder()
 	if len(comp) == 1 {
 		f := comp[0]
 		f.fold(now)
+		if f.growAt <= now {
+			f.growTo(now, at)
+		}
 		f.setRate(now, soloRate(f))
 		return
 	}
 	for _, f := range comp {
 		f.fold(now)
+		if f.growAt <= now {
+			f.growTo(now, at)
+		}
 	}
 	rates := n.scr.alloc(c, n.nextResID)
 	for i, f := range comp {
 		f.setRate(now, rates[i])
 	}
+}
+
+// flushOrder places a flush against the growth ticks due at its
+// instant: the end-of-instant flush runs after all of them; a read path
+// that flushes mid-instant cannot tell.
+func (n *Net) flushOrder() tickOrder {
+	if n.inFlush {
+		return tickBefore
+	}
+	return tickUnknown
+}
+
+// stampLocked stamps an event being scheduled now (see flow.lossSet).
+func (n *Net) stampLocked() stamp {
+	return stamp{n.clk.Elapsed(), n.inFlush}
+}
+
+// GrowthStats reports how many per-RTT growth ticks flows that were not
+// window-limited skipped (applied when their window was read instead),
+// how many times such a flow woke and re-armed its tick, and how many
+// times a reader landed on a skipped tick's own instant in an order the
+// per-tick schedule cannot decide (DESIGN §11). A nonzero tie count
+// means the run may differ from the per-tick one.
+func (n *Net) GrowthStats() (skipped, wakes, ties uint64) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.growSkipped, n.growWakes, n.growTies
 }
 
 // AllocStats reports how many component allocation passes the incremental
@@ -337,6 +371,10 @@ func (n *Net) SetVerifyAllocations(v bool) {
 // against the reference allocator's.
 func (n *Net) verifyAllocationsLocked() {
 	fs := n.activeFlowsLocked()
+	now, at := n.clk.Elapsed(), n.flushOrder()
+	for _, f := range fs {
+		f.growTo(now, at)
+	}
 	// The reference allocate call reuses the scratch rates buffer, which
 	// is safe here because all incremental passes have already consumed
 	// their results into f.rate.

@@ -283,13 +283,6 @@ func (h *Host) mss() int {
 	return DefaultMSS
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func (c *Conn) crossesLink(l *Link) bool {
 	return c.flows[0].crosses(l) || c.flows[1].crosses(l)
 }
@@ -615,7 +608,9 @@ func (ep *Endpoint) SetBuffer(bytes int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	ep.buf = bytes
+	now := n.clk.Elapsed()
 	for _, f := range c.flows {
+		f.growTo(now, tickUnknown)
 		eff := float64(min(c.eps[0].buf, c.eps[1].buf))
 		f.maxWindow = eff
 		if f.window > eff {

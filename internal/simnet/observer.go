@@ -36,7 +36,9 @@ func (n *Net) observeFlushLocked(now time.Duration) {
 		h *= prime64
 	}
 	fs := n.activeFlowsLocked()
+	at := n.flushOrder()
 	for _, f := range fs {
+		f.growTo(now, at)
 		mix(f.seq)
 		mix(math.Float64bits(f.rate))
 		mix(math.Float64bits(f.transmitted))

@@ -471,15 +471,20 @@ func (s *Sim) RescheduleSite(site Site, id EventID, d time.Duration, fn func()) 
 }
 
 // RearmFiring re-arms the event whose callback is currently executing to
-// fire again after d (which must be positive) with the same callback, and
-// returns its id — unchanged, since the slot is never recycled. It must
-// be called only from within that event's own callback; periodic events
-// (per-RTT window growth) re-arm themselves this way with a plain field
-// write instead of a full lock/allocate/push cycle per period. The push
-// happens when the callback returns, so the re-armed event's sequence
-// number follows any the callback scheduled itself; ordering is
-// unaffected at distinct instants, which d > 0 guarantees here.
+// fire again after d with the same callback, and returns its id —
+// unchanged, since the slot is never recycled. It must be called only
+// from within that event's own callback; periodic events (per-RTT window
+// growth of a window-limited flow, meter samples) re-arm themselves this
+// way with a plain field write instead of a full lock/allocate/push
+// cycle per period. The push happens when the callback returns, so the
+// re-armed event's sequence number follows any the callback scheduled
+// itself; ordering is unaffected at distinct instants, which d > 0
+// guarantees here. It panics if d <= 0: the slot would be freed when the
+// callback returns while the caller holds an id that looks live.
 func (s *Sim) RearmFiring(d time.Duration) EventID {
+	if d <= 0 {
+		panic(fmt.Sprintf("vtime: RearmFiring with non-positive delay %v", d))
+	}
 	s.rearmDelay = d
 	return s.firingID
 }

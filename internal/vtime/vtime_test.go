@@ -372,3 +372,20 @@ func TestWaitGroupNegativePanics(t *testing.T) {
 		wg.Done()
 	})
 }
+
+// A periodic event that re-arms itself with a non-positive delay would
+// have its slot freed under an id that still looks live; RearmFiring
+// refuses before touching any state.
+func TestRearmFiringNonPositivePanics(t *testing.T) {
+	s := NewSim(1)
+	for _, d := range []time.Duration{0, -time.Millisecond} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("RearmFiring(%v) did not panic", d)
+				}
+			}()
+			s.RearmFiring(d)
+		}()
+	}
+}
