@@ -50,11 +50,12 @@ race:
 	$(GO) test -race -timeout 5m $(VT_PKGS)
 	$(GO) test -race $(OTHER_PKGS)
 
-# One iteration of the allocator microbenchmarks (the kernel alone, and
-# the per-event recompute path) — proves the benchmark harness itself
+# One iteration of the simnet microbenchmarks (the allocator kernel
+# alone, the per-event recompute path, and a long flow's window growth
+# with its core events per op) — proves the benchmark harness itself
 # still compiles and runs, without paying for full timing.
 bench-smoke:
-	$(GO) test ./internal/simnet/ -run '^$$' -bench '^Benchmark(Allocate|Recompute)$$' -benchtime=1x
+	$(GO) test ./internal/simnet/ -run '^$$' -bench '^Benchmark(Allocate|Recompute|LongFlowGrowth)$$' -benchtime=1x
 
 # Every Go benchmark once (allocator, telemetry fold, the E2E
 # request path); the paper's tables and figures are cmd/esgbench's.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"esgrid/internal/transport"
 	"esgrid/internal/vtime"
 )
 
@@ -205,4 +206,44 @@ func BenchmarkRecomputeFull(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkLongFlowGrowth runs one disk-capped, lossy flow at 24 ms RTT
+// for 10 simulated minutes. The disk, not the window, limits it, so
+// between losses its per-RTT growth ticks are the ones a flow that is
+// not window-limited sleeps through. Beside the time it reports the
+// core events per run (schedules, fires, cancels, re-arms): the layer
+// that skipping those ticks moves.
+func BenchmarkLongFlowGrowth(b *testing.B) {
+	const total = 16 << 30
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		clk := vtime.NewSim(1)
+		clk.Run(func() {
+			n := New(clk)
+			src := n.AddHost("a", HostConfig{DefaultBufferBytes: 8 * mb})
+			dst := n.AddHost("b", HostConfig{DiskBps: 100 * mbps, DefaultBufferBytes: 8 * mb})
+			n.AddLink("a", "b", LinkConfig{CapacityBps: 1 * gbps, Delay: 12 * time.Millisecond, LossRate: 1e-5})
+			l, err := dst.Listen(":9000")
+			if err != nil {
+				b.Fatal(err)
+			}
+			clk.Go(func() {
+				if c, err := l.Accept(); err == nil {
+					transport.ReadVirtualFrom(c, total)
+				}
+			})
+			c, err := src.Dial("b:9000")
+			if err != nil {
+				b.Fatal(err)
+			}
+			ep := c.(*Endpoint)
+			ep.SetDiskBound(true)
+			clk.Go(func() { ep.WriteVirtual(total) })
+			clk.Sleep(10 * time.Minute)
+		})
+		s := clk.CoreStats()
+		events += s.Scheduled + s.Fired + s.Cancelled + s.Rearmed
+	}
+	b.ReportMetric(float64(events)/float64(b.N), "core-events/op")
 }
