@@ -56,6 +56,7 @@ race:
 # still compiles and runs, without paying for full timing.
 bench-smoke:
 	$(GO) test ./internal/simnet/ -run '^$$' -bench '^Benchmark(Allocate|Recompute|LongFlowGrowth)$$' -benchtime=1x
+	$(GO) test ./internal/gridftp/ -run '^$$' -bench '^BenchmarkSimSession$$' -benchtime=1x
 
 # Every Go benchmark once (allocator, telemetry fold, the E2E
 # request path); the paper's tables and figures are cmd/esgbench's.

@@ -98,3 +98,33 @@ func TestDirStoreBlockAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestCtrlSendAllocFree guards the control channel's send path: lines
+// are built in the ctrl's own buffer, so sending a command or a reply
+// whose arguments need no boxing allocates nothing. A simulated session
+// exchanges a dozen of these, and a thousand sessions run at once.
+func TestCtrlSendAllocFree(t *testing.T) {
+	ct := newCtrl(discardConn{})
+	var sendErr error
+	for _, tc := range []struct {
+		name string
+		send func() error
+	}{
+		{"sendLine", func() error { return ct.sendLine("RETR /data/pcm/tas_2000.nc") }},
+		{"reply", func() error { return ct.reply(codeTransferOK, "transfer complete") }},
+		{"reply with args", func() error { return ct.reply(codeCmdOK, "mode set to %s", "E") }},
+	} {
+		run := func() {
+			if err := tc.send(); err != nil && sendErr == nil {
+				sendErr = err
+			}
+		}
+		allocs := testing.AllocsPerRun(100, run)
+		if sendErr != nil {
+			t.Fatal(sendErr)
+		}
+		if allocs > 0 {
+			t.Errorf("%s allocates %.1f objects per line, want 0", tc.name, allocs)
+		}
+	}
+}

@@ -190,14 +190,14 @@ func (c *Client) configureSession() error {
 
 // simple sends a command and expects a 2xx/3xx single response. Each
 // exchange's round-trip time feeds the gridftp.control.rtts histogram.
-func (c *Client) simple(cmd string) (*response, error) {
+func (c *Client) simple(cmd string) (response, error) {
 	start := c.cfg.Clock.Now()
 	if err := c.ct.sendLine(cmd); err != nil {
-		return nil, err
+		return response{}, err
 	}
 	r, err := c.ct.readResponse()
 	if err != nil {
-		return nil, err
+		return response{}, err
 	}
 	c.rtts.Observe(c.cfg.Clock.Now().Sub(start).Seconds())
 	if r.Code >= 400 {

@@ -28,7 +28,7 @@ type simEnv struct {
 	stripes []*simnet.Host
 }
 
-func newSimEnv(t *testing.T, seed int64, linkBps float64, delay time.Duration, loss float64, nStripes int) *simEnv {
+func newSimEnv(t testing.TB, seed int64, linkBps float64, delay time.Duration, loss float64, nStripes int) *simEnv {
 	t.Helper()
 	clk := vtime.NewSim(seed)
 	n := simnet.New(clk)
@@ -60,7 +60,7 @@ func newSimEnv(t *testing.T, seed int64, linkBps float64, delay time.Duration, l
 	return env
 }
 
-func (env *simEnv) serve(t *testing.T) {
+func (env *simEnv) serve(t testing.TB) {
 	t.Helper()
 	l, err := env.src.Listen(":2811")
 	if err != nil {
@@ -69,7 +69,7 @@ func (env *simEnv) serve(t *testing.T) {
 	env.clk.Go(func() { env.srv.Serve(l) })
 }
 
-func (env *simEnv) client(t *testing.T, cfg ClientConfig) *Client {
+func (env *simEnv) client(t testing.TB, cfg ClientConfig) *Client {
 	t.Helper()
 	cfg.Clock = env.clk
 	cfg.Net = env.dst
@@ -98,6 +98,40 @@ func TestSimVirtualTransferCompletes(t *testing.T) {
 		rate := st.Bps()
 		if rate < 80*mbps || rate > 101*mbps {
 			t.Fatalf("rate = %.1f Mb/s, want ~100 (link-limited)", rate/mbps)
+		}
+	})
+}
+
+// BenchmarkSimSession runs whole simulated sessions back to back on one
+// simulated network: dial, SIZE, a 1 MiB GET, close. Its allocs/op is
+// what one GridFTP session costs the simulator once the Sim's and the
+// Net's recycling is warm; sim-scale1k runs 1024 of these at once.
+func BenchmarkSimSession(b *testing.B) {
+	env := newSimEnv(b, 1, 100*mbps, 20*time.Millisecond, 0, 0)
+	env.clk.Run(func() {
+		env.serve(b)
+		env.store.Put("f.nc", mb)
+		session := func() {
+			c := env.client(b, ClientConfig{Parallelism: 2, BufferBytes: 1 << 20})
+			if n, err := c.Size("f.nc"); err != nil || n != mb {
+				b.Fatalf("SIZE = %d, %v; want %d", n, err, mb)
+			}
+			sink := NewVirtualSink(mb)
+			if _, err := c.Get("f.nc", sink); err != nil {
+				b.Fatal(err)
+			}
+			if err := sink.Complete(); err != nil {
+				b.Fatal(err)
+			}
+			if err := c.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		session() // warm the pools
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			session()
 		}
 	})
 }

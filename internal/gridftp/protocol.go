@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -32,25 +33,48 @@ const (
 	codeXferFailed     = 426
 )
 
-// ctrl wraps a control connection with line-oriented send/receive.
+// ctrl wraps a control connection with line-oriented send/receive. A
+// ctrl is used by one goroutine at a time.
 type ctrl struct {
 	conn transport.Conn
 	br   *bufio.Reader
+	// wbuf is where the next outgoing line is built, on wb until a line
+	// outgrows it. Write copies the bytes (simnet into a segment, TCP
+	// into the kernel) before returning, so the buffer is free again.
+	wbuf []byte
+	wb   [128]byte
 }
 
 func newCtrl(c transport.Conn) *ctrl {
-	return &ctrl{conn: c, br: bufio.NewReader(c)}
+	ct := &ctrl{conn: c, br: bufio.NewReader(c)}
+	ct.wbuf = ct.wb[:0]
+	return ct
 }
 
 // sendLine writes one CRLF-terminated line.
 func (c *ctrl) sendLine(line string) error {
-	_, err := io.WriteString(c.conn, line+"\r\n")
+	return c.flushLine(append(c.wbuf[:0], line...))
+}
+
+// flushLine terminates the line built in b (on c.wbuf) and writes it.
+func (c *ctrl) flushLine(b []byte) error {
+	b = append(b, '\r', '\n')
+	c.wbuf = b[:0]
+	_, err := c.conn.Write(b)
 	return err
 }
 
-// reply sends a single-line reply.
+// reply sends a single-line reply: "code text", where text is format
+// expanded with args as fmt.Sprintf would.
 func (c *ctrl) reply(code int, format string, args ...any) error {
-	return c.sendLine(fmt.Sprintf("%d %s", code, fmt.Sprintf(format, args...)))
+	b := strconv.AppendInt(c.wbuf[:0], int64(code), 10)
+	b = append(b, ' ')
+	if len(args) > 0 || strings.IndexByte(format, '%') >= 0 {
+		b = fmt.Appendf(b, format, args...)
+	} else {
+		b = append(b, format...)
+	}
+	return c.flushLine(b)
 }
 
 // replyMulti sends a multi-line reply ("NNN-first", body lines prefixed
@@ -84,13 +108,13 @@ type response struct {
 }
 
 // readResponse parses a (possibly multi-line) reply.
-func (c *ctrl) readResponse() (*response, error) {
+func (c *ctrl) readResponse() (response, error) {
 	line, err := c.readLine()
 	if err != nil {
-		return nil, err
+		return response{}, err
 	}
 	if len(line) < 4 {
-		return nil, fmt.Errorf("gridftp: short reply %q", line)
+		return response{}, fmt.Errorf("gridftp: short reply %q", line)
 	}
 	// RFC 959 reply codes are exactly three digits followed by a space
 	// (final line) or '-' (first line of a multi-line reply). Atoi is too
@@ -99,19 +123,19 @@ func (c *ctrl) readResponse() (*response, error) {
 	for i := 0; i < 3; i++ {
 		d := line[i]
 		if d < '0' || d > '9' {
-			return nil, fmt.Errorf("gridftp: malformed reply %q", line)
+			return response{}, fmt.Errorf("gridftp: malformed reply %q", line)
 		}
 		code = code*10 + int(d-'0')
 	}
 	if line[3] != ' ' && line[3] != '-' {
-		return nil, fmt.Errorf("gridftp: malformed reply %q", line)
+		return response{}, fmt.Errorf("gridftp: malformed reply %q", line)
 	}
-	r := &response{Code: code, Text: line[4:]}
+	r := response{Code: code, Text: line[4:]}
 	if line[3] == '-' {
 		for {
 			l, err := c.readLine()
 			if err != nil {
-				return nil, err
+				return response{}, err
 			}
 			if strings.HasPrefix(l, line[:3]+" ") {
 				r.Text = l[4:]
@@ -124,7 +148,7 @@ func (c *ctrl) readResponse() (*response, error) {
 }
 
 // ok reports whether the reply code is a 2xx success.
-func (r *response) ok() bool { return r.Code >= 200 && r.Code < 300 }
+func (r response) ok() bool { return r.Code >= 200 && r.Code < 300 }
 
 // ReplyError is a non-success control-channel reply.
 type ReplyError struct {
@@ -134,7 +158,7 @@ type ReplyError struct {
 
 func (e *ReplyError) Error() string { return fmt.Sprintf("gridftp: %d %s", e.Code, e.Text) }
 
-func (r *response) err() error {
+func (r response) err() error {
 	if r.ok() {
 		return nil
 	}

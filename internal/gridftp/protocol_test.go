@@ -3,6 +3,7 @@ package gridftp
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -183,6 +184,81 @@ func TestCtrlMultilineParsing(t *testing.T) {
 	c3 := &ctrl{br: bufio.NewReader(&bad2)}
 	if _, err := c3.readResponse(); err == nil {
 		t.Fatal("non-numeric code parsed")
+	}
+}
+
+// recordConn is discardConn that keeps what is written to it.
+type recordConn struct {
+	discardConn
+	buf bytes.Buffer
+}
+
+func (c *recordConn) Write(p []byte) (int, error) { return c.buf.Write(p) }
+
+// TestCtrlReplyWireBytes pins the bytes reply puts on the wire to what
+// "%d %s" of the code and fmt.Sprintf(format, args...) would be, plus
+// CRLF, for every reply format the server sends and for the corner cases
+// of a format taken verbatim: an escaped percent and a verb whose
+// argument is missing.
+func TestCtrlReplyWireBytes(t *testing.T) {
+	errNo := errors.New("no such file")
+	for _, tc := range []struct {
+		code   int
+		format string
+		args   []any
+	}{
+		{codeReady, "ESG GridFTP server ready", nil},
+		{codeNotAuthed, "please authenticate with AUTH GSI", nil},
+		{codeCmdOK, "ok", nil},
+		{codeCmdOK, "type set to I", nil},
+		{codeCmdOK, "trace context noted", nil},
+		{codeBye, "goodbye", nil},
+		{codeBadCmd, "unknown command %q", []any{"NOOP"}},
+		{codeBadParam, "only AUTH GSI is supported", nil},
+		{codeAuthOK, "security not required", nil},
+		{codeAuthProceed, "proceed with GSI handshake", nil},
+		{codeNotAuthed, "authentication failed: %v", []any{errNo}},
+		{codeAuthOK, "authenticated as %s", []any{"/O=ESG/CN=client"}},
+		{codeBadParam, "mode %q not supported", []any{"s"}},
+		{codeCmdOK, "mode set to %s", []any{"E"}},
+		{codeBadParam, "bad buffer size %q", []any{"x"}},
+		{codeCmdOK, "socket buffer set to %d", []any{1 << 20}},
+		{codeBadParam, "%v", []any{errNo}},
+		{codeCmdOK, "options accepted", nil},
+		{codeNoFile, "%v", []any{errNo}},
+		{codeSize, "%d", []any{int64(4 << 20)}},
+		{codeBadParam, "bad size %q", []any{"-1"}},
+		{codeCmdOK, "allocation noted", nil},
+		{codeBadParam, "bad restart offset %q", []any{"x"}},
+		{codeRestProceed, "restarting at %d", []any{int64(1 << 30)}},
+		{codeBadParam, "cannot open data port: %v", []any{errNo}},
+		{codePassive, "Entering Passive Mode (%s)", []any{"src:40001"}},
+		{codeBadParam, "PORT needs host:port", nil},
+		{codeCmdOK, "PORT accepted", nil},
+		{codeBadParam, "range [%d,%d) outside file of %d bytes", []any{int64(0), int64(10), int64(5)}},
+		{codeOpenData, "opening data connection(s)", nil},
+		{codeXferFailed, "transfer failed: %v", []any{errNo}},
+		{codeTransferOK, "transfer complete", nil},
+		{codeBadParam, "ERET needs ranges and a path", nil},
+		{codeBadParam, "send ALLO with the file size before STOR", nil},
+		{codeBadParam, "ESUB needs a spec and a path", nil},
+		{codeBadCmd, "%v", []any{ErrNoSubset}},
+		{codeOpenData, "opening data connection(s); subset is %d bytes", []any{int64(1234)}},
+		{codeTransferOK, "subset transfer complete", nil},
+		{codeBadParam, "XSUB needs a spec and a path", nil},
+		{codeSize, "%d", []any{int64(1234)}},
+		{codeCmdOK, "100%% done", nil},
+		{codeCmdOK, "%d%% of %s", []any{50, "f"}},
+		{codeBadParam, "missing %d", nil},
+	} {
+		rc := &recordConn{}
+		if err := newCtrl(rc).reply(tc.code, tc.format, tc.args...); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("%d %s", tc.code, fmt.Sprintf(tc.format, tc.args...)) + "\r\n"
+		if got := rc.buf.String(); got != want {
+			t.Errorf("reply(%d, %q) wrote %q, want %q", tc.code, tc.format, got, want)
+		}
 	}
 }
 

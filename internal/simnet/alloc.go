@@ -58,17 +58,13 @@ func (n *Net) attachLocked(f *flow) {
 		return
 	}
 	refs := f.refs()
-	if cap(f.resPos) < len(refs) {
-		f.resPos = make([]int, len(refs))
-	}
-	f.resPos = f.resPos[:len(refs)]
 	for j, rr := range refs {
 		// Every flow on a resource shares one component, so the first
 		// one's record is the record of the component f is joining.
 		if len(rr.r.flows) > 0 {
 			rr.r.flows[0].f.comp.markStale()
 		}
-		f.resPos[j] = len(rr.r.flows)
+		refs[j].pos = len(rr.r.flows)
 		rr.r.flows = append(rr.r.flows, resEntry{f: f, ref: j})
 	}
 	f.attached = true
@@ -83,13 +79,13 @@ func (n *Net) detachLocked(f *flow) {
 	}
 	f.comp.markStale()
 	n.bindLocked(f, nil)
-	for j, rr := range f.refs() {
+	for _, rr := range f.refs() {
 		r := rr.r
-		p := f.resPos[j]
+		p := rr.pos
 		last := len(r.flows) - 1
 		moved := r.flows[last]
 		r.flows[p] = moved
-		moved.f.resPos[moved.ref] = p
+		moved.f.resRefs[moved.ref].pos = p
 		r.flows[last] = resEntry{}
 		r.flows = r.flows[:last]
 		n.markResDirtyLocked(r)

@@ -16,7 +16,13 @@ import (
 
 // hostPort formats "host:port" without fmt's interface boxing.
 func hostPort(host string, port int) string {
-	return host + ":" + strconv.Itoa(port)
+	var b [64]byte
+	return string(appendHostPort(b[:0], host, port))
+}
+
+func appendHostPort(b []byte, host string, port int) []byte {
+	b = append(append(b, host...), ':')
+	return strconv.AppendInt(b, int64(port), 10)
 }
 
 // Host is a traffic-originating node. It implements transport.Network, so
@@ -73,6 +79,10 @@ type Conn struct {
 	removed   bool
 	wasReset  bool   // torn down by reset/fault, not orderly close
 	label     string // life-line context set via Endpoint.SetLabel
+
+	// Storage for eps and flows, so a conn is one allocation.
+	ep [2]Endpoint
+	fl [2]flow
 }
 
 // Endpoint is one side of a Conn; it implements net.Conn plus the
@@ -85,7 +95,8 @@ type Endpoint struct {
 	peer transport.Addr
 
 	buf      int
-	rx       []*segment // head-indexed FIFO: live entries are rx[rxHead:]
+	rx       []*segment  // head-indexed FIFO: live entries are rx[rxHead:]
+	rxInl    [4]*segment // rx's first backing array
 	rxHead   int
 	rxOff    int // bytes consumed from the head segment's data
 	rxCond   vtime.Cond
@@ -158,11 +169,16 @@ func (l *Listener) Accept() (transport.Conn, error) {
 		return nil, net.ErrClosed
 	}
 	ep := l.backlog[0]
-	l.backlog = l.backlog[1:]
+	k := copy(l.backlog, l.backlog[1:])
+	l.backlog[k] = nil
+	l.backlog = l.backlog[:k]
 	return ep, nil
 }
 
-// Close stops the listener; blocked Accepts return net.ErrClosed.
+// Close stops the listener; blocked Accepts return net.ErrClosed. As
+// closing a real listening socket does, it resets the connections still
+// waiting in the backlog: their dialers' operations fail from this
+// instant and their flows retire.
 func (l *Listener) Close() error {
 	n := l.net
 	n.mu.Lock()
@@ -173,6 +189,14 @@ func (l *Listener) Close() error {
 	l.closed = true
 	delete(n.listeners, l.addr.Text)
 	l.cond.Broadcast()
+	if len(l.backlog) > 0 {
+		err := fmt.Errorf("simnet: connection reset by peer: listener %s closed", l.addr.Text)
+		for i, ep := range l.backlog {
+			ep.conn.resetLocked(err)
+			l.backlog[i] = nil
+		}
+		l.backlog = l.backlog[:0]
+	}
 	return nil
 }
 
@@ -194,12 +218,14 @@ func (h *Host) Dial(addr string) (transport.Conn, error) {
 		n.mu.Unlock()
 		return nil, fmt.Errorf("simnet: host %s is down", h.name)
 	}
-	key := hostPort(host, port)
-	l, ok := n.listeners[key]
+	var kb [64]byte
+	kbuf := appendHostPort(kb[:0], host, port)
+	l, ok := n.listeners[string(kbuf)]
 	if !ok {
 		n.mu.Unlock()
-		return nil, fmt.Errorf("simnet: connection refused: %s", key)
+		return nil, fmt.Errorf("simnet: connection refused: %s", kbuf)
 	}
+	key := l.addr.Text
 	if l.host.down {
 		n.mu.Unlock()
 		return nil, fmt.Errorf("simnet: host %s is down", l.host.name)
@@ -223,25 +249,27 @@ func (h *Host) Dial(addr string) (transport.Conn, error) {
 	if n.rec != nil {
 		n.rec.Conn(flight.KConnOpen, int64(n.nowOff()), c.seq)
 	}
-	cli := &Endpoint{
+	cli, srv := &c.ep[0], &c.ep[1]
+	*cli = Endpoint{
 		conn: c, idx: 0, host: h,
 		addr: transport.Addr{Net: "sim", Text: hostPort(h.name, cliPort)},
 		peer: transport.Addr{Net: "sim", Text: key},
 		buf:  h.defaultBuffer(),
 	}
-	srv := &Endpoint{
+	*srv = Endpoint{
 		conn: c, idx: 1, host: peerHost,
 		addr: transport.Addr{Net: "sim", Text: key},
 		peer: cli.addr,
 		buf:  peerHost.defaultBuffer(),
 	}
+	cli.rx, srv.rx = cli.rxInl[:0], srv.rxInl[:0]
 	cli.rxCond = n.clk.NewCond(&n.mu)
 	srv.rxCond = n.clk.NewCond(&n.mu)
 	c.eps = [2]*Endpoint{cli, srv}
 	c.writeCond = [2]vtime.Cond{n.clk.NewCond(&n.mu), n.clk.NewCond(&n.mu)}
-	mss := h.mss()
-	c.flows[0] = newFlow(n, c, 0, h, peerHost, fwd, min(cli.buf, srv.buf), mss)
-	c.flows[1] = newFlow(n, c, 1, peerHost, h, rev, min(cli.buf, srv.buf), peerHost.mss())
+	c.flows = [2]*flow{&c.fl[0], &c.fl[1]}
+	initFlow(c.flows[0], n, c, 0, h, peerHost, fwd, min(cli.buf, srv.buf), h.mss())
+	initFlow(c.flows[1], n, c, 1, peerHost, h, rev, min(cli.buf, srv.buf), peerHost.mss())
 	c.flows[0].rtt = c.flows[0].owd + c.flows[1].owd
 	c.flows[1].rtt = c.flows[0].rtt
 	c.flows[0].updateWindowCap()
@@ -320,6 +348,11 @@ func (c *Conn) reset(err error) {
 	n := c.net
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	c.resetLocked(err)
+}
+
+// resetLocked is reset with Net.mu held.
+func (c *Conn) resetLocked(err error) {
 	c.wasReset = true
 	for _, ep := range c.eps {
 		if ep.resetErr == nil {

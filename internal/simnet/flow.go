@@ -58,6 +58,7 @@ type flow struct {
 	queuedEnd   float64
 	segs        []*segment
 	segsHead    int
+	segsInl     [4]*segment // segs' first backing array
 	doneEv      vtime.EventID
 	lingerEv    vtime.EventID
 	removed     bool
@@ -70,10 +71,12 @@ type flow struct {
 	// fresh closure.
 	inflight []*segment
 	inflHead int
+	inflInl  [4]*segment // inflight's first backing array
 
-	// Cached event callbacks, bound once at construction so the per-event
-	// hot path (growth, loss, completion, linger, delivery) schedules with
-	// zero allocation.
+	// Cached event callbacks, bound once per flow so the per-event hot
+	// path (growth, loss, completion, linger, delivery) schedules with
+	// zero allocation. lossFn is bound on first use: a flow on a lossless
+	// path never arms a loss.
 	growFn    func()
 	lossFn    func()
 	doneFn    func()
@@ -87,13 +90,12 @@ type flow struct {
 	seq uint64
 
 	// Incremental allocation state (alloc.go): whether the flow is
-	// entered in its resources' membership lists, its position in each
-	// (parallel to resRefs), its component's persistent record (nil until
+	// entered in its resources' membership lists (its position in each
+	// is resRefs[j].pos), its component's persistent record (nil until
 	// the first flush after an attach), the flush visit stamp, whether it
 	// is queued as a dirty seed, and its slot in the Net's (src,dst) pair
 	// index.
 	attached bool
-	resPos   []int
 	comp     *component
 	epoch    uint64
 	dirty    bool
@@ -128,8 +130,9 @@ type segment struct {
 }
 
 type hostRes struct {
-	r *res
-	w float64 // resource units consumed per bit/s of flow rate
+	r   *res
+	w   float64 // resource units consumed per bit/s of flow rate
+	pos int     // the flow's index in r.flows while attached
 }
 
 // refs returns the flow's full resource membership (links + host
@@ -138,10 +141,9 @@ func (f *flow) refs() []hostRes {
 	if f.resRefs == nil {
 		refs := make([]hostRes, 0, len(f.path)+4)
 		for _, sx := range f.path {
-			refs = append(refs, hostRes{&sx.res, 1})
+			refs = append(refs, hostRes{r: &sx.res, w: 1})
 		}
-		refs = append(refs, f.hostResources()...)
-		f.resRefs = refs
+		f.resRefs = f.appendHostResources(refs)
 	}
 	return f.resRefs
 }
@@ -153,10 +155,13 @@ func (f *flow) invalidateRefs() {
 	f.comp.markStale()
 }
 
-func newFlow(n *Net, c *Conn, dir int, src, dst *Host, path []*simplex, buffer int, mss int) *flow {
-	f := &flow{
+// initFlow sets up f, which lives in its conn, as one direction of c.
+func initFlow(f *flow, n *Net, c *Conn, dir int, src, dst *Host, path []*simplex, buffer int, mss int) {
+	*f = flow{
 		net: n, conn: c, dir: dir, src: src, dst: dst, path: path, mss: mss,
 	}
+	f.segs = f.segsInl[:0]
+	f.inflight = f.inflInl[:0]
 	for _, s := range path {
 		f.owd += s.delay
 	}
@@ -172,11 +177,9 @@ func newFlow(n *Net, c *Conn, dir int, src, dst *Host, path []*simplex, buffer i
 	f.ssthresh = math.Inf(1)
 	f.updateWindowCap()
 	f.growFn = f.onGrow
-	f.lossFn = f.onLoss
 	f.doneFn = f.onSegmentDone
 	f.lingerFn = f.onLinger
 	f.deliverFn = f.deliverHead
-	return f
 }
 
 // queued reports the number of segments awaiting transmission.
@@ -222,21 +225,20 @@ func (f *flow) updateWindowCap() {
 	f.windowCap = f.window * 8 / f.rtt.Seconds()
 }
 
-// hostResources lists the per-host budgets this flow consumes.
-func (f *flow) hostResources() []hostRes {
-	var out []hostRes
+// appendHostResources appends the per-host budgets this flow consumes.
+func (f *flow) appendHostResources(out []hostRes) []hostRes {
 	if f.src != nil && f.src.cpu != nil {
-		out = append(out, hostRes{f.src.cpu, f.src.cfg.CPU.weight(f.mss)})
+		out = append(out, hostRes{r: f.src.cpu, w: f.src.cfg.CPU.weight(f.mss)})
 	}
 	if f.dst != nil && f.dst.cpu != nil && f.dst != f.src {
-		out = append(out, hostRes{f.dst.cpu, f.dst.cfg.CPU.weight(f.mss)})
+		out = append(out, hostRes{r: f.dst.cpu, w: f.dst.cfg.CPU.weight(f.mss)})
 	}
 	if f.diskBound {
 		if f.src != nil && f.src.disk != nil {
-			out = append(out, hostRes{f.src.disk, 1})
+			out = append(out, hostRes{r: f.src.disk, w: 1})
 		}
 		if f.dst != nil && f.dst.disk != nil && f.dst != f.src {
-			out = append(out, hostRes{f.dst.disk, 1})
+			out = append(out, hostRes{r: f.dst.disk, w: 1})
 		}
 	}
 	return out
@@ -490,6 +492,9 @@ func (f *flow) scheduleLoss() {
 	f.lossRate = f.rate
 	f.lossSet = f.net.stampLocked()
 	wait := f.net.clk.RandExp(1 / lambda)
+	if f.lossFn == nil {
+		f.lossFn = f.onLoss
+	}
 	f.lossEv = f.net.clk.RescheduleSite(siteLoss, f.lossEv, time.Duration(wait*float64(time.Second)), f.lossFn)
 }
 

@@ -141,9 +141,15 @@ type Net struct {
 	pairFlows map[pairKey][]*flow  // live flows indexed by (src,dst) host
 	listeners map[string]*Listener // "host:port"
 	routes    map[[2]string][]*simplex
-	dnsUp     bool
-	nextPort  int
-	nextResID int
+	// Route search scratch (routeLocked), indexed by node id, so a new
+	// route costs only its cached path slice.
+	routeVia   []*simplex
+	routeMark  []uint64
+	routeQueue []*node
+	routeEpoch uint64
+	dnsUp      bool
+	nextPort   int
+	nextResID  int
 	// nextConnSeq stamps connections in creation order, so fault paths
 	// that reset many victims do so in a deterministic order.
 	nextConnSeq int64
@@ -221,6 +227,7 @@ type pairKey struct{ src, dst string }
 
 type node struct {
 	name  string
+	id    int        // dense index into the route search's scratch
 	edges []*simplex // outgoing directed edges
 }
 
@@ -345,7 +352,7 @@ func (n *Net) nodeLocked(name string) *node {
 	if nd, ok := n.nodes[name]; ok {
 		return nd
 	}
-	nd := &node{name: name}
+	nd := &node{name: name, id: len(n.nodes)}
 	n.nodes[name] = nd
 	return nd
 }
@@ -412,39 +419,46 @@ func (n *Net) routeLocked(a, b string) ([]*simplex, error) {
 	if !ok {
 		return nil, fmt.Errorf("simnet: unknown node %q", a)
 	}
-	if _, ok := n.nodes[b]; !ok {
+	dst, ok := n.nodes[b]
+	if !ok {
 		return nil, fmt.Errorf("simnet: unknown node %q", b)
 	}
-	type hop struct {
-		nd  *node
-		via *simplex
-		prv *hop
+	// Breadth-first search over dense node ids: routeMark stamps the
+	// nodes this search reached, routeVia the edge each was first
+	// reached by. A FIFO queue and first-reach marking make the same
+	// tree, and so the same path, as any BFS expanding edges in order.
+	if len(n.routeVia) < len(n.nodes) {
+		n.routeVia = make([]*simplex, len(n.nodes))
+		n.routeMark = make([]uint64, len(n.nodes))
 	}
-	seen := map[*node]bool{src: true}
-	queue := []*hop{{nd: src}}
-	for len(queue) > 0 {
-		h := queue[0]
-		queue = queue[1:]
-		if h.nd.name == b {
-			var path []*simplex
-			for x := h; x.via != nil; x = x.prv {
-				path = append(path, x.via)
-			}
-			// reverse
-			for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-				path[i], path[j] = path[j], path[i]
-			}
-			n.routes[key] = path
-			return path, nil
-		}
-		for _, e := range h.nd.edges {
-			if !seen[e.to] {
-				seen[e.to] = true
-				queue = append(queue, &hop{nd: e.to, via: e, prv: h})
+	n.routeEpoch++
+	mark := n.routeEpoch
+	n.routeMark[src.id] = mark
+	queue := append(n.routeQueue[:0], src)
+	for i := 0; i < len(queue) && n.routeMark[dst.id] != mark; i++ {
+		for _, e := range queue[i].edges {
+			if n.routeMark[e.to.id] != mark {
+				n.routeMark[e.to.id] = mark
+				n.routeVia[e.to.id] = e
+				queue = append(queue, e.to)
 			}
 		}
 	}
-	return nil, fmt.Errorf("simnet: no route %s -> %s", a, b)
+	n.routeQueue = queue[:0]
+	if n.routeMark[dst.id] != mark {
+		return nil, fmt.Errorf("simnet: no route %s -> %s", a, b)
+	}
+	hops := 0
+	for x := dst; x != src; x = n.routeVia[x.id].from {
+		hops++
+	}
+	path := make([]*simplex, hops)
+	for x := dst; x != src; x = n.routeVia[x.id].from {
+		hops--
+		path[hops] = n.routeVia[x.id]
+	}
+	n.routes[key] = path
+	return path, nil
 }
 
 // PathRTT returns the round-trip propagation delay between two nodes.

@@ -553,6 +553,51 @@ func TestListenerClose(t *testing.T) {
 	})
 }
 
+// TestListenerCloseResetsBacklog: closing a listener resets the
+// connections still waiting to be accepted, as a real listening socket
+// does. The dialer's Read and Write fail at the close instant, not at a
+// read deadline or never, and both of the conn's flows retire.
+func TestListenerCloseResetsBacklog(t *testing.T) {
+	clk := vtime.NewSim(1)
+	clk.Run(func() {
+		n, a, b := twoHosts(clk, 100*mbps, time.Millisecond, 0)
+		l, _ := b.Listen(":9000")
+		c, err := a.Dial("b:9000")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cli := c.(*Endpoint)
+		var readErr error
+		var readAt time.Time
+		wg := vtime.NewWaitGroup(clk)
+		wg.Go(func() {
+			_, readErr = c.Read(make([]byte, 1))
+			readAt = clk.Now()
+		})
+		clk.Sleep(10 * time.Millisecond)
+		closedAt := clk.Now()
+		l.Close()
+		wg.Wait()
+		if readErr == nil || !readAt.Equal(closedAt) {
+			t.Errorf("Read after listener close = %v at %v, want an error at the close instant %v", readErr, readAt, closedAt)
+		}
+		if _, err := c.Write([]byte("x")); err == nil {
+			t.Error("Write after listener close succeeded")
+		}
+		for i, f := range cli.conn.flows {
+			if !f.removed {
+				t.Errorf("flow %d still registered after listener close", i)
+			}
+		}
+		n.mu.Lock()
+		live := len(n.flows)
+		n.mu.Unlock()
+		if live != 0 {
+			t.Errorf("%d flows live after listener close, want 0", live)
+		}
+	})
+}
+
 func TestBytesBetweenAccounting(t *testing.T) {
 	clk := vtime.NewSim(1)
 	clk.Run(func() {

@@ -130,3 +130,59 @@ func TestSimCondWaitAllocFree(t *testing.T) {
 		}
 	})
 }
+
+// TestSimCondRecyclingAcrossConds guards recycling that is per Sim, not
+// per cond: once one round of waits has run on some conds, a round of
+// waits on 100 conds that have never been waited on allocates nothing.
+// A simulated session builds its conds fresh, so a per-cond freelist
+// would pay a waiter, its channel and its timeout closure for every
+// cond's first wait.
+func TestSimCondRecyclingAcrossConds(t *testing.T) {
+	s := NewSim(1)
+	s.Run(func() {
+		var mu sync.Mutex
+		ctl := s.NewCond(&mu)
+		var pending Cond // the cond the helper broadcasts next
+		woken := false
+		s.Go(func() {
+			mu.Lock()
+			defer mu.Unlock()
+			for {
+				for pending == nil {
+					ctl.Wait()
+				}
+				c := pending
+				pending, woken = nil, true
+				c.Broadcast()
+			}
+		})
+		const nConds, runs = 100, 3
+		batches := make([][]Cond, runs+1)
+		for i := range batches {
+			for j := 0; j < nConds; j++ {
+				batches[i] = append(batches[i], s.NewCond(&mu))
+			}
+		}
+		next := 0
+		round := func() {
+			mu.Lock()
+			for i, c := range batches[next] {
+				pending, woken = c, false
+				ctl.Signal()
+				for !woken {
+					if i%2 == 0 {
+						c.Wait()
+					} else {
+						c.WaitTimeout(time.Hour) // exercise the timeout path too
+					}
+				}
+			}
+			mu.Unlock()
+			next++
+		}
+		allocs := testing.AllocsPerRun(runs, round) // the first call is the warm-up round
+		if allocs > 0 {
+			t.Errorf("a wait round on %d new conds allocates %.1f objects, want 0", nConds, allocs)
+		}
+	})
+}

@@ -67,6 +67,12 @@ type Sim struct {
 	advancing bool
 	parked    int
 	parkers   []*parker // freelist of Sleep parkers
+	// condMu guards the cond recycling the Sim owns for all its conds:
+	// retired waiters (waitFree) and the slab NewCond carves conds from
+	// (condSlab). It is never held together with mu or a cond's mu.
+	condMu   sync.Mutex
+	waitFree []*waiter
+	condSlab []chanCond
 	// instantHook, when armed, runs once the current instant's events are
 	// exhausted — just before virtual time would advance. It replaces a
 	// zero-delay event on the highest-frequency path in the tree (the
@@ -594,8 +600,51 @@ func (s *Sim) nextDueNowLocked() bool {
 	return len(s.heap) > 0 && s.heap[0].at <= s.now
 }
 
-// NewCond implements Clock.
-func (s *Sim) NewCond(l sync.Locker) Cond { return newChanCond(s, l) }
+// condSlabSize is how many conds Sim.NewCond carves from one allocation.
+const condSlabSize = 64
+
+// NewCond implements Clock. The cond is carved from the Sim's slab, so a
+// run that builds a cond per connection pays one allocation per
+// condSlabSize conds.
+func (s *Sim) NewCond(l sync.Locker) Cond {
+	s.condMu.Lock()
+	if len(s.condSlab) == 0 {
+		s.condSlab = make([]chanCond, condSlabSize)
+	}
+	c := &s.condSlab[0]
+	s.condSlab = s.condSlab[1:]
+	s.condMu.Unlock()
+	c.sim, c.l = s, l
+	c.waiters = c.inl[:0]
+	return c
+}
+
+// getWaiter pops a retired waiter of any of the Sim's conds, or builds
+// one, and binds it to c. Its channel is empty: a waiter is retired
+// only after its one wakeup was received.
+func (s *Sim) getWaiter(c *chanCond) *waiter {
+	var w *waiter
+	s.condMu.Lock()
+	if n := len(s.waitFree); n > 0 {
+		w = s.waitFree[n-1]
+		s.waitFree = s.waitFree[:n-1]
+	}
+	s.condMu.Unlock()
+	if w == nil {
+		w = &waiter{ch: make(chan struct{}, 1)}
+		w.timeoutFn = func() { w.c.timeout(w) }
+	}
+	w.c, w.fired, w.timedOut = c, false, false
+	return w
+}
+
+// putWaiter retires a waiter no timeout callback can still reach.
+func (s *Sim) putWaiter(w *waiter) {
+	w.c = nil
+	s.condMu.Lock()
+	s.waitFree = append(s.waitFree, w)
+	s.condMu.Unlock()
+}
 
 // Go implements Clock: fn runs as a managed goroutine.
 func (s *Sim) Go(fn func()) {

@@ -72,34 +72,39 @@ func (Real) Go(fn func()) { go fn() }
 func (Real) AfterFunc(d time.Duration, fn func()) Timer { return time.AfterFunc(d, fn) }
 
 // NewCond implements Clock.
-func (Real) NewCond(l sync.Locker) Cond { return newChanCond(Real{}, l) }
+func (Real) NewCond(l sync.Locker) Cond { return &chanCond{l: l} }
 
-// chanCond is a channel-based condition variable that works for any Clock;
-// it implements timeouts by racing a waiter wakeup against a scheduled
-// timeout event. Waiter state transitions (fired, timed out, list
-// membership) all happen under c.mu, so a timed-out waiter is removed
-// from the list before Signal can see it, and — on a Sim clock — retired
-// waiters can be recycled through a freelist without any wakeup racing a
-// stale pointer. Steady-state Wait/Signal on a Sim clock allocates
-// nothing.
+// chanCond is a channel-based condition variable that works for both
+// clocks; it implements timeouts by racing a waiter wakeup against a
+// scheduled timeout event. Waiter state transitions (fired, timed out,
+// list membership) all happen under c.mu, so a timed-out waiter is
+// removed from the list before Signal can see it, and — on a Sim clock —
+// retired waiters can be recycled without any wakeup racing a stale
+// pointer.
+//
+// On a Sim clock the recycling is per Sim, not per cond: conds are
+// carved from the Sim's slab (Sim.NewCond), waiters come from its
+// freelist, and each wait list starts on an inline array. A per-cond
+// freelist never amortises across sessions, whose conds are new: each
+// first Wait would pay a waiter, its channel and its timeout closure.
+// The Sim's freelist holds at most the peak number of concurrent
+// waiters, and steady-state Wait/Signal allocates nothing however many
+// conds a run creates.
 type chanCond struct {
-	clk Clock
+	sim *Sim // the cond's clock; nil on the Real clock
 	l   sync.Locker
 
 	mu      sync.Mutex
 	waiters []*waiter
-	free    []*waiter // recycled waiters (Sim clock only)
+	inl     [2]*waiter // waiters' first backing array
 }
 
 type waiter struct {
 	ch        chan struct{}
-	fired     bool // claimed by a signal, broadcast, or timeout (under c.mu)
+	c         *chanCond // the cond the waiter is queued on (Sim clock only)
+	fired     bool      // claimed by a signal, broadcast, or timeout (under c.mu)
 	timedOut  bool
-	timeoutFn func() // cached timeout callback (Sim clock only)
-}
-
-func newChanCond(clk Clock, l sync.Locker) *chanCond {
-	return &chanCond{clk: clk, l: l}
+	timeoutFn func() // bound once per waiter: w.c.timeout(w) (Sim clock only)
 }
 
 func (c *chanCond) Wait() { c.wait(-1) }
@@ -107,29 +112,24 @@ func (c *chanCond) Wait() { c.wait(-1) }
 func (c *chanCond) WaitTimeout(d time.Duration) bool { return c.wait(d) }
 
 func (c *chanCond) wait(d time.Duration) bool {
-	sim, isSim := c.clk.(*Sim)
-	c.mu.Lock()
+	sim := c.sim
 	var w *waiter
-	if n := len(c.free); n > 0 {
-		w = c.free[n-1]
-		c.free = c.free[:n-1]
-		w.fired, w.timedOut = false, false
+	if sim != nil {
+		w = sim.getWaiter(c)
 	} else {
 		w = &waiter{ch: make(chan struct{}, 1)}
-		if isSim {
-			w.timeoutFn = func() { c.timeout(w) }
-		}
 	}
+	c.mu.Lock()
 	c.waiters = append(c.waiters, w)
 	c.mu.Unlock()
 
 	var id EventID
-	var t Timer
+	var t *time.Timer
 	if d >= 0 {
-		if isSim {
+		if sim != nil {
 			id = sim.ScheduleSite(siteCondTimeout, d, w.timeoutFn)
 		} else {
-			t = c.clk.AfterFunc(d, func() { c.timeout(w) })
+			t = time.AfterFunc(d, func() { c.timeout(w) })
 		}
 	}
 	c.l.Unlock()
@@ -147,10 +147,8 @@ func (c *chanCond) wait(d time.Duration) bool {
 	// Recycle only when no timeout callback can still hold a reference:
 	// either it already ran (timedOut) or it was provably cancelled. A
 	// signalled waiter whose cancel lost the race is simply dropped.
-	if isSim && (timedOut || cancelled || d < 0) {
-		c.mu.Lock()
-		c.free = append(c.free, w)
-		c.mu.Unlock()
+	if sim != nil && (timedOut || cancelled || d < 0) {
+		sim.putWaiter(w)
 	}
 	return !timedOut
 }
@@ -178,8 +176,8 @@ func (c *chanCond) timeout(w *waiter) {
 // await blocks until the waiter's channel is signalled. Sim overrides the
 // blocking via park; for Real this is a plain channel receive.
 func (c *chanCond) await(w *waiter) {
-	if s, ok := c.clk.(*Sim); ok {
-		s.park(w.ch)
+	if c.sim != nil {
+		c.sim.park(w.ch)
 		return
 	}
 	<-w.ch
@@ -188,9 +186,12 @@ func (c *chanCond) await(w *waiter) {
 func (c *chanCond) Signal() {
 	c.mu.Lock()
 	// Every waiter still in the list is live: timeouts remove themselves.
-	if len(c.waiters) > 0 {
+	// The list shifts down rather than reslicing, so it stays on its
+	// first backing array.
+	if n := len(c.waiters); n > 0 {
 		w := c.waiters[0]
-		c.waiters = c.waiters[1:]
+		copy(c.waiters, c.waiters[1:])
+		c.waiters = c.waiters[:n-1]
 		w.fired = true
 		c.wakeLocked(w)
 	}
@@ -211,8 +212,8 @@ func (c *chanCond) Broadcast() {
 // buffered and carries at most one pending signal, so the send cannot
 // block.
 func (c *chanCond) wakeLocked(w *waiter) {
-	if s, ok := c.clk.(*Sim); ok {
-		s.unpark(w.ch)
+	if c.sim != nil {
+		c.sim.unpark(w.ch)
 		return
 	}
 	w.ch <- struct{}{}
