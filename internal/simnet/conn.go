@@ -203,6 +203,45 @@ func (l *Listener) Close() error {
 // Addr returns the listening address.
 func (l *Listener) Addr() net.Addr { return l.addr }
 
+// newConnLocked builds a connection from h to the listener key on peer
+// over the routes fwd and rev: the Conn's one allocation holds its
+// endpoints and flows. Caller holds n.mu.
+func (n *Net) newConnLocked(h, peer *Host, key string, fwd, rev []*simplex) *Conn {
+	cliPort := n.nextPort
+	n.nextPort++
+	c := &Conn{net: n, seq: n.nextConnSeq}
+	n.nextConnSeq++
+	if n.rec != nil {
+		n.rec.Conn(flight.KConnOpen, int64(n.nowOff()), c.seq)
+	}
+	cli, srv := &c.ep[0], &c.ep[1]
+	*cli = Endpoint{
+		conn: c, idx: 0, host: h,
+		addr: transport.Addr{Net: "sim", Text: hostPort(h.name, cliPort)},
+		peer: transport.Addr{Net: "sim", Text: key},
+		buf:  h.defaultBuffer(),
+	}
+	*srv = Endpoint{
+		conn: c, idx: 1, host: peer,
+		addr: transport.Addr{Net: "sim", Text: key},
+		peer: cli.addr,
+		buf:  peer.defaultBuffer(),
+	}
+	cli.rx, srv.rx = cli.rxInl[:0], srv.rxInl[:0]
+	cli.rxCond = n.clk.NewCond(&n.mu)
+	srv.rxCond = n.clk.NewCond(&n.mu)
+	c.eps = [2]*Endpoint{cli, srv}
+	c.writeCond = [2]vtime.Cond{n.clk.NewCond(&n.mu), n.clk.NewCond(&n.mu)}
+	c.flows = [2]*flow{&c.fl[0], &c.fl[1]}
+	initFlow(c.flows[0], n, c, 0, h, peer, fwd, min(cli.buf, srv.buf), h.mss())
+	initFlow(c.flows[1], n, c, 1, peer, h, rev, min(cli.buf, srv.buf), peer.mss())
+	c.flows[0].rtt = c.flows[0].owd + c.flows[1].owd
+	c.flows[1].rtt = c.flows[0].rtt
+	c.flows[0].updateWindowCap()
+	c.flows[1].updateWindowCap()
+	return c
+}
+
 // Dial implements transport.Dialer: it resolves addr, performs a
 // one-RTT handshake in virtual time, and returns the client endpoint.
 func (h *Host) Dial(addr string) (transport.Conn, error) {
@@ -241,39 +280,8 @@ func (h *Host) Dial(addr string) (transport.Conn, error) {
 		return nil, err
 	}
 	peerHost := l.host
-	cliPort := n.nextPort
-	n.nextPort++
-
-	c := &Conn{net: n, seq: n.nextConnSeq}
-	n.nextConnSeq++
-	if n.rec != nil {
-		n.rec.Conn(flight.KConnOpen, int64(n.nowOff()), c.seq)
-	}
-	cli, srv := &c.ep[0], &c.ep[1]
-	*cli = Endpoint{
-		conn: c, idx: 0, host: h,
-		addr: transport.Addr{Net: "sim", Text: hostPort(h.name, cliPort)},
-		peer: transport.Addr{Net: "sim", Text: key},
-		buf:  h.defaultBuffer(),
-	}
-	*srv = Endpoint{
-		conn: c, idx: 1, host: peerHost,
-		addr: transport.Addr{Net: "sim", Text: key},
-		peer: cli.addr,
-		buf:  peerHost.defaultBuffer(),
-	}
-	cli.rx, srv.rx = cli.rxInl[:0], srv.rxInl[:0]
-	cli.rxCond = n.clk.NewCond(&n.mu)
-	srv.rxCond = n.clk.NewCond(&n.mu)
-	c.eps = [2]*Endpoint{cli, srv}
-	c.writeCond = [2]vtime.Cond{n.clk.NewCond(&n.mu), n.clk.NewCond(&n.mu)}
-	c.flows = [2]*flow{&c.fl[0], &c.fl[1]}
-	initFlow(c.flows[0], n, c, 0, h, peerHost, fwd, min(cli.buf, srv.buf), h.mss())
-	initFlow(c.flows[1], n, c, 1, peerHost, h, rev, min(cli.buf, srv.buf), peerHost.mss())
-	c.flows[0].rtt = c.flows[0].owd + c.flows[1].owd
-	c.flows[1].rtt = c.flows[0].rtt
-	c.flows[0].updateWindowCap()
-	c.flows[1].updateWindowCap()
+	c := n.newConnLocked(h, peerHost, key, fwd, rev)
+	cli, srv := c.eps[0], c.eps[1]
 	n.registerFlowLocked(c.flows[0])
 	n.registerFlowLocked(c.flows[1])
 	if h.conns == nil {

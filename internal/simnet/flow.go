@@ -66,22 +66,11 @@ type flow struct {
 	// inflight holds segments whose transmission completed and whose
 	// delivery event (one propagation delay later) is pending. Deliveries
 	// are armed with a constant delay (owd) in retirement order, so the
-	// event heap's (at, seq) order preserves this FIFO and one cached
-	// deliverFn can pop the head instead of capturing each segment in a
-	// fresh closure.
+	// event heap's (at, seq) order preserves this FIFO and each delivery
+	// event pops the head instead of naming its segment.
 	inflight []*segment
 	inflHead int
 	inflInl  [4]*segment // inflight's first backing array
-
-	// Cached event callbacks, bound once per flow so the per-event hot
-	// path (growth, loss, completion, linger, delivery) schedules with
-	// zero allocation. lossFn is bound on first use: a flow on a lossless
-	// path never arms a loss.
-	growFn    func()
-	lossFn    func()
-	doneFn    func()
-	lingerFn  func()
-	deliverFn func()
 
 	resRefs []hostRes // cached resource membership (see refs)
 
@@ -176,10 +165,43 @@ func initFlow(f *flow, n *Net, c *Conn, dir int, src, dst *Host, path []*simplex
 	// buffer), so buffer tuning remains the binding limit.
 	f.ssthresh = math.Inf(1)
 	f.updateWindowCap()
-	f.growFn = f.onGrow
-	f.doneFn = f.onSegmentDone
-	f.lingerFn = f.onLinger
-	f.deliverFn = f.deliverHead
+}
+
+// A flow's events are typed (vtime.Handler): the flow is the receiver
+// and one of these kinds says which handler runs, so arming any of them
+// binds no callback.
+const (
+	evGrow uint8 = iota
+	evLoss
+	evDone
+	evLinger
+	evDeliver
+)
+
+// fireHook, when set, sees every flow event before it runs and takes it
+// over by returning true. It runs under Net.mu. Tests use it to check a
+// flow's state around one of its handlers.
+var fireHook func(f *flow, kind uint8) bool
+
+// Fire implements vtime.Handler. Every handler runs under Net.mu.
+func (f *flow) Fire(kind uint8) {
+	f.net.mu.Lock()
+	defer f.net.mu.Unlock()
+	if fireHook != nil && fireHook(f, kind) {
+		return
+	}
+	switch kind {
+	case evGrow:
+		f.onGrow()
+	case evLoss:
+		f.onLoss()
+	case evDone:
+		f.onSegmentDone()
+	case evLinger:
+		f.onLinger()
+	case evDeliver:
+		f.deliverHead()
+	}
 }
 
 // queued reports the number of segments awaiting transmission.
@@ -204,8 +226,6 @@ func (f *flow) popSegLocked() *segment {
 // deliverHead pops the oldest in-flight segment and hands it to the
 // receiving endpoint; it is the target of every delivery event.
 func (f *flow) deliverHead() {
-	n := f.net
-	n.mu.Lock()
 	seg := f.inflight[f.inflHead]
 	f.inflight[f.inflHead] = nil
 	f.inflHead++
@@ -214,7 +234,6 @@ func (f *flow) deliverHead() {
 		f.inflHead = 0
 	}
 	f.conn.eps[1-f.dir].deliverLocked(seg)
-	n.mu.Unlock()
 }
 
 func (f *flow) updateWindowCap() {
@@ -287,26 +306,18 @@ func (f *flow) enqueue(now time.Duration, seg *segment) (activated bool) {
 	f.queuedEnd += float64(seg.n)
 	seg.end = f.queuedEnd
 	f.segs = append(f.segs, seg)
-	if f.lingerEv != 0 {
-		f.net.clk.Cancel(f.lingerEv)
-		f.lingerEv = 0
-	}
+	f.net.clk.Cancel(f.lingerEv)
+	f.lingerEv = 0
 	f.lingering = false
 	if !f.active {
-		f.active = true
-		f.startDynamics(now)
+		f.active = true // begin window growth and loss sampling
+		f.scheduleGrowth()
+		f.scheduleLoss()
 		return true
 	}
 	// Already active: just make sure a completion event is pending.
 	f.scheduleCompletion(now)
 	return false
-}
-
-// startDynamics begins window growth and loss sampling for a newly active
-// flow. Caller recomputes rates afterwards.
-func (f *flow) startDynamics(now time.Duration) {
-	f.scheduleGrowth()
-	f.scheduleLoss()
 }
 
 // scheduleGrowth starts the per-RTT window update if the window can
@@ -318,7 +329,7 @@ func (f *flow) scheduleGrowth() {
 	f.growing = true
 	f.woken = false
 	f.growAt = f.net.clk.Elapsed() + f.rtt
-	f.growEv = f.net.clk.ScheduleSite(siteGrowth, f.rtt, f.growFn)
+	f.growEv = f.net.clk.ScheduleHandler(siteGrowth, f.rtt, f, evGrow)
 }
 
 // growStep is one growth tick: double below ssthresh (slow start), add
@@ -439,12 +450,10 @@ func (f *flow) orderAfter(s stamp, now time.Duration) tickOrder {
 
 func (f *flow) onGrow() {
 	n := f.net
-	n.mu.Lock()
 	f.growing = false
 	f.growEv = 0
 	f.woken = false
 	if f.removed || !f.active {
-		n.mu.Unlock()
 		return
 	}
 	wasCap := f.windowCap
@@ -467,7 +476,6 @@ func (f *flow) onGrow() {
 	if limited {
 		n.markFlowDirtyLocked(f)
 	}
-	n.mu.Unlock()
 }
 
 // scheduleLoss samples the next random-loss instant from the flow's
@@ -483,27 +491,20 @@ func (f *flow) scheduleLoss() {
 		lambda = pktPerSec * p
 	}
 	if lambda <= 0 {
-		if f.lossEv != 0 {
-			f.net.clk.Cancel(f.lossEv)
-			f.lossEv = 0
-		}
+		f.net.clk.Cancel(f.lossEv)
+		f.lossEv = 0
 		return
 	}
 	f.lossRate = f.rate
 	f.lossSet = f.net.stampLocked()
 	wait := f.net.clk.RandExp(1 / lambda)
-	if f.lossFn == nil {
-		f.lossFn = f.onLoss
-	}
-	f.lossEv = f.net.clk.RescheduleSite(siteLoss, f.lossEv, time.Duration(wait*float64(time.Second)), f.lossFn)
+	f.lossEv = f.net.clk.RescheduleHandler(siteLoss, f.lossEv, time.Duration(wait*float64(time.Second)), f, evLoss)
 }
 
 func (f *flow) onLoss() {
 	n := f.net
-	n.mu.Lock()
 	f.lossEv = 0
 	if f.removed || !f.active {
-		n.mu.Unlock()
 		return
 	}
 	now := n.clk.Elapsed()
@@ -514,7 +515,6 @@ func (f *flow) onLoss() {
 	f.scheduleGrowth()
 	n.markFlowDirtyLocked(f)
 	f.scheduleLoss()
-	n.mu.Unlock()
 }
 
 // setRate applies a newly computed fair rate (caller folded to now) and
@@ -527,7 +527,7 @@ func (f *flow) onLoss() {
 // re-arms its completion or loss.
 func (f *flow) setRate(now time.Duration, rate float64) {
 	if f.growing && f.growEv == 0 && rate >= f.windowCap-1e-6 {
-		f.growEv = f.net.clk.ScheduleSite(siteGrowth, f.growAt-now, f.growFn)
+		f.growEv = f.net.clk.ScheduleHandler(siteGrowth, f.growAt-now, f, evGrow)
 		f.woken = true
 		f.net.growWakes++
 	}
@@ -552,10 +552,8 @@ func (f *flow) scheduleCompletion(now time.Duration) {
 	f.completeReady(now)
 	if f.queued() == 0 || f.removed || f.rate <= 0 {
 		// Empty, gone, or stalled (outage; re-armed on next recompute).
-		if f.doneEv != 0 {
-			f.net.clk.Cancel(f.doneEv)
-			f.doneEv = 0
-		}
+		f.net.clk.Cancel(f.doneEv)
+		f.doneEv = 0
 		return
 	}
 	need := f.headSeg().end - f.transmittedAt(now)
@@ -570,24 +568,20 @@ func (f *flow) scheduleCompletion(now time.Duration) {
 	if secs < maxDelay.Seconds() {
 		d = time.Duration(secs*float64(time.Second)) + time.Nanosecond
 	}
-	// Reschedule re-keys the pending event in place — on the per-RTT
+	// RescheduleHandler re-keys the pending event in place — on the per-RTT
 	// growth path this timer moves on every rate change, and a fused
 	// re-arm halves the heap traffic of a cancel-then-schedule pair.
-	f.doneEv = f.net.clk.RescheduleSite(siteCompletion, f.doneEv, d, f.doneFn)
+	f.doneEv = f.net.clk.RescheduleHandler(siteCompletion, f.doneEv, d, f, evDone)
 }
 
 func (f *flow) onSegmentDone() {
-	n := f.net
-	n.mu.Lock()
 	f.doneEv = 0
 	if f.removed {
-		n.mu.Unlock()
 		return
 	}
-	now := n.clk.Elapsed()
+	now := f.net.clk.Elapsed()
 	f.fold(now)
 	f.scheduleCompletion(now)
-	n.mu.Unlock()
 }
 
 // completeReady retires every head segment already fully transmitted:
@@ -600,7 +594,7 @@ func (f *flow) completeReady(now time.Duration) {
 	for f.queued() > 0 && f.headSeg().end <= done+1e-3 {
 		seg := f.popSegLocked()
 		f.inflight = append(f.inflight, seg)
-		f.net.clk.ScheduleSite(siteDeliver, f.owd, f.deliverFn)
+		f.net.clk.ScheduleHandler(siteDeliver, f.owd, f, evDeliver)
 		retired = true
 	}
 	// Writers block only on transmission progress, so one broadcast per
@@ -615,14 +609,11 @@ func (f *flow) completeReady(now time.Duration) {
 			linger = time.Millisecond
 		}
 		f.lingerSet = f.net.stampLocked()
-		f.lingerEv = f.net.clk.ScheduleSite(siteLinger, linger, f.lingerFn)
+		f.lingerEv = f.net.clk.ScheduleHandler(siteLinger, linger, f, evLinger)
 	}
 }
 
 func (f *flow) onLinger() {
-	n := f.net
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	f.lingerEv = 0
 	if f.removed || !f.lingering || f.queued() > 0 {
 		f.lingering = false
@@ -630,20 +621,16 @@ func (f *flow) onLinger() {
 	}
 	f.lingering = false
 	f.active = false
-	if f.lossEv != 0 {
-		f.net.clk.Cancel(f.lossEv)
-		f.lossEv = 0
-	}
+	f.net.clk.Cancel(f.lossEv)
+	f.lossEv = 0
 	// The window outlives the deactivation: settle the ticks it skipped
 	// before the chain stops.
-	now := n.clk.Elapsed()
+	now := f.net.clk.Elapsed()
 	f.growTo(now, f.orderAfter(f.lingerSet, now))
-	if f.growEv != 0 {
-		f.net.clk.Cancel(f.growEv)
-		f.growEv = 0
-	}
+	f.net.clk.Cancel(f.growEv)
+	f.growEv = 0
 	f.growing = false
-	n.flowDeactivatedLocked(f)
+	f.net.flowDeactivatedLocked(f)
 }
 
 // remove permanently retires the flow, folding its transmitted bytes into
@@ -665,9 +652,7 @@ func (f *flow) remove(now time.Duration) {
 		f.net.putSegLocked(f.popSegLocked())
 	}
 	for _, ev := range [...]vtime.EventID{f.doneEv, f.lossEv, f.growEv, f.lingerEv} {
-		if ev != 0 {
-			f.net.clk.Cancel(ev)
-		}
+		f.net.clk.Cancel(ev)
 	}
 	f.doneEv, f.lossEv, f.growEv, f.lingerEv = 0, 0, 0, 0
 	if f.src != nil && f.dst != nil {

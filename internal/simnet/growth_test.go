@@ -118,6 +118,7 @@ func ticksBefore(from, now, rtt time.Duration) int64 {
 // before: ssthresh is half of it.
 func TestSleepingFlowWindowAtLoss(t *testing.T) {
 	clk := vtime.NewSim(3)
+	defer func() { fireHook = nil }()
 	clk.Run(func() {
 		n := New(clk)
 		a := n.AddHost("a", HostConfig{DefaultBufferBytes: 8 * mb})
@@ -138,8 +139,10 @@ func TestSleepingFlowWindowAtLoss(t *testing.T) {
 		var last *after
 		checked := 0
 		n.mu.Lock()
-		f.lossFn = func() {
-			n.mu.Lock()
+		fireHook = func(g *flow, kind uint8) bool {
+			if g != f || kind != evLoss {
+				return false
+			}
 			now := n.clk.Elapsed()
 			var want float64
 			check := last != nil && f.growing && f.growEv == 0 &&
@@ -147,10 +150,7 @@ func TestSleepingFlowWindowAtLoss(t *testing.T) {
 			if check {
 				want, _ = stepWindow(last.w, last.ssthresh, f.maxWindow, float64(f.mss), ticksBefore(last.growAt, now, f.rtt))
 			}
-			n.mu.Unlock()
 			f.onLoss()
-			n.mu.Lock()
-			defer n.mu.Unlock()
 			if check {
 				checked++
 				if got, want := f.ssthresh, math.Max(want/2, float64(2*f.mss)); math.Float64bits(got) != math.Float64bits(want) {
@@ -161,6 +161,7 @@ func TestSleepingFlowWindowAtLoss(t *testing.T) {
 				}
 			}
 			last = &after{f.window, f.ssthresh, f.growAt, n.growSkipped}
+			return true
 		}
 		n.mu.Unlock()
 		clk.Go(func() { ep.WriteVirtual(total) })
@@ -251,7 +252,7 @@ func TestWokenFlowTicksOnItsGrid(t *testing.T) {
 // includes that tick.
 func TestFlushScheduledLingerFollowsTick(t *testing.T) {
 	clk := vtime.NewSim(1)
-	defer func() { FlushObserver = nil }()
+	defer func() { FlushObserver, fireHook = nil, nil }()
 	clk.Run(func() {
 		n := New(clk)
 		a := n.AddHost("a", HostConfig{DiskBps: 1 * mbps, DefaultBufferBytes: 1 * mb})
@@ -268,16 +269,15 @@ func TestFlushScheduledLingerFollowsTick(t *testing.T) {
 		n.mu.Lock()
 		fX.ssthresh = fX.window // congestion avoidance: window-limited for long
 		fY.ssthresh = fY.window
-		fY.lingerFn = func() {
-			n.mu.Lock()
+		fireHook = func(g *flow, kind uint8) bool {
+			if g != fY || kind != evLinger {
+				return false
+			}
 			now := n.clk.Elapsed()
 			onGrid := now >= fY.growAt && (now-fY.growAt)%fY.rtt == 0
 			want, _ := stepWindow(fY.window, fY.ssthresh, fY.maxWindow, float64(fY.mss), int64((now-fY.growAt)/fY.rtt)+1)
 			set := fY.lingerSet
-			n.mu.Unlock()
 			fY.onLinger()
-			n.mu.Lock()
-			defer n.mu.Unlock()
 			lingered = true
 			if !onGrid || !set.inFlush || set.at != now-fY.rtt {
 				t.Fatalf("linger at %v (scheduled at %+v) is not one RTT after a flush on Y's grid (next tick %v)", now, set, fY.growAt)
@@ -286,6 +286,7 @@ func TestFlushScheduledLingerFollowsTick(t *testing.T) {
 				t.Errorf("Y deactivated with window %v, growing %v, %d ties; the tick before the linger gives %v",
 					fY.window, fY.growing, n.growTies, want)
 			}
+			return true
 		}
 		n.mu.Unlock()
 		drained := false

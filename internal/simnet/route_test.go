@@ -3,6 +3,7 @@ package simnet
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"esgrid/internal/vtime"
 )
@@ -86,5 +87,37 @@ func TestRouteAllocs(t *testing.T) {
 	}
 	if got, want := pathString(n.routes[key]), "a->r1 r1->r2 r2->b"; got != want {
 		t.Errorf("route a->b = %q, want %q", got, want)
+	}
+}
+
+// TestConnAllocs prices a new connection over cached routes: one
+// allocation holds the Conn, its endpoints and flows, and one more is
+// its client address text. A flow's events are typed (flow.Fire), so no
+// callback is bound per flow; the conds come from the Sim's slab. A new
+// route adds its path slice per direction (TestRouteAllocs).
+func TestConnAllocs(t *testing.T) {
+	n := New(vtime.NewSim(1))
+	a := n.AddHost("a", HostConfig{})
+	b := n.AddHost("b", HostConfig{})
+	n.AddLink("a", "b", LinkConfig{CapacityBps: gbps, Delay: time.Millisecond})
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	fwd, err := n.routeLocked("a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rev, err := n.routeLocked("b", "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c *Conn
+	allocs := testing.AllocsPerRun(100, func() {
+		c = n.newConnLocked(a, b, "b:9000", fwd, rev)
+	})
+	if allocs != 2 {
+		t.Errorf("a new Conn allocates %.1f objects, want 2 (the Conn and its client address)", allocs)
+	}
+	if c.flows[0].rtt != 2*time.Millisecond || c.flows[1].conn != c {
+		t.Errorf("conn built with rtt %v, flow 1 on conn %p, want 2ms on %p", c.flows[0].rtt, c.flows[1].conn, c)
 	}
 }

@@ -190,10 +190,6 @@ type Net struct {
 	tmpComp  component
 	compHits uint64
 
-	// flushFn is the cached zero-delay flush callback, so arming a flush
-	// does not allocate a closure per event burst.
-	flushFn func()
-
 	// segFree recycles segment objects (and their payload buffers, kept
 	// attached) under mu. A plain LIFO — not a sync.Pool — so reuse order
 	// is deterministic across equal-seed runs.
@@ -286,7 +282,12 @@ func New(clk *vtime.Sim) *Net {
 		dnsUp:     true,
 		nextPort:  40000,
 	}
-	n.flushFn = func() {
+	// The flush rides the clock's end-of-instant hook: it fires exactly
+	// where its former zero-delay event did (after every event due at the
+	// instant), but arming costs a flag flip instead of an event
+	// schedule/dispatch cycle — and the flush path fires once per dirty
+	// instant, the highest event frequency in the tree.
+	clk.SetInstantHook(func() {
 		n.mu.Lock()
 		// Deferred, so a verification panic leaves the hook with mu free:
 		// the goroutine advancing the clock is usually parked in a
@@ -296,13 +297,7 @@ func New(clk *vtime.Sim) *Net {
 		n.inFlush = true
 		n.flushLocked()
 		n.inFlush = false
-	}
-	// The flush rides the clock's end-of-instant hook: it fires exactly
-	// where its former zero-delay event did (after every event due at the
-	// instant), but arming costs a flag flip instead of an event
-	// schedule/dispatch cycle — and the flush path fires once per dirty
-	// instant, the highest event frequency in the tree.
-	clk.SetInstantHook(n.flushFn)
+	})
 	return n
 }
 

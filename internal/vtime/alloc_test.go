@@ -186,3 +186,55 @@ func TestSimCondRecyclingAcrossConds(t *testing.T) {
 		}
 	})
 }
+
+// TestHandlerEventAllocFree guards the typed-event hot path (a flow's
+// growth, loss, completion, linger and delivery): once the slot arena
+// has room, a handler event's schedule, re-key, cancel, fire and
+// RearmFiring cycle allocates nothing.
+func TestHandlerEventAllocFree(t *testing.T) {
+	s := NewSim(1)
+	h := kindCounter{s: s}
+	s.Run(func() {
+		cycle := func() {
+			id := s.ScheduleHandler(siteTestOnce, time.Hour, &h, 0)
+			id = s.RescheduleHandler(siteTestLater, id, 2*time.Hour, &h, 1)
+			s.Cancel(id)
+			h.rearms = 2
+			s.ScheduleHandler(siteTestTick, time.Microsecond, &h, 2)
+			s.Sleep(10 * time.Microsecond)
+		}
+		cycle() // warm the slot arena and the parker
+		allocs := testing.AllocsPerRun(100, cycle)
+		if allocs > 0 {
+			t.Errorf("a handler event cycle allocates %.1f objects, want 0", allocs)
+		}
+		if h.fired != [4]int{0, 0, 102 * 3, 0} {
+			t.Errorf("fires by kind %v over 102 cycles, want 3 of kind 2 per cycle", h.fired)
+		}
+	})
+}
+
+// TestSimCondNewWaiterAllocs prices a timed wait on a waiter the Sim has
+// never recycled: the waiter and its channel, and nothing for its
+// timeout, which fires the waiter itself as a typed event.
+func TestSimCondNewWaiterAllocs(t *testing.T) {
+	s := NewSim(1)
+	s.Run(func() {
+		var mu sync.Mutex
+		cond := s.NewCond(&mu)
+		wait := func() {
+			s.condMu.Lock()
+			s.waitFree = s.waitFree[:0] // the next wait builds its waiter
+			s.condMu.Unlock()
+			mu.Lock()
+			if cond.WaitTimeout(time.Millisecond) {
+				t.Error("WaitTimeout reported a signal, want a timeout")
+			}
+			mu.Unlock()
+		}
+		wait() // size the slot arena and the freelist
+		if allocs := testing.AllocsPerRun(100, wait); allocs != 2 {
+			t.Errorf("a timed wait on a new waiter allocates %.1f objects, want 2 (the waiter and its channel)", allocs)
+		}
+	})
+}

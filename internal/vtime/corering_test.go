@@ -49,7 +49,7 @@ func TestCoreRingOverwritesOldest(t *testing.T) {
 }
 
 // TestSimWritesCoreRing drives every ring-writing path in the core —
-// schedule (heap and zero-delay), fire, cancel, reschedule-in-place and
+// schedule (heap and zero-delay), fire, cancel, re-key in place and
 // RearmFiring — and checks the decoded stream carries the causal parent
 // and site tags.
 func TestSimWritesCoreRing(t *testing.T) {
@@ -66,9 +66,10 @@ func TestSimWritesCoreRing(t *testing.T) {
 			}
 		})
 		s.ScheduleSite(siteTestOnce, 2*time.Millisecond, func() {})
-		// Reschedule-in-place: push a pending heap timer further out.
-		id := s.ScheduleSite(siteTestLater, time.Hour, func() {})
-		id = s.RescheduleSite(siteTestLater, id, 2*time.Hour, func() {})
+		// Re-key in place: push a pending heap timer further out.
+		var later kindCounter
+		id := s.ScheduleHandler(siteTestLater, time.Hour, &later, 0)
+		id = s.RescheduleHandler(siteTestLater, id, 2*time.Hour, &later, 1)
 		s.Sleep(10 * time.Millisecond)
 		s.Cancel(id)
 		s.ScheduleSite(siteTestOnce, 0, func() {}) // zero-delay FIFO path
@@ -208,15 +209,35 @@ func TestWallProfileAttributesSites(t *testing.T) {
 	}
 }
 
+// kindCounter is a test Handler that counts its fires by kind and, while
+// rearms lasts, re-arms itself one microsecond on.
+type kindCounter struct {
+	s      *Sim
+	fired  [4]int
+	rearms int
+}
+
+func (h *kindCounter) Fire(kind uint8) {
+	h.fired[kind]++
+	if h.rearms > 0 {
+		h.rearms--
+		h.s.RearmFiring(time.Microsecond)
+	}
+}
+
+// A re-key to the untagged site moves a pending event in place: it fires
+// once, with the new kind.
 func TestRescheduleUntagged(t *testing.T) {
 	s := NewSim(5)
 	s.Run(func() {
-		fired := 0
-		id := s.ScheduleSite(siteTestOnce, time.Hour, func() { fired++ })
-		s.Reschedule(id, time.Millisecond, func() { fired++ })
+		var h kindCounter
+		id := s.ScheduleHandler(siteTestOnce, time.Hour, &h, 0)
+		if s.RescheduleHandler(0, id, time.Millisecond, &h, 1) != id {
+			t.Error("re-key of a pending heap event changed its id")
+		}
 		s.Sleep(2 * time.Millisecond)
-		if fired != 1 {
-			t.Errorf("rescheduled event fired %d times", fired)
+		if fired := h.fired[0] + h.fired[1]; fired != 1 || h.fired[1] != 1 {
+			t.Errorf("rescheduled event fired %d times (by kind %v)", fired, h.fired)
 		}
 	})
 }

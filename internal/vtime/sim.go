@@ -50,7 +50,13 @@ func NextTick(t time.Time, tick time.Duration) time.Time {
 // per-goroutine parker (a cached channel) instead of allocating a channel
 // and a closure per call.
 //
-// Event callbacks scheduled with AfterFunc run at their due time, on the
+// An event is a parker wakeup or a Handler fired with a kind byte.
+// Recurring events of long-lived objects (a flow's growth, loss,
+// completion, linger and delivery; a cond waiter's timeout) use
+// ScheduleHandler and RescheduleHandler, which bind no callback. One-shot
+// callbacks (experiment timelines, faults, meters) use Schedule,
+// ScheduleSite, AfterFunc or AfterFuncTagged, which store the func as a
+// Handler without allocating. Callbacks run at their due time, on the
 // goroutine that happened to advance the clock; they must not block.
 type Sim struct {
 	mu        sync.Mutex
@@ -131,10 +137,23 @@ type eventSlot struct {
 	gen     uint32
 	heapIdx int32 // position in heap, or -1
 	state   int32
-	site    Site // scheduling call site (provenance label)
-	fn      func()
-	wake    chan struct{} // parker channel to signal; nil for fn events
+	site    Site  // scheduling call site (provenance label)
+	kind    uint8 // passed to h.Fire
+	h       Handler
+	wake    chan struct{} // parker channel to signal; nil for handler events
 }
+
+// Handler receives typed events: the receiver and a kind byte are the
+// whole event, so a long-lived object with several kinds of event (a
+// flow, a cond waiter) schedules them all without binding a callback per
+// kind. Fire runs like any event callback and must not block.
+type Handler interface{ Fire(kind uint8) }
+
+// funcHandler carries a func() callback in a Handler slot. A func value
+// is pointer-shaped, so the conversion does not allocate.
+type funcHandler func()
+
+func (fn funcHandler) Fire(uint8) { fn() }
 
 // eventSlot states.
 const (
@@ -246,7 +265,7 @@ func (s *Sim) allocSlotLocked() int32 {
 // freeSlotLocked recycles a fired or cancelled slot.
 func (s *Sim) freeSlotLocked(i int32) {
 	sl := &s.slots[i]
-	sl.fn = nil
+	sl.h = nil
 	sl.wake = nil
 	sl.state = notQueued
 	sl.heapIdx = -1
@@ -346,21 +365,16 @@ func (s *Sim) popEventLocked() int32 {
 	return i
 }
 
-// scheduleLocked enters an event (fn callback or parker wakeup) due after
-// d and returns its id. Zero-delay events — due at the current instant, a
+// scheduleLocked enters an event (handler or parker wakeup) due after d
+// and returns its id. Zero-delay events — due at the current instant, a
 // constant stream on the allocator flush path — skip the heap entirely
 // and ride a FIFO: same (at, seq) firing order, O(1) instead of two
 // O(log n) sifts per event.
-func (s *Sim) scheduleLocked(d time.Duration, fn func(), wake chan struct{}, site Site) EventID {
+func (s *Sim) scheduleLocked(d time.Duration, h Handler, kind uint8, wake chan struct{}, site Site) EventID {
 	i := s.allocSlotLocked()
 	sl := &s.slots[i]
-	sl.seq = s.seq
-	sl.parent = s.lastFired
-	sl.site = site
-	sl.fn = fn
+	s.stampLocked(sl, site, h, kind)
 	sl.wake = wake
-	s.seq++
-	s.nSched++
 	if d <= 0 {
 		sl.at = s.now
 		sl.state = immQueued
@@ -377,6 +391,14 @@ func (s *Sim) scheduleLocked(d time.Duration, fn func(), wake chan struct{}, sit
 		r.Put(CoreSchedule, int64(s.now), int64(sl.at), sl.seq, sl.parent, site)
 	}
 	return makeEventID(i, sl.gen)
+}
+
+// stampLocked gives sl its event — what it fires and its site — with a
+// fresh sequence number and, as causal parent, the event now firing.
+func (s *Sim) stampLocked(sl *eventSlot, site Site, h Handler, kind uint8) {
+	sl.seq, sl.parent, sl.site, sl.h, sl.kind = s.seq, s.lastFired, site, h, kind
+	s.seq++
+	s.nSched++
 }
 
 // popNextLocked removes and returns the globally earliest pending slot by
@@ -414,70 +436,55 @@ func (s *Sim) popNextLocked() int32 {
 }
 
 // Schedule arms fn to run after d on the clock's event context, exactly
-// like AfterFunc, but hands back a plain EventID instead of a Timer so
-// hot paths that cache their callback closures can schedule and cancel
-// with zero heap allocation.
+// like AfterFunc, but hands back a plain EventID instead of a Timer.
 func (s *Sim) Schedule(d time.Duration, fn func()) EventID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.scheduleLocked(d, fn, nil, 0)
+	return s.ScheduleHandler(0, d, funcHandler(fn), 0)
 }
 
 // ScheduleSite is Schedule with a provenance site tag (see RegisterSite):
 // the event carries the tag through the flight recorder and profiler, so
 // a fired timer can be attributed to the subsystem that armed it.
 func (s *Sim) ScheduleSite(site Site, d time.Duration, fn func()) EventID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.scheduleLocked(d, fn, nil, site)
+	return s.ScheduleHandler(site, d, funcHandler(fn), 0)
 }
 
-// Reschedule moves a pending event to fire after d with callback fn and
-// returns its id. A zero, stale, or already-fired id arms fn afresh,
-// exactly like Schedule. A still-pending heap event is re-keyed in place
-// — one sift along its heap path under a single lock acquisition,
-// instead of two lock cycles, a removal and a push. The re-keyed event
-// takes a fresh sequence number, exactly as a cancel-and-schedule would.
-func (s *Sim) Reschedule(id EventID, d time.Duration, fn func()) EventID {
-	return s.RescheduleSite(0, id, d, fn)
-}
-
-// RescheduleSite is Reschedule with a provenance site tag; a re-keyed
-// event takes the new tag and a fresh causal parent, exactly as a
-// cancel-and-ScheduleSite pair would.
-func (s *Sim) RescheduleSite(site Site, id EventID, d time.Duration, fn func()) EventID {
+// ScheduleHandler arms h.Fire(kind) to run after d, tagged with site.
+func (s *Sim) ScheduleHandler(site Site, d time.Duration, h Handler, kind uint8) EventID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if id != 0 {
-		slot, gen := splitEventID(id)
-		if slot >= 0 && int(slot) < len(s.slots) {
-			sl := &s.slots[slot]
-			if sl.gen == gen && sl.state == inHeap && d > 0 {
-				sl.at = s.now + d
-				sl.seq = s.seq
-				sl.parent = s.lastFired
-				sl.site = site
-				s.seq++
-				s.nSched++
-				sl.fn = fn
-				pos := int(sl.heapIdx)
-				s.heap[pos].at = sl.at
-				s.heap[pos].seq = sl.seq
-				s.siftDownLocked(pos)
-				s.siftUpLocked(pos)
-				if r := s.ring; r != nil {
-					r.Put(CoreSchedule, int64(s.now), int64(sl.at), sl.seq, sl.parent, site)
-				}
-				return id
-			}
-		}
+	return s.scheduleLocked(d, h, kind, nil, site)
+}
+
+// RescheduleHandler moves event id to fire h.Fire(kind) after d, tagged
+// with site, and returns its id. A pending heap event is re-keyed in
+// place — one sift under one lock instead of a removal and a push — and
+// takes a fresh seq and causal parent, as a cancel-and-schedule pair
+// would; any other id (zero, stale, fired, zero-delay) is cancelled if
+// pending and the event armed afresh, as by ScheduleHandler.
+func (s *Sim) RescheduleHandler(site Site, id EventID, d time.Duration, h Handler, kind uint8) EventID {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	slot, gen := splitEventID(id)
+	if d <= 0 || slot < 0 || int(slot) >= len(s.slots) || s.slots[slot].gen != gen || s.slots[slot].state != inHeap {
 		s.cancelLocked(id)
+		return s.scheduleLocked(d, h, kind, nil, site)
 	}
-	return s.scheduleLocked(d, fn, nil, site)
+	sl := &s.slots[slot]
+	sl.at = s.now + d
+	s.stampLocked(sl, site, h, kind)
+	pos := int(sl.heapIdx)
+	s.heap[pos].at = sl.at
+	s.heap[pos].seq = sl.seq
+	s.siftDownLocked(pos)
+	s.siftUpLocked(pos)
+	if r := s.ring; r != nil {
+		r.Put(CoreSchedule, int64(s.now), int64(sl.at), sl.seq, sl.parent, site)
+	}
+	return id
 }
 
 // RearmFiring re-arms the event whose callback is currently executing to
-// fire again after d with the same callback, and returns its id —
+// fire again after d with the same handler and kind, and returns its id —
 // unchanged, since the slot is never recycled. It must be called only
 // from within that event's own callback; periodic events (per-RTT window
 // growth of a window-limited flow, meter samples) re-arm themselves this
@@ -535,7 +542,7 @@ func (s *Sim) cancelLocked(id EventID) bool {
 		}
 		s.nCancelled++
 		sl.state = immCancelled
-		sl.fn = nil
+		sl.h = nil
 		sl.wake = nil
 		s.immLive--
 		return true
@@ -554,10 +561,7 @@ func (s *Sim) PendingEvents() int {
 
 // AfterFunc implements Clock.
 func (s *Sim) AfterFunc(d time.Duration, fn func()) Timer {
-	s.mu.Lock()
-	id := s.scheduleLocked(d, fn, nil, siteAfterFunc)
-	s.mu.Unlock()
-	return &simTimer{s: s, id: id}
+	return &simTimer{s: s, id: s.ScheduleSite(siteAfterFunc, d, fn)}
 }
 
 type simTimer struct {
@@ -632,7 +636,6 @@ func (s *Sim) getWaiter(c *chanCond) *waiter {
 	s.condMu.Unlock()
 	if w == nil {
 		w = &waiter{ch: make(chan struct{}, 1)}
-		w.timeoutFn = func() { w.c.timeout(w) }
 	}
 	w.c, w.fired, w.timedOut = c, false, false
 	return w
@@ -727,7 +730,7 @@ func (s *Sim) SleepSite(site Site, d time.Duration) {
 	} else {
 		p = &parker{ch: make(chan struct{}, 1)}
 	}
-	s.scheduleLocked(d, nil, p.ch, site)
+	s.scheduleLocked(d, nil, 0, p.ch, site)
 	s.runnable--
 	s.parked++
 	s.maybeAdvanceLocked()
@@ -775,7 +778,7 @@ func (s *Sim) unpark(ch chan struct{}) {
 }
 
 // maybeAdvanceLocked fires pending events while no managed goroutine is
-// runnable. Called with s.mu held; fn callbacks run with s.mu released,
+// runnable. Called with s.mu held; handlers run with s.mu released,
 // while parker wakeups are delivered inline under the lock (the wake
 // channel is buffered and carries at most one pending signal, so the send
 // cannot block).
@@ -815,11 +818,11 @@ func (s *Sim) maybeAdvanceLocked() {
 			ch <- struct{}{} // buffered; never blocks
 			continue
 		}
-		// The slot stays reserved (not freed) while fn runs so RearmFiring
-		// can reclaim it; schedules made inside fn draw other slots.
-		fn := sl.fn
+		// The slot stays reserved (not freed) while the handler runs so
+		// RearmFiring can reclaim it; schedules made inside it draw other
+		// slots.
+		h, kind := sl.h, sl.kind
 		site := sl.site
-		firedSeq := sl.seq
 		s.firingID = makeEventID(i, sl.gen)
 		s.rearmDelay = -1
 		s.advancing = true
@@ -832,7 +835,7 @@ func (s *Sim) maybeAdvanceLocked() {
 		if sample {
 			t0 = time.Now() //esglint:wallclock wall-time profiler sample, never fed back into the simulation
 		}
-		fn()
+		h.Fire(kind)
 		var dt int64
 		if sample {
 			dt = int64(time.Since(t0)) * WallSampleEvery //esglint:wallclock wall-time profiler sample, never fed back into the simulation
@@ -847,16 +850,15 @@ func (s *Sim) maybeAdvanceLocked() {
 			s.wallNs[j] += dt
 		}
 		if d := s.rearmDelay; d > 0 {
-			sl = &s.slots[i] // fn may have grown the arena
+			sl = &s.slots[i] // the handler may have grown the arena
 			sl.at = s.now + d
-			sl.seq = s.seq
-			sl.parent = firedSeq // causal chain: each firing parents its re-arm
-			s.seq++
-			s.nSched++
+			// lastFired is still this firing's seq, so each firing parents
+			// its re-arm.
+			s.stampLocked(sl, site, h, kind)
 			s.nRearmed++
 			s.pushEventLocked(i)
 			if r := s.ring; r != nil {
-				r.Put(CoreRearm, int64(s.now), int64(sl.at), sl.seq, firedSeq, site)
+				r.Put(CoreRearm, int64(s.now), int64(sl.at), sl.seq, sl.parent, site)
 			}
 		} else {
 			s.freeSlotLocked(i)

@@ -88,8 +88,7 @@ func SleepTagged(clk Clock, site Site, d time.Duration) {
 // Sim; on any other clock it degrades to a plain AfterFunc.
 func AfterFuncTagged(clk Clock, site Site, d time.Duration, fn func()) Timer {
 	if s, ok := clk.(*Sim); ok {
-		id := s.ScheduleSite(site, d, fn)
-		return &simTimer{s: s, id: id}
+		return &simTimer{s: s, id: s.ScheduleSite(site, d, fn)}
 	}
 	return clk.AfterFunc(d, fn)
 }

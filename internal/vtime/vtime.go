@@ -86,7 +86,7 @@ func (Real) NewCond(l sync.Locker) Cond { return &chanCond{l: l} }
 // carved from the Sim's slab (Sim.NewCond), waiters come from its
 // freelist, and each wait list starts on an inline array. A per-cond
 // freelist never amortises across sessions, whose conds are new: each
-// first Wait would pay a waiter, its channel and its timeout closure.
+// first Wait would pay a waiter and its channel.
 // The Sim's freelist holds at most the peak number of concurrent
 // waiters, and steady-state Wait/Signal allocates nothing however many
 // conds a run creates.
@@ -100,12 +100,14 @@ type chanCond struct {
 }
 
 type waiter struct {
-	ch        chan struct{}
-	c         *chanCond // the cond the waiter is queued on (Sim clock only)
-	fired     bool      // claimed by a signal, broadcast, or timeout (under c.mu)
-	timedOut  bool
-	timeoutFn func() // bound once per waiter: w.c.timeout(w) (Sim clock only)
+	ch       chan struct{}
+	c        *chanCond // the cond the waiter is queued on (Sim clock only)
+	fired    bool      // claimed by a signal, broadcast, or timeout (under c.mu)
+	timedOut bool
 }
+
+// Fire is the waiter's timeout event on a Sim clock.
+func (w *waiter) Fire(uint8) { w.c.timeout(w) }
 
 func (c *chanCond) Wait() { c.wait(-1) }
 
@@ -127,7 +129,7 @@ func (c *chanCond) wait(d time.Duration) bool {
 	var t *time.Timer
 	if d >= 0 {
 		if sim != nil {
-			id = sim.ScheduleSite(siteCondTimeout, d, w.timeoutFn)
+			id = sim.ScheduleHandler(siteCondTimeout, d, w, 0)
 		} else {
 			t = time.AfterFunc(d, func() { c.timeout(w) })
 		}
