@@ -52,13 +52,14 @@ race:
 
 # One iteration of the simnet microbenchmarks (the allocator kernel
 # alone, the per-event recompute path, and a long flow's window growth
-# with its core events per op), a simulated session's allocations and
-# the event core's cost per handler event — proves the benchmark harness
-# itself still compiles and runs, without paying for full timing.
+# with its core events per op), a simulated session's allocations, the
+# event core's cost per handler event and a managed goroutine's cost per
+# park/wake hand-off — proves the benchmark harness itself still
+# compiles and runs, without paying for full timing.
 bench-smoke:
 	$(GO) test ./internal/simnet/ -run '^$$' -bench '^Benchmark(Allocate|Recompute|LongFlowGrowth)$$' -benchtime=1x
 	$(GO) test ./internal/gridftp/ -run '^$$' -bench '^BenchmarkSimSession$$' -benchtime=1x
-	$(GO) test ./internal/vtime/ -run '^$$' -bench '^BenchmarkHandlerEvent$$' -benchtime=1x
+	$(GO) test ./internal/vtime/ -run '^$$' -bench '^Benchmark(HandlerEvent|ParkWake)$$' -benchtime=1x
 
 # Every Go benchmark once (allocator, telemetry fold, the E2E
 # request path); the paper's tables and figures are cmd/esgbench's.

@@ -22,6 +22,14 @@ func (discardConn) SetDeadline(time.Time) error      { return nil }
 func (discardConn) SetReadDeadline(time.Time) error  { return nil }
 func (discardConn) SetWriteDeadline(time.Time) error { return nil }
 
+// readerConn is discardConn reading from r.
+type readerConn struct {
+	discardConn
+	r io.Reader
+}
+
+func (c readerConn) Read(p []byte) (int, error) { return c.r.Read(p) }
+
 // TestModeEBlockSendAllocFree guards the per-block unit of a MODE E data
 // stream — header marshal plus content range send. Striped transfers emit
 // one of these per block per stream, so any allocation here multiplies by
@@ -126,5 +134,57 @@ func TestCtrlSendAllocFree(t *testing.T) {
 		if allocs > 0 {
 			t.Errorf("%s allocates %.1f objects per line, want 0", tc.name, allocs)
 		}
+	}
+}
+
+// lineConn is discardConn that reads the same line forever, one copy per
+// Read.
+type lineConn struct {
+	discardConn
+	line []byte
+}
+
+func (c lineConn) Read(p []byte) (int, error) { return copy(p, c.line), nil }
+
+// TestCtrlDispatchAllocFree guards the server's command path: a command
+// line is read into the control channel's buffer, parsed where it lies
+// and answered from the write buffer, so a command that keeps none of
+// its argument text allocates nothing. A simulated session sends a
+// handful of these, and a thousand sessions run at once.
+func TestCtrlDispatchAllocFree(t *testing.T) {
+	for _, line := range []string{
+		"TYPE I", "MODE E", "mode s", "NOOP", "SBUF 1048576", "ALLO 2147483648",
+		"OPTS RETR Parallelism=4;", "OPTS CHANNELS Cache=on",
+	} {
+		sess := &session{srv: &Server{}, ct: newCtrl(lineConn{line: []byte(line + "\r\n")}), parallelism: 1, mode: 'E'}
+		ok := true
+		allocs := testing.AllocsPerRun(100, func() {
+			l, err := sess.ct.readLine()
+			if err != nil || !sess.dispatch(l) {
+				ok = false
+			}
+		})
+		if !ok {
+			t.Fatalf("%q: the session ended", line)
+		}
+		if allocs > 0 {
+			t.Errorf("reading and dispatching %q allocates %.1f objects, want 0", line, allocs)
+		}
+	}
+}
+
+// TestReadResponseAllocFree guards the client's reply path: a
+// single-line reply is parsed in the control channel's read buffer and
+// its text handed back as a view into it.
+func TestReadResponseAllocFree(t *testing.T) {
+	ct := newCtrl(lineConn{line: []byte("226 Transfer complete\r\n")})
+	var r response
+	var err error
+	allocs := testing.AllocsPerRun(100, func() { r, err = ct.readResponse() })
+	if err != nil || r.Code != codeTransferOK || string(r.Text) != "Transfer complete" {
+		t.Fatalf("readResponse = %+v, %v", r, err)
+	}
+	if allocs > 0 {
+		t.Errorf("readResponse of a single-line reply allocates %.1f objects, want 0", allocs)
 	}
 }

@@ -1,11 +1,11 @@
 package gridftp
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -118,7 +118,7 @@ func Dial(cfg ClientConfig, addr string) (*Client, error) {
 		return fail(conn, err)
 	}
 	if trid := session.Context(); trid != "" {
-		if _, err := c.simple("TRID " + trid); err != nil {
+		if _, err := c.simple("TRID ", trid); err != nil {
 			return fail(conn, err)
 		}
 	}
@@ -156,7 +156,7 @@ func (c *Client) authenticate(conn transport.Conn) error {
 	rw := struct {
 		io.Reader
 		io.Writer
-	}{c.ct.br, conn}
+	}{c.ct, conn}
 	peer, err := c.cfg.Auth.Client(rw)
 	if err != nil {
 		return err
@@ -172,27 +172,42 @@ func (c *Client) authenticate(conn transport.Conn) error {
 }
 
 func (c *Client) configureSession() error {
-	cmds := []string{"TYPE I", "MODE E"}
+	if _, err := c.simple("TYPE I"); err != nil {
+		return err
+	}
+	if _, err := c.simple("MODE E"); err != nil {
+		return err
+	}
 	if c.cfg.BufferBytes > 0 {
-		cmds = append(cmds, fmt.Sprintf("SBUF %d", c.cfg.BufferBytes))
+		if _, err := c.exchange(strconv.AppendInt(c.ct.line("SBUF "), int64(c.cfg.BufferBytes), 10)); err != nil {
+			return err
+		}
 	}
-	cmds = append(cmds, fmt.Sprintf("OPTS RETR Parallelism=%d;", c.cfg.Parallelism))
+	b := strconv.AppendInt(c.ct.line("OPTS RETR Parallelism="), int64(c.cfg.Parallelism), 10)
+	if _, err := c.exchange(append(b, ';')); err != nil {
+		return err
+	}
 	if c.cfg.CacheDataChannels {
-		cmds = append(cmds, "OPTS CHANNELS Cache=on")
-	}
-	for _, cmd := range cmds {
-		if _, err := c.simple(cmd); err != nil {
+		if _, err := c.simple("OPTS CHANNELS Cache=on"); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// simple sends a command and expects a 2xx/3xx single response. Each
-// exchange's round-trip time feeds the gridftp.control.rtts histogram.
-func (c *Client) simple(cmd string) (response, error) {
+// simple sends a command, the concatenation of parts, and expects a
+// 2xx/3xx single response.
+func (c *Client) simple(parts ...string) (response, error) {
+	return c.exchange(c.ct.line(parts...))
+}
+
+// exchange sends the command line built in b (on the control channel's
+// write buffer, see ctrl.line) and expects a 2xx/3xx single response.
+// Each exchange's round-trip time feeds the gridftp.control.rtts
+// histogram.
+func (c *Client) exchange(b []byte) (response, error) {
 	start := c.cfg.Clock.Now()
-	if err := c.ct.sendLine(cmd); err != nil {
+	if err := c.ct.flushLine(b); err != nil {
 		return response{}, err
 	}
 	r, err := c.ct.readResponse()
@@ -233,14 +248,14 @@ func (c *Client) closeDataConns() {
 
 // Size asks the server for a file's size (64-bit, §7).
 func (c *Client) Size(path string) (int64, error) {
-	r, err := c.simple("SIZE " + path)
+	r, err := c.simple("SIZE ", path)
 	if err != nil {
 		return 0, err
 	}
 	if r.Code != codeSize {
 		return 0, r.err()
 	}
-	return strconv.ParseInt(strings.TrimSpace(r.Text), 10, 64)
+	return strconv.ParseInt(string(bytes.TrimSpace(r.Text)), 10, 64)
 }
 
 // Features returns the server's FEAT list.
@@ -271,12 +286,12 @@ func (c *Client) negotiateData() ([]string, error) {
 	if r.Code != codePassive {
 		return nil, r.err()
 	}
-	i := strings.LastIndexByte(r.Text, '(')
-	j := strings.LastIndexByte(r.Text, ')')
+	i := bytes.LastIndexByte(r.Text, '(')
+	j := bytes.LastIndexByte(r.Text, ')')
 	if i < 0 || j <= i {
 		return nil, fmt.Errorf("gridftp: bad PASV reply %q", r.Text)
 	}
-	return []string{r.Text[i+1 : j]}, nil
+	return []string{string(r.Text[i+1 : j])}, nil
 }
 
 // dataConns ensures the pool for addr holds exactly p connections.
@@ -345,11 +360,12 @@ func (c *Client) get(path string, sink Sink, ranges []Extent) (TransferStats, er
 	if err != nil {
 		return TransferStats{}, err
 	}
-	cmd := "RETR " + path
-	if ranges != nil {
-		cmd = "ERET " + FormatRanges(ranges) + " " + path
+	if ranges == nil {
+		err = c.ct.sendLine("RETR ", path)
+	} else {
+		err = c.ct.sendLine("ERET ", FormatRanges(ranges), " ", path)
 	}
-	if err := c.ct.sendLine(cmd); err != nil {
+	if err != nil {
 		return TransferStats{}, err
 	}
 	r, err := c.ct.readResponse()
@@ -441,14 +457,14 @@ func receiveBlocksCounted(conn transport.Conn, sink Sink) (int64, error) {
 func (c *Client) Put(path string, src Source) (TransferStats, error) {
 	start := c.cfg.Clock.Now()
 	size := src.Size()
-	if _, err := c.simple(fmt.Sprintf("ALLO %d", size)); err != nil {
+	if _, err := c.exchange(strconv.AppendInt(c.ct.line("ALLO "), size, 10)); err != nil {
 		return TransferStats{}, err
 	}
 	addrs, err := c.negotiateData()
 	if err != nil {
 		return TransferStats{}, err
 	}
-	if err := c.ct.sendLine("STOR " + path); err != nil {
+	if err := c.ct.sendLine("STOR ", path); err != nil {
 		return TransferStats{}, err
 	}
 	r, err := c.ct.readResponse()

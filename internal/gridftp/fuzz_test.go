@@ -1,7 +1,6 @@
 package gridftp
 
 import (
-	"bufio"
 	"strconv"
 	"strings"
 	"testing"
@@ -37,14 +36,17 @@ func FuzzControlChannel(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, line string) {
-		cmd, arg := splitCommand(line)
+		cmd, arg := splitCommand([]byte(line))
 		if cmd != strings.ToUpper(cmd) {
 			t.Fatalf("splitCommand(%q) verb %q not upper-cased", line, cmd)
 		}
+		if want := strings.ToUpper(strings.SplitN(line, " ", 2)[0]); cmd != want {
+			t.Fatalf("splitCommand(%q) verb %q, want %q", line, cmd, want)
+		}
 		switch cmd {
 		case "ERET":
-			if i := strings.IndexByte(arg, ' '); i >= 0 {
-				ParseRanges(arg[:i])
+			if i := strings.IndexByte(string(arg), ' '); i >= 0 {
+				ParseRanges(string(arg[:i]))
 			}
 		case "OPTS":
 			if set, err := parseOpts(arg); err == nil && set.parallelism != 0 {
@@ -53,7 +55,7 @@ func FuzzControlChannel(f *testing.F) {
 				}
 			}
 		case "SBUF", "ALLO", "REST":
-			strconv.ParseInt(arg, 10, 64)
+			strconv.ParseInt(string(arg), 10, 64)
 		}
 
 		// Every accepted extent list must round-trip bit-exactly.
@@ -79,7 +81,7 @@ func FuzzControlChannel(f *testing.F) {
 
 		// The same bytes as a server reply stream must parse or error,
 		// never panic or loop.
-		c := &ctrl{br: bufio.NewReader(strings.NewReader(line + "\r\n"))}
+		c := newCtrl(readerConn{r: strings.NewReader(line + "\r\n")})
 		if r, err := c.readResponse(); err == nil {
 			if r.Code < 0 || r.Code > 999 {
 				t.Fatalf("readResponse(%q) code %d out of range", line, r.Code)

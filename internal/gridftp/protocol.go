@@ -1,7 +1,7 @@
 package gridftp
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -37,7 +37,14 @@ const (
 // ctrl is used by one goroutine at a time.
 type ctrl struct {
 	conn transport.Conn
-	br   *bufio.Reader
+	// rbuf[rpos:rend] holds received bytes not yet consumed; rbuf is rb
+	// until a line outgrows it. A line readLine returns is a view into
+	// rbuf, valid until the next read. rerr is a read error held back
+	// while buffered bytes were still due, as bufio.Reader does.
+	rbuf       []byte
+	rpos, rend int
+	rerr       error
+	rb         [256]byte
 	// wbuf is where the next outgoing line is built, on wb until a line
 	// outgrows it. Write copies the bytes (simnet into a segment, TCP
 	// into the kernel) before returning, so the buffer is free again.
@@ -46,15 +53,24 @@ type ctrl struct {
 }
 
 func newCtrl(c transport.Conn) *ctrl {
-	ct := &ctrl{conn: c, br: bufio.NewReader(c)}
+	ct := &ctrl{conn: c}
+	ct.rbuf = ct.rb[:]
 	ct.wbuf = ct.wb[:0]
 	return ct
 }
 
-// sendLine writes one CRLF-terminated line.
-func (c *ctrl) sendLine(line string) error {
-	return c.flushLine(append(c.wbuf[:0], line...))
+// line starts an outgoing line on c.wbuf, the concatenation of parts;
+// the caller may append more and sends it with flushLine.
+func (c *ctrl) line(parts ...string) []byte {
+	b := c.wbuf[:0]
+	for _, p := range parts {
+		b = append(b, p...)
+	}
+	return b
 }
+
+// sendLine writes one CRLF-terminated line, the concatenation of parts.
+func (c *ctrl) sendLine(parts ...string) error { return c.flushLine(c.line(parts...)) }
 
 // flushLine terminates the line built in b (on c.wbuf) and writes it.
 func (c *ctrl) flushLine(b []byte) error {
@@ -64,11 +80,16 @@ func (c *ctrl) flushLine(b []byte) error {
 	return err
 }
 
+// replyLine starts a reply line, "code ", on c.wbuf; the caller appends
+// the text and sends it with flushLine.
+func (c *ctrl) replyLine(code int) []byte {
+	return append(strconv.AppendInt(c.wbuf[:0], int64(code), 10), ' ')
+}
+
 // reply sends a single-line reply: "code text", where text is format
 // expanded with args as fmt.Sprintf would.
 func (c *ctrl) reply(code int, format string, args ...any) error {
-	b := strconv.AppendInt(c.wbuf[:0], int64(code), 10)
-	b = append(b, ' ')
+	b := c.replyLine(code)
 	if len(args) > 0 || strings.IndexByte(format, '%') >= 0 {
 		b = fmt.Appendf(b, format, args...)
 	} else {
@@ -77,33 +98,104 @@ func (c *ctrl) reply(code int, format string, args ...any) error {
 	return c.flushLine(b)
 }
 
+// replyInt sends "code text<n>" without boxing n.
+func (c *ctrl) replyInt(code int, text string, n int64) error {
+	return c.flushLine(strconv.AppendInt(append(c.replyLine(code), text...), n, 10))
+}
+
 // replyMulti sends a multi-line reply ("NNN-first", body lines prefixed
 // with a space, closed by "NNN end").
 func (c *ctrl) replyMulti(code int, first string, body []string, last string) error {
-	if err := c.sendLine(fmt.Sprintf("%d-%s", code, first)); err != nil {
+	b := strconv.AppendInt(c.wbuf[:0], int64(code), 10)
+	if err := c.flushLine(append(append(b, '-'), first...)); err != nil {
 		return err
 	}
-	for _, b := range body {
-		if err := c.sendLine(" " + b); err != nil {
+	for _, line := range body {
+		if err := c.sendLine(" ", line); err != nil {
 			return err
 		}
 	}
-	return c.sendLine(fmt.Sprintf("%d %s", code, last))
+	return c.flushLine(append(c.replyLine(code), last...))
 }
 
-// readLine reads one command or reply line (CRLF or LF terminated).
-func (c *ctrl) readLine() (string, error) {
-	s, err := c.br.ReadString('\n')
-	if err != nil {
-		return "", err
+// readLine reads one command or reply line (CRLF or LF terminated) and
+// returns it without its terminator. The line is a view into the ctrl's
+// read buffer, valid until the next read.
+func (c *ctrl) readLine() ([]byte, error) {
+	scan := c.rpos
+	for {
+		if i := bytes.IndexByte(c.rbuf[scan:c.rend], '\n'); i >= 0 {
+			line := c.rbuf[c.rpos : scan+i]
+			c.rpos = scan + i + 1
+			for len(line) > 0 && line[len(line)-1] == '\r' {
+				line = line[:len(line)-1]
+			}
+			return line, nil
+		}
+		scan = c.rend - c.rpos // the unscanned tail starts here after fill
+		if err := c.fill(); err != nil {
+			return nil, err
+		}
+		scan += c.rpos
 	}
-	return strings.TrimRight(s, "\r\n"), nil
 }
 
-// response is a parsed server reply.
+// fill reads more bytes into rbuf, first moving the unread ones to its
+// front, and growing it when a line fills it.
+func (c *ctrl) fill() error {
+	if err := c.rerr; err != nil {
+		c.rerr = nil
+		return err
+	}
+	if c.rpos > 0 {
+		c.rend = copy(c.rbuf, c.rbuf[c.rpos:c.rend])
+		c.rpos = 0
+	}
+	if c.rend == len(c.rbuf) {
+		c.rbuf = append(c.rbuf, make([]byte, len(c.rbuf))...)
+	}
+	// Like bufio.Reader, give up on a reader that keeps returning
+	// nothing rather than spin.
+	for range 100 {
+		n, err := c.conn.Read(c.rbuf[c.rend:])
+		c.rend += n
+		if n > 0 {
+			c.rerr = err
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return io.ErrNoProgress
+}
+
+// Read lets the GSI handshake, which runs over the control connection
+// between two control lines, read through the ctrl: buffered bytes come
+// first, so none are lost.
+func (c *ctrl) Read(p []byte) (int, error) {
+	if len(p) == 0 {
+		return 0, nil
+	}
+	if c.rpos == c.rend {
+		if len(p) >= len(c.rbuf) && c.rerr == nil {
+			return c.conn.Read(p)
+		}
+		c.rpos, c.rend = 0, 0
+		if err := c.fill(); err != nil {
+			return 0, err
+		}
+	}
+	n := copy(p, c.rbuf[c.rpos:c.rend])
+	c.rpos += n
+	return n, nil
+}
+
+// response is a parsed server reply. Text is a view into the ctrl's read
+// buffer, valid until the next read on it; Body lines are copies.
 type response struct {
 	Code int
-	Text string
+	Text []byte
 	Body []string // multi-line body, if any
 }
 
@@ -132,16 +224,18 @@ func (c *ctrl) readResponse() (response, error) {
 	}
 	r := response{Code: code, Text: line[4:]}
 	if line[3] == '-' {
+		// The next read may move the buffer under line: keep the code.
+		end := [4]byte{line[0], line[1], line[2], ' '}
 		for {
 			l, err := c.readLine()
 			if err != nil {
 				return response{}, err
 			}
-			if strings.HasPrefix(l, line[:3]+" ") {
+			if bytes.HasPrefix(l, end[:]) {
 				r.Text = l[4:]
 				return r, nil
 			}
-			r.Body = append(r.Body, strings.TrimPrefix(l, " "))
+			r.Body = append(r.Body, string(bytes.TrimPrefix(l, []byte(" "))))
 		}
 	}
 	return r, nil
@@ -162,7 +256,7 @@ func (r response) err() error {
 	if r.ok() {
 		return nil
 	}
-	return &ReplyError{Code: r.Code, Text: r.Text}
+	return &ReplyError{Code: r.Code, Text: string(r.Text)}
 }
 
 // --- extended block mode (MODE E) data framing ---

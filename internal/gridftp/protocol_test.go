@@ -9,6 +9,7 @@ import (
 	"net"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"esgrid/internal/transport"
 	"esgrid/internal/vtime"
@@ -164,7 +165,7 @@ func TestCtrlMultilineParsing(t *testing.T) {
 	// Client-side response parser against a canned multi-line reply.
 	var buf bytes.Buffer
 	buf.WriteString("229-Entering Striped Passive Mode\r\n node1:5000\r\n node2:5001\r\n229 END\r\n")
-	c := &ctrl{br: bufio.NewReader(&buf)}
+	c := newCtrl(readerConn{r: &buf})
 	r, err := c.readResponse()
 	if err != nil {
 		t.Fatal(err)
@@ -175,13 +176,13 @@ func TestCtrlMultilineParsing(t *testing.T) {
 	// Malformed replies error out rather than looping.
 	var bad bytes.Buffer
 	bad.WriteString("xx\r\n")
-	c2 := &ctrl{br: bufio.NewReader(&bad)}
+	c2 := newCtrl(readerConn{r: &bad})
 	if _, err := c2.readResponse(); err == nil {
 		t.Fatal("short reply parsed")
 	}
 	var bad2 bytes.Buffer
 	bad2.WriteString("abc hello\r\n")
-	c3 := &ctrl{br: bufio.NewReader(&bad2)}
+	c3 := newCtrl(readerConn{r: &bad2})
 	if _, err := c3.readResponse(); err == nil {
 		t.Fatal("non-numeric code parsed")
 	}
@@ -258,6 +259,67 @@ func TestCtrlReplyWireBytes(t *testing.T) {
 		want := fmt.Sprintf("%d %s", tc.code, fmt.Sprintf(tc.format, tc.args...)) + "\r\n"
 		if got := rc.buf.String(); got != want {
 			t.Errorf("reply(%d, %q) wrote %q, want %q", tc.code, tc.format, got, want)
+		}
+	}
+}
+
+// TestCtrlReplyIntWireBytes pins replyInt's bytes to the formatted
+// replies it stands in for.
+func TestCtrlReplyIntWireBytes(t *testing.T) {
+	for _, tc := range []struct {
+		code int
+		text string
+		n    int64
+		want string
+	}{
+		{codeSize, "", 4 << 20, fmt.Sprintf("%d %d", codeSize, 4<<20)},
+		{codeCmdOK, "socket buffer set to ", 1 << 20, fmt.Sprintf("%d socket buffer set to %d", codeCmdOK, 1<<20)},
+		{codeRestProceed, "restarting at ", 1 << 30, fmt.Sprintf("%d restarting at %d", codeRestProceed, 1<<30)},
+		{codeSize, "", -7, fmt.Sprintf("%d %d", codeSize, -7)},
+	} {
+		rc := &recordConn{}
+		if err := newCtrl(rc).replyInt(tc.code, tc.text, tc.n); err != nil {
+			t.Fatal(err)
+		}
+		if got := rc.buf.String(); got != tc.want+"\r\n" {
+			t.Errorf("replyInt(%d, %q, %d) wrote %q, want %q", tc.code, tc.text, tc.n, got, tc.want+"\r\n")
+		}
+	}
+}
+
+// TestCtrlReadLine drives the control channel's line reader over the
+// shapes a byte stream can take: lines split across reads, a line longer
+// than the inline buffer, CR runs before the LF, a bare LF, and GSI
+// handshake bytes read through the ctrl after a line — buffered bytes
+// first, none lost. A last line without its LF is an error, as it was
+// with bufio.
+func TestCtrlReadLine(t *testing.T) {
+	long := strings.Repeat("x", 1000)
+	stream := "TYPE I\r\n" + long + "\r\n" + "MODE E\r\r\n" + "NOOP\n" + "AUTH GSI\r\n" + "handshake-bytes" + "\npartial"
+	for _, tc := range []struct {
+		name string
+		r    io.Reader
+	}{
+		{"whole", strings.NewReader(stream)},
+		{"one byte", iotest.OneByteReader(strings.NewReader(stream))},
+		{"half", iotest.HalfReader(strings.NewReader(stream))},
+	} {
+		name, c := tc.name, newCtrl(readerConn{r: tc.r})
+		for _, want := range []string{"TYPE I", long, "MODE E", "NOOP", "AUTH GSI"} {
+			line, err := c.readLine()
+			if err != nil || string(line) != want {
+				t.Fatalf("%s: readLine = %.20q, %v; want %.20q", name, line, err, want)
+			}
+		}
+		hs := make([]byte, len("handshake-bytes"))
+		if _, err := io.ReadFull(c, hs); err != nil || string(hs) != "handshake-bytes" {
+			t.Fatalf("%s: handshake read %q, %v", name, hs, err)
+		}
+		if line, err := c.readLine(); err != nil || len(line) != 0 {
+			t.Fatalf("%s: empty line read as %q, %v", name, line, err)
+		}
+		if line, err := c.readLine(); err != io.EOF {
+			t.Fatalf("%s: unterminated last line read as %q, %v; want io.EOF", name, line, err)
 		}
 	}
 }

@@ -1,12 +1,15 @@
 package gridftp
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"esgrid/internal/gsi"
 	"esgrid/internal/netlogger"
@@ -144,78 +147,84 @@ func (s *Server) handle(conn transport.Conn) {
 	}
 	for {
 		line, err := ct.readLine()
-		if err != nil {
-			return
-		}
-		cmd, arg := splitCommand(line)
-		if !sess.authed() && cmd != "AUTH" && cmd != "FEAT" && cmd != "QUIT" && cmd != "NOOP" {
-			if err := ct.reply(codeNotAuthed, "please authenticate with AUTH GSI"); err != nil {
-				return
-			}
-			continue
-		}
-		var cerr error
-		switch cmd {
-		case "AUTH":
-			cerr = sess.cmdAuth(conn, arg)
-		case "FEAT":
-			cerr = ct.replyMulti(codeFeat, "Extensions supported:", []string{
-				"AUTH GSI", "SIZE", "SBUF", "MODE E", "PASV", "SPAS", "PORT",
-				"ERET", "ESUB", "XSUB", "REST STREAM", "ALLO", "PARALLELISM", "CHANNEL-CACHING", "SIZE64", "TRID",
-			}, "END")
-		case "NOOP":
-			cerr = ct.reply(codeCmdOK, "ok")
-		case "TYPE":
-			cerr = ct.reply(codeCmdOK, "type set to I")
-		case "MODE":
-			cerr = sess.cmdMode(arg)
-		case "SBUF":
-			cerr = sess.cmdSbuf(arg)
-		case "TRID":
-			sess.trid = arg
-			cerr = ct.reply(codeCmdOK, "trace context noted")
-		case "OPTS":
-			cerr = sess.cmdOpts(arg)
-		case "SIZE":
-			cerr = sess.cmdSize(arg)
-		case "ALLO":
-			cerr = sess.cmdAllo(arg)
-		case "REST":
-			cerr = sess.cmdRest(arg)
-		case "PASV":
-			cerr = sess.cmdPasv(false)
-		case "SPAS":
-			cerr = sess.cmdPasv(true)
-		case "PORT":
-			cerr = sess.cmdPort(arg)
-		case "RETR":
-			cerr = sess.cmdRetr(arg, nil)
-		case "ERET":
-			cerr = sess.cmdEret(arg)
-		case "ESUB":
-			cerr = sess.cmdEsub(arg)
-		case "XSUB":
-			cerr = sess.cmdXsub(arg)
-		case "STOR":
-			cerr = sess.cmdStor(arg)
-		case "QUIT":
-			ct.reply(codeBye, "goodbye")
-			return
-		default:
-			cerr = ct.reply(codeBadCmd, "unknown command %q", cmd)
-		}
-		if cerr != nil {
+		if err != nil || !sess.dispatch(line) {
 			return
 		}
 	}
+}
+
+// dispatch runs one command line and reports whether the session goes
+// on: it ends after QUIT or when a reply cannot be sent. The line is a
+// view into the control channel's read buffer; a command copies out
+// only the argument text it keeps.
+func (sess *session) dispatch(line []byte) bool {
+	ct := sess.ct
+	cmd, arg := splitCommand(line)
+	if !sess.authed() && cmd != "AUTH" && cmd != "FEAT" && cmd != "QUIT" && cmd != "NOOP" {
+		return ct.reply(codeNotAuthed, "please authenticate with AUTH GSI") == nil
+	}
+	var err error
+	switch cmd {
+	case "AUTH":
+		err = sess.cmdAuth(arg)
+	case "FEAT":
+		err = ct.replyMulti(codeFeat, "Extensions supported:", features[:], "END")
+	case "NOOP":
+		err = ct.reply(codeCmdOK, "ok")
+	case "TYPE":
+		err = ct.reply(codeCmdOK, "type set to I")
+	case "MODE":
+		err = sess.cmdMode(arg)
+	case "SBUF":
+		err = sess.cmdSbuf(arg)
+	case "TRID":
+		sess.trid = string(arg)
+		err = ct.reply(codeCmdOK, "trace context noted")
+	case "OPTS":
+		err = sess.cmdOpts(arg)
+	case "SIZE":
+		err = sess.cmdSize(string(arg))
+	case "ALLO":
+		err = sess.cmdAllo(arg)
+	case "REST":
+		err = sess.cmdRest(arg)
+	case "PASV":
+		err = sess.cmdPasv(false)
+	case "SPAS":
+		err = sess.cmdPasv(true)
+	case "PORT":
+		err = sess.cmdPort(string(arg))
+	case "RETR":
+		err = sess.cmdRetr(string(arg), nil)
+	case "ERET":
+		err = sess.cmdEret(arg)
+	case "ESUB":
+		err = sess.cmdEsub(string(arg))
+	case "XSUB":
+		err = sess.cmdXsub(string(arg))
+	case "STOR":
+		err = sess.cmdStor(string(arg))
+	case "QUIT":
+		ct.reply(codeBye, "goodbye")
+		return false
+	default:
+		err = ct.reply(codeBadCmd, "unknown command %q", cmd)
+	}
+	return err == nil
+}
+
+// features is the FEAT reply's body.
+var features = [...]string{
+	"AUTH GSI", "SIZE", "SBUF", "MODE E", "PASV", "SPAS", "PORT",
+	"ERET", "ESUB", "XSUB", "REST STREAM", "ALLO", "PARALLELISM", "CHANNEL-CACHING", "SIZE64", "TRID",
 }
 
 func (sess *session) authed() bool {
 	return sess.srv.cfg.Auth == nil || sess.peer != nil
 }
 
-func (sess *session) cmdAuth(conn transport.Conn, arg string) error {
-	if !strings.EqualFold(arg, "GSI") {
+func (sess *session) cmdAuth(arg []byte) error {
+	if !bytes.EqualFold(arg, []byte("GSI")) {
 		return sess.ct.reply(codeBadParam, "only AUTH GSI is supported")
 	}
 	if sess.srv.cfg.Auth == nil {
@@ -224,12 +233,12 @@ func (sess *session) cmdAuth(conn transport.Conn, arg string) error {
 	if err := sess.ct.reply(codeAuthProceed, "proceed with GSI handshake"); err != nil {
 		return err
 	}
-	// The handshake frames must be read through the session's buffered
-	// reader so no bytes are lost.
+	// The handshake frames must be read through the control channel's
+	// buffer so no bytes are lost.
 	rw := struct {
 		io.Reader
 		io.Writer
-	}{sess.ct.br, conn}
+	}{sess.ct, sess.ct.conn}
 	peer, err := sess.srv.cfg.Auth.Server(rw)
 	if err != nil {
 		sess.ct.reply(codeNotAuthed, "authentication failed: %v", err)
@@ -239,38 +248,85 @@ func (sess *session) cmdAuth(conn transport.Conn, arg string) error {
 	return sess.ct.reply(codeAuthOK, "authenticated as %s", peer.Subject)
 }
 
-func (sess *session) cmdMode(arg string) error {
-	switch strings.ToUpper(arg) {
-	case "E":
+func (sess *session) cmdMode(arg []byte) error {
+	switch {
+	case upperIs(arg, "E"):
 		sess.mode = 'E'
-	case "S":
+		return sess.ct.reply(codeCmdOK, "mode set to E")
+	case upperIs(arg, "S"):
 		// Stream mode is accepted for compatibility; transfers use the
 		// extended-block framing internally in both cases.
 		sess.mode = 'S'
-	default:
-		return sess.ct.reply(codeBadParam, "mode %q not supported", arg)
+		return sess.ct.reply(codeCmdOK, "mode set to S")
 	}
-	return sess.ct.reply(codeCmdOK, "mode set to %s", strings.ToUpper(arg))
+	return sess.ct.reply(codeBadParam, "mode %q not supported", arg)
 }
 
-func (sess *session) cmdSbuf(arg string) error {
-	n, err := strconv.Atoi(arg)
+func (sess *session) cmdSbuf(arg []byte) error {
+	n, err := strconv.Atoi(string(arg))
 	if err != nil || n <= 0 {
 		return sess.ct.reply(codeBadParam, "bad buffer size %q", arg)
 	}
 	sess.buffer = n
-	return sess.ct.reply(codeCmdOK, "socket buffer set to %d", n)
+	return sess.ct.replyInt(codeCmdOK, "socket buffer set to ", int64(n))
+}
+
+// verbs are the commands the server knows. splitCommand returns these
+// strings themselves, so recognising a command builds no string.
+var verbs = [...]string{
+	"AUTH", "FEAT", "NOOP", "TYPE", "MODE", "SBUF", "TRID", "OPTS", "SIZE", "ALLO",
+	"REST", "PASV", "SPAS", "PORT", "RETR", "ERET", "ESUB", "XSUB", "STOR", "QUIT",
 }
 
 // splitCommand splits one control-channel line into its verb (upper-cased)
-// and argument. Pure, so the command parser can be fuzzed without a
-// session.
-func splitCommand(line string) (cmd, arg string) {
-	cmd = line
-	if i := strings.IndexByte(line, ' '); i >= 0 {
-		cmd, arg = line[:i], line[i+1:]
+// and argument, a view into line. Pure, so the command parser can be
+// fuzzed without a session.
+func splitCommand(line []byte) (cmd string, arg []byte) {
+	verb := line
+	if i := bytes.IndexByte(line, ' '); i >= 0 {
+		verb, arg = line[:i], line[i+1:]
 	}
-	return strings.ToUpper(cmd), arg
+	for _, v := range verbs {
+		if upperIs(verb, v) {
+			return v, arg
+		}
+	}
+	return strings.ToUpper(string(verb)), arg
+}
+
+// upperIs reports whether strings.ToUpper(string(b)) == s, for an
+// upper-case s. ASCII input is compared in place, without the string
+// ToUpper would build.
+func upperIs(b []byte, s string) bool {
+	return caseIs(b, s, 'a', strings.ToUpper)
+}
+
+// lowerIs reports whether strings.ToLower(string(b)) == s, for a
+// lower-case s, as upperIs does.
+func lowerIs(b []byte, s string) bool {
+	return caseIs(b, s, 'A', strings.ToLower)
+}
+
+// caseIs compares b, with the ASCII letters from first to first+25
+// switched in case, to s; non-ASCII input goes through mapping.
+func caseIs(b []byte, s string, first byte, mapping func(string) string) bool {
+	for _, c := range b {
+		if c >= utf8.RuneSelf {
+			return mapping(string(b)) == s
+		}
+	}
+	if len(b) != len(s) {
+		return false
+	}
+	for i, c := range b {
+		if first <= c && c <= first+25 {
+			c ^= 0x20
+		}
+		if c != s[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // optsSettings is the outcome of parsing an OPTS argument.
@@ -282,49 +338,48 @@ type optsSettings struct {
 
 // parseOpts parses the argument of an OPTS command ("RETR
 // Parallelism=4;" or "CHANNELS Cache=on"). Pure, so it can be fuzzed.
-func parseOpts(arg string) (optsSettings, error) {
+func parseOpts(arg []byte) (optsSettings, error) {
 	var set optsSettings
-	parts := strings.SplitN(arg, " ", 2)
-	if len(parts) != 2 {
+	target, opts, ok := bytes.Cut(arg, []byte(" "))
+	if !ok {
 		return set, fmt.Errorf("OPTS needs a target and options")
 	}
-	target, opts := strings.ToUpper(parts[0]), parts[1]
-	switch target {
-	case "RETR", "STOR":
-		for _, kv := range strings.Split(opts, ";") {
-			kv = strings.TrimSpace(kv)
-			if kv == "" {
+	switch {
+	case upperIs(target, "RETR"), upperIs(target, "STOR"):
+		for len(opts) > 0 {
+			var kv []byte
+			kv, opts, _ = bytes.Cut(opts, []byte(";"))
+			kv = bytes.TrimSpace(kv)
+			if len(kv) == 0 {
 				continue
 			}
-			k, v, ok := strings.Cut(kv, "=")
+			k, v, ok := bytes.Cut(kv, []byte("="))
 			if !ok {
 				return set, fmt.Errorf("bad option %q", kv)
 			}
-			switch strings.ToLower(k) {
-			case "parallelism":
-				p, err := strconv.Atoi(v)
-				if err != nil || p < 1 || p > 64 {
-					return set, fmt.Errorf("bad parallelism %q", v)
-				}
-				set.parallelism = p
-			default:
+			if !lowerIs(k, "parallelism") {
 				return set, fmt.Errorf("unknown option %q", k)
 			}
+			p, err := strconv.Atoi(string(v))
+			if err != nil || p < 1 || p > 64 {
+				return set, fmt.Errorf("bad parallelism %q", v)
+			}
+			set.parallelism = p
 		}
-	case "CHANNELS":
-		k, v, _ := strings.Cut(opts, "=")
-		if !strings.EqualFold(k, "cache") {
+	case upperIs(target, "CHANNELS"):
+		k, v, _ := bytes.Cut(opts, []byte("="))
+		if !bytes.EqualFold(k, []byte("cache")) {
 			return set, fmt.Errorf("unknown channel option %q", k)
 		}
 		set.cacheSet = true
-		set.cache = strings.EqualFold(v, "on") || v == "1"
+		set.cache = bytes.EqualFold(v, []byte("on")) || string(v) == "1"
 	default:
-		return set, fmt.Errorf("OPTS target %q not supported", target)
+		return set, fmt.Errorf("OPTS target %q not supported", strings.ToUpper(string(target)))
 	}
 	return set, nil
 }
 
-func (sess *session) cmdOpts(arg string) error {
+func (sess *session) cmdOpts(arg []byte) error {
 	set, err := parseOpts(arg)
 	if err != nil {
 		return sess.ct.reply(codeBadParam, "%v", err)
@@ -343,11 +398,11 @@ func (sess *session) cmdSize(arg string) error {
 	if err != nil {
 		return sess.ct.reply(codeNoFile, "%v", err)
 	}
-	return sess.ct.reply(codeSize, "%d", n)
+	return sess.ct.replyInt(codeSize, "", n)
 }
 
-func (sess *session) cmdAllo(arg string) error {
-	n, err := strconv.ParseInt(arg, 10, 64)
+func (sess *session) cmdAllo(arg []byte) error {
+	n, err := strconv.ParseInt(string(arg), 10, 64)
 	if err != nil || n < 0 {
 		return sess.ct.reply(codeBadParam, "bad size %q", arg)
 	}
@@ -355,13 +410,13 @@ func (sess *session) cmdAllo(arg string) error {
 	return sess.ct.reply(codeCmdOK, "allocation noted")
 }
 
-func (sess *session) cmdRest(arg string) error {
-	off, err := strconv.ParseInt(arg, 10, 64)
+func (sess *session) cmdRest(arg []byte) error {
+	off, err := strconv.ParseInt(string(arg), 10, 64)
 	if err != nil || off < 0 {
 		return sess.ct.reply(codeBadParam, "bad restart offset %q", arg)
 	}
 	sess.restRanges = []Extent{{Off: off, Len: -1}} // -1: to end of file
-	return sess.ct.reply(codeRestProceed, "restarting at %d", off)
+	return sess.ct.replyInt(codeRestProceed, "restarting at ", off)
 }
 
 // cmdPasv opens (or reuses) data listeners. PASV uses only the first
@@ -371,7 +426,6 @@ func (sess *session) cmdPasv(striped bool) error {
 	if striped {
 		nodes = sess.nodes
 	}
-	var addrs []string
 	for _, ns := range nodes {
 		ns.portAddr = ""
 		if ns.listener == nil {
@@ -381,13 +435,35 @@ func (sess *session) cmdPasv(striped bool) error {
 			}
 			ns.listener = l
 		}
-		_, port := transport.SplitHostPort(ns.listener.Addr().String())
-		addrs = append(addrs, fmt.Sprintf("%s:%d", ns.node.Host, port))
 	}
-	if striped {
-		return sess.ct.replyMulti(codeStripedPassive, "Entering Striped Passive Mode", addrs, "END")
+	if !striped {
+		b := append(sess.ct.replyLine(codePassive), "Entering Passive Mode ("...)
+		return sess.ct.flushLine(append(nodes[0].appendDataAddr(b), ')'))
 	}
-	return sess.ct.reply(codePassive, "Entering Passive Mode (%s)", addrs[0])
+	addrs := make([]string, len(nodes))
+	for i, ns := range nodes {
+		addrs[i] = string(ns.appendDataAddr(nil))
+	}
+	return sess.ct.replyMulti(codeStripedPassive, "Entering Striped Passive Mode", addrs, "END")
+}
+
+// appendDataAddr appends the node's advertised "host:port" data address.
+func (ns *nodeState) appendDataAddr(b []byte) []byte {
+	b = append(append(b, ns.node.Host...), ':')
+	return strconv.AppendInt(b, int64(portOf(ns.listener.Addr())), 10)
+}
+
+// portOf returns a listening address's port: read from TCP and
+// simulated addresses, parsed from the text of any other.
+func portOf(a net.Addr) int {
+	switch a := a.(type) {
+	case *net.TCPAddr:
+		return a.Port
+	case interface{ Port() int }:
+		return a.Port()
+	}
+	_, port := transport.SplitHostPort(a.String())
+	return port
 }
 
 // cmdPort records the active-mode target for the first data node.
@@ -536,17 +612,17 @@ func (sess *session) emit(name string, kv ...string) {
 	log.Emit(sess.srv.cfg.Host, name, kv...)
 }
 
-func (sess *session) cmdEret(arg string) error {
+func (sess *session) cmdEret(arg []byte) error {
 	// ERET off:len[,off:len...] path  — partial file retrieval (§6.1).
-	spec, path, ok := strings.Cut(arg, " ")
+	spec, path, ok := bytes.Cut(arg, []byte(" "))
 	if !ok {
 		return sess.ct.reply(codeBadParam, "ERET needs ranges and a path")
 	}
-	ranges, err := ParseRanges(spec)
+	ranges, err := ParseRanges(string(spec))
 	if err != nil {
 		return sess.ct.reply(codeBadParam, "%v", err)
 	}
-	return sess.cmdRetr(path, ranges)
+	return sess.cmdRetr(string(path), ranges)
 }
 
 // runSend moves the requested ranges out over the session's data

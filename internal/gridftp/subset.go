@@ -54,12 +54,12 @@ func (sess *session) cmdEsub(arg string) error {
 // transferring it ("SIZE" has no spec; ESUB? replies in the 150 line, so
 // we provide a dedicated query): "XSUB <spec> <path>".
 func (c *Client) SubsetSize(path, spec string) (int64, error) {
-	r, err := c.simple("XSUB " + spec + " " + path)
+	r, err := c.simple("XSUB ", spec, " ", path)
 	if err != nil {
 		return 0, err
 	}
 	var n int64
-	for _, f := range strings.Fields(r.Text) {
+	for _, f := range strings.Fields(string(r.Text)) {
 		if v, err := parseInt64(f); err == nil {
 			n = v
 		}
@@ -108,7 +108,7 @@ func (c *Client) GetSubset(path, spec string, sink Sink) (TransferStats, error) 
 	if err != nil {
 		return TransferStats{}, err
 	}
-	if err := c.ct.sendLine("ESUB " + spec + " " + path); err != nil {
+	if err := c.ct.sendLine("ESUB ", spec, " ", path); err != nil {
 		return TransferStats{}, err
 	}
 	r, err := c.ct.readResponse()

@@ -2,6 +2,7 @@ package gridftp
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"esgrid/internal/vtime"
@@ -26,17 +27,17 @@ func ThirdParty(src, dst *Client, srcPath, dstPath string) (TransferStats, error
 	if err != nil {
 		return TransferStats{}, fmt.Errorf("gridftp: third-party size: %w", err)
 	}
-	if _, err := dst.simple(fmt.Sprintf("ALLO %d", size)); err != nil {
+	if _, err := dst.exchange(strconv.AppendInt(dst.ct.line("ALLO "), size, 10)); err != nil {
 		return TransferStats{}, err
 	}
 	addrs, err := dst.negotiateData()
 	if err != nil {
 		return TransferStats{}, err
 	}
-	if _, err := src.simple("PORT " + addrs[0]); err != nil {
+	if _, err := src.simple("PORT ", addrs[0]); err != nil {
 		return TransferStats{}, err
 	}
-	if err := dst.ct.sendLine("STOR " + dstPath); err != nil {
+	if err := dst.ct.sendLine("STOR ", dstPath); err != nil {
 		return TransferStats{}, err
 	}
 	r, err := dst.ct.readResponse()
@@ -46,7 +47,7 @@ func ThirdParty(src, dst *Client, srcPath, dstPath string) (TransferStats, error
 	if r.Code != codeOpenData {
 		return TransferStats{}, r.err()
 	}
-	if err := src.ct.sendLine("RETR " + srcPath); err != nil {
+	if err := src.ct.sendLine("RETR ", srcPath); err != nil {
 		return TransferStats{}, err
 	}
 	if r, err = src.ct.readResponse(); err != nil {

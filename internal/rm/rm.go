@@ -462,12 +462,14 @@ func (m *Manager) runFile(req *Request, fs *fileState) {
 	defer func() {
 		req.mu.Lock()
 		req.open--
-		last := req.open == 0
-		req.done.Broadcast()
-		req.mu.Unlock()
-		if last {
+		// The root span ends before the request can be seen done: once
+		// open reaches 0 and mu is released, Wait returns and its caller
+		// may read the finished spans.
+		if req.open == 0 {
 			req.span.Finish()
 		}
+		req.done.Broadcast()
+		req.mu.Unlock()
 	}()
 	if m.sem != nil {
 		m.sem.acquire(fs.ticket)

@@ -178,7 +178,7 @@ func BenchmarkRecompute(b *testing.B) {
 func (n *Net) recomputeLocked() {
 	now := n.clk.Elapsed()
 	fs := n.activeFlowsLocked()
-	for f := range n.flows {
+	for _, f := range n.liveFlowsLocked() {
 		f.fold(now)
 	}
 	rates := n.allocate(fs)

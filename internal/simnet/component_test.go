@@ -426,7 +426,7 @@ func checkRecordsLocked(t *testing.T, n *Net) int {
 	// The flows this flush visited still carry its epoch; the gathers
 	// below move it on.
 	var memos []*component
-	for f := range n.flows {
+	for _, f := range n.liveFlowsLocked() {
 		if c := f.comp; f.attached && f.epoch == n.epoch && c != nil && c.flat && !slices.Contains(memos, c) {
 			memos = append(memos, c)
 		}
@@ -443,7 +443,7 @@ func checkRecordsLocked(t *testing.T, n *Net) int {
 	}
 	pointers := map[*component]int{}
 	var fresh []*flow
-	for f := range n.flows {
+	for _, f := range n.liveFlowsLocked() {
 		c := f.comp
 		if !f.attached {
 			if c != nil {

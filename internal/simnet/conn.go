@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -14,16 +15,26 @@ import (
 	"esgrid/internal/vtime"
 )
 
-// hostPort formats "host:port" without fmt's interface boxing.
-func hostPort(host string, port int) string {
-	var b [64]byte
-	return string(appendHostPort(b[:0], host, port))
+// sockAddr is a simulated socket address. It keeps the host and port
+// apart and formats "host:port" only when String is called, so opening
+// a connection or a listener builds no address text.
+type sockAddr struct {
+	host string
+	port int
 }
 
-func appendHostPort(b []byte, host string, port int) []byte {
-	b = append(append(b, host...), ':')
-	return strconv.AppendInt(b, int64(port), 10)
+// Network implements net.Addr.
+func (a *sockAddr) Network() string { return "sim" }
+
+// String implements net.Addr: "host:port".
+func (a *sockAddr) String() string {
+	var buf [64]byte
+	b := append(append(buf[:0], a.host...), ':')
+	return string(strconv.AppendInt(b, int64(a.port), 10))
 }
+
+// Port returns the address's port number.
+func (a *sockAddr) Port() int { return a.port }
 
 // Host is a traffic-originating node. It implements transport.Network, so
 // protocol servers and clients bind to a Host exactly as they would to
@@ -37,7 +48,11 @@ type Host struct {
 	cpu  *res
 	disk *res
 
-	conns          map[*Conn]bool
+	// conns lists the host's live connections, each at its hostPos
+	// slot. It starts on connsInl, which holds a GridFTP client's
+	// control conn and two parallel data conns.
+	conns          []*Conn
+	connsInl       [3]*Conn
 	retiredBytesTo map[string]int64 // in byteUnits, see toByteUnits
 	down           bool             // crashed: dials to/from this host fail
 }
@@ -79,6 +94,9 @@ type Conn struct {
 	removed   bool
 	wasReset  bool   // torn down by reset/fault, not orderly close
 	label     string // life-line context set via Endpoint.SetLabel
+	// hostPos[i] is the conn's index in eps[i].host.conns (a loopback
+	// conn is listed once, at hostPos[0]).
+	hostPos [2]int
 
 	// Storage for eps and flows, so a conn is one allocation.
 	ep [2]Endpoint
@@ -91,8 +109,8 @@ type Endpoint struct {
 	conn *Conn
 	idx  int
 	host *Host
-	addr transport.Addr
-	peer transport.Addr
+	addr sockAddr
+	peer sockAddr
 
 	buf      int
 	rx       []*segment  // head-indexed FIFO: live entries are rx[rxHead:]
@@ -134,14 +152,12 @@ func (h *Host) Listen(addr string) (transport.Listener, error) {
 		port = n.nextPort
 		n.nextPort++
 	}
-	key := hostPort(h.name, port)
+	key := sockAddr{h.name, port}
 	if _, dup := n.listeners[key]; dup {
-		return nil, fmt.Errorf("simnet: address %s already in use", key)
+		return nil, fmt.Errorf("simnet: address %s already in use", &sockAddr{h.name, port})
 	}
-	l := &Listener{
-		net: n, host: h,
-		addr: transport.Addr{Net: "sim", Text: key},
-	}
+	l := &Listener{net: n, host: h, addr: key}
+	l.backlog = l.backlogInl[:0]
 	l.cond = n.clk.NewCond(&n.mu)
 	n.listeners[key] = l
 	return l, nil
@@ -149,12 +165,13 @@ func (h *Host) Listen(addr string) (transport.Listener, error) {
 
 // Listener is a simulated listening socket.
 type Listener struct {
-	net     *Net
-	host    *Host
-	addr    transport.Addr
-	backlog []*Endpoint
-	cond    vtime.Cond
-	closed  bool
+	net        *Net
+	host       *Host
+	addr       sockAddr
+	backlog    []*Endpoint
+	backlogInl [1]*Endpoint // backlog's first backing array
+	cond       vtime.Cond
+	closed     bool
 }
 
 // Accept waits for and returns the next inbound connection.
@@ -187,10 +204,10 @@ func (l *Listener) Close() error {
 		return nil
 	}
 	l.closed = true
-	delete(n.listeners, l.addr.Text)
+	delete(n.listeners, l.addr)
 	l.cond.Broadcast()
 	if len(l.backlog) > 0 {
-		err := fmt.Errorf("simnet: connection reset by peer: listener %s closed", l.addr.Text)
+		err := fmt.Errorf("simnet: connection reset by peer: listener %s closed", &l.addr)
 		for i, ep := range l.backlog {
 			ep.conn.resetLocked(err)
 			l.backlog[i] = nil
@@ -201,12 +218,12 @@ func (l *Listener) Close() error {
 }
 
 // Addr returns the listening address.
-func (l *Listener) Addr() net.Addr { return l.addr }
+func (l *Listener) Addr() net.Addr { return &l.addr }
 
 // newConnLocked builds a connection from h to the listener key on peer
 // over the routes fwd and rev: the Conn's one allocation holds its
 // endpoints and flows. Caller holds n.mu.
-func (n *Net) newConnLocked(h, peer *Host, key string, fwd, rev []*simplex) *Conn {
+func (n *Net) newConnLocked(h, peer *Host, key sockAddr, fwd, rev []*simplex) *Conn {
 	cliPort := n.nextPort
 	n.nextPort++
 	c := &Conn{net: n, seq: n.nextConnSeq}
@@ -217,13 +234,13 @@ func (n *Net) newConnLocked(h, peer *Host, key string, fwd, rev []*simplex) *Con
 	cli, srv := &c.ep[0], &c.ep[1]
 	*cli = Endpoint{
 		conn: c, idx: 0, host: h,
-		addr: transport.Addr{Net: "sim", Text: hostPort(h.name, cliPort)},
-		peer: transport.Addr{Net: "sim", Text: key},
+		addr: sockAddr{h.name, cliPort},
+		peer: key,
 		buf:  h.defaultBuffer(),
 	}
 	*srv = Endpoint{
 		conn: c, idx: 1, host: peer,
-		addr: transport.Addr{Net: "sim", Text: key},
+		addr: key,
 		peer: cli.addr,
 		buf:  peer.defaultBuffer(),
 	}
@@ -257,14 +274,12 @@ func (h *Host) Dial(addr string) (transport.Conn, error) {
 		n.mu.Unlock()
 		return nil, fmt.Errorf("simnet: host %s is down", h.name)
 	}
-	var kb [64]byte
-	kbuf := appendHostPort(kb[:0], host, port)
-	l, ok := n.listeners[string(kbuf)]
+	l, ok := n.listeners[sockAddr{host, port}]
 	if !ok {
 		n.mu.Unlock()
-		return nil, fmt.Errorf("simnet: connection refused: %s", kbuf)
+		return nil, fmt.Errorf("simnet: connection refused: %s", &sockAddr{host, port})
 	}
-	key := l.addr.Text
+	key := l.addr
 	if l.host.down {
 		n.mu.Unlock()
 		return nil, fmt.Errorf("simnet: host %s is down", l.host.name)
@@ -282,16 +297,7 @@ func (h *Host) Dial(addr string) (transport.Conn, error) {
 	peerHost := l.host
 	c := n.newConnLocked(h, peerHost, key, fwd, rev)
 	cli, srv := c.eps[0], c.eps[1]
-	n.registerFlowLocked(c.flows[0])
-	n.registerFlowLocked(c.flows[1])
-	if h.conns == nil {
-		h.conns = map[*Conn]bool{}
-	}
-	h.conns[c] = true
-	if peerHost.conns == nil {
-		peerHost.conns = map[*Conn]bool{}
-	}
-	peerHost.conns[c] = true
+	n.registerConnLocked(c)
 	rtt := c.flows[0].rtt
 	n.mu.Unlock()
 
@@ -305,7 +311,7 @@ func (h *Host) Dial(addr string) (transport.Conn, error) {
 	}
 	if l.closed {
 		c.removeLocked()
-		return nil, fmt.Errorf("simnet: connection refused: %s", key)
+		return nil, fmt.Errorf("simnet: connection refused: %s", &key)
 	}
 	l.backlog = append(l.backlog, srv)
 	l.cond.Signal()
@@ -323,6 +329,50 @@ func (c *Conn) crossesLink(l *Link) bool {
 	return c.flows[0].crosses(l) || c.flows[1].crosses(l)
 }
 
+// registerConnLocked stamps a new conn's flows in creation order and
+// lists the conn at both of its hosts. Caller holds mu.
+func (n *Net) registerConnLocked(c *Conn) {
+	for _, f := range c.flows {
+		n.nextFlowSeq++
+		f.seq = n.nextFlowSeq
+	}
+	for i, ep := range c.eps {
+		if i == 1 && ep.host == c.eps[0].host {
+			break // loopback: listed once
+		}
+		if ep.host.conns == nil {
+			ep.host.conns = ep.host.connsInl[:0]
+		}
+		c.hostPos[i] = len(ep.host.conns)
+		ep.host.conns = append(ep.host.conns, c)
+	}
+}
+
+// unlistLocked removes c from its hosts' conn lists by swap-remove.
+// Caller holds mu.
+func (c *Conn) unlistLocked() {
+	for i, ep := range c.eps {
+		if i == 1 && ep.host == c.eps[0].host {
+			break
+		}
+		h := ep.host
+		last := len(h.conns) - 1
+		moved := h.conns[last]
+		h.conns[c.hostPos[i]] = moved
+		moved.hostPos[moved.slotAt(h)] = c.hostPos[i]
+		h.conns[last] = nil
+		h.conns = h.conns[:last]
+	}
+}
+
+// slotAt says which of c's hostPos entries indexes h.conns.
+func (c *Conn) slotAt(h *Host) int {
+	if c.eps[0].host == h {
+		return 0
+	}
+	return 1
+}
+
 // removeLocked retires both flows and forgets the conn. Caller holds mu.
 func (c *Conn) removeLocked() {
 	if c.removed {
@@ -332,8 +382,7 @@ func (c *Conn) removeLocked() {
 	now := c.net.nowOff()
 	c.flows[0].remove(now)
 	c.flows[1].remove(now)
-	delete(c.eps[0].host.conns, c)
-	delete(c.eps[1].host.conns, c)
+	c.unlistLocked()
 	if c.net.rec != nil {
 		kind := flight.KConnRetired
 		if c.wasReset {
@@ -343,8 +392,8 @@ func (c *Conn) removeLocked() {
 	}
 	if c.net.nlog != nil {
 		c.net.nlog.Emit(c.eps[0].host.name, "simnet.conn.retired",
-			"src", c.eps[0].addr.Text,
-			"dst", c.eps[1].addr.Text,
+			"src", c.eps[0].addr.String(),
+			"dst", c.eps[1].addr.String(),
 			"label", c.label,
 			"bytes", strconv.FormatFloat(c.flows[0].transmitted+c.flows[1].transmitted, 'f', 0, 64))
 	}
@@ -609,10 +658,10 @@ func (ep *Endpoint) Close() error {
 }
 
 // LocalAddr implements net.Conn.
-func (ep *Endpoint) LocalAddr() net.Addr { return ep.addr }
+func (ep *Endpoint) LocalAddr() net.Addr { return &ep.addr }
 
 // RemoteAddr implements net.Conn.
-func (ep *Endpoint) RemoteAddr() net.Addr { return ep.peer }
+func (ep *Endpoint) RemoteAddr() net.Addr { return &ep.peer }
 
 // SetDeadline implements net.Conn.
 func (ep *Endpoint) SetDeadline(t time.Time) error {
@@ -703,10 +752,7 @@ func (ep *Endpoint) SetDiskBound(bound bool) {
 // fault paths reset victims deterministically across equal-seed runs.
 // Caller holds Net.mu.
 func (h *Host) connsBySeqLocked() []*Conn {
-	victims := make([]*Conn, 0, len(h.conns))
-	for c := range h.conns {
-		victims = append(victims, c)
-	}
+	victims := slices.Clone(h.conns)
 	sortConnsBySeq(victims)
 	return victims
 }

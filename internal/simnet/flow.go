@@ -72,23 +72,22 @@ type flow struct {
 	inflHead int
 	inflInl  [4]*segment // inflight's first backing array
 
-	resRefs []hostRes // cached resource membership (see refs)
+	resRefs []hostRes  // cached resource membership (see refs)
+	refsInl [4]hostRes // resRefs' first backing array
 
-	// seq is the flow's creation stamp (registerFlowLocked): the stable
+	// seq is the flow's creation stamp (registerConnLocked): the stable
 	// sort key that canonicalizes allocation order within a flush.
 	seq uint64
 
 	// Incremental allocation state (alloc.go): whether the flow is
 	// entered in its resources' membership lists (its position in each
 	// is resRefs[j].pos), its component's persistent record (nil until
-	// the first flush after an attach), the flush visit stamp, whether it
-	// is queued as a dirty seed, and its slot in the Net's (src,dst) pair
-	// index.
+	// the first flush after an attach), the flush visit stamp, and
+	// whether it is queued as a dirty seed.
 	attached bool
 	comp     *component
 	epoch    uint64
 	dirty    bool
-	pairPos  int
 }
 
 // stamp is the virtual instant an event was scheduled at, and whether
@@ -125,10 +124,12 @@ type hostRes struct {
 }
 
 // refs returns the flow's full resource membership (links + host
-// budgets), cached; invalidated when disk binding changes.
+// budgets), cached; invalidated when disk binding changes. It is built
+// on the flow's inline array, which holds a short path's list, so the
+// flow's conn allocation carries it.
 func (f *flow) refs() []hostRes {
 	if f.resRefs == nil {
-		refs := make([]hostRes, 0, len(f.path)+4)
+		refs := f.refsInl[:0]
 		for _, sx := range f.path {
 			refs = append(refs, hostRes{r: &sx.res, w: 1})
 		}
@@ -661,5 +662,4 @@ func (f *flow) remove(now time.Duration) {
 		}
 		f.src.retiredBytesTo[f.dst.name] += toByteUnits(f.transmitted)
 	}
-	f.net.unregisterFlowLocked(f)
 }

@@ -11,21 +11,40 @@ import (
 	"esgrid/internal/vtime"
 )
 
-// newChurnFlow builds a synthetic long-running flow suitable for driving
-// the incremental allocator directly (it carries a Conn shell and an
-// effectively infinite queued segment, so setRate's completion machinery
-// has something well-formed to chew on without ever retiring it).
-func newChurnFlow(n *Net, src, dst *Host, path []*simplex, windowCap float64) *flow {
+// newShellConn registers a Conn shell from src to dst whose flows —
+// flows[0] carries src to dst — are driven by hand rather than by
+// endpoint traffic. Listed at its hosts like a dialed conn, its flows
+// are seen by everything that walks the live connections.
+func newShellConn(n *Net, src, dst *Host) *Conn {
 	c := &Conn{net: n}
+	c.ep[0].host, c.ep[1].host = src, dst
+	c.eps = [2]*Endpoint{&c.ep[0], &c.ep[1]}
+	c.fl[0] = flow{net: n, conn: c, dir: 0, src: src, dst: dst}
+	c.fl[1] = flow{net: n, conn: c, dir: 1, src: dst, dst: src}
+	c.flows = [2]*flow{&c.fl[0], &c.fl[1]}
 	c.writeCond = [2]vtime.Cond{n.clk.NewCond(&n.mu), n.clk.NewCond(&n.mu)}
-	f := &flow{
-		net: n, conn: c, dir: 0, src: src, dst: dst, path: path,
-		mss: DefaultMSS, windowCap: windowCap,
-		queuedEnd: 1e18, segs: []*segment{{end: 1e18, n: 1 << 60}},
-	}
 	n.mu.Lock()
-	n.registerFlowLocked(f)
+	n.registerConnLocked(c)
 	n.mu.Unlock()
+	return c
+}
+
+// liveFlowsLocked lists both flows of every live connection.
+func (n *Net) liveFlowsLocked() []*flow {
+	var fs []*flow
+	n.eachConnLocked(func(c *Conn) { fs = append(fs, c.flows[0], c.flows[1]) })
+	return fs
+}
+
+// newChurnFlow builds a synthetic long-running flow suitable for driving
+// the incremental allocator directly (it rides a Conn shell and carries
+// an effectively infinite queued segment, so setRate's completion
+// machinery has something well-formed to chew on without ever retiring
+// it).
+func newChurnFlow(n *Net, src, dst *Host, path []*simplex, windowCap float64) *flow {
+	f := newShellConn(n, src, dst).flows[0]
+	f.path, f.mss, f.windowCap = path, DefaultMSS, windowCap
+	f.queuedEnd, f.segs = 1e18, []*segment{{end: 1e18, n: 1 << 60}}
 	return f
 }
 

@@ -91,10 +91,11 @@ func TestRouteAllocs(t *testing.T) {
 }
 
 // TestConnAllocs prices a new connection over cached routes: one
-// allocation holds the Conn, its endpoints and flows, and one more is
-// its client address text. A flow's events are typed (flow.Fire), so no
-// callback is bound per flow; the conds come from the Sim's slab. A new
-// route adds its path slice per direction (TestRouteAllocs).
+// allocation holds the Conn, its endpoints, its flows and their
+// resource lists; addresses are formatted only when asked for. A flow's
+// events are typed (flow.Fire), so no callback is bound per flow; the
+// conds come from the Sim's slab. A new route adds its path slice per
+// direction (TestRouteAllocs).
 func TestConnAllocs(t *testing.T) {
 	n := New(vtime.NewSim(1))
 	a := n.AddHost("a", HostConfig{})
@@ -112,10 +113,12 @@ func TestConnAllocs(t *testing.T) {
 	}
 	var c *Conn
 	allocs := testing.AllocsPerRun(100, func() {
-		c = n.newConnLocked(a, b, "b:9000", fwd, rev)
+		c = n.newConnLocked(a, b, sockAddr{"b", 9000}, fwd, rev)
+		c.flows[0].refs()
+		c.flows[1].refs()
 	})
-	if allocs != 2 {
-		t.Errorf("a new Conn allocates %.1f objects, want 2 (the Conn and its client address)", allocs)
+	if allocs != 1 {
+		t.Errorf("a new Conn allocates %.1f objects, want 1 (the Conn)", allocs)
 	}
 	if c.flows[0].rtt != 2*time.Millisecond || c.flows[1].conn != c {
 		t.Errorf("conn built with rtt %v, flow 1 on conn %p, want 2ms on %p", c.flows[0].rtt, c.flows[1].conn, c)

@@ -137,9 +137,7 @@ type Net struct {
 	nodes     map[string]*node
 	hosts     map[string]*Host
 	links     []*Link
-	flows     map[*flow]struct{}
-	pairFlows map[pairKey][]*flow  // live flows indexed by (src,dst) host
-	listeners map[string]*Listener // "host:port"
+	listeners map[sockAddr]*Listener
 	routes    map[[2]string][]*simplex
 	// Route search scratch (routeLocked), indexed by node id, so a new
 	// route costs only its cached path slice.
@@ -218,9 +216,6 @@ func (n *Net) putSegLocked(s *segment) {
 	n.segFree = append(n.segFree, s)
 }
 
-// pairKey indexes live flows by source and destination host name.
-type pairKey struct{ src, dst string }
-
 type node struct {
 	name  string
 	id    int        // dense index into the route search's scratch
@@ -275,9 +270,7 @@ func New(clk *vtime.Sim) *Net {
 		clk:       clk,
 		nodes:     map[string]*node{},
 		hosts:     map[string]*Host{},
-		flows:     map[*flow]struct{}{},
-		pairFlows: map[pairKey][]*flow{},
-		listeners: map[string]*Listener{},
+		listeners: map[sockAddr]*Listener{},
 		routes:    map[[2]string][]*simplex{},
 		dnsUp:     true,
 		nextPort:  40000,
@@ -501,24 +494,13 @@ func (l *Link) SetUp(up bool, reset bool) {
 	l.rev.up = up
 	var victims []*Conn
 	if !up && reset {
-		seenConn := map[*Conn]bool{}
-		for f := range n.flows {
-			if f.crosses(l) && !seenConn[f.conn] {
-				seenConn[f.conn] = true
-				victims = append(victims, f.conn)
+		n.eachConnLocked(func(c *Conn) {
+			if c.crossesLink(l) {
+				victims = append(victims, c)
 			}
-		}
-		// Also reset idle conns (no active flow) crossing the link.
-		for _, h := range n.hosts {
-			for c := range h.conns {
-				if !seenConn[c] && c.crossesLink(l) {
-					seenConn[c] = true
-					victims = append(victims, c)
-				}
-			}
-		}
-		// Map iteration above is unordered; reset in creation order so the
-		// conn.retired event stream is identical across equal-seed runs.
+		})
+		// Host iteration above is unordered; reset in creation order so
+		// the conn.retired event stream is identical across equal-seed runs.
 		sortConnsBySeq(victims)
 	}
 	n.markResDirtyLocked(&l.fwd.res)
@@ -603,15 +585,29 @@ func (n *Net) newResIDLocked() int {
 	return id
 }
 
+// eachConnLocked calls fn once for every live connection, at the host
+// that dialed it, in no particular order.
+func (n *Net) eachConnLocked(fn func(c *Conn)) {
+	for _, h := range n.hosts {
+		for _, c := range h.conns {
+			if c.eps[0].host == h {
+				fn(c)
+			}
+		}
+	}
+}
+
 // activeFlowsLocked returns flows that currently demand bandwidth, using
 // a reusable scratch slice.
 func (n *Net) activeFlowsLocked() []*flow {
 	fs := n.scrFlows[:0]
-	for f := range n.flows {
-		if f.active {
-			fs = append(fs, f)
+	n.eachConnLocked(func(c *Conn) {
+		for _, f := range c.flows {
+			if f.active {
+				fs = append(fs, f)
+			}
 		}
-	}
+	})
 	// Map iteration order is random; restore creation order so the
 	// reference allocator's rounding is reproducible too.
 	sortFlowsBySeq(fs)
@@ -639,10 +635,14 @@ func (n *Net) TotalBytesBetween(a, b string) float64 {
 	n.flushLocked()
 	now := n.clk.Elapsed()
 	var total int64
-	for _, f := range n.pairFlows[pairKey{a, b}] {
-		total += toByteUnits(f.transmittedAt(now))
-	}
 	if h := n.hosts[a]; h != nil {
+		for _, c := range h.conns {
+			for _, f := range c.flows {
+				if f.src == h && f.dst.name == b {
+					total += toByteUnits(f.transmittedAt(now))
+				}
+			}
+		}
 		total += h.retiredBytesTo[b]
 	}
 	return float64(total) / byteUnits
@@ -650,41 +650,11 @@ func (n *Net) TotalBytesBetween(a, b string) float64 {
 
 // byteUnits is the fixed-point scale of summed byte counts. Sums are
 // kept as int64 multiples of 1/byteUnits byte, so a total does not
-// depend on the order its terms arrive in (flows register and retire
-// in lock-arrival order).
+// depend on the order its terms arrive in (flows start and retire in
+// lock-arrival order).
 const byteUnits = 1 << 16
 
 func toByteUnits(b float64) int64 { return int64(math.Round(b * byteUnits)) }
-
-// registerFlowLocked enters a newly created flow into the live-flow set
-// and the (src,dst) pair index that TotalBytesBetween polls.
-func (n *Net) registerFlowLocked(f *flow) {
-	n.nextFlowSeq++
-	f.seq = n.nextFlowSeq
-	n.flows[f] = struct{}{}
-	if f.src != nil && f.dst != nil {
-		k := pairKey{f.src.name, f.dst.name}
-		f.pairPos = len(n.pairFlows[k])
-		n.pairFlows[k] = append(n.pairFlows[k], f)
-	}
-}
-
-// unregisterFlowLocked removes a retired flow from the pair index via
-// swap-remove, keeping iteration order deterministic.
-func (n *Net) unregisterFlowLocked(f *flow) {
-	delete(n.flows, f)
-	if f.src == nil || f.dst == nil {
-		return
-	}
-	k := pairKey{f.src.name, f.dst.name}
-	fs := n.pairFlows[k]
-	last := len(fs) - 1
-	moved := fs[last]
-	fs[f.pairPos] = moved
-	moved.pairPos = f.pairPos
-	fs[last] = nil
-	n.pairFlows[k] = fs[:last]
-}
 
 // LinkBetween returns the link directly joining nodes a and b (in either
 // orientation), or nil. Experiments use it for fault injection.

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -590,10 +591,46 @@ func TestListenerCloseResetsBacklog(t *testing.T) {
 			}
 		}
 		n.mu.Lock()
-		live := len(n.flows)
+		live := len(n.liveFlowsLocked())
 		n.mu.Unlock()
 		if live != 0 {
 			t.Errorf("%d flows live after listener close, want 0", live)
+		}
+	})
+}
+
+// TestAddrText checks the "host:port" text simulated addresses format
+// on demand: a listener's, and both ends of a conn it accepted.
+func TestAddrText(t *testing.T) {
+	clk := vtime.NewSim(1)
+	clk.Run(func() {
+		_, a, b := twoHosts(clk, gbps, time.Millisecond, 0)
+		l, err := b.Listen(":9000")
+		if err != nil {
+			t.Fatal(err)
+		}
+		la := l.Addr()
+		if la.Network() != "sim" || la.String() != "b:9000" || la.(interface{ Port() int }).Port() != 9000 {
+			t.Errorf("listener address %s %q", la.Network(), la)
+		}
+		if _, err := b.Listen("b:9000"); err == nil || !strings.Contains(err.Error(), "b:9000 already in use") {
+			t.Errorf("second listen on b:9000: %v", err)
+		}
+		if _, err := a.Dial("b:9001"); err == nil || !strings.Contains(err.Error(), "refused: b:9001") {
+			t.Errorf("dial to a closed port: %v", err)
+		}
+		c, err := a.Dial("b:9000")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := l.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		local := c.LocalAddr().String()
+		if !strings.HasPrefix(local, "a:") || c.RemoteAddr().String() != "b:9000" ||
+			s.LocalAddr().String() != "b:9000" || s.RemoteAddr().String() != local {
+			t.Errorf("conn a %s -> %s, accepted %s <- %s", local, c.RemoteAddr(), s.LocalAddr(), s.RemoteAddr())
 		}
 	})
 }
@@ -638,23 +675,24 @@ func TestCPUUtilizationReporting(t *testing.T) {
 	})
 }
 
-// TestTotalBytesBetweenOrderFree registers and retires the same flows in
-// two orders and requires a bit-identical byte total: the live and
-// retired sums must not depend on the order their terms arrive in.
+// TestTotalBytesBetweenOrderFree registers and retires the same flows,
+// each on its own conn, in two orders and requires a bit-identical byte
+// total: the live and retired sums must not depend on the order their
+// terms arrive in.
 func TestTotalBytesBetweenOrderFree(t *testing.T) {
 	bytes := []float64{0.1, 0.2, 0.3, 0.2, 0.2, 0.7}
 	const retired = 3 // the first three retire, the rest stay live
 	total := func(order []int) float64 {
 		n, a, b := twoHosts(vtime.NewSim(1), gbps, time.Millisecond, 0)
-		fs := make([]*flow, len(bytes))
+		cs := make([]*Conn, len(bytes))
+		for _, i := range order {
+			cs[i] = newShellConn(n, a, b)
+			cs[i].flows[0].transmitted = bytes[i]
+		}
 		n.mu.Lock()
 		for _, i := range order {
-			fs[i] = &flow{net: n, src: a, dst: b, transmitted: bytes[i]}
-			n.registerFlowLocked(fs[i])
-		}
-		for _, i := range order {
 			if i < retired {
-				fs[i].remove(0)
+				cs[i].removeLocked()
 			}
 		}
 		n.mu.Unlock()

@@ -138,18 +138,6 @@ func ReadVirtualFrom(c Conn, n int64) (int64, error) {
 	return got, nil
 }
 
-// Addr is a simple textual address used by the simulator ("host:port").
-type Addr struct {
-	Net  string // network name, e.g. "sim" or "tcp"
-	Text string // host:port
-}
-
-// Network returns the network name.
-func (a Addr) Network() string { return a.Net }
-
-// String returns the host:port form.
-func (a Addr) String() string { return a.Text }
-
 // SplitHostPort splits "host:port" into host and port, tolerating a
 // missing port (port 0). It is a forgiving variant of net.SplitHostPort
 // for the simulator's flat namespace.

@@ -77,13 +77,6 @@ func TestJSONFrames(t *testing.T) {
 	}
 }
 
-func TestAddr(t *testing.T) {
-	a := Addr{Net: "sim", Text: "lbnl:2811"}
-	if a.Network() != "sim" || a.String() != "lbnl:2811" {
-		t.Fatalf("addr = %v", a)
-	}
-}
-
 func TestVirtualFallbackOverRealTCP(t *testing.T) {
 	// Real TCP conns have no virtual fast path; the helpers must fall
 	// back to moving real (zero) bytes.

@@ -73,6 +73,11 @@ type Sim struct {
 	advancing bool
 	parked    int
 	parkers   []*parker // freelist of Sleep parkers
+	// wakeChans lists every parker and waiter channel the Sim created,
+	// so teardown can close them: a goroutine parked on one then
+	// receives !ok and unwinds. Parking is a single receive, which the
+	// runtime serves with one sudog instead of a select's two.
+	wakeChans []chan struct{}
 	// condMu guards the cond recycling the Sim owns for all its conds:
 	// retired waiters (waitFree) and the slab NewCond carves conds from
 	// (condSlab). It is never held together with mu or a cond's mu.
@@ -96,7 +101,6 @@ type Sim struct {
 	// goroutine (the callback runs on it), so no locking is involved.
 	firingID   EventID
 	rearmDelay time.Duration
-	stopc      chan struct{}
 	stopped    bool
 	// unwind counts live managed goroutines so Run can join them before
 	// returning. Without the join, goroutines still unwinding their
@@ -201,10 +205,7 @@ type parker struct {
 // NewSim returns a simulated clock whose random source is seeded with
 // seed, so runs are reproducible.
 func NewSim(seed int64) *Sim {
-	return &Sim{
-		stopc: make(chan struct{}),
-		rng:   rand.New(rand.NewSource(seed)),
-	}
+	return &Sim{rng: rand.New(rand.NewSource(seed))}
 }
 
 // simStopped is the panic value used to unwind managed goroutines that are
@@ -636,6 +637,9 @@ func (s *Sim) getWaiter(c *chanCond) *waiter {
 	s.condMu.Unlock()
 	if w == nil {
 		w = &waiter{ch: make(chan struct{}, 1)}
+		s.mu.Lock()
+		s.wakeChans = append(s.wakeChans, w.ch)
+		s.mu.Unlock()
 	}
 	w.c, w.fired, w.timedOut = c, false, false
 	return w
@@ -686,11 +690,15 @@ func (s *Sim) Run(main func()) {
 	defer func() {
 		// Mark stopped before the final decrement so main's exit does not
 		// fast-forward the clock on behalf of still-parked goroutines.
+		// Wakeups are sent under mu and dropped once stopped is set, so
+		// closing the channels here cannot race a send.
 		s.mu.Lock()
 		s.stopped = true
 		s.runnable--
+		for _, ch := range s.wakeChans {
+			close(ch)
+		}
 		s.mu.Unlock()
-		close(s.stopc)
 		s.unwind.Wait()
 	}()
 	main()
@@ -729,15 +737,14 @@ func (s *Sim) SleepSite(site Site, d time.Duration) {
 		s.parkers = s.parkers[:n-1]
 	} else {
 		p = &parker{ch: make(chan struct{}, 1)}
+		s.wakeChans = append(s.wakeChans, p.ch)
 	}
 	s.scheduleLocked(d, nil, 0, p.ch, site)
 	s.runnable--
 	s.parked++
 	s.maybeAdvanceLocked()
 	s.mu.Unlock()
-	select {
-	case <-p.ch:
-	case <-s.stopc:
+	if _, ok := <-p.ch; !ok {
 		panic(stoppedPanic{})
 	}
 	s.mu.Lock()
@@ -747,7 +754,8 @@ func (s *Sim) SleepSite(site Site, d time.Duration) {
 }
 
 // park suspends the calling managed goroutine until ch is signalled. If
-// it was the last runnable goroutine it advances virtual time first.
+// it was the last runnable goroutine it advances virtual time first. A
+// closed ch means Run has returned: the goroutine unwinds.
 func (s *Sim) park(ch chan struct{}) {
 	s.mu.Lock()
 	if s.stopped {
@@ -758,9 +766,7 @@ func (s *Sim) park(ch chan struct{}) {
 	s.parked++
 	s.maybeAdvanceLocked()
 	s.mu.Unlock()
-	select {
-	case <-ch:
-	case <-s.stopc:
+	if _, ok := <-ch; !ok {
 		panic(stoppedPanic{})
 	}
 	s.mu.Lock()
@@ -770,11 +776,16 @@ func (s *Sim) park(ch chan struct{}) {
 
 // unpark marks the goroutine waiting on ch runnable and delivers its
 // wakeup. Safe to call from event callbacks and managed goroutines alike.
+// The send happens under mu (ch is buffered and holds at most one
+// pending signal, so it cannot block) and is dropped after teardown,
+// when ch may be closed: code unwinding past Run may still signal.
 func (s *Sim) unpark(ch chan struct{}) {
 	s.mu.Lock()
-	s.runnable++
+	if !s.stopped {
+		s.runnable++
+		ch <- struct{}{}
+	}
 	s.mu.Unlock()
-	ch <- struct{}{}
 }
 
 // maybeAdvanceLocked fires pending events while no managed goroutine is
