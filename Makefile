@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build cross fmt vet lint test race bench-smoke bench perf perf-aa cover fuzz-smoke check
+.PHONY: all build cross fmt vet lint test procs race bench-smoke bench perf perf-aa cover fuzz-smoke check
 
 all: check
 
@@ -46,6 +46,16 @@ test:
 	$(GO) test -timeout 5m $(VT_PKGS)
 	$(GO) test $(OTHER_PKGS)
 
+# The equal-seed oracle across core counts (ROADMAP item 1): each
+# TestEqualSeed row replays its run at GOMAXPROCS=1 against one at each P
+# below, and its -v line says "cross-P holds" or names the known
+# divergence; the TestWorkCounts pins ride along. It runs before race so
+# a cross-P break shows without the race detector's noise.
+procs:
+	for p in 1 2 4 8; do \
+		GOMAXPROCS=$$p $(GO) test -count=1 -v -run 'TestEqualSeed|TestWorkCounts' ./internal/experiments || exit 1; \
+	done
+
 race:
 	$(GO) test -race -timeout 5m $(VT_PKGS)
 	$(GO) test -race $(OTHER_PKGS)
@@ -84,4 +94,4 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzControlChannel -fuzztime=10s -run '^$$' ./internal/gridftp/
 	$(GO) test -fuzz=FuzzFilter -fuzztime=10s -run '^$$' ./internal/ldapd/
 
-check: build cross fmt vet lint race bench-smoke fuzz-smoke
+check: build cross fmt vet lint procs race bench-smoke fuzz-smoke

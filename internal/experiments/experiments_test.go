@@ -350,30 +350,6 @@ func TestScaleSweepRuns(t *testing.T) {
 	}
 }
 
-// TestScaleDeterministic re-runs one population with the same seed and
-// demands an identical outcome (virtual elapsed time, bytes, allocation
-// pass counts) — the event trace must be reproducible.
-func TestScaleDeterministic(t *testing.T) {
-	a, err := RunScale(9, []int{48}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunScale(9, []int{48}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.SimElapsed[0] != b.SimElapsed[0] {
-		t.Errorf("virtual elapsed diverged: %v vs %v", a.SimElapsed[0], b.SimElapsed[0])
-	}
-	if a.Bytes[0] != b.Bytes[0] {
-		t.Errorf("bytes diverged: %d vs %d", a.Bytes[0], b.Bytes[0])
-	}
-	if a.AllocPasses[0] != b.AllocPasses[0] || a.AllocFlows[0] != b.AllocFlows[0] {
-		t.Errorf("allocation trace diverged: %d/%d vs %d/%d",
-			a.AllocPasses[0], a.AllocFlows[0], b.AllocPasses[0], b.AllocFlows[0])
-	}
-}
-
 // TestResultFormatting exercises every experiment's Rows() renderer on
 // small runs, so the esgbench output paths stay covered.
 func TestResultFormatting(t *testing.T) {

@@ -41,28 +41,3 @@ func TestLifelineCoverageAndGaps(t *testing.T) {
 		t.Errorf("events=%d spans=%d, want both > 0", res.Events, res.Spans)
 	}
 }
-
-// Same seed, same config: the full ULM and JSONL exports must be
-// byte-identical across runs.
-func TestLifelineDeterministic(t *testing.T) {
-	cfg := DefaultLifelineConfig()
-	cfg.Files = 2
-	cfg.FileMB = 8
-	a, err := RunLifeline(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunLifeline(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.ULM != b.ULM {
-		t.Error("ULM export differs between identical runs")
-	}
-	if a.JSONL != b.JSONL {
-		t.Error("JSONL export differs between identical runs")
-	}
-	if a.Elapsed != b.Elapsed {
-		t.Errorf("elapsed differs: %v vs %v", a.Elapsed, b.Elapsed)
-	}
-}

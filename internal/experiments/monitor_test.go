@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"strings"
+	"runtime"
 	"testing"
 
 	"esgrid/internal/monitor"
@@ -44,54 +44,24 @@ func TestMonitorGroundTruth(t *testing.T) {
 	}
 }
 
-// TestMonitorDeterminism: two equal-seed runs of the same case produce
-// byte-identical alert streams.
-func TestMonitorDeterminism(t *testing.T) {
-	c := MonitorCases()[0] // host.crash
-	a, err := RunMonitorCase(c, 77, DefaultMonitorConfig().Grace, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunMonitorCase(c, 77, DefaultMonitorConfig().Grace, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.AlertJSONL == "" {
-		t.Fatal("no alerts on a fault-laden run")
-	}
-	if a.AlertJSONL != b.AlertJSONL {
-		t.Fatalf("equal-seed alert streams differ:\n--- a ---\n%s\n--- b ---\n%s", a.AlertJSONL, b.AlertJSONL)
-	}
-	if a.JSONL != b.JSONL {
-		t.Fatal("equal-seed event streams differ")
-	}
-}
-
 // TestMonitorPureObserver: attaching the monitor must not perturb the
 // system it watches — the full netlogger stream and the transfer
 // outcomes are byte-identical with and without it.
 func TestMonitorPureObserver(t *testing.T) {
-	c := MonitorCases()[0] // host.crash
-	with, err := RunMonitorCase(c, 78, DefaultMonitorConfig().Grace, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	without, err := RunMonitorCase(c, 78, DefaultMonitorConfig().Grace, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if with.JSONL != without.JSONL {
-		da, db := diffLine(with.JSONL, without.JSONL)
-		t.Fatalf("monitored event stream diverges from bare run:\nmonitored: %s\nbare:      %s", da, db)
-	}
-	if len(with.Statuses) != len(without.Statuses) {
-		t.Fatalf("status count differs: %d vs %d", len(with.Statuses), len(without.Statuses))
-	}
-	for i := range with.Statuses {
-		if with.Statuses[i] != without.Statuses[i] {
-			t.Fatalf("transfer schedule differs at %d:\n%+v\n%+v", i, with.Statuses[i], without.Statuses[i])
+	var runs [2]MonitorRun
+	var fs [2]fingerprint
+	for i, monitored := range []bool{true, false} {
+		var err error
+		if fs[i], err = capture(func() (any, error) {
+			r, err := RunMonitorCase(MonitorCases()[0], 78, DefaultMonitorConfig().Grace, monitored)
+			runs[i] = r
+			return r.Statuses, err
+		}, false); err != nil {
+			t.Fatal(err)
 		}
 	}
+	same(t, "monitor-pure-observer", runtime.GOMAXPROCS(0), fs[0], fs[1], false)
+	with, without := runs[0], runs[1]
 	if without.AlertJSONL != "" {
 		t.Fatal("bare run produced alerts")
 	}
@@ -104,15 +74,4 @@ func TestMonitorPureObserver(t *testing.T) {
 			t.Fatalf("file %s not done: %+v", st.Name, st)
 		}
 	}
-}
-
-// diffLine returns the first differing line pair of two JSONL streams.
-func diffLine(a, b string) (string, string) {
-	la, lb := strings.Split(a, "\n"), strings.Split(b, "\n")
-	for i := 0; i < len(la) && i < len(lb); i++ {
-		if la[i] != lb[i] {
-			return la[i], lb[i]
-		}
-	}
-	return "<end>", "<end>"
 }

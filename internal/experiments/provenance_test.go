@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -57,123 +60,45 @@ func TestProvenanceChain(t *testing.T) {
 	}
 }
 
-// TestProvenanceDeterminism: equal configs reproduce the identical
-// chain — the property that makes a printed chain a replayable bug
-// report rather than a one-off observation.
-func TestProvenanceDeterminism(t *testing.T) {
-	a, err := RunProvenance(DefaultProvenanceConfig(), 8)
-	if err != nil {
-		t.Fatalf("run A: %v", err)
-	}
-	b, err := RunProvenance(DefaultProvenanceConfig(), 8)
-	if err != nil {
-		t.Fatalf("run B: %v", err)
-	}
-	if a.Chart != b.Chart {
-		t.Fatalf("equal-config chains diverge:\nA:\n%s\nB:\n%s", a.Chart, b.Chart)
-	}
-	if a.Retry.Seq != b.Retry.Seq || a.Records != b.Records {
-		t.Fatalf("equal-config provenance diverges: seq %d/%d records %d/%d",
-			a.Retry.Seq, b.Retry.Seq, a.Records, b.Records)
-	}
-}
-
-// TestChaosFlightDumpDeterministic extends the equal-seed guarantee to
-// the flight recorder itself: two runs of the same schedule must dump
-// byte-identical JSONL (virtual timestamps only — wall time never
-// enters a record).
-func TestChaosFlightDumpDeterministic(t *testing.T) {
-	cfg := soakConfig(91)
-	sched := ChaosScheduleFor(cfg, 91, 6)
-	a, err := RunChaosSchedule(cfg, sched)
-	if err != nil {
-		t.Fatalf("run A: %v", err)
-	}
-	b, err := RunChaosSchedule(cfg, sched)
-	if err != nil {
-		t.Fatalf("run B: %v", err)
-	}
-	da, db := a.Flight.Dump(), b.Flight.Dump()
-	if len(da) == 0 {
-		t.Fatal("flight dump empty — recorder not attached?")
-	}
-	if !bytes.Equal(da, db) {
-		la, lb := splitLines(string(da)), splitLines(string(db))
-		n := len(la)
-		if len(lb) < n {
-			n = len(lb)
-		}
-		for i := 0; i < n; i++ {
-			if la[i] != lb[i] {
-				t.Fatalf("equal-seed flight dumps diverge at line %d:\n  A: %s\n  B: %s", i, la[i], lb[i])
-			}
-		}
-		t.Fatalf("equal-seed flight dump lengths differ: %d vs %d lines", len(la), len(lb))
-	}
-	// The dump round-trips through the parser into the same records.
-	recs, err := flight.ParseDump(bytes.NewReader(da))
-	if err != nil {
-		t.Fatalf("ParseDump: %v", err)
-	}
-	if len(recs) != len(a.Flight.Records()) {
-		t.Fatalf("round-trip lost records: %d vs %d", len(recs), len(a.Flight.Records()))
-	}
-}
-
 // TestChaosFlightPureObserver proves the recorder cannot perturb the
 // simulation: the same seed and schedule run bare (no tap, no simnet
 // hook) and instrumented must produce byte-identical NetLogger streams
 // and identical timing.
 func TestChaosFlightPureObserver(t *testing.T) {
-	cfg := soakConfig(92)
-	sched := ChaosScheduleFor(cfg, 92, 6)
-	inst, err := RunChaosSchedule(cfg, sched)
-	if err != nil {
-		t.Fatalf("instrumented run: %v", err)
+	run := func() (any, error) {
+		cfg := soakConfig(92)
+		r, err := RunChaosSchedule(cfg, ChaosScheduleFor(cfg, 92, 6))
+		return fmt.Sprintf("elapsed %v, %d activations", r.Elapsed, r.Activations), err
 	}
+	inst, err := capture(run, false)
 	flightDisabled = true
 	defer func() { flightDisabled = false }()
-	bare, err := RunChaosSchedule(cfg, sched)
-	if err != nil {
-		t.Fatalf("bare run: %v", err)
+	bare, errBare := capture(run, false)
+	if err := errors.Join(err, errBare); err != nil {
+		t.Fatal(err)
 	}
-	if inst.JSONL != bare.JSONL {
-		t.Fatal("flight recorder perturbed the event stream: instrumented and bare JSONL differ")
-	}
-	if inst.Elapsed != bare.Elapsed || inst.Activations != bare.Activations {
-		t.Fatalf("flight recorder perturbed timing: elapsed %v/%v activations %d/%d",
-			inst.Elapsed, bare.Elapsed, inst.Activations, bare.Activations)
-	}
-	if inst.Flight.Stats().CoreWritten == 0 {
-		t.Error("instrumented run recorded no core events")
-	}
-	if bare.Flight.Stats().CoreWritten != 0 {
-		t.Error("bare run recorded core events despite detached tap")
+	same(t, "chaos-pure-observer", runtime.GOMAXPROCS(0), inst, bare, false)
+	if inst.core == 0 || bare.core != 0 {
+		t.Errorf("core events recorded: %d instrumented, %d bare; want some and none", inst.core, bare.core)
 	}
 }
 
-// TestFlightDumpOnFailure exercises the CI failure path end to end:
-// dumpFlightOnFailure must land a parseable dump in $ESG_FLIGHT_DIR.
+// TestFlightDumpOnFailure exercises the CI failure path end to end: a
+// red equal-seed pair must land both runs' parseable dumps in
+// $ESG_FLIGHT_DIR, under the row's name and P.
 func TestFlightDumpOnFailure(t *testing.T) {
 	dir := t.TempDir()
 	t.Setenv("ESG_FLIGHT_DIR", dir)
-	cfg := soakConfig(93)
-	run, err := RunChaosSchedule(cfg, ChaosScheduleFor(cfg, 93, 4))
+	a, err := capture(func() (any, error) { return chaosRow(93, 4) }, false)
 	if err != nil {
-		t.Fatalf("RunChaosSchedule: %v", err)
+		t.Fatalf("chaosRow: %v", err)
 	}
-	dumpFlightOnFailure(t, run, "exercise-seed93")
-	path := filepath.Join(dir, "exercise-seed93.flight.jsonl")
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatalf("dump not written: %v", err)
-	}
-	defer f.Close()
-	recs, err := flight.ParseDump(f)
-	if err != nil {
-		t.Fatalf("dump unparseable: %v", err)
-	}
-	if len(recs) == 0 {
-		t.Fatal("dump carried no records")
+	dumpPair(t, "exercise-93-4", 2, a, a)
+	for _, run := range "ab" {
+		dump, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("exercise-93-4-P2-%c.flight.jsonl", run)))
+		recs, perr := flight.ParseDump(bytes.NewReader(dump))
+		if err := errors.Join(err, perr); err != nil || len(recs) == 0 {
+			t.Fatalf("dump %c: %d records, %v", run, len(recs), err)
+		}
 	}
 }

@@ -3,6 +3,5 @@
 package experiments
 
 // raceEnabled reports whether this test binary was built with the race
-// detector. See skipUnderRace in differential_test.go for why two of the
-// differential tests are gated on it.
+// detector (see skipUnderRace in equalseed_test.go).
 const raceEnabled = true

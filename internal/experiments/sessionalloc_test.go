@@ -13,7 +13,9 @@ const sessionAllocCeiling = 118.0
 // change that brings a per-session allocation back fails here, not only
 // in esgperf's sim-scale1k op_allocs.
 func TestSessionAllocBudget(t *testing.T) {
-	skipUnderRace(t)
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the program's own")
+	}
 	const clients = 64
 	var err error
 	allocs := testing.AllocsPerRun(1, func() {
