@@ -49,11 +49,13 @@ test:
 # The equal-seed oracle across core counts (ROADMAP item 1): each
 # TestEqualSeed row replays its run at GOMAXPROCS=1 against one at each P
 # below, and its -v line says "cross-P holds" or names the known
-# divergence; the TestWorkCounts pins ride along. It runs before race so
-# a cross-P break shows without the race detector's noise.
+# divergence. TestWorkCountsScale1k checks its pins at each P too; the
+# Table 1 and Figure 8 pins hold at one P only, so they run once. It runs
+# before race so a cross-P break shows without the race detector's noise.
 procs:
+	$(GO) test -count=1 -v -run 'TestWorkCounts(Table1|Figure8)' ./internal/experiments
 	for p in 1 2 4 8; do \
-		GOMAXPROCS=$$p $(GO) test -count=1 -v -run 'TestEqualSeed|TestWorkCounts' ./internal/experiments || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -count=1 -v -run 'TestEqualSeed|TestWorkCountsScale1k' ./internal/experiments || exit 1; \
 	done
 
 race:

@@ -138,14 +138,17 @@ func flightDivergence(a, b []string) string {
 		if i == len(ra) || i == len(rb) {
 			return fmt.Sprintf("rig %d's flight dumps agree for %d records, then run 1 has %d and run 2 %d", k, i, len(ra), len(rb))
 		}
-		j := i
-		for j > 0 && ra[j].Kind >= flight.KConnOpen {
-			j--
-		}
 		// A dump holds one record per line, so record i is line i.
 		la, lb := strings.Split(a[k], "\n"), strings.Split(b[k], "\n")
+		chain := "no core record before it\n"
+		for j := i; j >= 0; j-- {
+			if ra[j].Kind < flight.KConnOpen {
+				chain = flight.FormatChain(flight.ChainOf(ra, ra[j].Seq))
+				break
+			}
+		}
 		return fmt.Sprintf("first diverging flight record is #%d of %d in rig %d: %s\n  run 2: %s\nits chain in run 1:\n%s",
-			i, len(ra), k, la[i], lb[i], flight.FormatChain(flight.ChainOf(ra, ra[j].Seq)))
+			i, len(ra), k, la[i], lb[i], chain)
 	}
 	return ""
 }
@@ -224,7 +227,7 @@ func dumpPair(t *testing.T, name string, p int, a, b fingerprint) {
 type row struct {
 	name   string
 	short  bool // skipped in -short mode
-	cohort bool // drivers wake same-instant goroutine cohorts; see skipUnderRace
+	cohort bool // drivers wake same-instant goroutine cohorts; see runs
 	// diverges names the ROADMAP item 1 flaw that makes the row part
 	// across P: the cross-P report is logged, and a third run at the
 	// process's P replays the second as a hard check — of the result and
@@ -246,8 +249,19 @@ func (r row) runs(t *testing.T, procs ...int) []fingerprint {
 		t.Skipf("%s in -short mode", r.name)
 	}
 	if r.cohort {
-		skipUnderRace(t)
-		pinGC(t)
+		// Table 1's striped writers and Figure 8's staged parallelism
+		// block same-instant goroutine cohorts on condition broadcasts.
+		// Under the race detector's scheduler the order in which a woken
+		// cohort re-acquires locks, and so its event seqs, differ run to
+		// run (ROADMAP item 1(b)). Without it a GC cycle preempting a
+		// woken cohort, at a point set by the heap earlier tests left,
+		// does the same in milder form; so the collector is off for the
+		// row, with a collection at each run boundary. The runs' heaps
+		// are small, so running them uncollected is cheap.
+		if raceEnabled {
+			t.Skip("cohort wake-up order under the race detector's scheduler is not reproducible; see row.runs")
+		}
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	fs := make([]fingerprint, len(procs))
@@ -262,29 +276,6 @@ func (r row) runs(t *testing.T, procs ...int) []fingerprint {
 		}
 	}
 	return fs
-}
-
-// skipUnderRace skips the rows whose drivers block same-instant goroutine
-// cohorts on condition broadcasts (Table 1's striped writers, Figure 8's
-// staged parallelism): under the race detector's scheduler the order in
-// which a woken cohort re-acquires locks, and so its event seqs, differ
-// run to run (ROADMAP item 1(b)), and the rows would measure that noise.
-func skipUnderRace(t *testing.T) {
-	t.Helper()
-	if raceEnabled {
-		t.Skip("cohort wake-up order under the race detector's scheduler is not reproducible; see comment")
-	}
-}
-
-// pinGC removes the milder, non-race form of the same perturbation: a GC
-// cycle preempting a woken cohort, at a point set by the heap earlier
-// tests left. With the collector off for the row and a collection at
-// each run boundary, every run's preemption points are its own. The
-// runs' heaps are small, so running them uncollected is cheap.
-func pinGC(t *testing.T) {
-	t.Helper()
-	old := debug.SetGCPercent(-1)
-	t.Cleanup(func() { debug.SetGCPercent(old) })
 }
 
 // seqRace is why rows whose same-instant wake-ups race part across P.
@@ -416,5 +407,11 @@ func TestDivergenceLocalises(t *testing.T) {
 	}
 	if strings.Contains(d, "#2") || strings.Contains(d, "result") {
 		t.Errorf("report names more than the first divergence:\n%s", d)
+	}
+	// A data record with no core record before it has no chain to name.
+	const data = `{"t":0,"kind":"conn-open","seq":1,"conn":1}` + "\n"
+	d = flightDivergence([]string{data}, []string{strings.Replace(data, `"t":0`, `"t":5`, 1)})
+	if want := "its chain in run 1:\nno core record before it\n"; !strings.HasSuffix(d, want) {
+		t.Errorf("data-only report lacks %q:\n%s", want, d)
 	}
 }

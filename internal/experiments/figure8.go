@@ -75,8 +75,8 @@ type Figure8Result struct {
 	Restarts      int
 	ZeroBuckets   int // buckets with no progress (outages + dips)
 	OutageBuckets int // buckets fully inside scheduled outages
-	// Flight is the run's always-on flight recorder; the differential
-	// suite compares its dump byte-for-byte between two equal-seed runs.
+	// Flight is the run's always-on flight recorder; TestEqualSeed
+	// compares its dump byte-for-byte between two equal-seed runs.
 	Flight *flight.Recorder
 }
 

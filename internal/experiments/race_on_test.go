@@ -3,5 +3,5 @@
 package experiments
 
 // raceEnabled reports whether this test binary was built with the race
-// detector (see skipUnderRace in equalseed_test.go).
+// detector (see row.runs in equalseed_test.go).
 const raceEnabled = true

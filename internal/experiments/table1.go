@@ -90,8 +90,8 @@ type Table1Result struct {
 	TransfersStarted int
 	TransfersDone    int
 	Series           netlogger.Series // 5s aggregate-rate series
-	// Flight is the run's always-on flight recorder; the differential
-	// suite compares its dump byte-for-byte between two equal-seed runs.
+	// Flight is the run's always-on flight recorder; TestEqualSeed
+	// compares its dump byte-for-byte between two equal-seed runs.
 	Flight *flight.Recorder
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -39,24 +40,25 @@ func TestWorkCountsFigure8(t *testing.T) {
 
 // TestWorkCountsScale1k runs sim-scale1k's op (S11 at 1024 clients, 4 MB
 // files; its result is the allocation passes and the flows they visited)
-// at one P, as esgperf runs it: on more than one P its flushes part in
-// their rate bits (ROADMAP item 1). Its drivers are event-paced, so the
-// passes and flows hold on any P; the scale-1024 equal-seed row checks
-// that across P.
+// at the process's P. Its drivers are event-paced, so the counts hold on
+// any P. The flush fingerprints do not yet: on more than one P two runs
+// of this seed part in their rate bits (ROADMAP item 1), so the stream's
+// fold is checked at one P, as esgperf runs it, and its length on any.
 func TestWorkCountsScale1k(t *testing.T) {
+	p := runtime.GOMAXPROCS(0)
 	f := row{name: "sim-scale1k", run: func() (any, error) {
 		r, err := RunScale(3, []int{1024}, 4)
 		if err != nil {
 			return nil, err
 		}
 		return [2]uint64{r.AllocPasses[0], r.AllocFlows[0]}, nil
-	}}.runs(t, 1)[0]
+	}}.runs(t, p)[0]
 	if want := "[50523 386427]"; f.result != want {
 		t.Fatalf("sim-scale1k seed 1: allocation passes and flows %s; recorded %s", f.result, want)
 	}
 	want := work{flushes: 19794, fold: "ed94eb6aad643bad", skipped: 2048}
-	if raceEnabled {
-		want.fold = f.fold() // the race detector's scheduler reorders it even at one P
+	if p > 1 || raceEnabled {
+		want.fold = f.fold() // under -race it parts even at one P
 	}
 	checkWork(t, "sim-scale1k", f, want)
 }
