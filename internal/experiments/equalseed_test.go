@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -10,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -38,16 +36,14 @@ type fingerprint struct {
 	skipped, ties uint64     // simnet.Net.GrowthStats, summed over the rigs
 }
 
-// capture runs run with every rig it builds watched (rigBuilt and, when
-// flushes is set, simnet.FlushObserver) and returns its fingerprint.
-func capture(run func() (any, error), flushes bool) (fingerprint, error) {
+// capture runs run with every rig it builds watched (rigBuilt and
+// simnet.FlushObserver) and returns its fingerprint.
+func capture(run func() (any, error)) (fingerprint, error) {
 	var f fingerprint
 	var rigs []*rig
 	rigBuilt = func(g *rig) { rigs = append(rigs, g) }
-	if flushes {
-		simnet.FlushObserver = func(now time.Duration, sig uint64, nflows int) {
-			f.flushes = append(f.flushes, flushRec{now, sig, nflows})
-		}
+	simnet.FlushObserver = func(now time.Duration, sig uint64, nflows int) {
+		f.flushes = append(f.flushes, flushRec{now, sig, nflows})
 	}
 	res, err := run()
 	rigBuilt, simnet.FlushObserver = nil, nil
@@ -198,8 +194,9 @@ func dumpFlightOnFailure(t *testing.T, name, dump string) {
 }
 
 // same fails t when run b does not reproduce run a — in full, or only
-// in its artifacts (result and JSONL) when trace is false — with the
-// divergence report, and writes both runs' flight dumps.
+// in its artifacts (result and JSONL) when trace is false, as when one
+// run is instrumented and the other bare — with the divergence report,
+// and writes both runs' flight dumps.
 func same(t *testing.T, name string, p int, a, b fingerprint, trace bool) bool {
 	t.Helper()
 	x, y := a, b
@@ -225,70 +222,40 @@ func dumpPair(t *testing.T, name string, p int, a, b fingerprint) {
 
 // row is one experiment configuration the oracle runs.
 type row struct {
-	name   string
-	short  bool // skipped in -short mode
-	cohort bool // drivers wake same-instant goroutine cohorts; see runs
-	// diverges names the ROADMAP item 1 flaw that makes the row part
-	// across P: the cross-P report is logged, and a third run at the
-	// process's P replays the second as a hard check — of the result and
-	// JSONL only when artifactsOnly, because the row's schedule trace
-	// parts even between two runs at one P>1.
-	diverges      string
-	artifactsOnly bool
-	noFlushes     bool // leave the flush stream out of the fingerprint
+	name  string
+	short bool // skipped in -short mode
 	// run returns the result with its wall-clock and pointer fields
 	// cleared; the row's own checks fail it with an error.
 	run func() (any, error)
 }
 
 // runs runs r once per entry of procs, at that GOMAXPROCS, and returns
-// their fingerprints. Item 1's shims are applied here and nowhere else.
+// their fingerprints.
 func (r row) runs(t *testing.T, procs ...int) []fingerprint {
 	t.Helper()
 	if r.short && testing.Short() {
 		t.Skipf("%s in -short mode", r.name)
 	}
-	if r.cohort {
-		// Table 1's striped writers and Figure 8's staged parallelism
-		// block same-instant goroutine cohorts on condition broadcasts.
-		// Under the race detector's scheduler the order in which a woken
-		// cohort re-acquires locks, and so its event seqs, differ run to
-		// run (ROADMAP item 1(b)). Without it a GC cycle preempting a
-		// woken cohort, at a point set by the heap earlier tests left,
-		// does the same in milder form; so the collector is off for the
-		// row, with a collection at each run boundary. The runs' heaps
-		// are small, so running them uncollected is cheap.
-		if raceEnabled {
-			t.Skip("cohort wake-up order under the race detector's scheduler is not reproducible; see row.runs")
-		}
-		defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	fs := make([]fingerprint, len(procs))
 	for i, p := range procs {
 		runtime.GOMAXPROCS(p)
-		if r.cohort {
-			runtime.GC()
-		}
 		var err error
-		if fs[i], err = capture(r.run, !r.noFlushes); err != nil {
+		if fs[i], err = capture(r.run); err != nil {
 			t.Fatalf("%s at P=%d: %v", r.name, p, err)
 		}
 	}
 	return fs
 }
 
-// seqRace is why rows whose same-instant wake-ups race part across P.
-const seqRace = "item 1(b): same-instant wake-ups take event seqs in lock-arrival order"
-
 // equalSeedRows are the configurations the equal-seed oracle replays.
 var equalSeedRows = []row{
-	{name: "table1", cohort: true, run: func() (any, error) {
+	{name: "table1", run: func() (any, error) {
 		r, err := RunTable1(shortTable1())
 		r.Flight = nil
 		return r, err
 	}},
-	{name: "figure8", cohort: true, run: func() (any, error) {
+	{name: "figure8", run: func() (any, error) {
 		cfg := DefaultFigure8Config()
 		cfg.Duration, cfg.ParallelismSchedule, cfg.Faults = 45*time.Minute, []int{1, 8}, true
 		r, err := RunFigure8(cfg)
@@ -296,23 +263,20 @@ var equalSeedRows = []row{
 		return r, err
 	}},
 	// S11's widest population: 1024 clients over 128 disjoint site
-	// components, many of them dirty in one instant. Fingerprinting every
-	// active flow at each of its 19 794 flushes would cost 3 s a run,
-	// and on more than one P the stream parts even between same-P runs.
-	{name: "scale-1024", short: true, noFlushes: true, run: func() (any, error) { return scaleRow(3, 1024) }},
-	{name: "scale-48", run: func() (any, error) { return scaleRow(9, 48) },
-		diverges: "item 1(a): the flushes' rate bits part on more than one P", artifactsOnly: true},
+	// components, many of them dirty in one instant.
+	{name: "scale-1024", short: true, run: func() (any, error) { return scaleRow(3, 1024) }},
+	{name: "scale-48", run: func() (any, error) { return scaleRow(9, 48) }},
 	// Randomized S13 fault schedules: the JSONL carries every transfer
 	// event, the dump the core event window and connection transitions.
-	{name: "chaos-41-4", diverges: seqRace, run: func() (any, error) { return chaosRow(41, 4) }},
-	{name: "chaos-77-6", diverges: seqRace, artifactsOnly: true, run: func() (any, error) { return chaosRow(77, 6) }},
-	{name: "chaos-91-6", diverges: seqRace, run: func() (any, error) { return chaosRow(91, 6) }},
+	{name: "chaos-41-4", run: func() (any, error) { return chaosRow(41, 4) }},
+	{name: "chaos-77-6", run: func() (any, error) { return chaosRow(77, 6) }},
+	{name: "chaos-91-6", run: func() (any, error) { return chaosRow(91, 6) }},
 	{name: "lifeline", run: func() (any, error) {
 		cfg := DefaultLifelineConfig()
 		cfg.Files, cfg.FileMB = 2, 8
 		return RunLifeline(cfg)
 	}},
-	{name: "monitor-host.crash-77", diverges: seqRace, artifactsOnly: true, run: func() (any, error) {
+	{name: "monitor-host.crash-77", run: func() (any, error) {
 		r, err := RunMonitorCase(MonitorCases()[0], 77, DefaultMonitorConfig().Grace, true)
 		r.Flight = nil
 		if err == nil && r.AlertJSONL == "" {
@@ -322,7 +286,7 @@ var equalSeedRows = []row{
 	}},
 	// Equal configs reproduce the identical chain: what makes a printed
 	// chain a replayable bug report.
-	{name: "provenance", diverges: seqRace, artifactsOnly: true, run: func() (any, error) {
+	{name: "provenance", run: func() (any, error) {
 		r, err := RunProvenance(DefaultProvenanceConfig(), 8)
 		r.Run.Flight = nil
 		return r, err
@@ -351,21 +315,13 @@ func chaosRow(seed int64, faults int) (any, error) {
 }
 
 // TestEqualSeed runs every row at GOMAXPROCS=1 and at the process's P and
-// compares the fingerprints; each row's -v line says "cross-P holds" or
-// names its known divergence.
+// compares the full fingerprints.
 func TestEqualSeed(t *testing.T) {
 	p := runtime.GOMAXPROCS(0)
 	for _, r := range equalSeedRows {
 		t.Run(r.name, func(t *testing.T) {
-			procs := []int{1, p}
-			if r.diverges != "" && p > 1 {
-				procs = append(procs, p)
-			}
-			fs := r.runs(t, procs...)
-			if len(fs) == 3 {
-				t.Logf("known divergence (%s); P=1 and P=%d:\n%s", r.diverges, p, cmp.Or(fs[0].divergence(fs[1]), "agreed this run"))
-				same(t, r.name, p, fs[1], fs[2], !r.artifactsOnly)
-			} else if same(t, r.name, p, fs[0], fs[1], true) && p > 1 {
+			fs := r.runs(t, 1, p)
+			if same(t, r.name, p, fs[0], fs[1], true) && p > 1 {
 				t.Logf("cross-P holds: P=1 and P=%d agree", p)
 			}
 		})

@@ -56,7 +56,7 @@ func TestMonitorPureObserver(t *testing.T) {
 			r, err := RunMonitorCase(MonitorCases()[0], 78, DefaultMonitorConfig().Grace, monitored)
 			runs[i] = r
 			return r.Statuses, err
-		}, false); err != nil {
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}

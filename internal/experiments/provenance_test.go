@@ -70,10 +70,10 @@ func TestChaosFlightPureObserver(t *testing.T) {
 		r, err := RunChaosSchedule(cfg, ChaosScheduleFor(cfg, 92, 6))
 		return fmt.Sprintf("elapsed %v, %d activations", r.Elapsed, r.Activations), err
 	}
-	inst, err := capture(run, false)
+	inst, err := capture(run)
 	flightDisabled = true
 	defer func() { flightDisabled = false }()
-	bare, errBare := capture(run, false)
+	bare, errBare := capture(run)
 	if err := errors.Join(err, errBare); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestChaosFlightPureObserver(t *testing.T) {
 func TestFlightDumpOnFailure(t *testing.T) {
 	dir := t.TempDir()
 	t.Setenv("ESG_FLIGHT_DIR", dir)
-	a, err := capture(func() (any, error) { return chaosRow(93, 4) }, false)
+	a, err := capture(func() (any, error) { return chaosRow(93, 4) })
 	if err != nil {
 		t.Fatalf("chaosRow: %v", err)
 	}

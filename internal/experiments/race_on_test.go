@@ -3,5 +3,5 @@
 package experiments
 
 // raceEnabled reports whether this test binary was built with the race
-// detector (see row.runs in equalseed_test.go).
+// detector, whose allocations TestSessionAllocBudget must not count.
 const raceEnabled = true

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"esgrid/internal/grid"
@@ -88,7 +87,6 @@ func runScaleOnce(seed int64, nClients int, fileBytes int64) (sim, wall time.Dur
 	store := grid.VirtualStore(fileBytes, "f")
 	lat := netlogger.NewLogHistogram()
 
-	var mu sync.Mutex
 	wallStart := time.Now() //esglint:wallclock S11 reports the real wall cost of simulating the scaled run
 	err = g.Run(func() {
 		for s := 0; s < nSites; s++ {
@@ -114,9 +112,7 @@ func runScaleOnce(seed int64, nClients int, fileBytes int64) (sim, wall time.Dur
 				// Dial-to-last-byte latency for this client, in virtual
 				// time: the per-client experience the tail row reports.
 				lat.ObserveDuration(clk.Now().Sub(t0))
-				mu.Lock()
 				bytes += st.Bytes
-				mu.Unlock()
 			})
 		}
 		wg.Wait()

@@ -166,7 +166,6 @@ func RunTable1(cfg Table1Config) (Table1Result, error) {
 	partition := cfg.PartitionMB << 20
 
 	res := Table1Result{Config: cfg, Flight: g.rec}
-	var mu sync.Mutex
 
 	store := grid.VirtualStore(partition, "partition.dat")
 
@@ -208,7 +207,7 @@ func RunTable1(cfg Table1Config) (Table1Result, error) {
 		for i := 0; i < cfg.Servers; i++ {
 			i := i
 			wg.Go(func() {
-				runPipelinedPair(g, ca, trust, cfg, srcNames[i], dstNames[i], partition, stop, &mu, &res)
+				runPipelinedPair(g, ca, trust, cfg, srcNames[i], dstNames[i], partition, stop, &res)
 			})
 		}
 		wg.Wait()
@@ -232,7 +231,7 @@ func RunTable1(cfg Table1Config) (Table1Result, error) {
 // metering window closes.
 func runPipelinedPair(g *rig, ca *gsi.CA, trust *gsi.TrustStore,
 	cfg Table1Config, src, dst string, partition int64, stop time.Time,
-	mu *sync.Mutex, res *Table1Result) {
+	res *Table1Result) {
 
 	clk := g.Clock
 	id, err := ca.Issue("/CN=client-"+dst, vtime.Epoch, 240*time.Hour)
@@ -261,9 +260,7 @@ func runPipelinedPair(g *rig, ca *gsi.CA, trust *gsi.TrustStore,
 		imu.Lock()
 		newest = sink
 		imu.Unlock()
-		mu.Lock()
 		res.TransfersStarted++
-		mu.Unlock()
 
 		done.Go(func() {
 			defer func() {
@@ -286,9 +283,7 @@ func runPipelinedPair(g *rig, ca *gsi.CA, trust *gsi.TrustStore,
 			if _, err := cli.Get("partition.dat", sink); err != nil {
 				return // lost to a fault; the pipeline starts another
 			}
-			mu.Lock()
 			res.TransfersDone++
-			mu.Unlock()
 		})
 
 		// Wait until the newest transfer reaches 25% complete before

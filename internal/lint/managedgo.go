@@ -5,12 +5,13 @@ import "go/ast"
 // ManagedGo enforces the second interprocedural leg of the determinism
 // contract (DESIGN.md §10): every goroutine must be a managed one —
 // spawned through Clock.Go (Sim.Go on the simulated clock, Real.Go on
-// the wall clock) or vtime.WaitGroup.Go — so that Sim.Run can join it
-// before returning. A bare go statement is invisible to the Sim: it is
-// not counted runnable (virtual time can advance "past" it), and
-// teardown cannot join it, which is exactly the PR8 race where
-// goroutines still unwinding their stacks raced Run's caller reading
-// final state.
+// the wall clock) or vtime.WaitGroup.Go — so that it runs only when the
+// Sim hands it the baton and Sim.Run can unwind it before returning. A
+// bare go statement is invisible to the Sim: it runs beside the baton's
+// holder, breaking the one-goroutine-at-a-time rule (DESIGN.md §11),
+// virtual time can advance "past" it, and teardown cannot unwind it,
+// which is exactly the PR8 race where goroutines still unwinding their
+// stacks raced Run's caller reading final state.
 //
 // Only internal/vtime is exempt: Sim.Go and Real.Go are the sanctioned
 // implementations a bare go statement becomes.

@@ -129,13 +129,13 @@ var siteMeterSample = vtime.RegisterSite("netlogger.meter-sample")
 //
 // Samples are taken from a timer callback, not a sleeping goroutine: an
 // event callback runs at a fixed position in its instant's event order,
-// whereas a woken goroutine's read interleaves with whatever other
-// goroutines the same instant made runnable, in scheduler order. The
+// whereas a woken goroutine's read lands wherever the run queue puts it
+// among the goroutines the same instant readied, which moves whenever
+// an unrelated goroutine starts or stops waking at that instant. The
 // counter value is the same either way, but the *fold point* of rate
 // extrapolation is not, and folding a flow's progress in two steps
-// instead of one rounds differently in the last float bits — enough to
-// make two runs of the same seed disagree. The timer keeps every sample
-// a pure function of the event history.
+// instead of one rounds differently in the last float bits. The timer
+// keeps each sample at one fixed place in the event order.
 //
 // It panics if interval <= 0, as time.NewTicker does: on a Sim such a
 // meter would sample once and stop, on a real clock it would spin.

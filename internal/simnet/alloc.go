@@ -116,6 +116,9 @@ func (n *Net) markResDirtyLocked(r *res) {
 // flowActivatedLocked registers a newly active flow with the allocator.
 func (n *Net) flowActivatedLocked(f *flow) {
 	n.flowsActive.Add(1)
+	if n.observing {
+		n.observeActivationLocked(f)
+	}
 	n.attachLocked(f)
 	n.markFlowDirtyLocked(f)
 }
@@ -150,11 +153,10 @@ func (n *Net) flushLocked() {
 	now := n.clk.Elapsed()
 	n.epoch++
 	// Canonicalize the seed order before any component is gathered.
-	// Several goroutines runnable at the same instant append their dirty
-	// marks in whatever order they reach the lock, and progressive
-	// filling's floating-point rounding depends on visit order — sorting
-	// by creation stamp makes every flush (and so every rate bit) a pure
-	// function of the event history.
+	// Dirty marks arrive in the order the instant's events and goroutines
+	// ran, and progressive filling's floating-point rounding depends on
+	// visit order — sorting by creation stamp makes every flush (and so
+	// every rate bit) a function of the flows alone.
 	sortFlowsBySeq(n.dirtyFlows)
 	sortResByID(n.dirtyRes)
 	// A dirty resource is how a capacity change (Link.SetUp,

@@ -1,7 +1,9 @@
 package simnet
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -17,7 +19,10 @@ import (
 // Test instrumentation only: the hook is package-global, is read without
 // synchronization on the flush path, and the fingerprint walk is O(active
 // flows) per flush. Install it before the simulation starts, from a
-// single test at a time, and reset it to nil afterwards.
+// single test at a time, and reset it to nil afterwards. The walk keeps
+// its own list of active flows in creation order, so it neither visits
+// idle connections nor sorts per flush; a Net that no observer has seen
+// flush pays one flag test per flow activation.
 var FlushObserver func(now time.Duration, sig uint64, nflows int)
 
 // observeFlushLocked fingerprints the active flow set for FlushObserver.
@@ -35,7 +40,13 @@ func (n *Net) observeFlushLocked(now time.Duration) {
 		h ^= v
 		h *= prime64
 	}
-	fs := n.activeFlowsLocked()
+	if n.observing {
+		n.observed = slices.DeleteFunc(n.observed, func(f *flow) bool { return !f.active || f.removed })
+	} else {
+		n.observed = append(n.observed, n.activeFlowsLocked()...)
+		n.observing = true
+	}
+	fs := n.observed
 	at := n.flushOrder()
 	for _, f := range fs {
 		f.growTo(now, at)
@@ -46,4 +57,16 @@ func (n *Net) observeFlushLocked(now time.Duration) {
 		mix(uint64(f.lastT))
 	}
 	FlushObserver(now, h, len(fs))
+}
+
+// observeActivationLocked enters a newly active flow into the observed
+// list at its creation-order place; a flow that went idle and came back
+// before a flush dropped it is there already.
+func (n *Net) observeActivationLocked(f *flow) {
+	i, found := slices.BinarySearchFunc(n.observed, f.seq, func(g *flow, seq uint64) int {
+		return cmp.Compare(g.seq, seq)
+	})
+	if !found {
+		n.observed = slices.Insert(n.observed, i, f)
+	}
 }

@@ -187,6 +187,11 @@ type Net struct {
 	compFree []*component
 	tmpComp  component
 	compHits uint64
+	// observed is every active flow in creation order, kept from the
+	// first flush FlushObserver sees on (observing set): activations
+	// insert, and each observed flush drops the flows gone idle.
+	observed  []*flow
+	observing bool
 
 	// segFree recycles segment objects (and their payload buffers, kept
 	// attached) under mu. A plain LIFO — not a sync.Pool — so reuse order
@@ -608,7 +613,7 @@ func (n *Net) activeFlowsLocked() []*flow {
 			}
 		}
 	})
-	// Map iteration order is random; restore creation order so the
+	// The hosts map walks in random order; restore creation order so the
 	// reference allocator's rounding is reproducible too.
 	sortFlowsBySeq(fs)
 	n.scrFlows = fs
@@ -651,7 +656,7 @@ func (n *Net) TotalBytesBetween(a, b string) float64 {
 // byteUnits is the fixed-point scale of summed byte counts. Sums are
 // kept as int64 multiples of 1/byteUnits byte, so a total does not
 // depend on the order its terms arrive in (flows start and retire in
-// lock-arrival order).
+// the order their events run).
 const byteUnits = 1 << 16
 
 func toByteUnits(b float64) int64 { return int64(math.Round(b * byteUnits)) }

@@ -57,11 +57,11 @@ func TestScheduleCancelStale(t *testing.T) {
 }
 
 // TestSimSleepAllocFree guards the managed-goroutine hot path: once its
-// parker and event slot exist, Sleep must not allocate.
+// waiter and event slot exist, Sleep must not allocate.
 func TestSimSleepAllocFree(t *testing.T) {
 	s := NewSim(1)
 	s.Run(func() {
-		s.Sleep(time.Millisecond) // warm the parker freelist and slot arena
+		s.Sleep(time.Millisecond) // warm the waiter freelist and slot arena
 		allocs := testing.AllocsPerRun(1000, func() {
 			s.Sleep(time.Microsecond)
 		})
@@ -203,7 +203,7 @@ func TestHandlerEventAllocFree(t *testing.T) {
 			s.ScheduleHandler(siteTestTick, time.Microsecond, &h, 2)
 			s.Sleep(10 * time.Microsecond)
 		}
-		cycle() // warm the slot arena and the parker
+		cycle() // warm the slot arena and the waiter
 		allocs := testing.AllocsPerRun(100, cycle)
 		if allocs > 0 {
 			t.Errorf("a handler event cycle allocates %.1f objects, want 0", allocs)
@@ -223,9 +223,7 @@ func TestSimCondNewWaiterAllocs(t *testing.T) {
 		var mu sync.Mutex
 		cond := s.NewCond(&mu)
 		wait := func() {
-			s.condMu.Lock()
 			s.waitFree = s.waitFree[:0] // the next wait builds its waiter
-			s.condMu.Unlock()
 			mu.Lock()
 			if cond.WaitTimeout(time.Millisecond) {
 				t.Error("WaitTimeout reported a signal, want a timeout")

@@ -84,7 +84,7 @@ func (r *orderRun) sleeper(d0, d time.Duration, name string) {
 }
 
 // TestEventFormsFireInOrder mixes closure events, handler events and
-// parker wakeups at shared instants, with re-keys and RearmFiring, and
+// waiter wakeups at shared instants, with re-keys and RearmFiring, and
 // checks each script fires in (at, seq) order and writes the same fires
 // and core-ring records (kind, instants, seq, parent, site) whichever
 // form its events take.

@@ -1,46 +1,128 @@
 package vtime
 
 import (
+	"fmt"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestTeardownUnwindsEveryParkKind parks goroutines in Sleep, Cond.Wait
-// and Cond.WaitTimeout and lets Run's main return: Run closes their
-// wakeup channels, and each must unwind through its deferred code before
-// Run returns.
-func TestTeardownUnwindsEveryParkKind(t *testing.T) {
-	s := NewSim(1)
-	var unwound atomic.Int32
-	const parked = 6
-	s.Run(func() {
-		var mu sync.Mutex
-		cond := s.NewCond(&mu)
-		for i := 0; i < parked/3; i++ {
-			s.Go(func() {
-				defer unwound.Add(1)
-				s.Sleep(time.Hour)
-			})
-			s.Go(func() {
-				defer unwound.Add(1)
-				mu.Lock()
-				defer mu.Unlock()
-				cond.Wait()
-			})
-			s.Go(func() {
-				defer unwound.Add(1)
-				mu.Lock()
-				defer mu.Unlock()
-				cond.WaitTimeout(time.Hour)
-			})
-		}
-		s.Sleep(time.Second)
-	})
-	if n := unwound.Load(); n != parked {
-		t.Fatalf("%d of %d parked goroutines unwound before Run returned", n, parked)
+// atEachP runs f once at each GOMAXPROCS in procs.
+func atEachP(t *testing.T, procs []int, f func(t *testing.T, p int)) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, p := range procs {
+		runtime.GOMAXPROCS(p)
+		f(t, p)
 	}
+}
+
+// TestTeardownUnwindsEveryParkKind parks goroutines in Sleep, Cond.Wait
+// and Cond.WaitTimeout and lets Run's main return: each must unwind
+// through its deferred code before Run returns, one at a time in the
+// order their waiters were made — here, the order they first parked —
+// so the events their deferred calls schedule are all in the core ring,
+// in that order, at every P.
+func TestTeardownUnwindsEveryParkKind(t *testing.T) {
+	const parked = 24
+	var first []int64
+	atEachP(t, []int{1, 2, 8}, func(t *testing.T, p int) {
+		s := NewSim(1)
+		ring := NewCoreRing(1024)
+		s.SetCoreRing(ring)
+		var order []int64 // first parks, in order
+		s.Run(func() {
+			var mu sync.Mutex
+			cond := s.NewCond(&mu)
+			for i := range int64(parked) {
+				s.Go(func() {
+					defer s.Schedule(time.Duration(i+1), func() {})
+					order = append(order, i+1)
+					switch i % 3 {
+					case 0:
+						s.Sleep(time.Hour)
+					case 1:
+						mu.Lock()
+						defer mu.Unlock()
+						cond.Wait()
+					default:
+						mu.Lock()
+						defer mu.Unlock()
+						cond.WaitTimeout(time.Hour)
+					}
+				})
+			}
+			s.Sleep(time.Second)
+		})
+		var got []int64
+		for _, e := range ring.Snapshot() {
+			if e.Kind == CoreSchedule && e.Due-e.At <= parked {
+				got = append(got, e.Due-e.At)
+			}
+		}
+		if len(order) != parked || !slices.Equal(got, order) || first != nil && !slices.Equal(got, first) {
+			t.Fatalf("P=%d: teardown schedules %v; parked in order %v, at P=1 unwound in order %v", p, got, order, first)
+		}
+		first = got
+	})
+}
+
+// TestRunQueueOrder: goroutines readied by Go, Signal, Broadcast and
+// same-instant timeouts run one at a time — an atomic count of running
+// ones never passes 1 — the one readied last first, then the others in
+// the order they were readied, and each runs until it parks however
+// often it yields its thread; the log is the same at every P.
+func TestRunQueueOrder(t *testing.T) {
+	const want = "go:3 go:1 go:2 signal:1 signal:3 signal:2 broadcast:2 broadcast:1 broadcast:3 timeout:2 timeout:1 timeout:3"
+	atEachP(t, []int{1, 2, 8}, func(t *testing.T, p int) {
+		s := NewSim(1)
+		var log []string
+		var running atomic.Int32
+		step := func(what string) {
+			if n := running.Add(1); n > 1 {
+				t.Errorf("P=%d: %d managed goroutines ran at once", p, n)
+			}
+			log = append(log, what)
+			for range 3 {
+				runtime.Gosched()
+			}
+			running.Add(-1)
+		}
+		s.Run(func() {
+			var mu sync.Mutex
+			cond := s.NewCond(&mu)
+			wait := func(d time.Duration) {
+				mu.Lock()
+				defer mu.Unlock()
+				cond.WaitTimeout(d)
+			}
+			for id := 1; id <= 3; id++ {
+				s.Go(func() {
+					step(fmt.Sprint("go:", id))
+					wait(-1)
+					step(fmt.Sprint("signal:", id))
+					wait(-1)
+					step(fmt.Sprint("broadcast:", id))
+					wait(time.Second)
+					step(fmt.Sprint("timeout:", id))
+				})
+			}
+			s.Sleep(time.Millisecond)
+			cond.Signal()
+			cond.Signal()
+			s.Sleep(time.Millisecond)
+			cond.Signal()
+			s.Sleep(time.Millisecond)
+			cond.Broadcast()
+			s.Sleep(2 * time.Second)
+		})
+		if got := strings.Join(log, " "); got != want {
+			t.Fatalf("P=%d: goroutines ran as\n%s\nwant\n%s", p, got, want)
+		}
+	})
 }
 
 // TestWakeAfterStopIsDropped delivers wakeups to goroutines whose
@@ -107,7 +189,7 @@ func BenchmarkParkWake(b *testing.B) {
 		s.Run(func() {
 			wg := NewWaitGroup(s)
 			half := (b.N + 1) / 2
-			s.Sleep(time.Microsecond) // warm the parker freelist
+			s.Sleep(time.Microsecond) // warm the waiter freelist
 			b.ReportAllocs()
 			b.ResetTimer()
 			for start := 1; start <= 2; start++ {

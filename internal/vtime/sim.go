@@ -31,13 +31,16 @@ func NextTick(t time.Time, tick time.Duration) time.Time {
 // Sim is a deterministic discrete-event simulated clock.
 //
 // Scheduling model: goroutines started with Go (or the function passed to
-// Run) are "managed". The clock counts how many managed goroutines are
-// runnable; when a managed goroutine blocks in Sleep or Cond.Wait the
-// count drops, and the last goroutine to block advances virtual time by
-// firing the earliest pending event(s) until some goroutine is runnable
-// again. Time therefore advances only at quiescence, which makes the
-// simulation repeatable and lets hours of virtual time pass in
-// microseconds of real time.
+// Run) are "managed", and exactly one of them runs at a time: it holds
+// the baton until it parks (Sleep, Cond.Wait) or exits, and then the Sim
+// hands the baton on. Readying a goroutine — Go, Signal, Broadcast, a
+// wakeup or timeout event — only enqueues it on the Sim's run queue; the
+// next holder is the entry readied most recently, else the oldest one,
+// which is the order a one-P Go runtime runs readied goroutines in. Only
+// when the queue is empty does the parking goroutine fire the earliest
+// pending event(s), until one readies someone. Time therefore advances
+// only at quiescence, every run follows one schedule on any number of
+// cores, and hours of virtual time pass in microseconds of real time.
 //
 // Event core: pending events live in a slot arena indexed by a 4-ary
 // int32 min-heap ordered on (due time, sequence); each slot carries its
@@ -46,18 +49,18 @@ func NextTick(t time.Time, tick time.Duration) time.Time {
 // cancelled, so timer-heavy workloads (AIMD window growth, loss sampling,
 // per-segment completions) run at zero steady-state allocation and a
 // cancel storm cannot grow the queue. Zero-delay events skip the heap and
-// ride a FIFO for the current instant. Sleep wakeups reuse a
-// per-goroutine parker (a cached channel) instead of allocating a channel
-// and a closure per call.
+// ride a FIFO for the current instant. Sleep wakeups reuse a pooled
+// waiter (a cached channel) instead of allocating a channel and a
+// closure per call.
 //
-// An event is a parker wakeup or a Handler fired with a kind byte.
+// An event is a waiter's wakeup or a Handler fired with a kind byte.
 // Recurring events of long-lived objects (a flow's growth, loss,
 // completion, linger and delivery; a cond waiter's timeout) use
 // ScheduleHandler and RescheduleHandler, which bind no callback. One-shot
 // callbacks (experiment timelines, faults, meters) use Schedule,
 // ScheduleSite, AfterFunc or AfterFuncTagged, which store the func as a
 // Handler without allocating. Callbacks run at their due time, on the
-// goroutine that happened to advance the clock; they must not block.
+// goroutine handing the baton on; they must not block.
 type Sim struct {
 	mu        sync.Mutex
 	now       time.Duration // offset from Epoch
@@ -69,19 +72,23 @@ type Sim struct {
 	immHead   int           // index of the first live immQ entry
 	immLive   int           // immQ entries not yet cancelled
 	seq       uint64
-	runnable  int
-	advancing bool
-	parked    int
-	parkers   []*parker // freelist of Sleep parkers
-	// wakeChans lists every parker and waiter channel the Sim created,
-	// so teardown can close them: a goroutine parked on one then
-	// receives !ok and unwinds. Parking is a single receive, which the
-	// runtime serves with one sudog instead of a select's two.
-	wakeChans []chan struct{}
-	// condMu guards the cond recycling the Sim owns for all its conds:
-	// retired waiters (waitFree) and the slab NewCond carves conds from
-	// (condSlab). It is never held together with mu or a cond's mu.
-	condMu   sync.Mutex
+	// The run queue: next is the entry readied most recently, runq[runqHead:]
+	// the others in the order they were readied — a one-P Go runtime's
+	// runnext slot and local run queue. self is the waiter of a goroutine
+	// firing events on its way to park; an event that readies it does not
+	// enqueue it, and it keeps the baton, as a one-P runtime's goroutine
+	// whose wakeup is already buffered does.
+	next     runEnt
+	runq     []runEnt
+	runqHead int
+	self     *waiter
+	// made lists every waiter the Sim created, in creation order:
+	// teardown unwinds the goroutines parked on them in that order, one at
+	// a time, each handing the baton back on joined as it exits. made and
+	// the recycling of waiters (Sleep's and conds') and conds are touched
+	// by the baton holder only.
+	made     []*waiter
+	joined   chan struct{}
 	waitFree []*waiter
 	condSlab []chanCond
 	// instantHook, when armed, runs once the current instant's events are
@@ -102,14 +109,7 @@ type Sim struct {
 	firingID   EventID
 	rearmDelay time.Duration
 	stopped    bool
-	// unwind counts live managed goroutines so Run can join them before
-	// returning. Without the join, goroutines still unwinding their
-	// stopped-panic after Run (deferred Closes cancelling timers) would
-	// race with — and nondeterministically reorder against — post-run
-	// reads of the flight ring and stats.
-	unwind sync.WaitGroup
-	rng    *rand.Rand
-	rngMu  sync.Mutex
+	rng        *rand.Rand
 
 	// Observability (always on; see site.go and internal/flight).
 	// lastFired is the seq of the event most recently delivered at the
@@ -144,7 +144,7 @@ type eventSlot struct {
 	site    Site  // scheduling call site (provenance label)
 	kind    uint8 // passed to h.Fire
 	h       Handler
-	wake    chan struct{} // parker channel to signal; nil for handler events
+	wake    *waiter // goroutine to ready; nil for handler events
 }
 
 // Handler receives typed events: the receiver and a kind byte are the
@@ -197,15 +197,17 @@ func splitEventID(id EventID) (slot int32, gen uint32) {
 	return int32(uint32(id)) - 1, uint32(id >> 32)
 }
 
-// parker is a reusable wakeup channel for one parked goroutine.
-type parker struct {
-	ch chan struct{}
+// runEnt is one run queue entry: a parked goroutine to wake, or a Go
+// whose goroutine starts when the baton reaches it.
+type runEnt struct {
+	w  *waiter
+	fn func()
 }
 
 // NewSim returns a simulated clock whose random source is seeded with
 // seed, so runs are reproducible.
 func NewSim(seed int64) *Sim {
-	return &Sim{rng: rand.New(rand.NewSource(seed))}
+	return &Sim{rng: rand.New(rand.NewSource(seed)), joined: make(chan struct{})}
 }
 
 // simStopped is the panic value used to unwind managed goroutines that are
@@ -230,23 +232,17 @@ func (s *Sim) Elapsed() time.Duration {
 
 // Rand returns a deterministic pseudo-random float64 in [0,1).
 func (s *Sim) Rand() float64 {
-	s.rngMu.Lock()
-	defer s.rngMu.Unlock()
 	return s.rng.Float64()
 }
 
 // RandExp returns an exponentially distributed value with the given mean.
 func (s *Sim) RandExp(mean float64) float64 {
-	s.rngMu.Lock()
-	defer s.rngMu.Unlock()
 	return s.rng.ExpFloat64() * mean
 }
 
 // RandNorm returns a normally distributed value with the given mean and
 // standard deviation.
 func (s *Sim) RandNorm(mean, stddev float64) float64 {
-	s.rngMu.Lock()
-	defer s.rngMu.Unlock()
 	return s.rng.NormFloat64()*stddev + mean
 }
 
@@ -366,12 +362,12 @@ func (s *Sim) popEventLocked() int32 {
 	return i
 }
 
-// scheduleLocked enters an event (handler or parker wakeup) due after d
+// scheduleLocked enters an event (handler or waiter wakeup) due after d
 // and returns its id. Zero-delay events — due at the current instant, a
 // constant stream on the allocator flush path — skip the heap entirely
 // and ride a FIFO: same (at, seq) firing order, O(1) instead of two
 // O(log n) sifts per event.
-func (s *Sim) scheduleLocked(d time.Duration, h Handler, kind uint8, wake chan struct{}, site Site) EventID {
+func (s *Sim) scheduleLocked(d time.Duration, h Handler, kind uint8, wake *waiter, site Site) EventID {
 	i := s.allocSlotLocked()
 	sl := &s.slots[i]
 	s.stampLocked(sl, site, h, kind)
@@ -612,110 +608,89 @@ const condSlabSize = 64
 // run that builds a cond per connection pays one allocation per
 // condSlabSize conds.
 func (s *Sim) NewCond(l sync.Locker) Cond {
-	s.condMu.Lock()
 	if len(s.condSlab) == 0 {
 		s.condSlab = make([]chanCond, condSlabSize)
 	}
 	c := &s.condSlab[0]
 	s.condSlab = s.condSlab[1:]
-	s.condMu.Unlock()
 	c.sim, c.l = s, l
 	c.waiters = c.inl[:0]
 	return c
 }
 
-// getWaiter pops a retired waiter of any of the Sim's conds, or builds
-// one, and binds it to c. Its channel is empty: a waiter is retired
-// only after its one wakeup was received.
+// getWaiter pops a retired waiter, or builds one, and binds it to c
+// (nil for a Sleep). Its channel is empty: a waiter is retired only
+// after its one wakeup was received.
 func (s *Sim) getWaiter(c *chanCond) *waiter {
 	var w *waiter
-	s.condMu.Lock()
 	if n := len(s.waitFree); n > 0 {
 		w = s.waitFree[n-1]
 		s.waitFree = s.waitFree[:n-1]
-	}
-	s.condMu.Unlock()
-	if w == nil {
+	} else {
 		w = &waiter{ch: make(chan struct{}, 1)}
-		s.mu.Lock()
-		s.wakeChans = append(s.wakeChans, w.ch)
-		s.mu.Unlock()
+		s.made = append(s.made, w)
 	}
 	w.c, w.fired, w.timedOut = c, false, false
 	return w
 }
 
-// putWaiter retires a waiter no timeout callback can still reach.
+// putWaiter retires a waiter. No timeout can still reach it: a waiter
+// the baton resumed cancels its timeout before any event can fire.
 func (s *Sim) putWaiter(w *waiter) {
 	w.c = nil
-	s.condMu.Lock()
 	s.waitFree = append(s.waitFree, w)
-	s.condMu.Unlock()
 }
 
-// Go implements Clock: fn runs as a managed goroutine.
+// Go implements Clock: fn runs as a managed goroutine once the baton
+// reaches it.
 func (s *Sim) Go(fn func()) {
 	s.mu.Lock()
-	if s.stopped {
-		s.mu.Unlock()
-		return
-	}
-	s.runnable++
-	s.unwind.Add(1)
+	s.enqueueLocked(runEnt{fn: fn})
 	s.mu.Unlock()
-	go func() {
-		defer s.unwind.Done()
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(stoppedPanic); ok {
-					return // clean unwind at simulation teardown
-				}
-				panic(r)
-			}
-		}()
-		defer s.exit()
-		fn()
-	}()
 }
 
-// Run executes main as a managed goroutine on the caller's stack and
-// returns when main returns. Goroutines still parked at that point are
-// unwound via a recovered panic and joined before Run returns, so the
-// simulation's final state — flight rings, stats, logs — is settled and
-// deterministic for whatever the caller reads next.
+// Run executes main as a managed goroutine on the caller's stack, holding
+// the baton, and returns when main returns. Goroutines still parked (or
+// queued) then are unwound via a recovered panic before Run returns, one
+// at a time in their waiters' creation order, so the simulation's final
+// state — flight rings, stats, logs — is settled and deterministic for
+// whatever the caller reads next. Go calls the baton never reached are
+// dropped.
 func (s *Sim) Run(main func()) {
-	s.mu.Lock()
-	s.runnable++
-	s.mu.Unlock()
 	defer func() {
-		// Mark stopped before the final decrement so main's exit does not
-		// fast-forward the clock on behalf of still-parked goroutines.
-		// Wakeups are sent under mu and dropped once stopped is set, so
-		// closing the channels here cannot race a send.
 		s.mu.Lock()
 		s.stopped = true
-		s.runnable--
-		for _, ch := range s.wakeChans {
-			close(ch)
+		s.next, s.runq, s.runqHead = runEnt{}, nil, 0
+		if w := s.self; w != nil {
+			w.parked = false // main panicked out of an event it fired
 		}
+		made := s.made
 		s.mu.Unlock()
-		s.unwind.Wait()
+		for _, w := range made {
+			if w.parked {
+				close(w.ch)
+				<-s.joined
+			}
+		}
 	}()
 	main()
 }
 
-// exit retires a managed goroutine. If it was the last runnable one it
-// must advance time on behalf of parked goroutines, exactly as a parking
-// goroutine would.
+// exit retires a managed goroutine and passes the baton on: at teardown,
+// back to Run.
 func (s *Sim) exit() {
 	s.mu.Lock()
-	s.runnable--
-	s.maybeAdvanceLocked()
+	if s.stopped {
+		s.mu.Unlock()
+		s.joined <- struct{}{}
+		return
+	}
+	s.handOffLocked(nil)
 	s.mu.Unlock()
 }
 
 // Sleep implements Clock. The caller must be a managed goroutine. The
-// wakeup reuses a pooled parker and a wake-typed event slot, so a
+// wakeup reuses a pooled waiter and a wake-typed event slot, so a
 // steady-state Sleep performs no heap allocation.
 func (s *Sim) Sleep(d time.Duration) { s.SleepSite(siteSleep, d) }
 
@@ -726,91 +701,100 @@ func (s *Sim) SleepSite(site Site, d time.Duration) {
 	if d <= 0 {
 		return
 	}
+	w := s.getWaiter(nil)
+	s.park(w, site, d)
+	s.putWaiter(w)
+}
+
+// park suspends the calling managed goroutine — with a wakeup due after
+// d, if d > 0 — until w is readied and the baton reaches it. A closed
+// w.ch means Run has returned: the goroutine unwinds.
+func (s *Sim) park(w *waiter, site Site, d time.Duration) {
 	s.mu.Lock()
 	if s.stopped {
 		s.mu.Unlock()
 		panic(stoppedPanic{})
 	}
-	var p *parker
-	if n := len(s.parkers); n > 0 {
-		p = s.parkers[n-1]
-		s.parkers = s.parkers[:n-1]
-	} else {
-		p = &parker{ch: make(chan struct{}, 1)}
-		s.wakeChans = append(s.wakeChans, p.ch)
+	if d > 0 {
+		s.scheduleLocked(d, nil, 0, w, site)
 	}
-	s.scheduleLocked(d, nil, 0, p.ch, site)
-	s.runnable--
-	s.parked++
-	s.maybeAdvanceLocked()
+	w.parked = true
+	s.handOffLocked(w)
 	s.mu.Unlock()
-	if _, ok := <-p.ch; !ok {
+	if _, ok := <-w.ch; !ok {
 		panic(stoppedPanic{})
 	}
+}
+
+// unpark readies the goroutine parked on w. Safe to call from event
+// callbacks and managed goroutines alike; dropped after teardown, when
+// code unwinding past Run may still signal.
+func (s *Sim) unpark(w *waiter) {
 	s.mu.Lock()
-	s.parked--
-	s.parkers = append(s.parkers, p)
+	s.enqueueLocked(runEnt{w: w})
 	s.mu.Unlock()
 }
 
-// park suspends the calling managed goroutine until ch is signalled. If
-// it was the last runnable goroutine it advances virtual time first. A
-// closed ch means Run has returned: the goroutine unwinds.
-func (s *Sim) park(ch chan struct{}) {
-	s.mu.Lock()
-	if s.stopped {
-		s.mu.Unlock()
-		panic(stoppedPanic{})
+// enqueueLocked readies e: it takes the next slot, and the entry there
+// joins the queue's tail.
+func (s *Sim) enqueueLocked(e runEnt) {
+	switch {
+	case s.stopped:
+	case e.w != nil && e.w == s.self:
+		e.w.parked = false
+	default:
+		if s.next.w != nil || s.next.fn != nil {
+			s.runq = append(s.runq, s.next)
+		}
+		s.next = e
 	}
-	s.runnable--
-	s.parked++
-	s.maybeAdvanceLocked()
-	s.mu.Unlock()
-	if _, ok := <-ch; !ok {
-		panic(stoppedPanic{})
-	}
-	s.mu.Lock()
-	s.parked--
-	s.mu.Unlock()
 }
 
-// unpark marks the goroutine waiting on ch runnable and delivers its
-// wakeup. Safe to call from event callbacks and managed goroutines alike.
-// The send happens under mu (ch is buffered and holds at most one
-// pending signal, so it cannot block) and is dropped after teardown,
-// when ch may be closed: code unwinding past Run may still signal.
-func (s *Sim) unpark(ch chan struct{}) {
-	s.mu.Lock()
-	if !s.stopped {
-		s.runnable++
-		ch <- struct{}{}
-	}
-	s.mu.Unlock()
-}
-
-// maybeAdvanceLocked fires pending events while no managed goroutine is
-// runnable. Called with s.mu held; handlers run with s.mu released,
-// while parker wakeups are delivered inline under the lock (the wake
-// channel is buffered and carries at most one pending signal, so the send
-// cannot block).
-func (s *Sim) maybeAdvanceLocked() {
-	for s.runnable == 0 && s.parked > 0 && !s.advancing && !s.stopped {
+// handOffLocked passes the baton from the calling goroutine — parking on
+// self, or exiting when self is nil — to the next run queue entry. While
+// the queue is empty it fires pending events on this goroutine, the
+// instant hook first at the end of each instant. The fire loop is inline:
+// handlers run on the parking goroutine's stack, and a frame more under
+// them made more of those goroutines grow their stacks. Called with s.mu
+// held; handlers run with it released.
+func (s *Sim) handOffLocked(self *waiter) {
+	s.self = self
+	for {
+		var e runEnt
+		switch {
+		case self != nil && !self.parked:
+			e.w = self // an event it fired readied it: it keeps the baton
+		case s.next.w != nil || s.next.fn != nil:
+			e, s.next = s.next, runEnt{}
+		case s.runqHead < len(s.runq):
+			e = s.runq[s.runqHead]
+			s.runq[s.runqHead] = runEnt{}
+			if s.runqHead++; s.runqHead == len(s.runq) {
+				s.runq, s.runqHead = s.runq[:0], 0
+			}
+		}
+		if e.w != nil {
+			s.self, e.w.parked = nil, false
+			e.w.ch <- struct{}{} // buffered; never blocks
+			return
+		}
+		if e.fn != nil {
+			s.self = nil
+			go s.launch(e.fn)
+			return
+		}
 		if s.hookArmed.Load() && !s.nextDueNowLocked() {
-			// End of the current instant: run the hook before advancing.
 			s.hookArmed.Store(false)
 			fn := s.instantHook
-			s.advancing = true
 			s.mu.Unlock()
 			fn()
 			s.mu.Lock()
-			s.advancing = false
 			continue
 		}
 		i := s.popNextLocked()
 		if i < 0 {
-			n := s.parked
 			s.mu.Unlock()
-			panic(fmt.Sprintf("vtime: deadlock: %d goroutine(s) parked with no pending events", n))
+			panic("vtime: deadlock: goroutines parked with no pending events")
 		}
 		sl := &s.slots[i]
 		if sl.at > s.now {
@@ -822,11 +806,9 @@ func (s *Sim) maybeAdvanceLocked() {
 		if r := s.ring; r != nil {
 			r.Put(CoreFire, int64(s.now), 0, sl.seq, sl.parent, sl.site)
 		}
-		if sl.wake != nil {
-			ch := sl.wake
+		if w := sl.wake; w != nil {
 			s.freeSlotLocked(i)
-			s.runnable++
-			ch <- struct{}{} // buffered; never blocks
+			s.enqueueLocked(runEnt{w: w})
 			continue
 		}
 		// The slot stays reserved (not freed) while the handler runs so
@@ -836,7 +818,6 @@ func (s *Sim) maybeAdvanceLocked() {
 		site := sl.site
 		s.firingID = makeEventID(i, sl.gen)
 		s.rearmDelay = -1
-		s.advancing = true
 		// Sampled wall attribution: time every WallSampleEvery-th callback
 		// and charge its site with the stride-scaled cost. Observational
 		// only — the reading never reaches the simulation or its dumps.
@@ -852,7 +833,6 @@ func (s *Sim) maybeAdvanceLocked() {
 			dt = int64(time.Since(t0)) * WallSampleEvery //esglint:wallclock wall-time profiler sample, never fed back into the simulation
 		}
 		s.mu.Lock()
-		s.advancing = false
 		if sample && s.wallNs != nil {
 			j := int(site)
 			if j >= len(s.wallNs) {
@@ -875,4 +855,18 @@ func (s *Sim) maybeAdvanceLocked() {
 			s.freeSlotLocked(i)
 		}
 	}
+}
+
+// launch is a Go goroutine's body: fn, then the baton passed on. A
+// goroutine unwound at teardown recovers the stopped panic here.
+func (s *Sim) launch(fn func()) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(stoppedPanic); !ok {
+				panic(r)
+			}
+		}
+		s.exit()
+	}()
+	fn()
 }

@@ -104,6 +104,7 @@ type waiter struct {
 	c        *chanCond // the cond the waiter is queued on (Sim clock only)
 	fired    bool      // claimed by a signal, broadcast, or timeout (under c.mu)
 	timedOut bool
+	parked   bool // its goroutine is blocked on ch, parked or queued (Sim clock only)
 }
 
 // Fire is the waiter's timeout event on a Sim clock.
@@ -139,18 +140,12 @@ func (c *chanCond) wait(d time.Duration) bool {
 	// callers' deferred Unlocks stay balanced.
 	defer c.l.Lock()
 	c.await(w)
-	cancelled := false
-	if id != 0 {
-		cancelled = sim.Cancel(id)
-	} else if t != nil {
-		cancelled = t.Stop()
-	}
 	timedOut := w.timedOut
-	// Recycle only when no timeout callback can still hold a reference:
-	// either it already ran (timedOut) or it was provably cancelled. A
-	// signalled waiter whose cancel lost the race is simply dropped.
-	if sim != nil && (timedOut || cancelled || d < 0) {
+	if sim != nil {
+		sim.Cancel(id)
 		sim.putWaiter(w)
+	} else if t != nil {
+		t.Stop()
 	}
 	return !timedOut
 }
@@ -179,7 +174,7 @@ func (c *chanCond) timeout(w *waiter) {
 // blocking via park; for Real this is a plain channel receive.
 func (c *chanCond) await(w *waiter) {
 	if c.sim != nil {
-		c.sim.park(w.ch)
+		c.sim.park(w, 0, 0)
 		return
 	}
 	<-w.ch
@@ -215,7 +210,7 @@ func (c *chanCond) Broadcast() {
 // block.
 func (c *chanCond) wakeLocked(w *waiter) {
 	if c.sim != nil {
-		c.sim.unpark(w.ch)
+		c.sim.unpark(w)
 		return
 	}
 	w.ch <- struct{}{}

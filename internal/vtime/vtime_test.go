@@ -35,16 +35,13 @@ func TestSimNowStartsAtEpoch(t *testing.T) {
 func TestSimOrderingOfSleepers(t *testing.T) {
 	s := NewSim(1)
 	var order []int
-	var mu sync.Mutex
 	s.Run(func() {
 		wg := NewWaitGroup(s)
 		for i, d := range []time.Duration{30 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond} {
 			i, d := i, d
 			wg.Go(func() {
 				s.Sleep(d)
-				mu.Lock()
 				order = append(order, i)
-				mu.Unlock()
 			})
 		}
 		wg.Wait()
@@ -207,23 +204,6 @@ func TestSimDeadlockPanics(t *testing.T) {
 	})
 }
 
-func TestSimTeardownUnwindsParkedGoroutines(t *testing.T) {
-	s := NewSim(1)
-	cleaned := make(chan struct{}, 1)
-	s.Run(func() {
-		s.Go(func() {
-			defer func() { cleaned <- struct{}{} }()
-			s.Sleep(time.Hour) // still parked when Run's main returns
-		})
-		s.Sleep(time.Millisecond)
-	})
-	select {
-	case <-cleaned:
-	case <-time.After(5 * time.Second):
-		t.Fatal("parked goroutine was not unwound at teardown")
-	}
-}
-
 func TestRealClockBasics(t *testing.T) {
 	var c Clock = Real{}
 	t0 := c.Now()
@@ -304,7 +284,6 @@ func TestWaitGroupUnwindsAtTeardown(t *testing.T) {
 func TestSimManyGoroutinesStress(t *testing.T) {
 	s := NewSim(3)
 	const n = 500
-	var mu sync.Mutex
 	total := 0
 	s.Run(func() {
 		wg := NewWaitGroup(s)
@@ -314,9 +293,7 @@ func TestSimManyGoroutinesStress(t *testing.T) {
 				for j := 0; j < 5; j++ {
 					s.Sleep(time.Duration(1+(i+j)%17) * time.Millisecond)
 				}
-				mu.Lock()
 				total++
-				mu.Unlock()
 			})
 		}
 		wg.Wait()
