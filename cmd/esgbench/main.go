@@ -171,7 +171,9 @@ func runBuffers(seed int64, full bool) error {
 	}
 	header("S2 — TCP buffer tuning (§7)",
 		"buffer = bandwidth x delay 'critical to obtaining good performance'; 1 MB chosen at SC'00")
-	r, err := experiments.RunBufferSweep(seed, mb, nil, nil)
+	r, err := experiments.RunBufferSweep(seed, mb,
+		[]int{16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20},
+		[]time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 50 * time.Millisecond})
 	if err != nil {
 		return err
 	}

@@ -23,7 +23,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -92,14 +91,6 @@ func loadAuth(credPath, trustPath string) *gsi.Config {
 	return &gsi.Config{Identity: id, Trust: trust}
 }
 
-// jsonlEvent mirrors netlogger's JSONL encoding.
-type jsonlEvent struct {
-	TS     time.Time         `json:"ts"`
-	Host   string            `json:"host"`
-	Event  string            `json:"event"`
-	Fields map[string]string `json:"fields"`
-}
-
 // replay feeds a recorded event stream through a fresh monitor: the
 // same detectors, rings and digests as the live plane, advanced purely
 // on event timestamps.
@@ -110,35 +101,22 @@ func replay(path string, alertsOnly bool, width int) error {
 	}
 	defer f.Close()
 
-	m := monitor.New(monitor.Config{})
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var last time.Time
-	n := 0
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var je jsonlEvent
-		if err := json.Unmarshal(line, &je); err != nil {
-			return fmt.Errorf("line %d: %w", n+1, err)
-		}
-		m.Observe(netlogger.Event{Time: je.TS, Host: je.Host, Name: je.Event, Fields: je.Fields})
-		last = je.TS
-		n++
-	}
-	if err := sc.Err(); err != nil {
+	events, err := netlogger.ParseJSONL(f)
+	if err != nil {
 		return err
 	}
-	if !last.IsZero() {
-		m.AdvanceTo(last)
+	m := monitor.New(monitor.Config{})
+	for _, ev := range events {
+		m.Observe(ev)
+	}
+	if n := len(events); n > 0 {
+		m.AdvanceTo(events[n-1].Time)
 	}
 	if alertsOnly {
 		fmt.Print(m.AlertJSONL())
 		return nil
 	}
-	fmt.Printf("replayed %d events from %s\n\n", n, path)
+	fmt.Printf("replayed %d events from %s\n\n", len(events), path)
 	fmt.Print(monitor.RenderDashboard(m.Snapshot(m.Now()), width))
 	return nil
 }

@@ -154,6 +154,21 @@ func TestParallelSweepShape(t *testing.T) {
 	}
 }
 
+// A zero loss rate is measured as given, not replaced by a default: the
+// "lossy" path is then as clean as the clean one.
+func TestParallelSweepZeroLoss(t *testing.T) {
+	r, err := RunParallelSweep(1, 8, []int{2}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.LossRate != 0 {
+		t.Errorf("LossRate = %g, want 0", r.LossRate)
+	}
+	if lossy, clean := r.LossyBps[0], r.CleanBps[0]; lossy < 0.99*clean {
+		t.Errorf("zero-loss path %.1f Mb/s, clean path %.1f Mb/s", lossy/1e6, clean/1e6)
+	}
+}
+
 func TestBufferSweepKnee(t *testing.T) {
 	r, err := RunBufferSweep(1, 64, []int{64 << 10, 1 << 20, 4 << 20}, []time.Duration{20 * time.Millisecond})
 	if err != nil {

@@ -30,12 +30,6 @@ type ReplicaSelResult struct {
 // under NWS-based, random and static selection, on a testbed whose
 // replica sites differ 10x in connectivity.
 func RunReplicaSelection(seed int64, files int, fileMB int64) (ReplicaSelResult, error) {
-	if files <= 0 {
-		files = 6
-	}
-	if fileMB <= 0 {
-		fileMB = 64
-	}
 	policies := []rm.Policy{rm.PolicyNWS, rm.PolicyRandom, rm.PolicyFirst}
 	res := ReplicaSelResult{}
 	for _, pol := range policies {
@@ -159,12 +153,6 @@ type MultiSiteResult struct {
 // ability to transfer multiple files from various sites concurrently can
 // enhance the aggregate transfer rate").
 func RunMultiSite(seed int64, files int, fileMB int64) (MultiSiteResult, error) {
-	if files <= 0 {
-		files = 4
-	}
-	if fileMB <= 0 {
-		fileMB = 128
-	}
 	res := MultiSiteResult{Files: files}
 	single, err := runMultiSiteOnce(seed, files, fileMB, false)
 	if err != nil {
@@ -261,9 +249,6 @@ type HRMStagingResult struct {
 // RunHRMStaging replays a Zipf-ish re-access pattern over a 40-file tape
 // archive at several disk-cache sizes.
 func RunHRMStaging(seed int64, accesses int) (HRMStagingResult, error) {
-	if accesses <= 0 {
-		accesses = 120
-	}
 	res := HRMStagingResult{}
 	for _, cacheGB := range []int64{8, 32, 128} {
 		clk := vtime.NewSim(seed)

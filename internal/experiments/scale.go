@@ -45,12 +45,6 @@ const scaleSiteClients = 8
 // start times are staggered deterministically, so a given seed always
 // produces the same event trace.
 func RunScale(seed int64, clients []int, fileMB int64) (ScaleResult, error) {
-	if len(clients) == 0 {
-		clients = []int{16, 64, 256, 1024}
-	}
-	if fileMB <= 0 {
-		fileMB = 8
-	}
 	res := ScaleResult{Clients: clients, FileBytes: fileMB << 20}
 	for _, nClients := range clients {
 		sim, wall, bytes, passes, visited, tail, err := runScaleOnce(seed, nClients, res.FileBytes)

@@ -62,12 +62,6 @@ type ParallelSweepResult struct {
 // RunParallelSweep measures rate vs parallelism on a clean and a lossy
 // 622 Mb/s, 30 ms-RTT path.
 func RunParallelSweep(seed int64, fileMB int64, streams []int, loss float64) (ParallelSweepResult, error) {
-	if len(streams) == 0 {
-		streams = []int{1, 2, 4, 8, 16}
-	}
-	if loss == 0 {
-		loss = 3e-4
-	}
 	res := ParallelSweepResult{Streams: streams, LossRate: loss, FileBytes: fileMB << 20}
 	for _, p := range streams {
 		lossy, err := measureGet(seed, 622e6, 15*time.Millisecond, loss, res.FileBytes, p, 1<<20)
@@ -108,12 +102,6 @@ type BufferSweepResult struct {
 
 // RunBufferSweep measures rate vs socket buffer on a 622 Mb/s path.
 func RunBufferSweep(seed int64, fileMB int64, buffers []int, rtts []time.Duration) (BufferSweepResult, error) {
-	if len(buffers) == 0 {
-		buffers = []int{16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20}
-	}
-	if len(rtts) == 0 {
-		rtts = []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 50 * time.Millisecond}
-	}
 	res := BufferSweepResult{Buffers: buffers, RTTs: rtts}
 	for _, b := range buffers {
 		var row []float64
@@ -153,9 +141,6 @@ type StripeSweepResult struct {
 // RunStripeSweep measures a striped retrieval with k stripe nodes whose
 // access links are 200 Mb/s each behind a 1.6 Gb/s WAN.
 func RunStripeSweep(seed int64, fileMB int64, widths []int) (StripeSweepResult, error) {
-	if len(widths) == 0 {
-		widths = []int{1, 2, 4, 8}
-	}
 	res := StripeSweepResult{Stripes: widths}
 	for _, k := range widths {
 		rate, err := measureStriped(seed, fileMB<<20, k)
@@ -207,9 +192,6 @@ type LargeFileResult struct {
 
 // RunLargeFile measures both strategies on a gigabit path.
 func RunLargeFile(seed int64, gb int64) (LargeFileResult, error) {
-	if gb <= 0 {
-		gb = 8
-	}
 	res := LargeFileResult{FileBytes: gb << 30}
 	single, err := measureGet(seed, 1e9, 10*time.Millisecond, 0, res.FileBytes, 4, 4<<20)
 	if err != nil {
@@ -319,9 +301,6 @@ type ForecasterResult struct {
 // character of WAN available-bandwidth traces: diurnal drift, congestion
 // episodes, measurement noise.
 func RunForecasters(seed int64, samples int) (ForecasterResult, error) {
-	if samples <= 0 {
-		samples = 2000
-	}
 	clk := vtime.NewSim(seed)
 	a := nws.NewAdaptive()
 	var mean float64
@@ -386,9 +365,6 @@ type ChannelCacheResult struct {
 // 60 ms-RTT path, with GSI re-authentication per session in the cold
 // case — the exact dip mechanism Figure 8's caption describes.
 func RunChannelCache(seed int64, transfers int) (ChannelCacheResult, error) {
-	if transfers <= 0 {
-		transfers = 10
-	}
 	res := ChannelCacheResult{Transfers: transfers}
 	const file = int64(64) << 20
 	run := func(cache bool) (time.Duration, error) {

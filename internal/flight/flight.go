@@ -31,6 +31,8 @@ package flight
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -320,175 +322,108 @@ func (r *Recorder) DumpToFile(path string) (int, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return 0, err
 	}
-	recs := r.Records()
 	f, err := os.Create(path)
 	if err != nil {
 		return 0, err
 	}
 	defer f.Close()
-	bw := bufio.NewWriter(f)
-	var line []byte
-	for _, rec := range recs {
-		line = appendJSON(line[:0], rec)
-		line = append(line, '\n')
-		if _, err := bw.Write(line); err != nil {
-			return 0, err
-		}
-	}
-	if err := bw.Flush(); err != nil {
+	if err := r.WriteDump(f); err != nil {
 		return 0, err
 	}
-	return len(recs), f.Close()
+	st := r.Stats()
+	return st.CoreRetained + st.DataRetained, f.Close()
 }
 
-// ParseDump parses a JSONL flight dump back into records. Lines that
-// are not flight records are skipped; a malformed record line is an
-// error. The parser accepts exactly the WriteDump format.
+// dumpLine is one dump line as encoding/json sees it. The pointer fields
+// tell a key the line lacks from one written as zero.
+type dumpLine struct {
+	T      *int64  `json:"t"`
+	Kind   string  `json:"kind"`
+	Seq    *uint64 `json:"seq"`
+	Parent *uint64 `json:"parent"`
+	Site   *string `json:"site"`
+	Due    *int64  `json:"due"`
+	Conn   *int64  `json:"conn"`
+	Flows  *int64  `json:"flows"`
+	Passes *int64  `json:"passes"`
+}
+
+// ParseDump parses a JSONL flight dump back into records. Blank lines
+// and objects whose kind is not a record kind (NetLogger or telemetry
+// lines sharing the stream) are skipped. A line that is not a JSON
+// object, or a record missing a key its kind writes, is an error.
 func ParseDump(rd io.Reader) ([]Record, error) {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	var out []Record
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
+	for lineNo := 1; sc.Scan(); lineNo++ {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		rec, siteName, ok, err := parseLine(line)
+		rec, ok, err := decodeLine(line)
 		if err != nil {
 			return nil, fmt.Errorf("flight: dump line %d: %v", lineNo, err)
 		}
-		if !ok {
-			continue
+		if ok {
+			out = append(out, rec)
 		}
-		rec.Site = vtime.RegisterSite(siteName)
-		out = append(out, rec)
 	}
 	return out, sc.Err()
 }
 
-// parseLine decodes one dump line without encoding/json: the format is
-// machine-written with fixed key order, so a small scanner keeps parsing
-// dependency-free and strict.
-func parseLine(line []byte) (rec Record, site string, ok bool, err error) {
-	fields, err := splitJSONObject(line)
+func decodeLine(line []byte) (rec Record, ok bool, err error) {
+	if line[0] != '{' {
+		return rec, false, errors.New("not an object")
+	}
+	var d dumpLine
+	err = json.Unmarshal(line, &d)
+	// A foreign object may hold its own keys with other types: only a
+	// syntax error condemns a line before its kind is known.
+	var typeErr *json.UnmarshalTypeError
+	if err != nil && !errors.As(err, &typeErr) {
+		return rec, false, err
+	}
+	if rec.Kind = kindByName(d.Kind); rec.Kind == KNone {
+		return rec, false, nil
+	}
 	if err != nil {
-		return rec, "", false, err
+		return rec, false, err
 	}
-	kindStr, has := fields["kind"]
-	if !has {
-		return rec, "", false, nil // not a flight record; skip
-	}
-	rec.Kind = kindByName(kindStr)
-	if rec.Kind == KNone {
-		return rec, "", false, nil
-	}
-	geti := func(key string) (int64, error) {
-		v, has := fields[key]
-		if !has {
-			return 0, fmt.Errorf("missing %q", key)
-		}
-		return strconv.ParseInt(v, 10, 64)
-	}
-	if rec.At, err = geti("t"); err != nil {
-		return rec, "", false, err
-	}
-	seq, err := geti("seq")
-	if err != nil {
-		return rec, "", false, err
-	}
-	rec.Seq = uint64(seq)
+	rec.At = need(d.T, "t", &err)
+	rec.Seq = need(d.Seq, "seq", &err)
+	site := "untagged"
 	switch rec.Kind {
 	case KSchedule, KFire, KCancel, KRearm:
-		p, err := geti("parent")
-		if err != nil {
-			return rec, "", false, err
-		}
-		rec.Parent = uint64(p)
-		site, has = fields["site"]
-		if !has {
-			return rec, "", false, fmt.Errorf("missing %q", "site")
-		}
+		rec.Parent = need(d.Parent, "parent", &err)
+		site = need(d.Site, "site", &err)
 		if rec.Kind == KSchedule || rec.Kind == KRearm {
-			if rec.Due, err = geti("due"); err != nil {
-				return rec, "", false, err
-			}
+			rec.Due = need(d.Due, "due", &err)
 		}
 	case KConnOpen, KConnRetired, KConnReset:
-		if rec.A, err = geti("conn"); err != nil {
-			return rec, "", false, err
-		}
-		site = "untagged"
+		rec.A = need(d.Conn, "conn", &err)
 	case KAllocPass:
-		if rec.A, err = geti("flows"); err != nil {
-			return rec, "", false, err
-		}
-		if rec.B, err = geti("passes"); err != nil {
-			return rec, "", false, err
-		}
-		site = "untagged"
+		rec.A = need(d.Flows, "flows", &err)
+		rec.B = need(d.Passes, "passes", &err)
 	}
-	return rec, site, true, nil
+	if err != nil {
+		return rec, false, err
+	}
+	rec.Site = vtime.RegisterSite(site)
+	return rec, true, nil
 }
 
-// splitJSONObject tears a flat single-line JSON object into key ->
-// raw-value strings (string values unquoted). Only the flat shape the
-// dumper emits is supported.
-func splitJSONObject(line []byte) (map[string]string, error) {
-	s := string(bytes.TrimSpace(line))
-	if len(s) < 2 || s[0] != '{' || s[len(s)-1] != '}' {
-		return nil, fmt.Errorf("not an object")
+// need returns *p, or the zero value after noting in *err (unless it
+// already holds an error) that the line lacks key.
+func need[T any](p *T, key string, err *error) T {
+	if p == nil {
+		if *err == nil {
+			*err = fmt.Errorf("missing %q", key)
+		}
+		var zero T
+		return zero
 	}
-	s = s[1 : len(s)-1]
-	out := make(map[string]string, 8)
-	for len(s) > 0 {
-		// key
-		if s[0] != '"' {
-			return nil, fmt.Errorf("bad key syntax")
-		}
-		end := 1
-		for end < len(s) && s[end] != '"' {
-			end++
-		}
-		if end >= len(s) {
-			return nil, fmt.Errorf("unterminated key")
-		}
-		key := s[1:end]
-		s = s[end+1:]
-		if len(s) == 0 || s[0] != ':' {
-			return nil, fmt.Errorf("missing colon after %q", key)
-		}
-		s = s[1:]
-		// value: quoted string or bare token up to comma
-		var val string
-		if len(s) > 0 && s[0] == '"' {
-			end = 1
-			for end < len(s) && s[end] != '"' {
-				end++
-			}
-			if end >= len(s) {
-				return nil, fmt.Errorf("unterminated value for %q", key)
-			}
-			val = s[1:end]
-			s = s[end+1:]
-		} else {
-			end = 0
-			for end < len(s) && s[end] != ',' {
-				end++
-			}
-			val = s[:end]
-			s = s[end:]
-		}
-		out[key] = val
-		if len(s) > 0 {
-			if s[0] != ',' {
-				return nil, fmt.Errorf("bad separator after %q", key)
-			}
-			s = s[1:]
-		}
-	}
-	return out, nil
+	return *p
 }
 
 // ChainOf walks the causal provenance chain that leads to event seq,

@@ -2,6 +2,7 @@ package flight
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"strings"
 	"testing"
@@ -113,6 +114,55 @@ func TestParseDumpRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseDump(strings.NewReader(`{"t":bogus,"kind":"fire","seq":1}`)); err == nil {
 		t.Fatal("malformed record parsed without error")
+	}
+}
+
+// TestParseDumpStrictness: every key a record kind writes is required,
+// a line that is not a JSON object is an error, and foreign objects —
+// NetLogger events and telemetry lines with their nested fields — are
+// skipped.
+func TestParseDumpStrictness(t *testing.T) {
+	type tc struct {
+		name, line string
+		ok         bool
+	}
+	var cases []tc
+	for k := KSchedule; k <= KAllocPass; k++ {
+		line := appendJSON(nil, Record{At: 5, Seq: 7, Parent: 3, Due: 9, A: 1, B: 2, Kind: k, Site: siteTestLoss})
+		cases = append(cases, tc{KindName(k), string(line), true})
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(line, &fields); err != nil {
+			t.Fatal(err)
+		}
+		for key := range fields {
+			if key == "kind" {
+				continue
+			}
+			short := map[string]json.RawMessage{}
+			for k2, v := range fields {
+				if k2 != key {
+					short[k2] = v
+				}
+			}
+			b, _ := json.Marshal(short)
+			cases = append(cases, tc{KindName(k) + " without " + key, string(b), false})
+		}
+	}
+	cases = append(cases,
+		tc{"not json", "DATE=20001106080000.000000 HOST=anl NL.EVNT=rm", false},
+		tc{"array", "[1,2]", false},
+		tc{"bogus value", `{"t":bogus,"kind":"fire","seq":1}`, false},
+		tc{"wrong type", `{"t":"5","kind":"fire","seq":1,"parent":0,"site":"x"}`, false},
+		tc{"netlogger", `{"ts":"2000-11-06T08:00:00Z","host":"anl","event":"gridftp.session.start","fields":{"server":"dallas:2811","trid":"1.12"}}`, true},
+		tc{"telemetry grid", `{"kind":"grid","grid":{"tick":1,"ts":"2000-11-06T08:00:01Z","stages":[{"stage":"stage.retr","count":16}]}}`, true},
+		tc{"telemetry alert", `{"kind":"alert","alert":{"ts":"2000-11-06T08:00:04Z","detail":"p999 9.9s, over SLO \"4s\""}}`, true},
+		tc{"foreign types", `{"kind":"alert","t":"x","seq":-1}`, true},
+	)
+	for _, c := range cases {
+		_, err := ParseDump(strings.NewReader("\n" + c.line + "\n"))
+		if (err == nil) != c.ok {
+			t.Errorf("%s: ParseDump(%s) error = %v, want ok=%v", c.name, c.line, err, c.ok)
+		}
 	}
 }
 

@@ -31,11 +31,9 @@ type LogHistogram struct {
 	mu     sync.Mutex
 	counts [hdrBuckets]int64
 	n      int64
-	sum    float64
-	min    float64
-	max    float64
-	// Integer-nanosecond mirrors of sum/min/max, kept so Snapshot is
-	// all-integer and tier folds are bit-exact in any merge order.
+	max    float64 // the observed max as given, which Tail reports
+	// Integer-nanosecond aggregates, kept so Snapshot is all-integer and
+	// tier folds are bit-exact in any merge order.
 	sumNs int64
 	minNs int64
 	maxNs int64
@@ -88,9 +86,6 @@ func (h *LogHistogram) Observe(v float64) {
 	un := clampNs(v)
 	h.mu.Lock()
 	h.counts[hdrBucketOf(un)]++
-	if h.n == 0 || v < h.min {
-		h.min = v
-	}
 	if h.n == 0 || v > h.max {
 		h.max = v
 	}
@@ -101,7 +96,6 @@ func (h *LogHistogram) Observe(v float64) {
 		h.maxNs = int64(un)
 	}
 	h.n++
-	h.sum += v
 	h.sumNs += int64(un)
 	h.mu.Unlock()
 }
@@ -119,86 +113,6 @@ func (h *LogHistogram) Count() int64 {
 	return h.n
 }
 
-// Mean returns the mean observation (0 when empty).
-func (h *LogHistogram) Mean() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
-// Min and Max return the observed extremes (0 when empty).
-func (h *LogHistogram) Min() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.min
-}
-
-func (h *LogHistogram) Max() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
-}
-
-// Quantile returns an upper bound on the q-th quantile (q in [0,1]):
-// the upper edge of the bucket holding that rank, clamped to the
-// observed max — within ~3% of the true value by construction.
-func (h *LogHistogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.n == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(q * float64(h.n-1))
-	last := 0
-	for i := len(h.counts) - 1; i >= 0; i-- {
-		if h.counts[i] != 0 {
-			last = i
-			break
-		}
-	}
-	var seen int64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		seen += c
-		if seen > rank {
-			if i == last {
-				// The top occupied bucket's true upper edge is the
-				// observed max (and may exceed it after ns clamping).
-				return h.max
-			}
-			hi := float64(hdrUpperBound(i)) / 1e9
-			if hi > h.max {
-				hi = h.max
-			}
-			return hi
-		}
-	}
-	return h.max
-}
-
 // Tail bundles the tail-latency row the experiments report instead of
 // means: p50/p99/p999 and the observed max, in seconds.
 type Tail struct {
@@ -206,15 +120,11 @@ type Tail struct {
 	P50, P99, P999, Max float64
 }
 
-// Tail snapshots the standard report quantiles.
+// Tail snapshots the standard report quantiles. They clamp to the
+// observed max as given, not to its nanosecond truncation.
 func (h *LogHistogram) Tail() Tail {
-	return Tail{
-		N:    h.Count(),
-		P50:  h.Quantile(0.50),
-		P99:  h.Quantile(0.99),
-		P999: h.Quantile(0.999),
-		Max:  h.Max(),
-	}
+	s, top := h.snapshot()
+	return s.tail(top)
 }
 
 // String renders the tail row ("n=… p50=… p99=… p999=… max=…", seconds).

@@ -1,7 +1,7 @@
 package netlogger
 
 import (
-	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -9,7 +9,7 @@ import (
 
 func TestLogHistQuantiles(t *testing.T) {
 	h := NewLogHistogram()
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Count() != 0 {
+	if h.Tail() != (Tail{}) || h.Count() != 0 {
 		t.Fatal("empty histogram not zero")
 	}
 	// 1000 observations: 900 fast (10ms), 90 slow (2s), 10 very slow (30s):
@@ -26,25 +26,21 @@ func TestLogHistQuantiles(t *testing.T) {
 	if h.Count() != 1000 {
 		t.Fatalf("Count = %d", h.Count())
 	}
-	if h.Min() != 0.010 || h.Max() != 30.0 {
-		t.Fatalf("min=%v max=%v", h.Min(), h.Max())
-	}
-	check := func(q, want float64) {
+	tail := h.Tail()
+	check := func(q string, got, want float64) {
 		t.Helper()
-		got := h.Quantile(q)
 		if got < want || got > want*1.04 { // upper bound within ~3% bucket error
-			t.Fatalf("Quantile(%v) = %v, want [%v, %v]", q, got, want, want*1.04)
+			t.Fatalf("%s = %v, want [%v, %v]", q, got, want, want*1.04)
 		}
 	}
-	check(0.50, 0.010)
-	check(0.99, 2.0)
-	check(0.999, 30.0)
-	if got := h.Quantile(1); got != 30.0 {
-		t.Fatalf("Quantile(1) = %v, want max", got)
-	}
-	tail := h.Tail()
-	if tail.N != 1000 || tail.P999 < 2 || tail.Max != 30.0 {
+	check("p50", tail.P50, 0.010)
+	check("p99", tail.P99, 2.0)
+	check("p999", tail.P999, 30.0)
+	if tail.N != 1000 || tail.Max != 30.0 {
 		t.Fatalf("Tail = %+v", tail)
+	}
+	if got := h.Snapshot().Quantile(1); got != 30.0 {
+		t.Fatalf("Quantile(1) = %v, want max", got)
 	}
 	for _, want := range []string{"n=1000", "p50=", "p999="} {
 		if !strings.Contains(tail.String(), want) {
@@ -53,14 +49,15 @@ func TestLogHistQuantiles(t *testing.T) {
 	}
 	// Out-of-range inputs clamp rather than panic.
 	h.Observe(-5)
-	if h.Min() != -5 {
-		t.Fatalf("negative observation: min = %v", h.Min())
-	}
 	h.Observe(1e12) // beyond the int64-ns range
-	if got, q0 := h.Quantile(-1), h.Quantile(0); got != q0 {
+	s := h.Snapshot()
+	if got := s.Quantile(0); got != 0 {
+		t.Fatalf("negative observation: Quantile(0) = %v, want 0", got)
+	}
+	if got, q0 := s.Quantile(-1), s.Quantile(0); got != q0 {
 		t.Fatalf("Quantile(-1) = %v, want clamp to Quantile(0) = %v", got, q0)
 	}
-	if got := h.Quantile(2); got != h.Max() {
+	if got := s.Quantile(2); got != s.Max() {
 		t.Fatalf("Quantile(2) = %v, want max", got)
 	}
 }
@@ -113,10 +110,8 @@ func TestLogHistDeterminism(t *testing.T) {
 		return h
 	}
 	a, b := mk(), mk()
-	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 0.999, 1} {
-		if a.Quantile(q) != b.Quantile(q) {
-			t.Fatalf("quantile %v differs between identical histograms", q)
-		}
+	if !reflect.DeepEqual(a.Snapshot(), b.Snapshot()) || a.Tail() != b.Tail() {
+		t.Fatal("identical histograms differ")
 	}
 }
 
@@ -138,7 +133,7 @@ func TestLogHistNilSafe(t *testing.T) {
 	var h *LogHistogram
 	h.Observe(1)
 	h.ObserveDuration(time.Second)
-	if h.Count() != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
+	if h.Count() != 0 || h.Tail() != (Tail{}) {
 		t.Fatal("nil histogram methods must no-op")
 	}
 	var r *Registry
@@ -157,15 +152,12 @@ func TestRegistryLogHist(t *testing.T) {
 		h.Observe(float64(i) * 0.01)
 	}
 	var row string
-	for _, r := range reg.Snapshot() {
-		if r.Name == "rm.transfer.latency" {
-			row = r.Kind + " " + r.Value
+	for _, line := range strings.Split(reg.Render(), "\n") {
+		if strings.HasPrefix(line, "rm.transfer.latency ") {
+			row = line
 		}
 	}
 	if !strings.Contains(row, "loghist") || !strings.Contains(row, "p999=") {
-		t.Fatalf("snapshot row malformed: %q", row)
-	}
-	if math.IsNaN(h.Mean()) {
-		t.Fatal("mean NaN")
+		t.Fatalf("rendered row malformed: %q", row)
 	}
 }

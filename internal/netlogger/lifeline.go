@@ -2,12 +2,15 @@
 // paper built from NetLogger life-lines — a per-stage attribution of
 // where each request's wall time went, the inter-file gap signature that
 // exposed Figure 8's ~0.8 s TCP teardown pauses, an ASCII gantt chart,
-// and ULM/JSONL exports of the raw event stream.
+// ULM/JSONL exports of the raw event stream, and the JSONL export's one
+// decoder.
 package netlogger
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"time"
@@ -324,6 +327,14 @@ func (l *Log) ULM() string {
 	return b.String()
 }
 
+// jsonlRecord is one line of the JSONL export, for JSONL and ParseJSONL.
+type jsonlRecord struct {
+	TS     string            `json:"ts"`
+	Host   string            `json:"host"`
+	Event  string            `json:"event"`
+	Fields map[string]string `json:"fields,omitempty"`
+}
+
 // JSONL renders the event log as one JSON object per line with fixed
 // keys (ts, host, event, fields). Map keys are emitted sorted by
 // encoding/json, so equal logs serialize identically. The export is
@@ -334,12 +345,6 @@ func (l *Log) ULM() string {
 // byte-identical streams, the property the determinism and
 // pure-observer golden tests compare.
 func (l *Log) JSONL() string {
-	type rec struct {
-		TS     string            `json:"ts"`
-		Host   string            `json:"host"`
-		Event  string            `json:"event"`
-		Fields map[string]string `json:"fields,omitempty"`
-	}
 	events := l.Events()
 	type row struct {
 		t    time.Time
@@ -347,7 +352,7 @@ func (l *Log) JSONL() string {
 	}
 	rows := make([]row, len(events))
 	for i, ev := range events {
-		line, _ := json.Marshal(rec{
+		line, _ := json.Marshal(jsonlRecord{
 			TS:     ev.Time.UTC().Format(time.RFC3339Nano),
 			Host:   ev.Host,
 			Event:  ev.Name,
@@ -369,4 +374,28 @@ func (l *Log) JSONL() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// ParseJSONL decodes a JSONL export back into its events, in stream
+// order. Blank lines are skipped; a line that does not decode is an
+// error naming its line number.
+func ParseJSONL(r io.Reader) ([]Event, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	var out []Event
+	for n := 1; sc.Scan(); n++ {
+		if len(sc.Bytes()) == 0 {
+			continue
+		}
+		var rec jsonlRecord
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			return nil, fmt.Errorf("line %d: %w", n, err)
+		}
+		ts, err := time.Parse(time.RFC3339Nano, rec.TS)
+		if err != nil {
+			return nil, fmt.Errorf("line %d: %w", n, err)
+		}
+		out = append(out, Event{Time: ts, Host: rec.Host, Name: rec.Event, Fields: rec.Fields})
+	}
+	return out, sc.Err()
 }

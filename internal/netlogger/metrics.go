@@ -162,58 +162,66 @@ func (g *Gauge) Max() float64 {
 	return g.max
 }
 
-// MetricSnapshot is one row of a registry snapshot.
-type MetricSnapshot struct {
-	Name  string
-	Kind  string // "counter", "gauge", "loghist"
-	Value string // rendered value
-}
-
-// Snapshot returns all instruments sorted by (kind-independent) name.
-func (r *Registry) Snapshot() []MetricSnapshot {
+// walk calls fn with every instrument (a *Counter, *Gauge or
+// *LogHistogram) in name order, counters before gauges before
+// histograms on a shared name, under the registry lock. It is the one
+// walk behind Render and Mergeable.
+func (r *Registry) walk(fn func(name string, inst any)) {
 	if r == nil {
-		return nil
+		return
+	}
+	type row struct {
+		name string
+		inst any
 	}
 	r.mu.Lock()
-	var rows []MetricSnapshot
-	//esglint:unordered rows are sorted by name below before return
+	defer r.mu.Unlock()
+	var rows []row
+	//esglint:unordered rows are sorted by name below before fn sees them
 	for name, c := range r.counters {
-		rows = append(rows, MetricSnapshot{name, "counter",
-			fmt.Sprintf("%g", c.Value())})
+		rows = append(rows, row{name, c})
 	}
-	//esglint:unordered rows are sorted by name below before return
+	//esglint:unordered rows are sorted by name below before fn sees them
 	for name, g := range r.gauges {
-		rows = append(rows, MetricSnapshot{name, "gauge",
-			fmt.Sprintf("%g (max %g)", g.Value(), g.Max())})
+		rows = append(rows, row{name, g})
 	}
-	//esglint:unordered rows are sorted by name below before return
+	//esglint:unordered rows are sorted by name below before fn sees them
 	for name, h := range r.hlogs {
-		rows = append(rows, MetricSnapshot{name, "loghist", h.Tail().String()})
+		rows = append(rows, row{name, h})
 	}
-	r.mu.Unlock()
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
-	return rows
+	// Stable, so a name shared across kinds keeps the gather order.
+	sort.SliceStable(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
+	for _, row := range rows {
+		fn(row.name, row.inst)
+	}
 }
 
-// Render formats the snapshot as an aligned table.
+// Render formats every instrument, in name order, as an aligned table.
 func (r *Registry) Render() string {
-	rows := r.Snapshot()
+	type row struct{ name, kind, value string }
+	var rows []row
+	r.walk(func(name string, inst any) {
+		switch inst := inst.(type) {
+		case *Counter:
+			rows = append(rows, row{name, "counter", fmt.Sprintf("%g", inst.Value())})
+		case *Gauge:
+			rows = append(rows, row{name, "gauge", fmt.Sprintf("%g (max %g)", inst.Value(), inst.Max())})
+		case *LogHistogram:
+			rows = append(rows, row{name, "loghist", inst.Tail().String()})
+		}
+	})
 	if len(rows) == 0 {
 		return "(no metrics)\n"
 	}
 	nameW, kindW := len("metric"), len("type")
 	for _, row := range rows {
-		if len(row.Name) > nameW {
-			nameW = len(row.Name)
-		}
-		if len(row.Kind) > kindW {
-			kindW = len(row.Kind)
-		}
+		nameW = max(nameW, len(row.name))
+		kindW = max(kindW, len(row.kind))
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-*s  %-*s  %s\n", nameW, "metric", kindW, "type", "value")
 	for _, row := range rows {
-		fmt.Fprintf(&b, "%-*s  %-*s  %s\n", nameW, row.Name, kindW, row.Kind, row.Value)
+		fmt.Fprintf(&b, "%-*s  %-*s  %s\n", nameW, row.name, kindW, row.kind, row.value)
 	}
 	return b.String()
 }

@@ -109,7 +109,7 @@ type Series []Point
 // Meter periodically samples a cumulative counter (bytes transferred) and
 // derives rate statistics from the samples.
 type Meter struct {
-	clk      vtime.Clock
+	clk      *vtime.Sim
 	interval time.Duration
 	sample   func() float64
 
@@ -117,8 +117,7 @@ type Meter struct {
 	t0      time.Time
 	samples []float64 // cumulative counter at t0 + i*interval
 	lastAt  time.Time // instant of the most recent sample
-	timer   vtime.Timer
-	tickFn  func() // m.tick, bound once so re-arming never allocates
+	ev      vtime.EventID
 	stopped bool
 }
 
@@ -137,17 +136,16 @@ var siteMeterSample = vtime.RegisterSite("netlogger.meter-sample")
 // instead of one rounds differently in the last float bits. The timer
 // keeps each sample at one fixed place in the event order.
 //
-// It panics if interval <= 0, as time.NewTicker does: on a Sim such a
-// meter would sample once and stop, on a real clock it would spin.
-func NewMeter(clk vtime.Clock, interval time.Duration, fn func() float64) *Meter {
+// It panics if interval <= 0, as time.NewTicker does: such a meter
+// would sample once and stop.
+func NewMeter(clk *vtime.Sim, interval time.Duration, fn func() float64) *Meter {
 	if interval <= 0 {
 		panic("netlogger: non-positive interval for NewMeter")
 	}
 	m := &Meter{clk: clk, interval: interval, sample: fn, t0: clk.Now()}
 	m.lastAt = m.t0
 	m.samples = append(m.samples, fn())
-	m.tickFn = m.tick
-	m.timer = vtime.AfterFuncTagged(clk, siteMeterSample, interval, m.tickFn)
+	m.ev = clk.ScheduleSite(siteMeterSample, interval, m.tick)
 	return m
 }
 
@@ -159,15 +157,9 @@ func (m *Meter) tick() {
 	}
 	m.lastAt = m.clk.Now()
 	m.samples = append(m.samples, m.sample())
-	// Periodic re-arm. On a Sim this is RearmFiring — a field write that
-	// reuses the firing event's slot, so steady-state sampling allocates
-	// nothing and m.timer's id stays valid for Stop. Elsewhere (Real
-	// clock) it falls back to arming a fresh timer with the bound tickFn.
-	if s, ok := m.clk.(*vtime.Sim); ok {
-		s.RearmFiring(m.interval)
-	} else {
-		m.timer = vtime.AfterFuncTagged(m.clk, siteMeterSample, m.interval, m.tickFn)
-	}
+	// RearmFiring reuses the firing event's slot, so steady-state
+	// sampling allocates nothing and m.ev stays valid for Stop.
+	m.clk.RearmFiring(m.interval)
 	m.mu.Unlock()
 }
 
@@ -181,9 +173,7 @@ func (m *Meter) Stop() {
 		return
 	}
 	m.stopped = true
-	if m.timer != nil {
-		m.timer.Stop()
-	}
+	m.clk.Cancel(m.ev)
 	if now := m.clk.Now(); !now.Equal(m.lastAt) {
 		m.lastAt = now
 		m.samples = append(m.samples, m.sample())

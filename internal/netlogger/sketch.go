@@ -13,8 +13,6 @@
 // order. The telemetry plane's permuted-fold property tests pin this.
 package netlogger
 
-import "sort"
-
 // BucketCount is one occupied log-histogram bucket.
 type BucketCount struct {
 	Idx int32 `json:"i"`
@@ -35,18 +33,25 @@ type HistSnapshot struct {
 // Snapshot captures the histogram's current state. The result shares no
 // storage with the live histogram.
 func (h *LogHistogram) Snapshot() HistSnapshot {
+	s, _ := h.snapshot()
+	return s
+}
+
+// snapshot returns the histogram's snapshot and its float max, read
+// under one lock.
+func (h *LogHistogram) snapshot() (s HistSnapshot, top float64) {
 	if h == nil {
-		return HistSnapshot{}
+		return HistSnapshot{}, 0
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := HistSnapshot{N: h.n, SumNs: h.sumNs, MinNs: h.minNs, MaxNs: h.maxNs}
+	s = HistSnapshot{N: h.n, SumNs: h.sumNs, MinNs: h.minNs, MaxNs: h.maxNs}
 	for i, c := range h.counts {
 		if c != 0 {
 			s.Buckets = append(s.Buckets, BucketCount{Idx: int32(i), N: c})
 		}
 	}
-	return s
+	return s, h.max
 }
 
 // Merge returns the snapshot of the union of the two observation sets.
@@ -113,24 +118,18 @@ func mergeBuckets(dst, a, b []BucketCount) []BucketCount {
 	return dst
 }
 
-// Mean returns the mean observation in seconds (0 when empty).
-func (s HistSnapshot) Mean() float64 {
-	if s.N == 0 {
-		return 0
-	}
-	return float64(s.SumNs) / 1e9 / float64(s.N)
-}
-
 // Max returns the observed maximum in seconds.
 func (s HistSnapshot) Max() float64 { return float64(s.MaxNs) / 1e9 }
 
-// Min returns the observed minimum in seconds.
-func (s HistSnapshot) Min() float64 { return float64(s.MinNs) / 1e9 }
+// Quantile returns an upper bound on the q-th quantile (q in [0,1]):
+// the upper edge of the bucket holding that rank, clamped to the
+// observed max — within ~3% of the true value by construction.
+func (s HistSnapshot) Quantile(q float64) float64 { return s.quantile(q, s.Max()) }
 
-// Quantile mirrors LogHistogram.Quantile on the snapshot: the upper
-// edge of the bucket holding the q-th ranked observation, clamped to
-// the observed extremes.
-func (s HistSnapshot) Quantile(q float64) float64 {
+// quantile is the one quantile walk: the upper edge of the bucket
+// holding the q-th ranked observation, clamped to top, the observed max.
+// The highest occupied bucket answers top itself, its true upper edge.
+func (s HistSnapshot) quantile(q, top float64) float64 {
 	if s.N == 0 {
 		return 0
 	}
@@ -146,26 +145,28 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 		seen += b.N
 		if seen > rank {
 			if k == len(s.Buckets)-1 {
-				return s.Max()
+				return top
 			}
 			hi := float64(hdrUpperBound(int(b.Idx))) / 1e9
-			if m := s.Max(); hi > m {
-				hi = m
+			if hi > top {
+				hi = top
 			}
 			return hi
 		}
 	}
-	return s.Max()
+	return top
 }
 
 // Tail snapshots the standard report quantiles.
-func (s HistSnapshot) Tail() Tail {
+func (s HistSnapshot) Tail() Tail { return s.tail(s.Max()) }
+
+func (s HistSnapshot) tail(top float64) Tail {
 	return Tail{
 		N:    s.N,
-		P50:  s.Quantile(0.50),
-		P99:  s.Quantile(0.99),
-		P999: s.Quantile(0.999),
-		Max:  s.Max(),
+		P50:  s.quantile(0.50, top),
+		P99:  s.quantile(0.99, top),
+		P999: s.quantile(0.999, top),
+		Max:  top,
 	}
 }
 
@@ -224,10 +225,6 @@ func (g *Gauge) Summary() GaugeSummary {
 	return GaugeSummary{Last: g.v, Min: g.min, Max: g.max, Sum: g.sum, N: g.n}
 }
 
-// Snapshot reads the counter's mergeable state; counter snapshots merge
-// by addition.
-func (c *Counter) Snapshot() float64 { return c.Value() }
-
 // NamedValue, NamedGauge, and NamedHist are name-keyed snapshot rows.
 type NamedValue struct {
 	Name string  `json:"name"`
@@ -255,26 +252,16 @@ type RegistrySnapshot struct {
 
 // Mergeable snapshots all instruments in sorted-name order.
 func (r *Registry) Mergeable() RegistrySnapshot {
-	if r == nil {
-		return RegistrySnapshot{}
-	}
-	r.mu.Lock()
 	var s RegistrySnapshot
-	//esglint:unordered rows are sorted by name below before return
-	for name, c := range r.counters {
-		s.Counters = append(s.Counters, NamedValue{Name: name, V: c.Snapshot()})
-	}
-	//esglint:unordered rows are sorted by name below before return
-	for name, g := range r.gauges {
-		s.Gauges = append(s.Gauges, NamedGauge{Name: name, G: g.Summary()})
-	}
-	//esglint:unordered rows are sorted by name below before return
-	for name, h := range r.hlogs {
-		s.Hists = append(s.Hists, NamedHist{Name: name, H: h.Snapshot()})
-	}
-	r.mu.Unlock()
-	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
-	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
-	sort.Slice(s.Hists, func(i, j int) bool { return s.Hists[i].Name < s.Hists[j].Name })
+	r.walk(func(name string, inst any) {
+		switch inst := inst.(type) {
+		case *Counter:
+			s.Counters = append(s.Counters, NamedValue{Name: name, V: inst.Value()})
+		case *Gauge:
+			s.Gauges = append(s.Gauges, NamedGauge{Name: name, G: inst.Summary()})
+		case *LogHistogram:
+			s.Hists = append(s.Hists, NamedHist{Name: name, H: inst.Snapshot()})
+		}
+	})
 	return s
 }

@@ -77,17 +77,13 @@ func TestHistSnapshotQuantilesMatchLiveHistogram(t *testing.T) {
 	// The snapshot lives in the integer-nanosecond domain, so extremes
 	// may truncate by under 1 ns relative to the live float view.
 	const ns = 1e-9
-	for _, q := range []float64{0, 0.5, 0.9, 0.99, 0.999, 1} {
-		if live, snap := h.Quantile(q), s.Quantile(q); snap < live-ns || snap > live+ns {
-			t.Errorf("q=%g: live %g != snapshot %g", q, live, snap)
-		}
+	live, snap := h.Tail(), s.Tail()
+	near := func(a, b float64) bool { return b >= a-ns && b <= a+ns }
+	if !near(live.P50, snap.P50) || !near(live.P99, snap.P99) || !near(live.P999, snap.P999) {
+		t.Errorf("live tail %+v != snapshot tail %+v", live, snap)
 	}
-	if h.Count() != s.N || s.Max() < h.Max()-ns || s.Max() > h.Max()+ns {
-		t.Errorf("count/max mismatch: live (%d,%g) snapshot (%d,%g)",
-			h.Count(), h.Max(), s.N, s.Max())
-	}
-	if got, want := s.Mean(), h.Mean(); got < want*0.999 || got > want*1.001 {
-		t.Errorf("snapshot mean %g vs live %g", got, want)
+	if live.N != snap.N || !near(live.Max, snap.Max) {
+		t.Errorf("count/max mismatch: live (%d,%g) snapshot (%d,%g)", live.N, live.Max, snap.N, snap.Max)
 	}
 }
 

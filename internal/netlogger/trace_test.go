@@ -141,10 +141,10 @@ func TestRegistryInstruments(t *testing.T) {
 	if h.Count() != 4 {
 		t.Errorf("hist count %d, want 4", h.Count())
 	}
-	if got := h.Quantile(0.5); got < 0.05 || got > 0.052 {
+	if got := h.Tail().P50; got < 0.05 || got > 0.052 {
 		t.Errorf("p50 bucket bound %g, want ~0.05", got)
 	}
-	if got := h.Quantile(1); got != 5 {
+	if got := h.Snapshot().Quantile(1); got != 5 {
 		t.Errorf("p100 %g, want observed max 5", got)
 	}
 	out := r.Render()

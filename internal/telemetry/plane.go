@@ -565,11 +565,8 @@ func (p *Plane) rootFold(tick int64, sum Summary, rows []SiteRow) {
 		if !strings.HasPrefix(nh.Name, stagePrefix) {
 			continue
 		}
-		stages = append(stages, StageTail{
-			Stage: nh.Name, N: nh.H.N,
-			P50: nh.H.Quantile(0.5), P99: nh.H.Quantile(0.99),
-			P999: nh.H.Quantile(0.999), Max: nh.H.Max(),
-		})
+		t := nh.H.Tail()
+		stages = append(stages, StageTail{Stage: nh.Name, N: t.N, P50: t.P50, P99: t.P99, P999: t.P999, Max: t.Max})
 	}
 	snap := GridSnapshot{
 		Tick: tick, TS: tsStr,
