@@ -276,6 +276,14 @@ var equalSeedRows = []row{
 		cfg.Files, cfg.FileMB = 2, 8
 		return RunLifeline(cfg)
 	}},
+	// Parallel streams: which data connection carries which block is
+	// decided by the schedule, so the per-conn byte counts in the trace
+	// hold across P only because the schedule does.
+	{name: "lifeline-p4", run: func() (any, error) {
+		cfg := DefaultLifelineConfig()
+		cfg.Files, cfg.FileMB, cfg.Parallelism = 2, 8, 4
+		return RunLifeline(cfg)
+	}},
 	{name: "monitor-host.crash-77", run: func() (any, error) {
 		r, err := RunMonitorCase(MonitorCases()[0], 77, DefaultMonitorConfig().Grace, true)
 		r.Flight = nil

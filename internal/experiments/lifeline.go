@@ -49,10 +49,10 @@ func DefaultLifelineConfig() LifelineConfig {
 		RTT:         24 * time.Millisecond,
 		LossRate:    3e-4,
 		BufferBytes: 1 << 20,
-		// A single stream keeps the trace fully deterministic: with
-		// parallel streams the sender's block distribution across data
-		// conns is scheduler-dependent, which would change per-conn byte
-		// counts between equal-seed runs.
+		// A single stream by default. More streams trace just as
+		// reproducibly: which data conn carries which block follows the
+		// simulated schedule, the same at every GOMAXPROCS
+		// (TestEqualSeed's lifeline-p4 row).
 		Parallelism:   1,
 		HandshakeCost: 150 * time.Millisecond,
 	}

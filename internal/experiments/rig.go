@@ -179,8 +179,9 @@ func (t *triangle) start(cfg gridftp.Config) bool {
 // submit starts anl's request manager, applies the fault schedule and
 // requests every file of collection, returning the request and the
 // instant it was submitted (nil on a latched setup error). One stream
-// and one file at a time keep equal-seed runs byte-identical (see
-// LifelineConfig); the chaos determinism golden test depends on it.
+// and one file at a time is the shape the chaos, monitor and provenance
+// results are recorded at. Equal seeds replay byte for byte at more
+// streams too: the Sim runs one schedule per seed (DESIGN §11).
 func (t *triangle) submit(collection string, sched chaos.Schedule, maxAttempts int, backoff time.Duration) (*rm.Request, time.Time) {
 	mgr, err := rm.New(rm.Config{
 		Clock: t.Clock, Net: t.Net.Host("anl"), LocalHost: "anl", Replica: t.cat,

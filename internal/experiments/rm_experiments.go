@@ -13,7 +13,6 @@ import (
 	"esgrid/internal/replica"
 	"esgrid/internal/rm"
 	"esgrid/internal/simnet"
-	"esgrid/internal/vtime"
 )
 
 // --- S4: replica selection policy comparison (§4/§5) ---
@@ -251,7 +250,7 @@ type HRMStagingResult struct {
 func RunHRMStaging(seed int64, accesses int) (HRMStagingResult, error) {
 	res := HRMStagingResult{}
 	for _, cacheGB := range []int64{8, 32, 128} {
-		clk := vtime.NewSim(seed)
+		clk := grid.New(seed).Clock
 		cfg := hrm.DefaultConfig
 		cfg.CacheBytes = cacheGB << 30
 		h := hrm.New(clk, cfg)

@@ -9,7 +9,6 @@ import (
 	"esgrid/internal/gridftp"
 	"esgrid/internal/nws"
 	"esgrid/internal/simnet"
-	"esgrid/internal/vtime"
 )
 
 // twoHosts is the src→dst path most sweeps measure: two hosts with
@@ -301,7 +300,7 @@ type ForecasterResult struct {
 // character of WAN available-bandwidth traces: diurnal drift, congestion
 // episodes, measurement noise.
 func RunForecasters(seed int64, samples int) (ForecasterResult, error) {
-	clk := vtime.NewSim(seed)
+	clk := grid.New(seed).Clock
 	a := nws.NewAdaptive()
 	var mean float64
 	level := 100.0

@@ -156,7 +156,7 @@ func TestCtrlDispatchAllocFree(t *testing.T) {
 		"TYPE I", "MODE E", "mode s", "NOOP", "SBUF 1048576", "ALLO 2147483648",
 		"OPTS RETR Parallelism=4;", "OPTS CHANNELS Cache=on",
 	} {
-		sess := &session{srv: &Server{}, ct: newCtrl(lineConn{line: []byte(line + "\r\n")}), parallelism: 1, mode: 'E'}
+		sess := &session{srv: &Server{}, ct: newCtrl(lineConn{line: []byte(line + "\r\n")}), parallelism: 1}
 		ok := true
 		allocs := testing.AllocsPerRun(100, func() {
 			l, err := sess.ct.readLine()

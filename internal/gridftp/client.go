@@ -342,7 +342,7 @@ func (c *Client) dropDataConns(addrs []string) {
 
 // Get retrieves the whole file into sink.
 func (c *Client) Get(path string, sink Sink) (TransferStats, error) {
-	return c.get(path, sink, nil)
+	return c.get(path, sink, "RETR ", path)
 }
 
 // GetRanges retrieves only the given byte ranges (partial file transfer /
@@ -351,106 +351,29 @@ func (c *Client) GetRanges(path string, sink Sink, ranges []Extent) (TransferSta
 	if len(ranges) == 0 {
 		return TransferStats{}, errors.New("gridftp: GetRanges needs at least one range")
 	}
-	return c.get(path, sink, ranges)
+	return c.get(path, sink, "ERET ", FormatRanges(ranges), " ", path)
 }
 
-func (c *Client) get(path string, sink Sink, ranges []Extent) (TransferStats, error) {
+// get retrieves path into sink with the command line cmd (RETR, ERET or
+// ESUB), under a data-stage span.
+func (c *Client) get(path string, sink Sink, cmd ...string) (TransferStats, error) {
 	start := c.cfg.Clock.Now()
-	addrs, err := c.negotiateData()
+	addrs, err := c.open(cmd...)
 	if err != nil {
 		return TransferStats{}, err
-	}
-	if ranges == nil {
-		err = c.ct.sendLine("RETR ", path)
-	} else {
-		err = c.ct.sendLine("ERET ", FormatRanges(ranges), " ", path)
-	}
-	if err != nil {
-		return TransferStats{}, err
-	}
-	r, err := c.ct.readResponse()
-	if err != nil {
-		return TransferStats{}, err
-	}
-	if r.Code != codeOpenData {
-		return TransferStats{}, r.err()
 	}
 	data := c.session.Child(netlogger.StageData, "gridftp.get", "path", path)
-	var total int64
-	var mu sync.Mutex
-	var firstErr error
-	wg := vtime.NewWaitGroup(c.cfg.Clock)
-	for _, addr := range addrs {
-		conns, err := c.dataConns(addr, c.cfg.Parallelism)
-		if err != nil {
-			mu.Lock()
-			firstErr = err
-			mu.Unlock()
-			break
-		}
-		for _, dc := range conns {
-			dc := dc
-			wg.Go(func() {
-				n, err := receiveBlocksCounted(dc, sink)
-				mu.Lock()
-				total += n
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			})
-		}
-	}
-	wg.Wait()
+	total, err := c.run(receivePhase(c.cfg.Clock, sink), addrs)
 	data.Annotate("bytes", strconv.FormatInt(total, 10),
 		"streams", strconv.Itoa(c.cfg.Parallelism*len(addrs)))
-	if firstErr != nil {
-		data.Annotate("err", firstErr.Error())
+	if err != nil {
+		data.Annotate("err", err.Error())
 	}
 	data.Finish()
-	if firstErr != nil {
-		c.dropDataConns(addrs)
-		// Drain the control reply if the server managed to send one, so
-		// the session stays usable for a retry.
-		c.ct.conn.SetReadDeadline(c.cfg.Clock.Now().Add(time.Second))
-		c.ct.readResponse()
-		c.ct.conn.SetReadDeadline(time.Time{})
-		return TransferStats{Bytes: total}, firstErr
-	}
-	r, err = c.ct.readResponse()
-	if err != nil {
+	if err := c.finish(addrs, err); err != nil {
 		return TransferStats{Bytes: total}, err
 	}
-	if r.Code != codeTransferOK {
-		return TransferStats{Bytes: total}, r.err()
-	}
-	if !c.cfg.CacheDataChannels {
-		c.dropDataConns(addrs)
-	}
-	return TransferStats{
-		Bytes:    total,
-		Duration: c.cfg.Clock.Now().Sub(start),
-		Streams:  c.cfg.Parallelism * len(addrs),
-		Stripes:  len(addrs),
-	}, nil
-}
-
-// receiveBlocksCounted is receiveBlocks plus a payload byte count.
-func receiveBlocksCounted(conn transport.Conn, sink Sink) (int64, error) {
-	var n int64
-	for {
-		hdr, err := readBlockHeader(conn)
-		if err != nil {
-			return n, err
-		}
-		if hdr.Flags&flagEOD != 0 {
-			return n, nil
-		}
-		if err := sink.ReceiveRange(conn, int64(hdr.Off), int64(hdr.Len)); err != nil {
-			return n, err
-		}
-		n += int64(hdr.Len)
-	}
+	return c.stats(start, total, addrs), nil
 }
 
 // Put stores src as path on the server.
@@ -460,89 +383,79 @@ func (c *Client) Put(path string, src Source) (TransferStats, error) {
 	if _, err := c.exchange(strconv.AppendInt(c.ct.line("ALLO "), size, 10)); err != nil {
 		return TransferStats{}, err
 	}
-	addrs, err := c.negotiateData()
+	addrs, err := c.open("STOR ", path)
 	if err != nil {
 		return TransferStats{}, err
 	}
-	if err := c.ct.sendLine("STOR ", path); err != nil {
+	_, err = c.run(sendPhase(c.cfg.Clock, src, []Extent{{0, size}}, DefaultBlockSize, len(addrs)), addrs)
+	if err := c.finish(addrs, err); err != nil {
 		return TransferStats{}, err
+	}
+	return c.stats(start, size, addrs), nil
+}
+
+// open negotiates the data addresses and sends cmd, a transfer's command
+// line; it returns the addresses once the server has answered 150.
+func (c *Client) open(cmd ...string) ([]string, error) {
+	addrs, err := c.negotiateData()
+	if err != nil {
+		return nil, err
+	}
+	if err := c.ct.sendLine(cmd...); err != nil {
+		return nil, err
 	}
 	r, err := c.ct.readResponse()
 	if err != nil {
-		return TransferStats{}, err
+		return nil, err
 	}
 	if r.Code != codeOpenData {
-		return TransferStats{}, r.err()
+		return nil, r.err()
 	}
-	blocks := partitionRanges([]Extent{{0, size}}, DefaultBlockSize)
-	var mu sync.Mutex
-	var firstErr error
-	wg := vtime.NewWaitGroup(c.cfg.Clock)
-	for ai, addr := range addrs {
-		conns, err := c.dataConns(addr, c.cfg.Parallelism)
-		if err != nil {
-			mu.Lock()
-			firstErr = err
-			mu.Unlock()
-			break
-		}
-		share := make(chan Extent, len(blocks)/len(addrs)+1)
-		for bi := ai; bi < len(blocks); bi += len(addrs) {
-			share <- blocks[bi]
-		}
-		close(share)
-		for _, dc := range conns {
-			dc := dc
-			wg.Go(func() {
-				for blk := range share {
-					if err := writeBlockHeader(dc, blockHeader{Len: uint64(blk.Len), Off: uint64(blk.Off)}); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						return
-					}
-					if err := src.SendRange(dc, blk.Off, blk.Len); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						return
-					}
-				}
-				if err := writeBlockHeader(dc, blockHeader{Flags: flagEOD}); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			})
-		}
-	}
-	wg.Wait()
-	if firstErr != nil {
-		c.dropDataConns(addrs)
-		return TransferStats{}, firstErr
-	}
-	r, err = c.ct.readResponse()
+	return addrs, nil
+}
+
+// run runs ph over Parallelism data connections to each address, each
+// node's workers started before the next node is dialled.
+func (c *Client) run(ph *dataPhase, addrs []string) (int64, error) {
+	ph.startEach(len(addrs), func(i int) ([]transport.Conn, error) {
+		return c.dataConns(addrs[i], c.cfg.Parallelism)
+	})
+	return ph.wait()
+}
+
+// finish reads the reply that ends a transfer whose data phase ended
+// with err. After a failed phase it drops the data connections and
+// drains the server's failure reply, if one comes within a second, so
+// the session stays usable for a retry.
+func (c *Client) finish(addrs []string, err error) error {
 	if err != nil {
-		return TransferStats{}, err
+		c.dropDataConns(addrs)
+		c.ct.conn.SetReadDeadline(c.cfg.Clock.Now().Add(time.Second))
+		c.ct.readResponse()
+		c.ct.conn.SetReadDeadline(time.Time{})
+		return err
+	}
+	r, err := c.ct.readResponse()
+	if err != nil {
+		return err
 	}
 	if r.Code != codeTransferOK {
-		return TransferStats{}, r.err()
+		return r.err()
 	}
 	if !c.cfg.CacheDataChannels {
 		c.dropDataConns(addrs)
 	}
+	return nil
+}
+
+// stats summarizes a completed transfer of n bytes that began at start.
+func (c *Client) stats(start time.Time, n int64, addrs []string) TransferStats {
 	return TransferStats{
-		Bytes:    size,
+		Bytes:    n,
 		Duration: c.cfg.Clock.Now().Sub(start),
 		Streams:  c.cfg.Parallelism * len(addrs),
 		Stripes:  len(addrs),
-	}, nil
+	}
 }
 
 // MissingRanges computes the extents of [0, size) not yet covered by the

@@ -156,20 +156,8 @@ func incoming(t *testing.T, dir string) []string {
 // given MODE E block size.
 func startDirServer(t *testing.T, dir string, blockSize int64) string {
 	t.Helper()
-	srv, err := NewServer(Config{
-		Clock: vtime.Real{}, Net: transport.Real{}, Host: "127.0.0.1",
-		Store: NewDirStore(dir), BlockSize: blockSize,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := transport.Real{}.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	go srv.Serve(l)
-	return l.Addr().String()
+	_, addr := serveReal(t, Config{Store: NewDirStore(dir), BlockSize: blockSize})
+	return addr
 }
 
 // A restarted parallel transfer: blocks land out of order on three

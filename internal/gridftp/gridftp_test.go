@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
+	"io"
 	"testing"
 	"testing/quick"
 	"time"
@@ -125,13 +126,16 @@ func startRealServer(t *testing.T, withAuth bool) *realEnv {
 		env.userID, _ = ca.Issue("/CN=user", time.Now(), time.Hour)
 		auth = &gsi.Config{Identity: srvID, Trust: env.trust}
 	}
-	srv, err := NewServer(Config{
-		Clock: vtime.Real{},
-		Net:   transport.Real{},
-		Host:  "127.0.0.1",
-		Store: env.store,
-		Auth:  auth,
-	})
+	env.srv, env.addr = serveReal(t, Config{Store: env.store, Auth: auth})
+	return env
+}
+
+// serveReal starts a server with cfg on a loopback port, over real TCP
+// and the wall clock, and returns it with its control address.
+func serveReal(t *testing.T, cfg Config) (*Server, string) {
+	t.Helper()
+	cfg.Clock, cfg.Net, cfg.Host = vtime.Real{}, transport.Real{}, "127.0.0.1"
+	srv, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,9 +145,7 @@ func startRealServer(t *testing.T, withAuth bool) *realEnv {
 	}
 	go srv.Serve(l)
 	t.Cleanup(func() { l.Close() })
-	env.srv = srv
-	env.addr = l.Addr().String()
-	return env
+	return srv, l.Addr().String()
 }
 
 func realClient(t *testing.T, env *realEnv, parallelism int) *Client {
@@ -376,5 +378,106 @@ func TestRealFeaturesAndErrors(t *testing.T) {
 	env.store.Put("small.nc", pattern(100))
 	if _, err := c.GetRanges("small.nc", NewBytesSink(100), []Extent{{90, 20}}); err == nil {
 		t.Fatal("out-of-range ERET succeeded")
+	}
+}
+
+// halfSource sends half of each range and then fails, as a disk error
+// or a file that shrank under the transfer would.
+type halfSource struct{ Source }
+
+func (s halfSource) SendRange(c transport.Conn, off, n int64) error {
+	if err := s.Source.SendRange(c, off, n/2); err != nil {
+		return err
+	}
+	return io.ErrUnexpectedEOF
+}
+
+// halfStore serves every file, and every subset of it, through
+// halfSource.
+type halfStore struct{ *MemStore }
+
+func (s halfStore) Open(name string) (Source, error) {
+	src, err := s.MemStore.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return halfSource{src}, nil
+}
+
+func (s halfStore) OpenSubset(name, spec string) (Source, error) { return s.Open(name) }
+
+// within runs f and fails the test if f has not returned in ten
+// seconds, so a transfer that hangs fails rather than stalls go test.
+func within(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s hung", what)
+	}
+}
+
+// A server whose source fails halfway through a block ends the data
+// phase: each retrieval returns an error, and the session is left in
+// step for the next command.
+func TestRealSourceFailureEndsTransfer(t *testing.T) {
+	store := NewMemStore()
+	data := pattern(1 << 20)
+	size := int64(len(data))
+	store.Put("f.nc", data)
+	_, addr := serveReal(t, Config{Store: halfStore{store}})
+	for _, tc := range []struct {
+		name string
+		get  func(*Client, Sink) (TransferStats, error)
+	}{
+		{"Get", func(c *Client, s Sink) (TransferStats, error) { return c.Get("f.nc", s) }},
+		{"GetRanges", func(c *Client, s Sink) (TransferStats, error) { return c.GetRanges("f.nc", s, []Extent{{0, size}}) }},
+		{"GetSubset", func(c *Client, s Sink) (TransferStats, error) { return c.GetSubset("f.nc", "var=tas", s) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := Dial(ClientConfig{Clock: vtime.Real{}, Net: transport.Real{}, Parallelism: 2}, addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			var getErr, sizeErr error
+			var n int64
+			within(t, tc.name, func() {
+				_, getErr = tc.get(c, NewBytesSink(size))
+				n, sizeErr = c.Size("f.nc")
+			})
+			if getErr == nil {
+				t.Errorf("%s from a failing source succeeded", tc.name)
+			}
+			if sizeErr != nil || n != size {
+				t.Errorf("Size after a failed %s = %d, %v; want %d", tc.name, n, sizeErr, size)
+			}
+		})
+	}
+}
+
+// A Put whose data connection is cut reads the server's failure reply,
+// so the next command on the session gets its own reply.
+func TestRealPutFailureKeepsSessionInStep(t *testing.T) {
+	env := startRealServer(t, false)
+	data := pattern(1 << 20)
+	env.store.Put("f.nc", data)
+	c := realClient(t, env, 2)
+	var putErr, sizeErr error
+	var n int64
+	within(t, "Put", func() {
+		_, putErr = c.Put("cut.nc", cutSource{NewBytesSource(data)})
+		n, sizeErr = c.Size("f.nc")
+	})
+	if putErr == nil {
+		t.Fatal("Put over a cut connection succeeded")
+	}
+	if sizeErr != nil || n != int64(len(data)) {
+		t.Fatalf("Size after a failed Put = %d, %v; want %d", n, sizeErr, len(data))
 	}
 }

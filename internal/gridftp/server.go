@@ -116,7 +116,6 @@ type session struct {
 	buffer      int
 	parallelism int
 	cache       bool
-	mode        byte
 	restRanges  []Extent
 	allocSize   int64
 	trid        string // life-line trace context from TRID
@@ -134,7 +133,7 @@ type nodeState struct {
 
 func (s *Server) handle(conn transport.Conn) {
 	ct := newCtrl(conn)
-	sess := &session{srv: s, ct: ct, parallelism: 1, mode: 'E'}
+	sess := &session{srv: s, ct: ct, parallelism: 1}
 	for _, n := range s.nodes {
 		sess.nodes = append(sess.nodes, &nodeState{node: n})
 	}
@@ -251,12 +250,10 @@ func (sess *session) cmdAuth(arg []byte) error {
 func (sess *session) cmdMode(arg []byte) error {
 	switch {
 	case upperIs(arg, "E"):
-		sess.mode = 'E'
 		return sess.ct.reply(codeCmdOK, "mode set to E")
 	case upperIs(arg, "S"):
 		// Stream mode is accepted for compatibility; transfers use the
 		// extended-block framing internally in both cases.
-		sess.mode = 'S'
 		return sess.ct.reply(codeCmdOK, "mode set to S")
 	}
 	return sess.ct.reply(codeBadParam, "mode %q not supported", arg)
@@ -577,6 +574,13 @@ func (sess *session) cmdRetr(path string, ranges []Extent) error {
 	if err != nil {
 		return sess.ct.reply(codeNoFile, "%v", err)
 	}
+	return sess.retrieve(path, src, ranges)
+}
+
+// retrieve answers RETR, ERET and ESUB: it sends ranges of src (nil: the
+// REST ranges, else the whole of it) between a 150 and a 226 reply, and
+// closes src.
+func (sess *session) retrieve(path string, src Source, ranges []Extent) error {
 	defer src.Close()
 	if ranges == nil {
 		ranges = sess.takeRestRanges(src.Size())
@@ -591,12 +595,20 @@ func (sess *session) cmdRetr(path string, ranges []Extent) error {
 	}
 	sess.emit("gridftp.retr.start", "path", path)
 	if err := sess.runSend(src, ranges); err != nil {
-		sess.emit("gridftp.retr.end", "path", path, "err", err.Error())
-		return sess.ct.reply(codeXferFailed, "transfer failed: %v", err)
+		return sess.failed("gridftp.retr.end", path, err)
 	}
 	sess.emit("gridftp.retr.end", "path", path)
 	sess.afterTransfer()
 	return sess.ct.reply(codeTransferOK, "transfer complete")
+}
+
+// failed ends a transfer whose data phase failed with err: it closes the
+// data connections, so the peer's workers see the phase end rather than
+// wait for blocks that will not come, logs the end event and replies 426.
+func (sess *session) failed(event, path string, err error) error {
+	sess.teardownData()
+	sess.emit(event, "path", path, "err", err.Error())
+	return sess.ct.reply(codeXferFailed, "transfer failed: %v", err)
 }
 
 // emit records a server-side life-line event tagged with the session's
@@ -626,60 +638,22 @@ func (sess *session) cmdEret(arg []byte) error {
 }
 
 // runSend moves the requested ranges out over the session's data
-// channels: blocks are dealt round-robin to stripe nodes, and each node's
+// channels. Every node's connections are obtained before any is sent
+// on; blocks are dealt round-robin to the nodes, and each node's
 // parallel connections pull blocks from the node's share.
 func (sess *session) runSend(src Source, ranges []Extent) error {
-	blocks := partitionRanges(ranges, sess.srv.blockSize)
 	nodes := sess.activeNodes()
-	type task struct{ conns []transport.Conn }
-	nodeTasks := make([]task, len(nodes))
-	for i, ns := range nodes {
-		conns, err := ns.obtainConns(sess, sess.parallelism)
-		if err != nil {
+	for _, ns := range nodes {
+		if _, err := ns.obtainConns(sess, sess.parallelism); err != nil {
 			return err
 		}
-		nodeTasks[i] = task{conns: conns}
 	}
-	var mu sync.Mutex
-	var firstErr error
-	saveErr := func(err error) {
-		mu.Lock()
-		if firstErr == nil && err != nil {
-			firstErr = err
-		}
-		mu.Unlock()
+	ph := sendPhase(sess.srv.cfg.Clock, src, ranges, sess.srv.blockSize, len(nodes))
+	for i, ns := range nodes {
+		ph.start(i, ns.conns)
 	}
-	wg := vtime.NewWaitGroup(sess.srv.cfg.Clock)
-	for ni := range nodes {
-		// The node's block share, pre-filled and closed so workers never
-		// block on the channel itself.
-		share := make(chan Extent, len(blocks)/len(nodes)+1)
-		for bi := ni; bi < len(blocks); bi += len(nodes) {
-			share <- blocks[bi]
-		}
-		close(share)
-		for _, conn := range nodeTasks[ni].conns {
-			conn := conn
-			wg.Go(func() {
-				for blk := range share {
-					hdr := blockHeader{Len: uint64(blk.Len), Off: uint64(blk.Off)}
-					if err := writeBlockHeader(conn, hdr); err != nil {
-						saveErr(err)
-						return
-					}
-					if err := src.SendRange(conn, blk.Off, blk.Len); err != nil {
-						saveErr(err)
-						return
-					}
-				}
-				if err := writeBlockHeader(conn, blockHeader{Flags: flagEOD}); err != nil {
-					saveErr(err)
-				}
-			})
-		}
-	}
-	wg.Wait()
-	return firstErr
+	_, err := ph.wait()
+	return err
 }
 
 func (sess *session) cmdStor(path string) error {
@@ -703,8 +677,7 @@ func (sess *session) cmdStor(path string) error {
 	}
 	sess.emit("gridftp.stor.start", "path", path)
 	if err := sess.runReceive(sink); err != nil {
-		sess.emit("gridftp.stor.end", "path", path, "err", err.Error())
-		return sess.ct.reply(codeXferFailed, "transfer failed: %v", err)
+		return sess.failed("gridftp.stor.end", path, err)
 	}
 	sess.emit("gridftp.stor.end", "path", path)
 	if err := sink.Complete(); err != nil {
@@ -715,65 +688,14 @@ func (sess *session) cmdStor(path string) error {
 }
 
 // runReceive drains blocks from every data connection until each signals
-// end-of-data.
+// end-of-data, each node's receivers started before the next node's
+// connections are obtained.
 func (sess *session) runReceive(sink Sink) error {
 	nodes := sess.activeNodes()
-	var mu sync.Mutex
-	var firstErr error
-	wg := vtime.NewWaitGroup(sess.srv.cfg.Clock)
-	for _, ns := range nodes {
-		conns, err := ns.obtainConns(sess, sess.parallelism)
-		if err != nil {
-			return err
-		}
-		for _, conn := range conns {
-			conn := conn
-			wg.Go(func() {
-				if err := receiveBlocks(conn, sink); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			})
-		}
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// receiveBlocks reads MODE E blocks from one connection into sink until
-// an EOD block arrives.
-func receiveBlocks(conn transport.Conn, sink Sink) error {
-	for {
-		hdr, err := readBlockHeader(conn)
-		if err != nil {
-			return err
-		}
-		if hdr.Flags&flagEOD != 0 {
-			return nil
-		}
-		if err := sink.ReceiveRange(conn, int64(hdr.Off), int64(hdr.Len)); err != nil {
-			return err
-		}
-	}
-}
-
-// partitionRanges splits ranges into blocks of at most blockSize bytes.
-func partitionRanges(ranges []Extent, blockSize int64) []Extent {
-	var out []Extent
-	for _, r := range ranges {
-		off, n := r.Off, r.Len
-		for n > 0 {
-			c := blockSize
-			if n < c {
-				c = n
-			}
-			out = append(out, Extent{Off: off, Len: c})
-			off += c
-			n -= c
-		}
-	}
-	return out
+	ph := receivePhase(sess.srv.cfg.Clock, sink)
+	ph.startEach(len(nodes), func(i int) ([]transport.Conn, error) {
+		return nodes[i].obtainConns(sess, sess.parallelism)
+	})
+	_, err := ph.wait()
+	return err
 }

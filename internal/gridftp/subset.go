@@ -3,9 +3,6 @@ package gridftp
 import (
 	"errors"
 	"strings"
-	"sync"
-
-	"esgrid/internal/vtime"
 )
 
 // ErrNoSubset is returned when the server's store cannot evaluate
@@ -27,27 +24,11 @@ type SubsetStore interface {
 // cmdEsub serves "ESUB <spec> <path>": evaluate the subset server-side
 // and transfer only the result.
 func (sess *session) cmdEsub(arg string) error {
-	spec, path, ok := strings.Cut(arg, " ")
-	if !ok {
-		return sess.ct.reply(codeBadParam, "ESUB needs a spec and a path")
-	}
-	ss, ok := sess.srv.cfg.Store.(SubsetStore)
-	if !ok {
-		return sess.ct.reply(codeBadCmd, "%v", ErrNoSubset)
-	}
-	src, err := ss.OpenSubset(path, spec)
-	if err != nil {
-		return sess.ct.reply(codeNoFile, "%v", err)
-	}
-	defer src.Close()
-	if err := sess.ct.reply(codeOpenData, "opening data connection(s); subset is %d bytes", src.Size()); err != nil {
+	src, path, err := sess.openSubset("ESUB", arg)
+	if src == nil {
 		return err
 	}
-	if err := sess.runSend(src, []Extent{{Off: 0, Len: src.Size()}}); err != nil {
-		return sess.ct.reply(codeXferFailed, "transfer failed: %v", err)
-	}
-	sess.afterTransfer()
-	return sess.ct.reply(codeTransferOK, "subset transfer complete")
+	return sess.retrieve(path, src, nil)
 }
 
 // SubsetSize asks the server how large a subset would be without
@@ -83,84 +64,35 @@ func parseInt64(s string) (int64, error) {
 
 // cmdXsub serves the subset-size query.
 func (sess *session) cmdXsub(arg string) error {
-	spec, path, ok := strings.Cut(arg, " ")
-	if !ok {
-		return sess.ct.reply(codeBadParam, "XSUB needs a spec and a path")
-	}
-	ss, ok := sess.srv.cfg.Store.(SubsetStore)
-	if !ok {
-		return sess.ct.reply(codeBadCmd, "%v", ErrNoSubset)
-	}
-	src, err := ss.OpenSubset(path, spec)
-	if err != nil {
-		return sess.ct.reply(codeNoFile, "%v", err)
+	src, _, err := sess.openSubset("XSUB", arg)
+	if src == nil {
+		return err
 	}
 	defer src.Close()
 	return sess.ct.reply(codeSize, "%d", src.Size())
+}
+
+// openSubset opens the subset "<spec> <path>" names for the command
+// verb. When it cannot, it replies, and src is nil and err the reply's
+// error.
+func (sess *session) openSubset(verb, arg string) (src Source, path string, err error) {
+	spec, path, ok := strings.Cut(arg, " ")
+	if !ok {
+		return nil, "", sess.ct.reply(codeBadParam, "%s needs a spec and a path", verb)
+	}
+	ss, ok := sess.srv.cfg.Store.(SubsetStore)
+	if !ok {
+		return nil, "", sess.ct.reply(codeBadCmd, "%v", ErrNoSubset)
+	}
+	if src, err = ss.OpenSubset(path, spec); err != nil {
+		return nil, "", sess.ct.reply(codeNoFile, "%v", err)
+	}
+	return src, path, nil
 }
 
 // GetSubset asks the server to evaluate spec against path and transfers
 // only the extracted content into sink (which must be sized to the
 // subset; use SubsetSize first).
 func (c *Client) GetSubset(path, spec string, sink Sink) (TransferStats, error) {
-	start := c.cfg.Clock.Now()
-	addrs, err := c.negotiateData()
-	if err != nil {
-		return TransferStats{}, err
-	}
-	if err := c.ct.sendLine("ESUB ", spec, " ", path); err != nil {
-		return TransferStats{}, err
-	}
-	r, err := c.ct.readResponse()
-	if err != nil {
-		return TransferStats{}, err
-	}
-	if r.Code != codeOpenData {
-		return TransferStats{}, r.err()
-	}
-	var total int64
-	var mu sync.Mutex
-	var firstErr error
-	wg := vtime.NewWaitGroup(c.cfg.Clock)
-	for _, addr := range addrs {
-		conns, err := c.dataConns(addr, c.cfg.Parallelism)
-		if err != nil {
-			mu.Lock()
-			firstErr = err
-			mu.Unlock()
-			break
-		}
-		for _, dc := range conns {
-			dc := dc
-			wg.Go(func() {
-				n, err := receiveBlocksCounted(dc, sink)
-				mu.Lock()
-				total += n
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			})
-		}
-	}
-	wg.Wait()
-	if firstErr != nil {
-		c.dropDataConns(addrs)
-		return TransferStats{Bytes: total}, firstErr
-	}
-	if r, err = c.ct.readResponse(); err != nil {
-		return TransferStats{Bytes: total}, err
-	}
-	if r.Code != codeTransferOK {
-		return TransferStats{Bytes: total}, r.err()
-	}
-	if !c.cfg.CacheDataChannels {
-		c.dropDataConns(addrs)
-	}
-	return TransferStats{
-		Bytes:    total,
-		Duration: c.cfg.Clock.Now().Sub(start),
-		Streams:  c.cfg.Parallelism * len(addrs),
-		Stripes:  len(addrs),
-	}, nil
+	return c.get(path, sink, "ESUB ", spec, " ", path)
 }

@@ -340,10 +340,12 @@ type jsonlRecord struct {
 // encoding/json, so equal logs serialize identically. The export is
 // canonical: lines are ordered by timestamp, and events sharing an
 // instant (goroutines woken by the same simulated event emit at the
-// same virtual time, in whichever order the Go scheduler ran them) are
-// tie-broken by their encoded form — equal-seed runs therefore export
-// byte-identical streams, the property the determinism and
-// pure-observer golden tests compare.
+// same virtual time) are tie-broken by their encoded form. The
+// simulated scheduler already fixes their emit order for a seed at any
+// GOMAXPROCS; the sort also makes the stream independent of emit order,
+// so an observer or a refactor that reorders same-instant emits leaves
+// it unchanged; the equal-seed and pure-observer golden tests compare
+// these streams.
 func (l *Log) JSONL() string {
 	events := l.Events()
 	type row struct {

@@ -6,9 +6,9 @@
 // explicit span tree on the virtual clock.
 //
 // Trace and span IDs are small sequential integers handed out under a
-// mutex. Under the deterministic simulation scheduler the same seed
-// yields the same goroutine interleaving, so the IDs (and therefore the
-// exported ULM/JSONL streams) are reproducible byte for byte.
+// mutex. The simulated clock runs one managed goroutine at a time in an
+// order fixed by the seed, at any GOMAXPROCS, so the IDs (and therefore
+// the exported ULM/JSONL streams) are reproducible byte for byte.
 package netlogger
 
 import (

@@ -506,7 +506,7 @@ func (a *aggNode) siteRow(sum Summary) SiteRow {
 	cur := sum.Counter(goodputCounter)
 	goodput := (cur - a.prevBytes) * 8 / tickPeriod.Seconds()
 	a.prevBytes = cur
-	p999, _ := maxStageP999(sum)
+	_, p999, _ := stageTails(sum)
 	breach := p.cfg.SLO.stageBreach(p999) || p.cfg.SLO.goodputBreach(goodput, sum.Hosts)
 	status, _ := a.burn.observe(breach)
 	return SiteRow{
@@ -523,19 +523,20 @@ func (s SLO) goodputBreach(goodputBps float64, hosts int64) bool {
 	return s.GoodputMinBps > 0 && goodputBps < s.GoodputMinBps*float64(hosts)
 }
 
-// maxStageP999 returns the worst p999 across stage histograms and which
-// stage owns it.
-func maxStageP999(sum Summary) (float64, string) {
-	worst, name := 0.0, ""
+// stageTails returns the tail row of each stage histogram in sum, and
+// the worst p999 among them with the stage that owns it.
+func stageTails(sum Summary) (rows []StageTail, p999 float64, worst string) {
 	for _, nh := range sum.Hists {
 		if !strings.HasPrefix(nh.Name, stagePrefix) {
 			continue
 		}
-		if q := nh.H.Quantile(0.999); q > worst {
-			worst, name = q, nh.Name
+		t := nh.H.Tail()
+		rows = append(rows, StageTail{Stage: nh.Name, N: t.N, P50: t.P50, P99: t.P99, P999: t.P999, Max: t.Max})
+		if t.P999 > p999 {
+			p999, worst = t.P999, nh.Name
 		}
 	}
-	return worst, name
+	return rows, p999, worst
 }
 
 // rootFold finalises one tick at the grid root: derive the rollup,
@@ -554,20 +555,12 @@ func (p *Plane) rootFold(tick int64, sum Summary, rows []SiteRow) {
 	cur := sum.Counter(goodputCounter)
 	goodput := (cur - p.prevBytes) * 8 / tickPeriod.Seconds()
 	p.prevBytes = cur
-	p999, worstStage := maxStageP999(sum)
+	stages, p999, worstStage := stageTails(sum)
 
 	stStatus, stFired := p.stageBurn.observe(p.cfg.SLO.stageBreach(p999))
 	gpStatus, gpFired := p.goodBurn.observe(p.cfg.SLO.goodputBreach(goodput, sum.Hosts))
 	status := worseStatus(stStatus, gpStatus)
 
-	var stages []StageTail
-	for _, nh := range sum.Hists {
-		if !strings.HasPrefix(nh.Name, stagePrefix) {
-			continue
-		}
-		t := nh.H.Tail()
-		stages = append(stages, StageTail{Stage: nh.Name, N: t.N, P50: t.P50, P99: t.P99, P999: t.P999, Max: t.Max})
-	}
 	snap := GridSnapshot{
 		Tick: tick, TS: tsStr,
 		Hosts: sum.Hosts, Sites: len(rows),
