@@ -71,7 +71,7 @@ bench-smoke:
 	$(GO) test ./internal/gridftp/ -run '^$$' -bench '^BenchmarkSimSession$$' -benchtime=1x
 	$(GO) test ./internal/vtime/ -run '^$$' -bench '^Benchmark(HandlerEvent|ParkWake)$$' -benchtime=1x
 
-# Every Go benchmark once (allocator, telemetry fold, the E2E
+# Every Go benchmark once (allocator, event core, sessions, the E2E
 # request path); the paper's tables and figures are cmd/esgbench's.
 bench:
 	$(GO) test -bench . -benchtime=1x ./...

@@ -7,8 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"esgrid/internal/ldapd"
-	"esgrid/internal/mds"
 	"esgrid/internal/netlogger"
 	"esgrid/internal/simnet"
 	"esgrid/internal/telemetry"
@@ -88,13 +86,8 @@ type telemetryRun struct {
 func runTelemetryPlane(seed int64, sites, hostsPer, fanout, ticks int, slo telemetry.SLO, degrade bool) (telemetryRun, error) {
 	g := newRig(seed)
 	clk, n := g.Clock, g.Net
-	info, err := mds.New(ldapd.NewDir())
-	if err != nil {
-		return telemetryRun{}, err
-	}
 	p, err := telemetry.New(telemetry.Config{
-		Clock: clk, Ticks: ticks, Fanout: fanout,
-		SLO: slo, Info: info,
+		Clock: clk, Ticks: ticks, Fanout: fanout, SLO: slo,
 	})
 	if err != nil {
 		return telemetryRun{}, err

@@ -258,15 +258,6 @@ func (c *Client) Size(path string) (int64, error) {
 	return strconv.ParseInt(string(bytes.TrimSpace(r.Text)), 10, 64)
 }
 
-// Features returns the server's FEAT list.
-func (c *Client) Features() ([]string, error) {
-	r, err := c.simple("FEAT")
-	if err != nil {
-		return nil, err
-	}
-	return r.Body, nil
-}
-
 // negotiateData issues PASV or SPAS and returns the data addresses.
 func (c *Client) negotiateData() ([]string, error) {
 	if c.cfg.Striped {

@@ -328,3 +328,52 @@ func TestStorFailureDiscardsTempFile(t *testing.T) {
 		t.Errorf("temp files left behind: %v", left)
 	}
 }
+
+// An empty file moves whole in both directions, from and into a
+// MemStore and a DirStore: RETR and STOR answer 150 then 226, and the
+// store ends up holding an empty file.
+func TestRealEmptyFileGetPut(t *testing.T) {
+	mem := NewMemStore()
+	mem.Put("empty.nc", nil)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "empty.nc"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		store FileStore
+	}{{"MemStore", mem}, {"DirStore", NewDirStore(dir)}} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, addr := serveReal(t, Config{Store: tc.store})
+			c, err := Dial(ClientConfig{Clock: vtime.Real{}, Net: transport.Real{}, Parallelism: 2}, addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			sink := NewBytesSink(0)
+			var getErr, putErr, sizeErr error
+			var n int64
+			within(t, "empty Get and Put", func() {
+				if _, getErr = c.Get("empty.nc", sink); getErr != nil {
+					return
+				}
+				if _, putErr = c.Put("copy.nc", NewBytesSource(nil)); putErr != nil {
+					return
+				}
+				n, sizeErr = c.Size("copy.nc")
+			})
+			if getErr != nil {
+				t.Fatalf("Get of an empty file: %v", getErr)
+			}
+			if err := sink.Complete(); err != nil {
+				t.Fatal(err)
+			}
+			if putErr != nil {
+				t.Fatalf("Put of an empty file: %v", putErr)
+			}
+			if sizeErr != nil || n != 0 {
+				t.Fatalf("Size of the stored empty file = %d, %v; want 0", n, sizeErr)
+			}
+		})
+	}
+}

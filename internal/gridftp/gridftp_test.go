@@ -353,10 +353,11 @@ func TestRealChannelCachingReuse(t *testing.T) {
 func TestRealFeaturesAndErrors(t *testing.T) {
 	env := startRealServer(t, false)
 	c := realClient(t, env, 1)
-	feats, err := c.Features()
+	r, err := c.simple("FEAT")
 	if err != nil {
 		t.Fatal(err)
 	}
+	feats := r.Body
 	found := false
 	for _, f := range feats {
 		if f == "PARALLELISM" {

@@ -117,7 +117,7 @@ type session struct {
 	parallelism int
 	cache       bool
 	restRanges  []Extent
-	allocSize   int64
+	allocSize   int64  // from ALLO; -1 until one is sent
 	trid        string // life-line trace context from TRID
 
 	nodes []*nodeState
@@ -133,7 +133,7 @@ type nodeState struct {
 
 func (s *Server) handle(conn transport.Conn) {
 	ct := newCtrl(conn)
-	sess := &session{srv: s, ct: ct, parallelism: 1}
+	sess := &session{srv: s, ct: ct, parallelism: 1, allocSize: -1}
 	for _, n := range s.nodes {
 		sess.nodes = append(sess.nodes, &nodeState{node: n})
 	}
@@ -559,6 +559,9 @@ func (sess *session) takeRestRanges(size int64) []Extent {
 	rs := sess.restRanges
 	sess.restRanges = nil
 	if rs == nil {
+		if size == 0 {
+			return []Extent{} // an empty file: no blocks, only EOD
+		}
 		return []Extent{{Off: 0, Len: size}}
 	}
 	for i := range rs {
@@ -657,11 +660,11 @@ func (sess *session) runSend(src Source, ranges []Extent) error {
 }
 
 func (sess *session) cmdStor(path string) error {
-	if sess.allocSize <= 0 {
+	if sess.allocSize < 0 {
 		return sess.ct.reply(codeBadParam, "send ALLO with the file size before STOR")
 	}
 	size := sess.allocSize
-	sess.allocSize = 0
+	sess.allocSize = -1
 	sink, err := sess.srv.cfg.Store.Create(path, size)
 	if err != nil {
 		return sess.ct.reply(codeNoFile, "%v", err)

@@ -208,35 +208,3 @@ func TestHandshakeCostOnSimClock(t *testing.T) {
 		t.Fatalf("handshake cost consumed %v of virtual time, want 300ms", took)
 	}
 }
-
-func TestTokenSignAndVerify(t *testing.T) {
-	ca := testCA(t)
-	now := time.Now()
-	id, _ := ca.Issue("/CN=sim", now, time.Hour)
-	ts := NewTrustStore(ca)
-	tok := SignToken(id, []byte("stage /pcmdi/file.nc"))
-	subj, payload, err := ts.VerifyToken(tok, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if subj != "/CN=sim" || string(payload) != "stage /pcmdi/file.nc" {
-		t.Fatalf("subj=%q payload=%q", subj, payload)
-	}
-	tok.Payload = []byte("stage /secret")
-	if _, _, err := ts.VerifyToken(tok, now); err == nil {
-		t.Fatal("tampered token verified")
-	}
-}
-
-func TestEqualCredentials(t *testing.T) {
-	ca := testCA(t)
-	now := time.Now()
-	a, _ := ca.Issue("/CN=a", now, time.Hour)
-	b, _ := ca.Issue("/CN=b", now, time.Hour)
-	if !Equal(a.Credential, a.Credential) {
-		t.Fatal("credential not equal to itself")
-	}
-	if Equal(a.Credential, b.Credential) {
-		t.Fatal("distinct credentials compare equal")
-	}
-}

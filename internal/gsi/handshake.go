@@ -1,7 +1,6 @@
 package gsi
 
 import (
-	"bytes"
 	"crypto/ed25519"
 	"crypto/rand"
 	"errors"
@@ -179,45 +178,4 @@ func (c *Config) spendCPU() {
 	if c.HandshakeCost > 0 {
 		c.clock().Sleep(c.HandshakeCost)
 	}
-}
-
-// Token is a detached signed assertion, used by services (HRM, request
-// manager) to authenticate RPC requests without a full handshake.
-type Token struct {
-	Credential *Credential `json:"credential"`
-	Payload    []byte      `json:"payload"`
-	Signature  []byte      `json:"signature"`
-}
-
-// SignToken creates a token binding payload to the identity.
-func SignToken(id *Identity, payload []byte) *Token {
-	return &Token{
-		Credential: id.Credential,
-		Payload:    payload,
-		Signature:  ed25519.Sign(id.Key, append([]byte("esg-token:"), payload...)),
-	}
-}
-
-// VerifyToken checks the token signature and chain, returning the
-// effective subject and payload.
-func (ts *TrustStore) VerifyToken(t *Token, now time.Time) (string, []byte, error) {
-	if t == nil || t.Credential == nil {
-		return "", nil, errors.New("gsi: nil token")
-	}
-	subject, err := ts.Verify(t.Credential, now)
-	if err != nil {
-		return "", nil, err
-	}
-	if !ed25519.Verify(t.Credential.PublicKey, append([]byte("esg-token:"), t.Payload...), t.Signature) {
-		return "", nil, ErrBadSignature
-	}
-	return subject, t.Payload, nil
-}
-
-// Equal reports whether two credentials are byte-identical.
-func Equal(a, b *Credential) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	return bytes.Equal(a.payload(), b.payload()) && bytes.Equal(a.Signature, b.Signature)
 }

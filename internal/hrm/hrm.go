@@ -17,7 +17,6 @@ import (
 	"esgrid/internal/esgrpc"
 	"esgrid/internal/gridftp"
 	"esgrid/internal/gsi"
-	"esgrid/internal/netlogger"
 	"esgrid/internal/vtime"
 )
 
@@ -77,12 +76,6 @@ type HRM struct {
 	clk vtime.Clock
 	cfg Config
 
-	// Observability (Instrument): life-line events and the
-	// hrm.stage.wait histogram. Nil when uninstrumented.
-	host     string
-	nlog     *netlogger.Log
-	stageHst *netlogger.LogHistogram
-
 	mu      sync.Mutex
 	cond    vtime.Cond
 	archive map[string]TapeFile
@@ -113,16 +106,6 @@ func New(clk vtime.Clock, cfg Config) *HRM {
 	}
 	h.cond = clk.NewCond(&h.mu)
 	return h
-}
-
-// Instrument attaches observability: staging requests are logged as
-// hrm.stage.start/end events on host (tagged with any propagated trace
-// context) and waits feed the hrm.stage.wait histogram. Either argument
-// may be nil.
-func (h *HRM) Instrument(host string, log *netlogger.Log, metrics *netlogger.Registry) {
-	h.host = host
-	h.nlog = log
-	h.stageHst = metrics.LogHist("hrm.stage.wait")
 }
 
 // SetStageDelay injects d of extra tape-machinery latency (a stuck mount
@@ -173,36 +156,6 @@ func (h *HRM) IsStaged(name string) bool {
 // if necessary, and pins it until Release. It returns the time the
 // caller waited.
 func (h *HRM) Stage(name string) (time.Duration, error) {
-	return h.StageCtx(name, "")
-}
-
-// StageCtx is Stage carrying a life-line trace context ("" for none),
-// which tags the hrm.stage.start/end events of an instrumented HRM.
-func (h *HRM) StageCtx(name, trid string) (time.Duration, error) {
-	h.emitStage("hrm.stage.start", name, trid)
-	wait, err := h.stage(name)
-	h.stageHst.Observe(wait.Seconds())
-	if err != nil {
-		h.emitStage("hrm.stage.end", name, trid, "err", err.Error())
-	} else {
-		h.emitStage("hrm.stage.end", name, trid,
-			"wait_ms", fmt.Sprint(wait.Milliseconds()))
-	}
-	return wait, err
-}
-
-func (h *HRM) emitStage(event, name, trid string, kv ...string) {
-	if h.nlog == nil {
-		return
-	}
-	fields := append([]string{"file", name}, kv...)
-	if trid != "" {
-		fields = append(fields, "trid", trid)
-	}
-	h.nlog.Emit(h.host, event, fields...)
-}
-
-func (h *HRM) stage(name string) (time.Duration, error) {
 	start := h.clk.Now()
 	h.mu.Lock()
 	if err := h.faultErr; err != nil {
@@ -326,12 +279,10 @@ func (s *hrmStore) Create(name string, size int64) (gridftp.Sink, error) {
 
 // --- RPC service (the CORBA interface of §4) ---
 
-// StageRequest is the RPC payload for hrm.stage.
+// StageRequest is the RPC payload for hrm.stage and hrm.release. The RM
+// also sends its life-line trace context as "trid"; the HRM ignores it.
 type StageRequest struct {
 	File string `json:"file"`
-	// TRID is an optional life-line trace context propagated by the
-	// caller (the RM), correlating this staging with its request span.
-	TRID string `json:"trid,omitempty"`
 }
 
 // StageReply reports the staging outcome.
@@ -347,7 +298,7 @@ func (h *HRM) RegisterRPC(srv *esgrpc.Server) {
 		if err := json.Unmarshal(params, &req); err != nil {
 			return nil, err
 		}
-		wait, err := h.StageCtx(req.File, req.TRID)
+		wait, err := h.Stage(req.File)
 		if err != nil {
 			return nil, err
 		}

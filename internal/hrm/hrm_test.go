@@ -7,7 +7,6 @@ import (
 
 	"esgrid/internal/esgrpc"
 	"esgrid/internal/gridftp"
-	"esgrid/internal/netlogger"
 	"esgrid/internal/simnet"
 	"esgrid/internal/vtime"
 )
@@ -286,54 +285,6 @@ func TestStagedThenTransferred(t *testing.T) {
 		}
 		if err := sink.Complete(); err != nil {
 			t.Fatal(err)
-		}
-	})
-}
-
-func TestStageCtxEmitsTracedEvents(t *testing.T) {
-	clk := vtime.NewSim(5)
-	clk.Run(func() {
-		h := testHRM(clk)
-		nlog := netlogger.NewLog(clk)
-		metrics := netlogger.NewRegistry(clk)
-		h.Instrument("lbnl-hpss", nlog, metrics)
-		if _, err := h.StageCtx("a.nc", "7.3"); err != nil {
-			t.Fatal(err)
-		}
-		starts := nlog.Named("hrm.stage.start")
-		ends := nlog.Named("hrm.stage.end")
-		if len(starts) != 1 || len(ends) != 1 {
-			t.Fatalf("got %d start, %d end events", len(starts), len(ends))
-		}
-		for _, ev := range []netlogger.Event{starts[0], ends[0]} {
-			if ev.Fields["trid"] != "7.3" || ev.Fields["file"] != "a.nc" {
-				t.Errorf("event fields = %v", ev.Fields)
-			}
-			if ev.Host != "lbnl-hpss" {
-				t.Errorf("event host = %q", ev.Host)
-			}
-		}
-		if ends[0].Fields["wait_ms"] == "" {
-			t.Errorf("end event missing wait_ms: %v", ends[0].Fields)
-		}
-		hst := metrics.LogHist("hrm.stage.wait")
-		if hst.Count() != 1 {
-			t.Fatalf("stage.wait observations = %d, want 1", hst.Count())
-		}
-		// mount+seek+stream of 2GB ≈ 213s.
-		if m := hst.Tail().Max; m < 200 || m > 230 {
-			t.Errorf("stage wait %.1fs, want ~213s", m)
-		}
-		// Cache hit: second stage is instant and untraced waits still count.
-		if _, err := h.StageCtx("a.nc", ""); err != nil {
-			t.Fatal(err)
-		}
-		if hst.Count() != 2 {
-			t.Errorf("stage.wait observations = %d, want 2", hst.Count())
-		}
-		hits := nlog.Named("hrm.stage.start")
-		if got := hits[1].Fields["trid"]; got != "" {
-			t.Errorf("untraced stage trid = %q, want empty or absent", got)
 		}
 	})
 }

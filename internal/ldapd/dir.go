@@ -84,8 +84,8 @@ type Mod struct {
 	Values []string
 }
 
-// Directory is the operation set shared by the in-memory server (*Dir)
-// and the network client (*Client), so catalogs work against either.
+// Directory is the operation set the catalogs (mds, replica, metadata)
+// use; *Dir implements it.
 type Directory interface {
 	Add(dn string, attrs map[string][]string) error
 	Modify(dn string, mods []Mod) error

@@ -1,6 +1,7 @@
 package mds
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -24,26 +25,30 @@ func TestRegisterHostAndList(t *testing.T) {
 			t.Fatalf("RegisterHost(%s): %v", h.Name, err)
 		}
 	}
-	all, err := s.Hosts("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := searchHosts(t, s, "(objectclass=grishost)")
 	if len(all) != 3 {
-		t.Fatalf("Hosts(\"\") = %d entries, want 3", len(all))
+		t.Fatalf("host records = %d, want 3", len(all))
 	}
-	ncar, err := s.Hosts("ncar")
+	ncar := searchHosts(t, s, "(&(objectclass=grishost)(site=ncar))")
+	if len(ncar) != 1 || ncar[0].Get("hn") != "pcm-00.ncar.edu" {
+		t.Fatalf("ncar host records = %+v", ncar)
+	}
+	if svcs := ncar[0].GetAll("service"); len(svcs) != 2 || svcs[0] != "gridftp:2811" {
+		t.Fatalf("services = %v", svcs)
+	}
+	if none := searchHosts(t, s, "(site=llnl)"); len(none) != 0 {
+		t.Fatalf("llnl host records = %+v, want none", none)
+	}
+}
+
+// searchHosts returns the host records RegisterHost wrote that match filter.
+func searchHosts(t *testing.T, s *Service, filter string) []*ldapd.Entry {
+	t.Helper()
+	es, err := s.dir.Search("ou=hosts,"+s.base, ldapd.ScopeSub, filter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ncar) != 1 || ncar[0].Name != "pcm-00.ncar.edu" {
-		t.Fatalf("Hosts(ncar) = %+v", ncar)
-	}
-	if len(ncar[0].Services) != 2 || ncar[0].Services[0] != "gridftp:2811" {
-		t.Fatalf("services = %v", ncar[0].Services)
-	}
-	if none, _ := s.Hosts("llnl"); len(none) != 0 {
-		t.Fatalf("Hosts(llnl) = %+v, want none", none)
-	}
+	return es
 }
 
 func TestRegisterHostUpsert(t *testing.T) {
@@ -55,24 +60,21 @@ func TestRegisterHostUpsert(t *testing.T) {
 	if err := s.RegisterHost(HostInfo{Name: "dm.lbnl.gov", Site: "nersc", Services: []string{"gridftp:2811", "hrm:4811"}}); err != nil {
 		t.Fatalf("upsert: %v", err)
 	}
-	all, err := s.Hosts("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := searchHosts(t, s, "(objectclass=grishost)")
 	if len(all) != 1 {
 		t.Fatalf("upsert duplicated host: %+v", all)
 	}
-	if all[0].Site != "nersc" || len(all[0].Services) != 2 {
+	if all[0].Get("site") != "nersc" || len(all[0].GetAll("service")) != 2 {
 		t.Fatalf("upsert did not replace attrs: %+v", all[0])
 	}
 }
 
-func TestHostsSearchError(t *testing.T) {
+func TestRegisterHostError(t *testing.T) {
 	// A Service over a directory whose hosts OU was never created: the
-	// search has no base entry, so Hosts must surface the error.
+	// add has no parent entry, so RegisterHost must surface the error.
 	s := &Service{dir: ldapd.NewDir(), base: Base}
-	if _, err := s.Hosts(""); err == nil {
-		t.Fatal("Hosts over empty directory: want error")
+	if err := s.RegisterHost(HostInfo{Name: "dm.lbnl.gov", Site: "lbnl"}); !errors.Is(err, ldapd.ErrNoSuchParent) {
+		t.Fatalf("RegisterHost over empty directory: got %v, want ErrNoSuchParent", err)
 	}
 }
 

@@ -74,27 +74,6 @@ func (s *Service) RegisterHost(h HostInfo) error {
 	return err
 }
 
-// Hosts lists registered hosts, optionally filtered by site ("" = all).
-func (s *Service) Hosts(site string) ([]HostInfo, error) {
-	filter := "(objectclass=grishost)"
-	if site != "" {
-		filter = fmt.Sprintf("(&(objectclass=grishost)(site=%s))", site)
-	}
-	es, err := s.dir.Search("ou=hosts,"+s.base, ldapd.ScopeSub, filter)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]HostInfo, 0, len(es))
-	for _, e := range es {
-		out = append(out, HostInfo{
-			Name:     e.Get("hn"),
-			Site:     e.Get("site"),
-			Services: e.GetAll("service"),
-		})
-	}
-	return out, nil
-}
-
 // NetForecast is one published NWS forecast for a directed host pair.
 type NetForecast struct {
 	From, To     string
@@ -330,85 +309,5 @@ func decodePathHealth(e *ldapd.Entry) PathHealth {
 		ObservedBps: obs,
 		ForecastBps: fc,
 		Updated:     updated,
-	}
-}
-
-// GridHealth is a telemetry-tree rollup: the grid root's folded verdict
-// for the whole grid (Scope "grid") or one site (Scope "site:<name>").
-// Unlike HostHealth these records summarize a population — Hosts leaf
-// hosts folded through the aggregation tree at tick Tick.
-type GridHealth struct {
-	Scope      string // "grid" | "site:<name>"
-	Status     string // ok | degraded | down
-	Hosts      int
-	Tick       int64 // Epoch-grid tick index of the fold
-	GoodputBps float64
-	StageP999s float64 // worst stage-latency p999 across the scope, seconds
-	Updated    time.Time
-}
-
-func gridHealthDN(base, scope string) string {
-	return fmt.Sprintf("gh=%s,ou=health,%s", scope, base)
-}
-
-// PublishGridHealth upserts the rollup record for a scope.
-func (s *Service) PublishGridHealth(g GridHealth) error {
-	vals := map[string][]string{
-		"objectclass": {"telgridhealth"},
-		"gh":          {g.Scope},
-		"status":      {g.Status},
-		"hosts":       {strconv.Itoa(g.Hosts)},
-		"tick":        {strconv.FormatInt(g.Tick, 10)},
-		"goodputbps":  {formatFloat(g.GoodputBps)},
-		"stagep999s":  {formatFloat(g.StageP999s)},
-		"updated":     {g.Updated.UTC().Format(time.RFC3339Nano)},
-	}
-	return s.upsert(gridHealthDN(s.base, g.Scope), vals)
-}
-
-// GridHealthFor reads one scope's rollup record.
-func (s *Service) GridHealthFor(scope string) (GridHealth, error) {
-	es, err := s.dir.Search(gridHealthDN(s.base, scope), ldapd.ScopeBase, "")
-	if err != nil {
-		return GridHealth{}, fmt.Errorf("mds: no grid health for %s: %w", scope, err)
-	}
-	return decodeGridHealth(es[0]), nil
-}
-
-// GridHealths returns all published rollups sorted by scope ("grid"
-// first, then sites lexicographically).
-func (s *Service) GridHealths() ([]GridHealth, error) {
-	es, err := s.dir.Search("ou=health,"+s.base, ldapd.ScopeSub, "(objectclass=telgridhealth)")
-	if err != nil {
-		return nil, err
-	}
-	out := make([]GridHealth, 0, len(es))
-	for _, e := range es {
-		out = append(out, decodeGridHealth(e))
-	}
-	sort.Slice(out, func(i, j int) bool {
-		gi, gj := out[i].Scope == "grid", out[j].Scope == "grid"
-		if gi != gj {
-			return gi
-		}
-		return out[i].Scope < out[j].Scope
-	})
-	return out, nil
-}
-
-func decodeGridHealth(e *ldapd.Entry) GridHealth {
-	hosts, _ := strconv.Atoi(e.Get("hosts"))
-	tick, _ := strconv.ParseInt(e.Get("tick"), 10, 64)
-	gp, _ := strconv.ParseFloat(e.Get("goodputbps"), 64)
-	p999, _ := strconv.ParseFloat(e.Get("stagep999s"), 64)
-	updated, _ := time.Parse(time.RFC3339Nano, e.Get("updated"))
-	return GridHealth{
-		Scope:      e.Get("gh"),
-		Status:     e.Get("status"),
-		Hosts:      hosts,
-		Tick:       tick,
-		GoodputBps: gp,
-		StageP999s: p999,
-		Updated:    updated,
 	}
 }

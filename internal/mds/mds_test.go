@@ -116,44 +116,6 @@ func TestHostHealthRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGridHealthRoundTrip(t *testing.T) {
-	s := testService(t)
-	when := time.Date(2000, 11, 6, 8, 0, 30, 0, time.UTC)
-	rolls := []GridHealth{
-		{Scope: "site:s01", Status: HealthDegraded, Hosts: 8, Tick: 30, GoodputBps: 60e6, StageP999s: 4.25, Updated: when},
-		{Scope: "grid", Status: HealthOK, Hosts: 32, Tick: 30, GoodputBps: 240e6, StageP999s: 4.25, Updated: when},
-		{Scope: "site:s00", Status: HealthOK, Hosts: 8, Tick: 30, GoodputBps: 80e6, StageP999s: 1.5, Updated: when},
-	}
-	for _, g := range rolls {
-		if err := s.PublishGridHealth(g); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := s.GridHealthFor("grid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != rolls[1] {
-		t.Fatalf("round trip: got %+v want %+v", got, rolls[1])
-	}
-	// Upsert replaces in place; listing is grid-first then site order.
-	rolls[1].Status = HealthDegraded
-	if err := s.PublishGridHealth(rolls[1]); err != nil {
-		t.Fatal(err)
-	}
-	all, err := s.GridHealths()
-	if err != nil || len(all) != 3 {
-		t.Fatalf("GridHealths = %v, %v", all, err)
-	}
-	if all[0].Scope != "grid" || all[0].Status != HealthDegraded ||
-		all[1].Scope != "site:s00" || all[2].Scope != "site:s01" {
-		t.Fatalf("order/upsert: %+v", all)
-	}
-	if _, err := s.GridHealthFor("site:ghost"); err == nil {
-		t.Fatal("missing grid health returned")
-	}
-}
-
 func TestPathHealthRoundTrip(t *testing.T) {
 	s := testService(t)
 	p := PathHealth{

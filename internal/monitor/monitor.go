@@ -565,13 +565,11 @@ type TransferStat struct {
 	Attempts int     `json:"attempts"`
 }
 
+// StageStat is one stage-latency histogram's report row; the telemetry
+// grid snapshot carries the same rows.
 type StageStat struct {
-	Stage string  `json:"stage"`
-	N     int64   `json:"n"`
-	P50   float64 `json:"p50_s"`
-	P99   float64 `json:"p99_s"`
-	P999  float64 `json:"p999_s"`
-	Max   float64 `json:"max_s"`
+	Stage string `json:"stage"`
+	netlogger.Tail
 }
 
 type Snapshot struct {
@@ -613,11 +611,7 @@ func (m *Monitor) Snapshot(now time.Time) Snapshot {
 	}
 	sort.Strings(stages)
 	for _, st := range stages {
-		tail := m.stages[st].Tail()
-		s.Stages = append(s.Stages, StageStat{
-			Stage: st, N: tail.N,
-			P50: tail.P50, P99: tail.P99, P999: tail.P999, Max: tail.Max,
-		})
+		s.Stages = append(s.Stages, StageStat{Stage: st, Tail: m.stages[st].Tail()})
 	}
 	s.Alerts = append(s.Alerts, m.alerts...)
 	return s

@@ -114,10 +114,14 @@ func (h *LogHistogram) Count() int64 {
 }
 
 // Tail bundles the tail-latency row the experiments report instead of
-// means: p50/p99/p999 and the observed max, in seconds.
+// means: p50/p99/p999 and the observed max, in seconds. The JSON keys
+// are the stage rows' on the telemetry stream and in mon.snapshot.
 type Tail struct {
-	N                   int64
-	P50, P99, P999, Max float64
+	N    int64   `json:"count"`
+	P50  float64 `json:"p50_s"`
+	P99  float64 `json:"p99_s"`
+	P999 float64 `json:"p999_s"`
+	Max  float64 `json:"max_s"`
 }
 
 // Tail snapshots the standard report quantiles. They clamp to the

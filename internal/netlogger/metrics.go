@@ -1,8 +1,8 @@
 // Metrics registry: named counters, gauges, and log-bucketed latency
 // histograms sampled in virtual time. Components register instruments
 // lazily by name (gridftp.control.rtts, rm.retries, simnet.flows.active,
-// hrm.stage.wait, ...) and the registry renders a deterministic snapshot
-// table for experiment reports. All three kinds are mergeable (sketch.go):
+// ...) and the registry renders a deterministic snapshot table for
+// experiment reports. All three kinds are mergeable (sketch.go):
 // host, site, and grid tiers report from this one sketch family.
 //
 // Like the tracer, a nil *Registry hands out nil instruments whose

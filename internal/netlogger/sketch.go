@@ -57,48 +57,30 @@ func (h *LogHistogram) snapshot() (s HistSnapshot, top float64) {
 // Merge returns the snapshot of the union of the two observation sets.
 // It is associative, commutative, and has the zero snapshot as
 // identity; all arithmetic is integral, so any fold tree over the same
-// multiset of snapshots produces bit-identical bytes.
+// multiset of snapshots produces bit-identical bytes. The result shares
+// no storage with s or o.
 func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
-	out, _ := s.clone().MergeInPlace(o, nil)
-	return out
-}
-
-func (s HistSnapshot) clone() HistSnapshot {
-	s.Buckets = append([]BucketCount(nil), s.Buckets...)
+	if o.N != 0 {
+		if s.N == 0 {
+			s.MinNs, s.MaxNs = o.MinNs, o.MaxNs
+		} else {
+			if o.MinNs < s.MinNs {
+				s.MinNs = o.MinNs
+			}
+			if o.MaxNs > s.MaxNs {
+				s.MaxNs = o.MaxNs
+			}
+		}
+		s.N += o.N
+		s.SumNs += o.SumNs
+	}
+	s.Buckets = mergeBuckets(s.Buckets, o.Buckets)
 	return s
 }
 
-// MergeInPlace folds o into s using scratch as the bucket workspace. It
-// returns the merged snapshot (whose Buckets alias the workspace) and
-// the displaced former bucket slice for reuse as the next call's
-// workspace. Once the workspace has grown to the steady-state bucket
-// population, the fold path allocates nothing — the property
-// BenchmarkTelemetryFold guards.
-func (s HistSnapshot) MergeInPlace(o HistSnapshot, scratch []BucketCount) (HistSnapshot, []BucketCount) {
-	if o.N == 0 {
-		return s, scratch
-	}
-	if s.N == 0 {
-		s.MinNs, s.MaxNs = o.MinNs, o.MaxNs
-	} else {
-		if o.MinNs < s.MinNs {
-			s.MinNs = o.MinNs
-		}
-		if o.MaxNs > s.MaxNs {
-			s.MaxNs = o.MaxNs
-		}
-	}
-	s.N += o.N
-	s.SumNs += o.SumNs
-	merged := mergeBuckets(scratch[:0], s.Buckets, o.Buckets)
-	old := s.Buckets
-	s.Buckets = merged
-	return s, old
-}
-
-// mergeBuckets merges two Idx-sorted runs into dst (reused when its
-// capacity suffices).
-func mergeBuckets(dst, a, b []BucketCount) []BucketCount {
+// mergeBuckets merges two Idx-sorted runs into a fresh slice.
+func mergeBuckets(a, b []BucketCount) []BucketCount {
+	var dst []BucketCount
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {

@@ -87,46 +87,6 @@ func TestHistSnapshotQuantilesMatchLiveHistogram(t *testing.T) {
 	}
 }
 
-func TestHistSnapshotMergeInPlaceMatchesMerge(t *testing.T) {
-	vals := sketchSamples(17, 2000)
-	a := histOf(vals[:1000]).Snapshot()
-	b := histOf(vals[1000:]).Snapshot()
-	want := a.Merge(b)
-	got, _ := a.clone().MergeInPlace(b, nil)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("MergeInPlace != Merge:\n%+v\n%+v", got, want)
-	}
-}
-
-func TestHistSnapshotFoldAllocFree(t *testing.T) {
-	children := make([]HistSnapshot, 16)
-	for i := range children {
-		children[i] = histOf(sketchSamples(int64(100+i), 400)).Snapshot()
-	}
-	// Steady state: the accumulator and workspace have seen one full
-	// round, so every later fold reuses their storage.
-	var acc HistSnapshot
-	var scratch []BucketCount
-	fold := func() {
-		acc = HistSnapshot{Buckets: acc.Buckets[:0]}
-		for _, c := range children {
-			acc, scratch = acc.MergeInPlace(c, scratch)
-		}
-	}
-	fold()
-	fold()
-	if n := testing.AllocsPerRun(50, fold); n != 0 {
-		t.Fatalf("steady-state fold allocates %.1f/op, want 0", n)
-	}
-	want := HistSnapshot{}
-	for _, c := range children {
-		want = want.Merge(c)
-	}
-	if string(encode(t, acc)) != string(encode(t, want)) {
-		t.Fatalf("alloc-free fold diverged from pure merge")
-	}
-}
-
 func TestGaugeSummaryMerge(t *testing.T) {
 	var g1, g2 Gauge
 	g1.Set(3)

@@ -230,23 +230,27 @@ func TestMDSHostRegistry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	all, err := svc.Hosts("")
-	if err != nil {
-		t.Fatal(err)
+	hosts := func(filter string) []*ldapd.Entry {
+		t.Helper()
+		es, err := dir.Search("ou=hosts,"+mds.Base, ldapd.ScopeSub, filter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return es
 	}
-	if len(all) != 2 {
+	if all := hosts("(objectclass=grishost)"); len(all) != 2 {
 		t.Fatalf("hosts = %d, want 2", len(all))
 	}
-	lbnl, _ := svc.Hosts("lbnl")
-	if len(lbnl) != 1 || lbnl[0].Name != "pdsf.lbl.gov" {
+	lbnl := hosts("(site=lbnl)")
+	if len(lbnl) != 1 || lbnl[0].Get("hn") != "pdsf.lbl.gov" {
 		t.Fatalf("lbnl hosts = %v", lbnl)
 	}
 	// Re-register updates in place.
 	if err := svc.RegisterHost(mds.HostInfo{Name: "pdsf.lbl.gov", Site: "lbnl", Services: []string{"hrm:4001"}}); err != nil {
 		t.Fatal(err)
 	}
-	lbnl, _ = svc.Hosts("lbnl")
-	if len(lbnl) != 1 || len(lbnl[0].Services) != 1 || lbnl[0].Services[0] != "hrm:4001" {
+	lbnl = hosts("(site=lbnl)")
+	if len(lbnl) != 1 || len(lbnl[0].GetAll("service")) != 1 || lbnl[0].Get("service") != "hrm:4001" {
 		t.Fatalf("after update: %+v", lbnl)
 	}
 }

@@ -1,12 +1,8 @@
 package rm
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
-
-	"esgrid/internal/esgrpc"
-	"esgrid/internal/gsi"
 )
 
 // RenderMonitor draws the request's state as the text analog of the
@@ -59,67 +55,4 @@ func RenderMonitor(r *Request, width int) string {
 		fmt.Fprintf(&b, "%s\n", msg)
 	}
 	return b.String()
-}
-
-// --- RPC facade: the CORBA interface CDAT calls (§4) ---
-
-// SubmitArgs is the rm.submit payload.
-type SubmitArgs struct {
-	User       string        `json:"user"`
-	Collection string        `json:"collection"`
-	Files      []FileRequest `json:"files"`
-}
-
-// SubmitReply carries the request id.
-type SubmitReply struct {
-	ID int `json:"id"`
-}
-
-// StatusArgs selects a request.
-type StatusArgs struct {
-	ID int `json:"id"`
-}
-
-// StatusReply is the monitor snapshot.
-type StatusReply struct {
-	Files    []FileStatus `json:"files"`
-	Messages []string     `json:"messages"`
-	Done     bool         `json:"done"`
-}
-
-// RegisterRPC exposes the manager on an esgrpc server under "rm.*".
-func (m *Manager) RegisterRPC(srv *esgrpc.Server) {
-	srv.Handle("rm.submit", func(peer *gsi.Peer, params json.RawMessage) (any, error) {
-		var args SubmitArgs
-		if err := json.Unmarshal(params, &args); err != nil {
-			return nil, err
-		}
-		user := args.User
-		if peer != nil {
-			user = peer.Subject
-		}
-		req, err := m.Submit(user, args.Collection, args.Files)
-		if err != nil {
-			return nil, err
-		}
-		return SubmitReply{ID: req.ID}, nil
-	})
-	srv.Handle("rm.status", func(_ *gsi.Peer, params json.RawMessage) (any, error) {
-		var args StatusArgs
-		if err := json.Unmarshal(params, &args); err != nil {
-			return nil, err
-		}
-		req := m.Request(args.ID)
-		if req == nil {
-			return nil, fmt.Errorf("rm: unknown request %d", args.ID)
-		}
-		files := req.Status()
-		done := true
-		for _, f := range files {
-			if f.State != StateDone && f.State != StateFailed {
-				done = false
-			}
-		}
-		return StatusReply{Files: files, Messages: req.Messages(), Done: done}, nil
-	})
 }

@@ -155,7 +155,6 @@ type Manager struct {
 
 	mu     sync.Mutex
 	nextID int
-	reqs   map[int]*Request
 	sem    *clockSem
 }
 
@@ -222,7 +221,7 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.HRMPort == 0 {
 		cfg.HRMPort = 4811
 	}
-	m := &Manager{cfg: cfg, reqs: map[int]*Request{}}
+	m := &Manager{cfg: cfg}
 	if cfg.MaxConcurrent > 0 {
 		m.sem = newClockSem(cfg.Clock, cfg.MaxConcurrent)
 	}
@@ -291,7 +290,6 @@ func (m *Manager) Submit(user, collection string, files []FileRequest) (*Request
 	m.nextID++
 	req := &Request{ID: m.nextID, User: user, Collection: collection, m: m, open: len(files)}
 	req.done = m.cfg.Clock.NewCond(&req.mu)
-	m.reqs[req.ID] = req
 	m.mu.Unlock()
 	req.span = m.cfg.Tracer.StartTrace("rm.request", m.cfg.LocalHost,
 		"user", user, "collection", collection, "files", fmt.Sprint(len(files)))
@@ -313,13 +311,6 @@ func (m *Manager) Submit(user, collection string, files []FileRequest) (*Request
 	}
 	m.emit(req, "request %d: %d file(s) submitted by %s", req.ID, len(files), user)
 	return req, nil
-}
-
-// Request returns a submitted request by id (nil if unknown).
-func (m *Manager) Request(id int) *Request {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.reqs[id]
 }
 
 // Status snapshots all file states.

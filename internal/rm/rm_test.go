@@ -350,51 +350,6 @@ func TestMonitorRendering(t *testing.T) {
 	})
 }
 
-func TestRPCFacade(t *testing.T) {
-	g := buildGrid(t, 8)
-	g.clk.Run(func() {
-		g.startServers(t)
-		g.startNWS()
-		m := g.manager(t, nil)
-		srv := esgrpc.NewServer(g.clk, nil)
-		m.RegisterRPC(srv)
-		// Serve the RM RPC on a separate port of the client host (the RM
-		// runs at the user's site in the prototype).
-		l, _ := g.client.Listen(":4900")
-		g.clk.Go(func() { srv.Serve(l) })
-		cli, err := esgrpc.Dial(g.clk, g.client, "desk:4900", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cli.Close()
-		var rep SubmitReply
-		if err := cli.Call("rm.submit", SubmitArgs{
-			User: "cdat", Collection: "pcm-monthly",
-			Files: []FileRequest{{Name: "pcm.tas.1998-01.nc"}},
-		}, &rep); err != nil {
-			t.Fatal(err)
-		}
-		// Poll status until done, as VCDAT's monitor does.
-		deadline := g.clk.Now().Add(5 * time.Minute)
-		for {
-			var st StatusReply
-			if err := cli.Call("rm.status", StatusArgs{ID: rep.ID}, &st); err != nil {
-				t.Fatal(err)
-			}
-			if st.Done {
-				if st.Files[0].State != StateDone {
-					t.Fatalf("file state = %v", st.Files[0].State)
-				}
-				break
-			}
-			if g.clk.Now().After(deadline) {
-				t.Fatal("request did not finish")
-			}
-			g.clk.Sleep(2 * time.Second)
-		}
-	})
-}
-
 func TestSubmitValidation(t *testing.T) {
 	g := buildGrid(t, 9)
 	g.clk.Run(func() {
@@ -458,9 +413,6 @@ func TestMultipleUsersConcurrently(t *testing.T) {
 		// Distinct request ids, correct attribution.
 		if reqs[0].ID == reqs[1].ID || reqs[1].User != "/CN=williams" {
 			t.Fatal("request identity broken")
-		}
-		if m.Request(reqs[2].ID) != reqs[2] {
-			t.Fatal("lookup by id broken")
 		}
 	})
 }

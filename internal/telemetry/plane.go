@@ -95,8 +95,6 @@ type Config struct {
 	// (default 4, minimum 2).
 	Fanout int
 	SLO    SLO
-	// Info, when set, receives ou=health grid rollups each tick.
-	Info *mds.Service
 }
 
 // TierTraffic is the observer-path cost of one tree tier: every frame
@@ -107,29 +105,18 @@ type TierTraffic struct {
 	Bytes  int64  `json:"bytes"`
 }
 
-// StageTail is one stage histogram's report quantiles in the grid
-// rollup.
-type StageTail struct {
-	Stage string  `json:"stage"`
-	N     int64   `json:"count"`
-	P50   float64 `json:"p50_s"`
-	P99   float64 `json:"p99_s"`
-	P999  float64 `json:"p999_s"`
-	Max   float64 `json:"max_s"`
-}
-
 // GridSnapshot is the root's published view of one tick. Timestamps are
 // the logical tick boundary, never a message arrival instant, so equal
 // seeds produce byte-identical snapshots at any tree fanout.
 type GridSnapshot struct {
-	Tick       int64       `json:"tick"`
-	TS         string      `json:"ts"`
-	Hosts      int64       `json:"hosts"`
-	Sites      int         `json:"sites"`
-	GoodputBps float64     `json:"goodput_bps"`
-	Status     string      `json:"status"`
-	Stages     []StageTail `json:"stages,omitempty"`
-	SiteRows   []SiteRow   `json:"site_rows,omitempty"`
+	Tick       int64               `json:"tick"`
+	TS         string              `json:"ts"`
+	Hosts      int64               `json:"hosts"`
+	Sites      int                 `json:"sites"`
+	GoodputBps float64             `json:"goodput_bps"`
+	Status     string              `json:"status"`
+	Stages     []monitor.StageStat `json:"stages,omitempty"`
+	SiteRows   []SiteRow           `json:"site_rows,omitempty"`
 }
 
 // TickTime maps a tick index back to its boundary instant on the
@@ -441,10 +428,9 @@ func (a *aggNode) run() {
 		defer up.Close()
 	}
 
-	var acc Accumulator
 	var rows []SiteRow
 	for t := 0; t < p.cfg.Ticks; t++ {
-		acc.Reset()
+		var sum Summary
 		rows = rows[:0]
 		tick := int64(-1)
 		for _, child := range a.children {
@@ -466,10 +452,9 @@ func (a *aggNode) run() {
 				p.fail(fmt.Errorf("telemetry: %s: tick skew %d vs %d from %s", a.name, f.Tick, tick, child))
 				return
 			}
-			acc.Add(f.Sum)
+			sum = Merge(sum, f.Sum)
 			rows = append(rows, f.Sites...)
 		}
-		sum := acc.Sum()
 		if a.isSite {
 			rows = append(rows[:0], a.siteRow(sum))
 		}
@@ -525,13 +510,13 @@ func (s SLO) goodputBreach(goodputBps float64, hosts int64) bool {
 
 // stageTails returns the tail row of each stage histogram in sum, and
 // the worst p999 among them with the stage that owns it.
-func stageTails(sum Summary) (rows []StageTail, p999 float64, worst string) {
+func stageTails(sum Summary) (rows []monitor.StageStat, p999 float64, worst string) {
 	for _, nh := range sum.Hists {
 		if !strings.HasPrefix(nh.Name, stagePrefix) {
 			continue
 		}
 		t := nh.H.Tail()
-		rows = append(rows, StageTail{Stage: nh.Name, N: t.N, P50: t.P50, P99: t.P99, P999: t.P999, Max: t.Max})
+		rows = append(rows, monitor.StageStat{Stage: nh.Name, Tail: t})
 		if t.P999 > p999 {
 			p999, worst = t.P999, nh.Name
 		}
@@ -540,8 +525,8 @@ func stageTails(sum Summary) (rows []StageTail, p999 float64, worst string) {
 }
 
 // rootFold finalises one tick at the grid root: derive the rollup,
-// advance the SLO burn streaks, fire rising-edge alerts, publish
-// ou=health entries, and append the JSONL record stream.
+// advance the SLO burn streaks, fire rising-edge alerts, and append the
+// JSONL record stream.
 func (p *Plane) rootFold(tick int64, sum Summary, rows []SiteRow) {
 	ts := TickTime(tick, tickPeriod)
 	tsStr := ts.UTC().Format(time.RFC3339Nano)
@@ -581,26 +566,6 @@ func (p *Plane) rootFold(tick int64, sum Summary, rows []SiteRow) {
 		p.fireAlert(ts, "slo.goodput.burn", goodputCounter, fmt.Sprintf(
 			"grid goodput %.3g bps under floor %.3g bps for %d ticks",
 			goodput, p.cfg.SLO.GoodputMinBps*float64(sum.Hosts), burnTicks))
-	}
-
-	if p.cfg.Info != nil {
-		err := p.cfg.Info.PublishGridHealth(mds.GridHealth{
-			Scope: "grid", Status: status, Hosts: int(sum.Hosts), Tick: tick,
-			GoodputBps: goodput, StageP999s: p999, Updated: ts,
-		})
-		for _, r := range rows {
-			if err != nil {
-				break
-			}
-			err = p.cfg.Info.PublishGridHealth(mds.GridHealth{
-				Scope: "site:" + r.Site, Status: r.Status, Hosts: int(r.Hosts),
-				Tick: tick, GoodputBps: r.GoodputBps, StageP999s: r.StageP999s,
-				Updated: ts,
-			})
-		}
-		if err != nil && p.err == nil {
-			p.err = fmt.Errorf("telemetry: mds publish: %w", err)
-		}
 	}
 
 	if len(p.grids) >= p.cfg.Ticks {

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"esgrid/internal/ldapd"
 	"esgrid/internal/mds"
 	"esgrid/internal/netlogger"
 	"esgrid/internal/simnet"
@@ -24,7 +23,6 @@ type gridRun struct {
 	lastSum string
 	grids   []GridSnapshot
 	traffic []TierTraffic
-	health  []mds.GridHealth
 	render  string
 }
 
@@ -33,14 +31,7 @@ func runGrid(t *testing.T, seed int64, sites, hostsPer, fanout, ticks int, slo S
 	clk := vtime.NewSim(seed)
 	n := simnet.New(clk)
 
-	info, err := mds.New(ldapd.NewDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := New(Config{
-		Clock: clk, Ticks: ticks, Fanout: fanout,
-		SLO: slo, Info: info,
-	})
+	p, err := New(Config{Clock: clk, Ticks: ticks, Fanout: fanout, SLO: slo})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,14 +107,11 @@ func runGrid(t *testing.T, seed int64, sites, hostsPer, fanout, ticks int, slo S
 		t.Fatalf("root fold != flat fold of all hosts:\n%s\n%s", gotLast, wantRef)
 	}
 
-	health, err := info.GridHealths()
-	if err != nil {
-		t.Fatal(err)
-	}
+	grids := p.Grids()
 	return gridRun{
 		jsonl: p.TelemetryJSONL(), alerts: p.AlertJSONL(),
-		lastSum: string(gotLast), grids: p.Grids(),
-		traffic: p.Traffic(), health: health, render: p.RenderGrid(),
+		lastSum: string(gotLast), grids: grids, traffic: p.Traffic(),
+		render: RenderGridSnapshot(grids[len(grids)-1], p.Traffic()),
 	}
 }
 
@@ -220,16 +208,14 @@ func TestPlaneSLOBurnAlertsAndHealth(t *testing.T) {
 	if r.grids[0].Status != mds.HealthDegraded || r.grids[ticks-1].Status != mds.HealthDown {
 		t.Fatalf("grid status progression: %s .. %s", r.grids[0].Status, r.grids[ticks-1].Status)
 	}
-	// mds carries the same rollup: grid scope first, then each site.
-	if len(r.health) != 1+sites {
-		t.Fatalf("health rows = %+v", r.health)
+	// The last snapshot carries the whole rollup: the grid verdict,
+	// then each site's.
+	last := r.grids[ticks-1]
+	if last.Tick != int64(ticks) || last.Hosts != sites*hostsPer || len(last.SiteRows) != sites {
+		t.Fatalf("grid health = %+v", last)
 	}
-	if r.health[0].Scope != "grid" || r.health[0].Status != mds.HealthDown ||
-		r.health[0].Tick != int64(ticks) || r.health[0].Hosts != sites*hostsPer {
-		t.Fatalf("grid health = %+v", r.health[0])
-	}
-	if r.health[1].Scope != "site:s00" || r.health[1].Status != mds.HealthDown {
-		t.Fatalf("site health = %+v", r.health[1])
+	if s00 := last.SiteRows[0]; s00.Site != "s00" || s00.Status != mds.HealthDown {
+		t.Fatalf("site health = %+v", s00)
 	}
 }
 
@@ -381,13 +367,11 @@ func runGridPlane(t *testing.T) *Plane {
 }
 
 func TestRenderGridEmptyAndUnits(t *testing.T) {
-	clk := vtime.NewSim(1)
-	p, err := New(Config{Clock: clk, Ticks: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.RenderGrid(); !strings.Contains(got, "no snapshot") {
-		t.Fatalf("empty render = %q", got)
+	got := RenderGridSnapshot(GridSnapshot{}, nil)
+	for _, section := range []string{"stage ", "site ", "observer traffic"} {
+		if strings.Contains(got, section) {
+			t.Fatalf("empty render has a %q section:\n%s", section, got)
+		}
 	}
 	for v, want := range map[float64]string{
 		2.5e9: "2.50 Gb/s", 5e6: "5.00 Mb/s", 1.2e3: "1.20 kb/s", 42: "42 b/s",

@@ -88,15 +88,6 @@ func RenderGridSnapshot(g GridSnapshot, traffic []TierTraffic) string {
 	return b.String()
 }
 
-// RenderGrid formats the plane's latest snapshot and traffic totals.
-func (p *Plane) RenderGrid() string {
-	g, ok := p.Latest()
-	if !ok {
-		return "grid: no snapshot yet\n"
-	}
-	return RenderGridSnapshot(g, p.Traffic())
-}
-
 func fmtBps(v float64) string {
 	switch {
 	case v >= 1e9:

@@ -71,9 +71,8 @@ func (s Summary) Hist(name string) (netlogger.HistSnapshot, bool) {
 }
 
 // Merge folds two summaries into a fresh one: matching rows merge,
-// unmatched rows pass through, hosts add. It is the allocation-happy
-// reference implementation; the tree's hot path uses Accumulator,
-// whose property tests pin it to this function byte for byte.
+// unmatched rows pass through, hosts add. Every aggregator folds its
+// children's frames with it, one tick at a time.
 func Merge(a, b Summary) Summary {
 	out := Summary{Tick: a.Tick, Hosts: a.Hosts + b.Hosts}
 	if a.Hosts == 0 && a.Tick == 0 {
@@ -130,87 +129,6 @@ func Merge(a, b Summary) Summary {
 	}
 	return out
 }
-
-// Accumulator folds child summaries into one without allocating in the
-// steady state. The fast path applies when a child's instrument names
-// align with the accumulated shape — which is every fold after the
-// first once a tree is running, since every host reports the same
-// instrument set tick after tick. Misaligned children fall back to the
-// reference Merge. The result is bit-identical to folding with Merge
-// in the same order (and therefore, by the merge laws, in any order).
-type Accumulator struct {
-	sum   Summary
-	bwork [][]netlogger.BucketCount // per-histogram merge workspace
-	n     int                       // children folded since Reset
-}
-
-// Reset clears the accumulated values while keeping the shape and the
-// storage, so the next round of aligned folds allocates nothing.
-func (a *Accumulator) Reset() {
-	a.sum.Tick, a.sum.Hosts, a.n = 0, 0, 0
-	for i := range a.sum.Counters {
-		a.sum.Counters[i].V = 0
-	}
-	for i := range a.sum.Gauges {
-		a.sum.Gauges[i].G = netlogger.GaugeSummary{}
-	}
-	for i := range a.sum.Hists {
-		h := &a.sum.Hists[i].H
-		*h = netlogger.HistSnapshot{Buckets: h.Buckets[:0]}
-	}
-}
-
-// Add folds one child summary into the accumulator.
-func (a *Accumulator) Add(s Summary) {
-	a.n++
-	a.sum.Tick = s.Tick
-	if !a.aligned(s) {
-		hosts := a.sum.Hosts
-		a.sum = Merge(a.sum, s).Clone()
-		a.sum.Hosts = hosts + s.Hosts
-		a.bwork = make([][]netlogger.BucketCount, len(a.sum.Hists))
-		return
-	}
-	a.sum.Hosts += s.Hosts
-	for i := range s.Counters {
-		a.sum.Counters[i].V += s.Counters[i].V
-	}
-	for i := range s.Gauges {
-		a.sum.Gauges[i].G = a.sum.Gauges[i].G.Merge(s.Gauges[i].G)
-	}
-	for i := range s.Hists {
-		a.sum.Hists[i].H, a.bwork[i] = a.sum.Hists[i].H.MergeInPlace(s.Hists[i].H, a.bwork[i])
-	}
-}
-
-func (a *Accumulator) aligned(s Summary) bool {
-	if len(a.sum.Counters) != len(s.Counters) ||
-		len(a.sum.Gauges) != len(s.Gauges) ||
-		len(a.sum.Hists) != len(s.Hists) {
-		return false
-	}
-	for i := range s.Counters {
-		if a.sum.Counters[i].Name != s.Counters[i].Name {
-			return false
-		}
-	}
-	for i := range s.Gauges {
-		if a.sum.Gauges[i].Name != s.Gauges[i].Name {
-			return false
-		}
-	}
-	for i := range s.Hists {
-		if a.sum.Hists[i].Name != s.Hists[i].Name {
-			return false
-		}
-	}
-	return true
-}
-
-// Sum returns the accumulated summary. The value shares storage with
-// the accumulator and is only valid until the next Reset or Add;
-// callers that retain it must Clone.
-func (a *Accumulator) Sum() Summary { return a.sum }
 
 // SiteRow is the per-site drill-down the grid root publishes alongside
 // the folded rollup: who is behind the aggregate, and whether any one

@@ -54,11 +54,10 @@ func TestMergeLaws(t *testing.T) {
 	}
 }
 
-// TestAccumulatorMatchesReferenceUnderPermutation is the tree's
-// determinism keystone: folding any permutation of the same children
-// through the in-place accumulator yields byte-identical encodings, and
-// identical to the pure reference Merge.
-func TestAccumulatorMatchesReferenceUnderPermutation(t *testing.T) {
+// TestMergeFoldUnderPermutation is the tree's determinism keystone:
+// folding any permutation of the same children, one at a time as an
+// aggregator does, yields byte-identical encodings.
+func TestMergeFoldUnderPermutation(t *testing.T) {
 	children := make([]Summary, 12)
 	for i := range children {
 		children[i] = hostSummary(int64(10+i), 30)
@@ -70,22 +69,20 @@ func TestAccumulatorMatchesReferenceUnderPermutation(t *testing.T) {
 	want := encJSON(t, ref)
 
 	rng := rand.New(rand.NewSource(99))
-	var acc Accumulator
 	for trial := 0; trial < 20; trial++ {
-		perm := rng.Perm(len(children))
-		acc.Reset()
-		for _, i := range perm {
-			acc.Add(children[i])
+		var sum Summary
+		for _, i := range rng.Perm(len(children)) {
+			sum = Merge(sum, children[i])
 		}
-		if got := encJSON(t, acc.Sum()); !bytes.Equal(got, want) {
-			t.Fatalf("trial %d: permuted accumulator fold diverged:\n%s\n%s", trial, got, want)
+		if got := encJSON(t, sum); !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: permuted fold diverged:\n%s\n%s", trial, got, want)
 		}
 	}
 }
 
-// TestAccumulatorMisalignedChildren exercises the slow path: children
-// with disjoint and overlapping instrument sets still fold exactly.
-func TestAccumulatorMisalignedChildren(t *testing.T) {
+// TestMergeDisjointInstruments folds children with disjoint and
+// overlapping instrument sets: shared rows add, the rest pass through.
+func TestMergeDisjointInstruments(t *testing.T) {
 	regA := netlogger.NewRegistry(nil)
 	regA.Counter("a.only").Add(3)
 	regA.LogHist("stage.retr").Observe(0.5)
@@ -96,55 +93,21 @@ func TestAccumulatorMisalignedChildren(t *testing.T) {
 	a := Summary{Tick: 1, Hosts: 1, RegistrySnapshot: regA.Mergeable()}
 	b := Summary{Tick: 1, Hosts: 1, RegistrySnapshot: regB.Mergeable()}
 
-	var acc Accumulator
-	acc.Reset()
-	acc.Add(a)
-	acc.Add(b)
-	want := Merge(a, b)
-	if !bytes.Equal(encJSON(t, acc.Sum()), encJSON(t, want)) {
-		t.Fatalf("misaligned fold diverged:\n%+v\n%+v", acc.Sum(), want)
+	sum := Merge(Merge(Summary{}, a), b)
+	if !bytes.Equal(encJSON(t, sum), encJSON(t, Merge(Merge(Summary{}, b), a))) {
+		t.Fatalf("disjoint fold depends on order: %+v", sum)
 	}
-	if acc.Sum().Counter("a.only") != 5 || acc.Sum().Counter("b.only") != 4 {
-		t.Fatalf("counters = %+v", acc.Sum().Counters)
+	if sum.Counter("a.only") != 5 || sum.Counter("b.only") != 4 {
+		t.Fatalf("counters = %+v", sum.Counters)
 	}
-}
-
-func TestAccumulatorSteadyStateAllocFree(t *testing.T) {
-	children := make([]Summary, 16)
-	for i := range children {
-		children[i] = hostSummary(int64(20+i), 50)
+	if len(sum.Gauges) != 1 || sum.Gauges[0].Name != "q" {
+		t.Fatalf("gauges = %+v", sum.Gauges)
 	}
-	var acc Accumulator
-	fold := func() {
-		acc.Reset()
-		for i := range children {
-			acc.Add(children[i])
-		}
+	if h, ok := sum.Hist("stage.retr"); !ok || h.N != 1 {
+		t.Fatalf("stage.retr = %+v, %v", h, ok)
 	}
-	fold()
-	fold()
-	if n := testing.AllocsPerRun(50, fold); n != 0 {
-		t.Fatalf("steady-state fold allocates %.1f/op, want 0", n)
-	}
-}
-
-func BenchmarkTelemetryFold(b *testing.B) {
-	children := make([]Summary, 16)
-	for i := range children {
-		children[i] = hostSummary(int64(30+i), 50)
-	}
-	var acc Accumulator
-	acc.Reset()
-	for i := range children {
-		acc.Add(children[i])
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		acc.Reset()
-		for i := range children {
-			acc.Add(children[i])
-		}
+	if sum.Tick != 1 || sum.Hosts != 2 {
+		t.Fatalf("tick/hosts = %d/%d", sum.Tick, sum.Hosts)
 	}
 }
 
