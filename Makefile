@@ -92,6 +92,7 @@ cover:
 # corpora that every plain `go test` run already replays.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzControlChannel -fuzztime=10s -run '^$$' ./internal/gridftp/
+	$(GO) test -fuzz=FuzzModeEBlocks -fuzztime=10s -run '^$$' ./internal/gridftp/
 	$(GO) test -fuzz=FuzzFilter -fuzztime=10s -run '^$$' ./internal/ldapd/
 
 check: build cross fmt vet lint procs race bench-smoke fuzz-smoke

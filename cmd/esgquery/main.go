@@ -125,7 +125,7 @@ func main() {
 
 // printHealth renders the monitor's MDS publications — the operations
 // view the rm's health-aware ranking reads.
-func printHealth(dir ldapd.Directory) error {
+func printHealth(dir *ldapd.Dir) error {
 	info, err := mds.New(dir)
 	if err != nil {
 		return err

@@ -183,9 +183,9 @@ func RunChaosSchedule(cfg ChaosConfig, sched chaos.Schedule) (ChaosRun, error) {
 		// deterministically.
 		t.Clock.Sleep(2 * time.Second)
 	})
-	// End-of-run profiler snapshot. CoreStats cycles the Sim's lock,
-	// which also establishes the happens-before edge the recorder's
-	// quiescence contract requires before reading its rings.
+	// End-of-run profiler snapshot. Run has returned, which orders every
+	// managed goroutine's last step before these reads of the Sim, the
+	// Net and the recorder's rings.
 	run.Vitals = flight.Vitals{Core: t.Clock.CoreStats(), Rec: t.rec.Stats()}
 	run.Vitals.CSRHits, run.Vitals.CSRLookups = t.Net.CSRStats()
 	if cfg.WallProfile {

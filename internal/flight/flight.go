@@ -5,13 +5,13 @@
 // metrics registry.
 //
 // The recorder is two fixed-size rings of packed records. The core ring
-// is a vtime.CoreRing, written inline by the Sim under its internal
-// lock — no interface dispatch on the per-event path — and captures
-// every schedule, fire, cancel and re-arm with its causal parent and
-// site tag (see vtime/corering.go for why it lives there). The data
-// ring is written by simnet under its own lock and captures connection
-// state transitions and allocator passes. Neither path takes a new lock
-// or allocates: a record write is a bounds-checked store into a
+// is a vtime.CoreRing, written inline by the Sim — no interface
+// dispatch on the per-event path — and captures every schedule, fire,
+// cancel and re-arm with its causal parent and site tag (see
+// vtime/corering.go for why it lives there). The data ring is written
+// by simnet and captures connection state transitions and allocator
+// passes. Both writers are the simulation's baton holder, so neither
+// path takes a lock or allocates: a record write is a bounds-checked store into a
 // preallocated array plus a counter increment, which is what keeps the
 // recorder cheap enough to leave on permanently.
 //
@@ -20,12 +20,11 @@
 // byte-identical dumps and a post-mortem dump aligns exactly with a
 // replay of the same seed.
 //
-// Concurrency contract: records are written under the owning
-// subsystem's lock, but Dump/Records/ChainOf take none. They must run
-// at quiescence — after Sim.Run returns, or from the goroutine that
-// observed a failure while every other goroutine is parked — with a
-// happens-before edge to the last writer (any call that cycles the
-// Sim's or Net's lock, e.g. Sim.CoreStats, establishes one).
+// Concurrency contract: records are written by the baton holder (see
+// vtime.Sim), and Dump/Records/ChainOf take no lock either. They must
+// run where a Sim method may: after Sim.Run returns, or on the baton
+// holder — the goroutine that observed a failure while every other
+// goroutine is parked.
 package flight
 
 import (
@@ -104,8 +103,8 @@ type Record struct {
 
 // ring is a fixed-capacity overwrite-oldest record buffer. Capacity is
 // always a power of two so the record path indexes with a mask instead
-// of a hardware divide — put() sits on the per-event hot path under the
-// Sim's lock, where an integer division is measurable.
+// of a hardware divide — put() sits on the per-event hot path, where an
+// integer division is measurable.
 type ring struct {
 	recs []Record
 	mask uint64 // len(recs) - 1; len is a power of two
@@ -136,7 +135,7 @@ func (r *ring) snapshot() []Record {
 type Recorder struct {
 	core *vtime.CoreRing
 	data ring
-	dseq uint64 // data-ring ordinal counter (under the data writer's lock)
+	dseq uint64 // data-ring ordinal counter
 }
 
 // Default ring capacities: the core ring holds the last 16k core events
@@ -177,7 +176,7 @@ func newRing(capacity int) ring {
 
 // AttachCore installs the recorder's core ring on the Sim: from then on
 // the event core writes one packed record per schedule/fire/cancel/
-// re-arm inline under its own lock. Attach before traffic starts.
+// re-arm inline. Attach before traffic starts.
 func (r *Recorder) AttachCore(s *vtime.Sim) {
 	s.SetCoreRing(r.core)
 }
@@ -194,7 +193,7 @@ var coreKinds = [...]Kind{
 	vtime.CoreRearm:    KRearm,
 }
 
-// --- data-path records (called under the owning subsystem's lock) ---
+// --- data-path records (called by the baton holder) ---
 
 // Conn records a connection state transition (KConnOpen/KConnRetired/
 // KConnReset) for conn seq c at virtual instant at.

@@ -51,6 +51,16 @@ type Sink interface {
 	Received() []Extent
 }
 
+// checkRange reports ErrRange unless [off, off+n) lies within a file of
+// size bytes. It never forms off+n: a forged block header's offset and
+// length can each fit an int64 while their sum wraps negative.
+func checkRange(off, n, size int64) error {
+	if off < 0 || n < 0 || n > size || off > size-n {
+		return fmt.Errorf("%w: %d bytes at %d of %d", ErrRange, n, off, size)
+	}
+	return nil
+}
+
 // Extent is a half-open byte range [Off, Off+Len).
 type Extent struct {
 	Off, Len int64
@@ -115,8 +125,8 @@ func (b *bytesSource) Size() int64  { return int64(len(b.data)) }
 func (b *bytesSource) Close() error { return nil }
 
 func (b *bytesSource) SendRange(c transport.Conn, off, n int64) error {
-	if off < 0 || n < 0 || off+n > int64(len(b.data)) {
-		return fmt.Errorf("%w: [%d,%d) of %d", ErrRange, off, off+n, len(b.data))
+	if err := checkRange(off, n, int64(len(b.data))); err != nil {
+		return err
 	}
 	_, err := c.Write(b.data[off : off+n])
 	return err
@@ -143,8 +153,8 @@ type BytesSink struct{ s bytesSink }
 // so each call reads straight into its own slice of the backing buffer —
 // no staging copy, and no lock held across the (blocking) network read.
 func (b *BytesSink) ReceiveRange(c transport.Conn, off, n int64) error {
-	if off < 0 || n < 0 || off+n > b.s.size {
-		return fmt.Errorf("%w: [%d,%d) of %d", ErrRange, off, off+n, b.s.size)
+	if err := checkRange(off, n, b.s.size); err != nil {
+		return err
 	}
 	if _, err := io.ReadFull(c, b.s.data[off:off+n]); err != nil {
 		return err
@@ -178,8 +188,8 @@ func (v *virtualSource) Size() int64  { return v.size }
 func (v *virtualSource) Close() error { return nil }
 
 func (v *virtualSource) SendRange(c transport.Conn, off, n int64) error {
-	if off < 0 || n < 0 || off+n > v.size {
-		return fmt.Errorf("%w: [%d,%d) of %d", ErrRange, off, off+n, v.size)
+	if err := checkRange(off, n, v.size); err != nil {
+		return err
 	}
 	_, err := transport.WriteVirtualTo(c, n)
 	return err
@@ -196,8 +206,8 @@ func NewVirtualSink(size int64) *VirtualSink { return &VirtualSink{size: size} }
 
 // ReceiveRange implements Sink.
 func (v *VirtualSink) ReceiveRange(c transport.Conn, off, n int64) error {
-	if off < 0 || n < 0 || off+n > v.size {
-		return fmt.Errorf("%w: [%d,%d) of %d", ErrRange, off, off+n, v.size)
+	if err := checkRange(off, n, v.size); err != nil {
+		return err
 	}
 	if _, err := transport.ReadVirtualFrom(c, n); err != nil {
 		return err

@@ -100,8 +100,8 @@ func (s *fileSource) Size() int64  { return s.size }
 func (s *fileSource) Close() error { return s.f.Close() }
 
 func (s *fileSource) SendRange(c transport.Conn, off, n int64) error {
-	if off < 0 || n < 0 || off+n > s.size {
-		return fmt.Errorf("%w: [%d,%d) of %d", ErrRange, off, off+n, s.size)
+	if err := checkRange(off, n, s.size); err != nil {
+		return err
 	}
 	bufp := copyBufPool.Get().(*[]byte)
 	defer copyBufPool.Put(bufp)
@@ -146,8 +146,8 @@ type fileSink struct {
 }
 
 func (s *fileSink) ReceiveRange(c transport.Conn, off, n int64) error {
-	if off < 0 || n < 0 || off+n > s.size {
-		return fmt.Errorf("%w: [%d,%d) of %d", ErrRange, off, off+n, s.size)
+	if err := checkRange(off, n, s.size); err != nil {
+		return err
 	}
 	bufp := copyBufPool.Get().(*[]byte)
 	defer copyBufPool.Put(bufp)

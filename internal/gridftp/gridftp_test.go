@@ -375,10 +375,13 @@ func TestRealFeaturesAndErrors(t *testing.T) {
 	if _, err := c.Get("missing.nc", sink); !errors.As(err, &re) || re.Code != codeNoFile {
 		t.Fatalf("Get missing: %v", err)
 	}
-	// Out-of-range ERET is rejected cleanly.
+	// Out-of-range ERET is rejected cleanly, also when the range's end
+	// wraps past the largest int64.
 	env.store.Put("small.nc", pattern(100))
-	if _, err := c.GetRanges("small.nc", NewBytesSink(100), []Extent{{90, 20}}); err == nil {
-		t.Fatal("out-of-range ERET succeeded")
+	for _, r := range []Extent{{90, 20}, {1 << 62, 1 << 62}} {
+		if _, err := c.GetRanges("small.nc", NewBytesSink(100), []Extent{r}); !errors.As(err, &re) || re.Code != codeBadParam {
+			t.Fatalf("ERET of %+v: %v, want a %d reply", r, err, codeBadParam)
+		}
 	}
 }
 

@@ -589,8 +589,8 @@ func (sess *session) retrieve(path string, src Source, ranges []Extent) error {
 		ranges = sess.takeRestRanges(src.Size())
 	}
 	for _, r := range ranges {
-		if r.Off < 0 || r.Len <= 0 || r.Off+r.Len > src.Size() {
-			return sess.ct.reply(codeBadParam, "range [%d,%d) outside file of %d bytes", r.Off, r.Off+r.Len, src.Size())
+		if r.Len <= 0 || checkRange(r.Off, r.Len, src.Size()) != nil {
+			return sess.ct.reply(codeBadParam, "range of %d bytes at %d outside file of %d bytes", r.Len, r.Off, src.Size())
 		}
 	}
 	if err := sess.ct.reply(codeOpenData, "opening data connection(s)"); err != nil {

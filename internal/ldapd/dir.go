@@ -84,15 +84,6 @@ type Mod struct {
 	Values []string
 }
 
-// Directory is the operation set the catalogs (mds, replica, metadata)
-// use; *Dir implements it.
-type Directory interface {
-	Add(dn string, attrs map[string][]string) error
-	Modify(dn string, mods []Mod) error
-	Delete(dn string) error
-	Search(base string, scope Scope, filter string) ([]*Entry, error)
-}
-
 // Dir is an in-memory directory information tree, safe for concurrent use.
 type Dir struct {
 	mu       sync.RWMutex
@@ -312,5 +303,3 @@ func (d *Dir) Len() int {
 	defer d.mu.RUnlock()
 	return len(d.entries)
 }
-
-var _ Directory = (*Dir)(nil)

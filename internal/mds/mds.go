@@ -23,13 +23,13 @@ const Base = "mds-vo-name=esg"
 
 // Service is an MDS view over a directory.
 type Service struct {
-	dir  ldapd.Directory
+	dir  *ldapd.Dir
 	base string
 }
 
 // New returns a Service rooted at Base, creating the root entry if this
 // directory does not have one yet.
-func New(dir ldapd.Directory) (*Service, error) {
+func New(dir *ldapd.Dir) (*Service, error) {
 	s := &Service{dir: dir, base: Base}
 	err := dir.Add(Base, map[string][]string{"objectclass": {"mdsvo"}})
 	if err != nil && !isExists(err) {

@@ -48,11 +48,11 @@ type LogicalFile struct {
 
 // Catalog is a metadata catalog over a directory.
 type Catalog struct {
-	dir ldapd.Directory
+	dir *ldapd.Dir
 }
 
 // New returns a catalog rooted at Base, creating the root if needed.
-func New(dir ldapd.Directory) (*Catalog, error) {
+func New(dir *ldapd.Dir) (*Catalog, error) {
 	err := dir.Add(Base, map[string][]string{"objectclass": {"metadatacatalog"}})
 	if err != nil && !errors.Is(err, ldapd.ErrEntryExists) {
 		return nil, err

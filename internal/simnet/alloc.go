@@ -52,7 +52,7 @@ type resEntry struct {
 }
 
 // attachLocked enters an activating flow into the membership lists of
-// every resource it consumes. Caller holds Net.mu.
+// every resource it consumes.
 func (n *Net) attachLocked(f *flow) {
 	if f.attached {
 		return
@@ -72,7 +72,7 @@ func (n *Net) attachLocked(f *flow) {
 
 // detachLocked removes a deactivating flow from its resources' membership
 // lists and marks those resources dirty, since the remaining flows can
-// now claim its share. Caller holds Net.mu.
+// now claim its share.
 func (n *Net) detachLocked(f *flow) {
 	if !f.attached {
 		return
@@ -218,7 +218,7 @@ func (n *Net) bindLocked(f *flow, c *component) {
 // bfsLocked appends to buf the connected component containing seed —
 // flows transitively linked through shared resources — in discovery
 // order, epoch-stamping flows and resources so each is visited once per
-// flush. Caller holds Net.mu.
+// flush.
 func (n *Net) bfsLocked(seed *flow, buf []*flow) []*flow {
 	seed.epoch = n.epoch
 	buf = append(buf, seed)
@@ -244,8 +244,7 @@ func (n *Net) bfsLocked(seed *flow, buf []*flow) []*flow {
 // every member flow stamped visited for this flush. A live record is
 // the steady state (a window tick changes no membership): no BFS, no
 // sort, no flatten. Otherwise the component is gathered, put in
-// canonical seq order and bound to a recycled record. Caller holds
-// Net.mu.
+// canonical seq order and bound to a recycled record.
 func (n *Net) componentLocked(seed *flow) *component {
 	if c := seed.comp; c != nil && !c.stale {
 		n.compHits++
@@ -340,8 +339,6 @@ func (n *Net) stampLocked() stamp {
 // per-tick schedule cannot decide (DESIGN §11). A nonzero tie count
 // means the run may differ from the per-tick one.
 func (n *Net) GrowthStats() (skipped, wakes, ties uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.growSkipped, n.growWakes, n.growTies
 }
 
@@ -350,8 +347,6 @@ func (n *Net) GrowthStats() (skipped, wakes, ties uint64) {
 // the work the full recompute-everything path would have multiplied by
 // the entire active-flow count.
 func (n *Net) AllocStats() (passes, flowsVisited uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.allocPasses, n.allocFlows
 }
 
@@ -360,8 +355,6 @@ func (n *Net) AllocStats() (passes, flowsVisited uint64) {
 // flows, and any divergence beyond floating-point tolerance panics. Used
 // by tests; far too slow for production runs.
 func (n *Net) SetVerifyAllocations(v bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.verifyAllocs = v
 }
 

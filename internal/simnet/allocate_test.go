@@ -52,9 +52,7 @@ func buildRandomScenario(rng *rand.Rand) (*Net, []*flow) {
 		if src == dst {
 			continue
 		}
-		n.mu.Lock()
 		path, err := n.routeLocked(src.name, dst.name)
-		n.mu.Unlock()
 		if err != nil {
 			continue
 		}
@@ -136,9 +134,7 @@ func TestAllocateEqualShares(t *testing.T) {
 	a := n.AddHost("a", HostConfig{})
 	b := n.AddHost("b", HostConfig{})
 	n.AddLink("a", "b", LinkConfig{CapacityBps: 100e6, Delay: 1e6})
-	n.mu.Lock()
 	path, _ := n.routeLocked("a", "b")
-	n.mu.Unlock()
 	var flows []*flow
 	for i := 0; i < 4; i++ {
 		flows = append(flows, &flow{net: n, src: a, dst: b, path: path, mss: DefaultMSS,
@@ -160,9 +156,7 @@ func TestAllocateCapAndShare(t *testing.T) {
 	a := n.AddHost("a", HostConfig{})
 	b := n.AddHost("b", HostConfig{})
 	n.AddLink("a", "b", LinkConfig{CapacityBps: 100e6, Delay: 1e6})
-	n.mu.Lock()
 	path, _ := n.routeLocked("a", "b")
-	n.mu.Unlock()
 	capped := &flow{net: n, src: a, dst: b, path: path, mss: DefaultMSS, windowCap: 10e6, active: true}
 	greedy := &flow{net: n, src: a, dst: b, path: path, mss: DefaultMSS, windowCap: math.Inf(1), active: true}
 	rates := n.allocate([]*flow{capped, greedy})

@@ -37,9 +37,7 @@ func buildBenchNet(nFlows int) (*Net, []*flow) {
 		src := n.AddHost(fmt.Sprintf("src%04d", p), srcCfg)
 		dst := n.AddHost(fmt.Sprintf("dst%04d", p), dstCfg)
 		n.AddLink(src.name, dst.name, LinkConfig{CapacityBps: 1e9, Delay: 5 * time.Millisecond})
-		n.mu.Lock()
 		path, err := n.routeLocked(src.name, dst.name)
-		n.mu.Unlock()
 		if err != nil {
 			panic(err)
 		}
@@ -51,16 +49,12 @@ func buildBenchNet(nFlows int) (*Net, []*flow) {
 			f := newChurnFlow(n, src, dst, path, windowCap)
 			f.diskBound = k%3 == 0
 			f.active = true
-			n.mu.Lock()
 			n.flowActivatedLocked(f)
-			n.mu.Unlock()
 			flows = append(flows, f)
 		}
 	}
-	n.mu.Lock()
 	n.flushPending = true // benches drive flushes by hand
 	n.flushLocked()
-	n.mu.Unlock()
 	return n, flows
 }
 
@@ -74,15 +68,11 @@ func BenchmarkAllocate(b *testing.B) {
 		b.Run(fmt.Sprintf("flows=%d", size), func(b *testing.B) {
 			n, flows := buildBenchNet(size)
 			c := &component{flows: flows}
-			n.mu.Lock()
 			n.scr.alloc(c, n.nextResID) // warm scratch, flatten
-			n.mu.Unlock()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				n.mu.Lock()
 				n.scr.alloc(c, n.nextResID)
-				n.mu.Unlock()
 			}
 		})
 	}
@@ -100,9 +90,7 @@ func buildTable1Net() (*Net, []*flow) {
 	n.AddLink("src", "sw-a", LinkConfig{CapacityBps: 1e9, Delay: time.Millisecond})
 	n.AddLink("sw-a", "sw-b", LinkConfig{CapacityBps: 622e6, Delay: 20 * time.Millisecond})
 	n.AddLink("sw-b", "dst", LinkConfig{CapacityBps: 1e9, Delay: time.Millisecond})
-	n.mu.Lock()
 	path, err := n.routeLocked("src", "dst")
-	n.mu.Unlock()
 	if err != nil {
 		panic(err)
 	}
@@ -110,14 +98,10 @@ func buildTable1Net() (*Net, []*flow) {
 	for i := range flows {
 		flows[i] = newChurnFlow(n, src, dst, path, 10e6)
 		flows[i].active = true
-		n.mu.Lock()
 		n.flowActivatedLocked(flows[i])
-		n.mu.Unlock()
 	}
-	n.mu.Lock()
 	n.flushPending = true // benches drive flushes by hand
 	n.flushLocked()
-	n.mu.Unlock()
 	return n, flows
 }
 
@@ -132,21 +116,17 @@ func buildTable1Net() (*Net, []*flow) {
 // buildTable1Net, where every pass is caps-feasible.
 func BenchmarkRecompute(b *testing.B) {
 	run := func(b *testing.B, n *Net, seeds []*flow) {
-		n.mu.Lock()
 		for _, f := range seeds {
 			n.markFlowDirtyLocked(f)
 			n.flushLocked()
 		}
-		n.mu.Unlock()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			f := seeds[i%len(seeds)]
-			n.mu.Lock()
 			f.windowCap = float64(50+i/len(seeds)%2) * 1e6
 			n.markFlowDirtyLocked(f)
 			n.flushLocked()
-			n.mu.Unlock()
 		}
 	}
 	for _, size := range benchSizes {
@@ -194,15 +174,11 @@ func BenchmarkRecomputeFull(b *testing.B) {
 	for _, size := range benchSizes {
 		b.Run(fmt.Sprintf("flows=%d", size), func(b *testing.B) {
 			n, _ := buildBenchNet(size)
-			n.mu.Lock()
 			n.recomputeLocked() // warm scratch, arm completion timers
-			n.mu.Unlock()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				n.mu.Lock()
 				n.recomputeLocked()
-				n.mu.Unlock()
 			}
 		})
 	}

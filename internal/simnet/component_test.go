@@ -16,21 +16,18 @@ import (
 // TestAllocationDivergenceFailsFast injects a wrong rate into a flow the
 // next flush will not revisit and lets the end-of-instant hook's
 // cross-check find it while the only runnable goroutine is parked in a
-// Cond.Wait on Net.mu — the shape every blocked Read and Write has. The
-// panic must carry the divergence message out through the wait's
-// deferred re-lock; when the hook kept Net.mu across the panic that
-// re-lock self-deadlocked and the run sat until go test's timeout.
+// Cond.Wait — the shape every blocked Read and Write has. The panic must
+// carry the divergence message out of Run at once, not leave the run
+// sitting until go test's timeout.
 func TestAllocationDivergenceFailsFast(t *testing.T) {
 	n, flows := buildBenchNet(16) // two disjoint 8-flow components
 	n.SetVerifyAllocations(true)
-	cond := n.clk.NewCond(&n.mu)
+	cond := n.clk.NewCond(nil)
 	got := make(chan any, 1)
 	start := time.Now()
 	go func() {
 		defer func() { got <- recover() }()
 		n.clk.Run(func() {
-			n.mu.Lock()
-			defer n.mu.Unlock()
 			n.flushPending = false // buildBenchNet left the latch held
 			flows[8].rate *= 2
 			n.markFlowDirtyLocked(flows[0])
@@ -46,38 +43,32 @@ func TestAllocationDivergenceFailsFast(t *testing.T) {
 			t.Fatalf("divergence took %v to surface, want < 1s", d)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("divergence panic never surfaced: the hook deadlocked on Net.mu")
+		t.Fatal("divergence panic never surfaced: the run deadlocked")
 	}
 }
 
 // steadyTick is one window tick on f's component: the flow goes dirty,
 // the flush re-allocates. Membership does not change.
 func steadyTick(n *Net, f *flow) {
-	n.mu.Lock()
 	n.flushPending = true // drive the flush by hand
 	n.markFlowDirtyLocked(f)
 	n.flushLocked()
-	n.mu.Unlock()
 }
 
 // dirtyAll marks every active flow dirty, the way a burst of same-instant
 // window events would, with the flush latch held so tests drive flushes
 // by hand.
 func dirtyAll(n *Net, flows []*flow) {
-	n.mu.Lock()
 	n.flushPending = true
 	for _, f := range flows {
 		if f.active {
 			n.markFlowDirtyLocked(f)
 		}
 	}
-	n.mu.Unlock()
 }
 
 func flushByHand(n *Net) {
-	n.mu.Lock()
 	n.flushLocked()
-	n.mu.Unlock()
 }
 
 // buildSaturatedNet builds nComp disjoint components of perComp flows
@@ -92,9 +83,7 @@ func buildSaturatedNet(nComp, perComp int) (*Net, []*flow) {
 		src := n.AddHost(fmt.Sprintf("s%04d", p), HostConfig{})
 		dst := n.AddHost(fmt.Sprintf("d%04d", p), HostConfig{})
 		n.AddLink(src.name, dst.name, LinkConfig{CapacityBps: 1e9, Delay: 5 * time.Millisecond})
-		n.mu.Lock()
 		path, err := n.routeLocked(src.name, dst.name)
-		n.mu.Unlock()
 		if err != nil {
 			panic(err)
 		}
@@ -105,16 +94,12 @@ func buildSaturatedNet(nComp, perComp int) (*Net, []*flow) {
 			}
 			f := newChurnFlow(n, src, dst, path, windowCap)
 			f.active = true
-			n.mu.Lock()
 			n.flowActivatedLocked(f)
-			n.mu.Unlock()
 			flows = append(flows, f)
 		}
 	}
-	n.mu.Lock()
 	n.flushPending = true
 	n.flushLocked()
-	n.mu.Unlock()
 	return n, flows
 }
 
@@ -190,11 +175,9 @@ func TestProbeLeavesComponentRecordLive(t *testing.T) {
 // caps-feasible fast path. The first tick has warmed it.
 func windowLimited32() (*Net, []*flow) {
 	n, flows := buildSaturatedNet(1, 32)
-	n.mu.Lock()
 	for _, f := range flows {
 		f.windowCap = 4e6
 	}
-	n.mu.Unlock()
 	steadyTick(n, flows[0])
 	return n, flows
 }
@@ -228,9 +211,7 @@ func TestRecordHitCapChangeFlushAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(runs, func() {
 		// Every visit to a flow moves its cap: 4.1e6, 4.2e6, 4.1e6, ...
 		f := flows[tick%len(flows)]
-		n.mu.Lock()
 		f.windowCap = 4e6 + float64(tick/len(flows)%2+1)*1e5
-		n.mu.Unlock()
 		steadyTick(n, f)
 		if f.rate != f.windowCap {
 			t.Fatalf("tick %d: rate %v, want the new cap %v", tick, f.rate, f.windowCap)
@@ -291,11 +272,9 @@ func TestMultiComponentHitFlushFingerprints(t *testing.T) {
 		flushByHand(n) // first flush after the build: gathers every record
 		hits0, passes0 := n.CSRStats()
 		for round := 0; round < 40; round++ {
-			n.mu.Lock()
 			for i, f := range flows {
 				f.windowCap = float64(20+((round*13+i*7)%80)) * 1e6
 			}
-			n.mu.Unlock()
 			dirtyAll(n, flows)
 			flushByHand(n)
 		}
@@ -394,8 +373,8 @@ func sameReplay(t *testing.T, run func() pairsOutcome) {
 // TestSameInstantCrossComponentDials: two clients in disjoint
 // components dial at the same virtual instant, so the dial instant
 // attaches flows in two different components at once and whichever
-// goroutine reaches Net.mu first marks its flow dirty first. Equal-seed
-// runs must not see that order.
+// goroutine runs first marks its flow dirty first. Equal-seed runs must
+// not see that order.
 func TestSameInstantCrossComponentDials(t *testing.T) {
 	sameReplay(t, func() pairsOutcome {
 		return replayPairs(t, 11, 2, 1, LinkConfig{CapacityBps: 100e6, Delay: 2 * time.Millisecond}, 0, 4<<20)

@@ -74,8 +74,6 @@ func (h *Host) CPUUtilization() float64 {
 		return 0
 	}
 	n := h.net
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.flushLocked()
 	var used float64
 	for _, e := range h.cpu.flows {
@@ -146,8 +144,6 @@ func (n *Net) nowOff() time.Duration { return n.clk.Elapsed() }
 func (h *Host) Listen(addr string) (transport.Listener, error) {
 	_, port := transport.SplitHostPort(addr)
 	n := h.net
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if port == 0 {
 		port = n.nextPort
 		n.nextPort++
@@ -158,7 +154,7 @@ func (h *Host) Listen(addr string) (transport.Listener, error) {
 	}
 	l := &Listener{net: n, host: h, addr: key}
 	l.backlog = l.backlogInl[:0]
-	l.cond = n.clk.NewCond(&n.mu)
+	l.cond = n.clk.NewCond(nil)
 	n.listeners[key] = l
 	return l, nil
 }
@@ -176,9 +172,6 @@ type Listener struct {
 
 // Accept waits for and returns the next inbound connection.
 func (l *Listener) Accept() (transport.Conn, error) {
-	n := l.net
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	for len(l.backlog) == 0 && !l.closed {
 		l.cond.Wait()
 	}
@@ -198,8 +191,6 @@ func (l *Listener) Accept() (transport.Conn, error) {
 // instant and their flows retire.
 func (l *Listener) Close() error {
 	n := l.net
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if l.closed {
 		return nil
 	}
@@ -222,7 +213,7 @@ func (l *Listener) Addr() net.Addr { return &l.addr }
 
 // newConnLocked builds a connection from h to the listener key on peer
 // over the routes fwd and rev: the Conn's one allocation holds its
-// endpoints and flows. Caller holds n.mu.
+// endpoints and flows.
 func (n *Net) newConnLocked(h, peer *Host, key sockAddr, fwd, rev []*simplex) *Conn {
 	cliPort := n.nextPort
 	n.nextPort++
@@ -245,10 +236,10 @@ func (n *Net) newConnLocked(h, peer *Host, key sockAddr, fwd, rev []*simplex) *C
 		buf:  peer.defaultBuffer(),
 	}
 	cli.rx, srv.rx = cli.rxInl[:0], srv.rxInl[:0]
-	cli.rxCond = n.clk.NewCond(&n.mu)
-	srv.rxCond = n.clk.NewCond(&n.mu)
+	cli.rxCond = n.clk.NewCond(nil)
+	srv.rxCond = n.clk.NewCond(nil)
 	c.eps = [2]*Endpoint{cli, srv}
-	c.writeCond = [2]vtime.Cond{n.clk.NewCond(&n.mu), n.clk.NewCond(&n.mu)}
+	c.writeCond = [2]vtime.Cond{n.clk.NewCond(nil), n.clk.NewCond(nil)}
 	c.flows = [2]*flow{&c.fl[0], &c.fl[1]}
 	initFlow(c.flows[0], n, c, 0, h, peer, fwd, min(cli.buf, srv.buf), h.mss())
 	initFlow(c.flows[1], n, c, 1, peer, h, rev, min(cli.buf, srv.buf), peer.mss())
@@ -265,33 +256,26 @@ func (h *Host) Dial(addr string) (transport.Conn, error) {
 	host, port := transport.SplitHostPort(addr)
 	n := h.net
 
-	n.mu.Lock()
 	if !n.dnsUp {
-		n.mu.Unlock()
 		return nil, &DNSError{Name: host}
 	}
 	if h.down {
-		n.mu.Unlock()
 		return nil, fmt.Errorf("simnet: host %s is down", h.name)
 	}
 	l, ok := n.listeners[sockAddr{host, port}]
 	if !ok {
-		n.mu.Unlock()
 		return nil, fmt.Errorf("simnet: connection refused: %s", &sockAddr{host, port})
 	}
 	key := l.addr
 	if l.host.down {
-		n.mu.Unlock()
 		return nil, fmt.Errorf("simnet: host %s is down", l.host.name)
 	}
 	fwd, err := n.routeLocked(h.name, host)
 	if err != nil {
-		n.mu.Unlock()
 		return nil, err
 	}
 	rev, err := n.routeLocked(host, h.name)
 	if err != nil {
-		n.mu.Unlock()
 		return nil, err
 	}
 	peerHost := l.host
@@ -299,13 +283,10 @@ func (h *Host) Dial(addr string) (transport.Conn, error) {
 	cli, srv := c.eps[0], c.eps[1]
 	n.registerConnLocked(c)
 	rtt := c.flows[0].rtt
-	n.mu.Unlock()
 
 	// TCP three-way handshake: the connection is usable one RTT after SYN.
 	n.clk.SleepSite(siteHandshake, rtt)
 
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if cli.resetErr != nil {
 		return nil, cli.resetErr
 	}
@@ -330,7 +311,7 @@ func (c *Conn) crossesLink(l *Link) bool {
 }
 
 // registerConnLocked stamps a new conn's flows in creation order and
-// lists the conn at both of its hosts. Caller holds mu.
+// lists the conn at both of its hosts.
 func (n *Net) registerConnLocked(c *Conn) {
 	for _, f := range c.flows {
 		n.nextFlowSeq++
@@ -349,7 +330,6 @@ func (n *Net) registerConnLocked(c *Conn) {
 }
 
 // unlistLocked removes c from its hosts' conn lists by swap-remove.
-// Caller holds mu.
 func (c *Conn) unlistLocked() {
 	for i, ep := range c.eps {
 		if i == 1 && ep.host == c.eps[0].host {
@@ -373,7 +353,7 @@ func (c *Conn) slotAt(h *Host) int {
 	return 1
 }
 
-// removeLocked retires both flows and forgets the conn. Caller holds mu.
+// removeLocked retires both flows and forgets the conn.
 func (c *Conn) removeLocked() {
 	if c.removed {
 		return
@@ -399,16 +379,8 @@ func (c *Conn) removeLocked() {
 	}
 }
 
-// reset kills the connection abruptly: all pending and future operations
-// on both endpoints fail with err.
-func (c *Conn) reset(err error) {
-	n := c.net
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	c.resetLocked(err)
-}
-
-// resetLocked is reset with Net.mu held.
+// resetLocked kills the connection abruptly: all pending and future
+// operations on both endpoints fail with err.
 func (c *Conn) resetLocked(err error) {
 	c.wasReset = true
 	for _, ep := range c.eps {
@@ -433,12 +405,9 @@ func (ep *Endpoint) Write(p []byte) (int, error) {
 	}
 	c := ep.conn
 	n := c.net
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	seg := n.getSegLocked()
 	seg.data = append(seg.data[:0], p...)
 	seg.n = int64(len(p))
-	//esglint:vtblock sendLocked waits on writeCond, whose locker is Net.mu: Wait releases the lock before parking (sanctioned cond pattern, one call removed)
 	if err := ep.sendLocked(seg); err != nil {
 		return 0, err
 	}
@@ -451,19 +420,15 @@ func (ep *Endpoint) WriteVirtual(nbytes int64) error {
 		return nil
 	}
 	n := ep.conn.net
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	seg := n.getSegLocked()
 	seg.n = nbytes
-	//esglint:vtblock sendLocked waits on writeCond, whose locker is Net.mu: Wait releases the lock before parking (sanctioned cond pattern, one call removed)
 	return ep.sendLocked(seg)
 }
 
 // sendLocked enqueues seg on this endpoint's flow and blocks until it has
-// been transmitted. Caller holds Net.mu; the segment is owned by the flow
-// from the moment it is enqueued (it may be recycled while the writer is
-// still blocked), so the wait tracks the captured end offset, never the
-// segment itself.
+// been transmitted. The segment is owned by the flow from the moment it
+// is enqueued (it may be recycled while the writer is still blocked), so
+// the wait tracks the captured end offset, never the segment itself.
 func (ep *Endpoint) sendLocked(seg *segment) error {
 	c := ep.conn
 	n := c.net
@@ -513,8 +478,7 @@ func (ep *Endpoint) sendLocked(seg *segment) error {
 
 // deliverLocked appends an arrived segment to the receive queue (invoked
 // by the sender's flow one propagation delay after transmit completes).
-// Caller holds Net.mu. Segments arriving after close or reset are
-// recycled, not queued.
+// Segments arriving after close or reset are recycled, not queued.
 func (ep *Endpoint) deliverLocked(seg *segment) {
 	n := ep.conn.net
 	if ep.closed || ep.resetErr != nil {
@@ -542,9 +506,6 @@ func (ep *Endpoint) popRxLocked() {
 
 // Read receives real bytes.
 func (ep *Endpoint) Read(p []byte) (int, error) {
-	n := ep.conn.net
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	for {
 		if ep.resetErr != nil {
 			return 0, ep.resetErr
@@ -569,7 +530,6 @@ func (ep *Endpoint) Read(p []byte) (int, error) {
 			}
 			return m, nil
 		}
-		//esglint:vtblock waitReadable waits on rxCond, whose locker is Net.mu: Wait releases the lock before parking (sanctioned cond pattern, one call removed)
 		if err := ep.waitReadable(); err != nil {
 			return 0, err
 		}
@@ -578,9 +538,6 @@ func (ep *Endpoint) Read(p []byte) (int, error) {
 
 // ReadVirtual implements transport.VirtualReader.
 func (ep *Endpoint) ReadVirtual(max int64) (int64, error) {
-	n := ep.conn.net
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	for {
 		if ep.resetErr != nil {
 			return 0, ep.resetErr
@@ -605,7 +562,6 @@ func (ep *Endpoint) ReadVirtual(max int64) (int64, error) {
 			}
 			return got, nil
 		}
-		//esglint:vtblock waitReadable waits on rxCond, whose locker is Net.mu: Wait releases the lock before parking (sanctioned cond pattern, one call removed)
 		if err := ep.waitReadable(); err != nil {
 			return 0, err
 		}
@@ -613,7 +569,6 @@ func (ep *Endpoint) ReadVirtual(max int64) (int64, error) {
 }
 
 // waitReadable blocks (honouring the read deadline) until rx changes.
-// Caller holds Net.mu via the cond's locker.
 func (ep *Endpoint) waitReadable() error {
 	n := ep.conn.net
 	if !ep.readDeadline.IsZero() {
@@ -635,8 +590,6 @@ func (ep *Endpoint) waitReadable() error {
 func (ep *Endpoint) Close() error {
 	c := ep.conn
 	n := c.net
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if ep.closed {
 		return nil
 	}
@@ -671,9 +624,6 @@ func (ep *Endpoint) SetDeadline(t time.Time) error {
 
 // SetReadDeadline implements net.Conn.
 func (ep *Endpoint) SetReadDeadline(t time.Time) error {
-	n := ep.conn.net
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	ep.readDeadline = t
 	ep.rxCond.Broadcast() // re-evaluate waits against the new deadline
 	return nil
@@ -681,9 +631,6 @@ func (ep *Endpoint) SetReadDeadline(t time.Time) error {
 
 // SetWriteDeadline implements net.Conn.
 func (ep *Endpoint) SetWriteDeadline(t time.Time) error {
-	n := ep.conn.net
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	ep.writeDeadline = t
 	ep.conn.writeCond[ep.idx].Broadcast()
 	return nil
@@ -695,8 +642,6 @@ func (ep *Endpoint) SetWriteDeadline(t time.Time) error {
 func (ep *Endpoint) SetBuffer(bytes int) {
 	c := ep.conn
 	n := c.net
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	ep.buf = bytes
 	now := n.clk.Elapsed()
 	for _, f := range c.flows {
@@ -718,9 +663,6 @@ func (ep *Endpoint) SetBuffer(bytes int) {
 // life-line trace context), reported in the simnet.conn.retired event.
 // It implements transport.Labeler; either endpoint may set it.
 func (ep *Endpoint) SetLabel(label string) {
-	n := ep.conn.net
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	ep.conn.label = label
 }
 
@@ -729,8 +671,6 @@ func (ep *Endpoint) SetLabel(label string) {
 func (ep *Endpoint) SetDiskBound(bound bool) {
 	c := ep.conn
 	n := c.net
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	for _, f := range c.flows {
 		// Resource membership is about to change: withdraw from the old
 		// resource lists (marking them dirty) before the refs cache is
@@ -750,7 +690,6 @@ func (ep *Endpoint) SetDiskBound(bound bool) {
 
 // connsBySeq returns this host's live connections in creation order, so
 // fault paths reset victims deterministically across equal-seed runs.
-// Caller holds Net.mu.
 func (h *Host) connsBySeqLocked() []*Conn {
 	victims := slices.Clone(h.conns)
 	sortConnsBySeq(victims)
@@ -766,13 +705,10 @@ func sortConnsBySeq(cs []*Conn) {
 // endpoints fail. The host stays up; listeners keep accepting. It returns
 // the number of connections reset.
 func (h *Host) ResetConns(reason string) int {
-	n := h.net
-	n.mu.Lock()
 	victims := h.connsBySeqLocked()
-	n.mu.Unlock()
 	err := fmt.Errorf("simnet: connection reset by peer: %s", reason)
 	for _, c := range victims {
-		c.reset(err)
+		c.resetLocked(err)
 	}
 	return len(victims)
 }
@@ -783,17 +719,14 @@ func (h *Host) ResetConns(reason string) int {
 // restarts with the machine (Figure 8's power failure). Reboot restores
 // reachability; clients re-dial and restart from their markers.
 func (h *Host) SetDown(down bool) {
-	n := h.net
-	n.mu.Lock()
 	h.down = down
 	var victims []*Conn
 	if down {
 		victims = h.connsBySeqLocked()
 	}
-	n.mu.Unlock()
 	err := fmt.Errorf("simnet: connection reset: host %s crashed", h.name)
 	for _, c := range victims {
-		c.reset(err)
+		c.resetLocked(err)
 	}
 }
 

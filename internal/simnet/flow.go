@@ -8,7 +8,7 @@ import (
 )
 
 // flow is one direction of a connection's traffic: a fluid-model TCP
-// stream with AIMD window dynamics. All fields are guarded by Net.mu.
+// stream with AIMD window dynamics. Only the baton holder touches it.
 type flow struct {
 	net  *Net
 	conn *Conn
@@ -180,14 +180,12 @@ const (
 )
 
 // fireHook, when set, sees every flow event before it runs and takes it
-// over by returning true. It runs under Net.mu. Tests use it to check a
-// flow's state around one of its handlers.
+// over by returning true. Tests use it to check a flow's state around
+// one of its handlers.
 var fireHook func(f *flow, kind uint8) bool
 
-// Fire implements vtime.Handler. Every handler runs under Net.mu.
+// Fire implements vtime.Handler.
 func (f *flow) Fire(kind uint8) {
-	f.net.mu.Lock()
-	defer f.net.mu.Unlock()
 	if fireHook != nil && fireHook(f, kind) {
 		return
 	}
@@ -395,7 +393,7 @@ func exactSteps(w, maxW, mss float64, k int64) int64 {
 // A tick due exactly at now is applied when at says it comes first; an
 // unknown order counts as a tie (Net.GrowthStats), and so does a reader
 // that has overtaken a woken tick due now, which the per-tick order
-// would have fired before it. Caller holds Net.mu.
+// would have fired before it.
 func (f *flow) growTo(now time.Duration, at tickOrder) {
 	if f.growAt > now || !f.growing {
 		return
@@ -635,7 +633,7 @@ func (f *flow) onLinger() {
 }
 
 // remove permanently retires the flow, folding its transmitted bytes into
-// the source host's cumulative counters. Caller holds Net.mu.
+// the source host's cumulative counters.
 func (f *flow) remove(now time.Duration) {
 	if f.removed {
 		return

@@ -138,7 +138,6 @@ func TestSleepingFlowWindowAtLoss(t *testing.T) {
 		}
 		var last *after
 		checked := 0
-		n.mu.Lock()
 		fireHook = func(g *flow, kind uint8) bool {
 			if g != f || kind != evLoss {
 				return false
@@ -163,11 +162,8 @@ func TestSleepingFlowWindowAtLoss(t *testing.T) {
 			last = &after{f.window, f.ssthresh, f.growAt, n.growSkipped}
 			return true
 		}
-		n.mu.Unlock()
 		clk.Go(func() { ep.WriteVirtual(total) })
 		clk.Sleep(2 * time.Minute)
-		n.mu.Lock()
-		defer n.mu.Unlock()
 		if checked < 3 || n.growTies != 0 {
 			t.Fatalf("%d losses of a sleeping flow checked, %d same-instant ties; want at least 3 and 0", checked, n.growTies)
 		}
@@ -201,16 +197,12 @@ func TestWokenFlowTicksOnItsGrid(t *testing.T) {
 		clk.Go(func() { epB.WriteVirtual(total) })
 		clk.Sleep(3 * time.Millisecond) // off B's grid
 		epA, fA := dialFlow(t, n.Host("a"), "c:9000")
-		n.mu.Lock()
 		fA.ssthresh = fA.window // congestion avoidance from the start: a slow climb
-		n.mu.Unlock()
 		clk.Go(func() { epA.WriteVirtual(total) })
 		clk.Sleep(drop - clk.Elapsed())
 		bLink.SetCapacityFactor(0.1)
 		clk.Sleep(15*time.Second - drop)
 
-		n.mu.Lock()
-		defer n.mu.Unlock()
 		if ring.Written() > uint64(ring.Retained()) {
 			t.Fatalf("flight ring wrapped: %d records written", ring.Written())
 		}
@@ -266,7 +258,6 @@ func TestFlushScheduledLingerFollowsTick(t *testing.T) {
 		epY, fY := dialFlow(t, a, "b:9000")
 		epY.SetDiskBound(true)
 		lingered := false
-		n.mu.Lock()
 		fX.ssthresh = fX.window // congestion avoidance: window-limited for long
 		fY.ssthresh = fY.window
 		fireHook = func(g *flow, kind uint8) bool {
@@ -288,10 +279,9 @@ func TestFlushScheduledLingerFollowsTick(t *testing.T) {
 			}
 			return true
 		}
-		n.mu.Unlock()
 		drained := false
 		FlushObserver = func(now time.Duration, _ uint64, _ int) {
-			// Runs inside the flush, under n.mu.
+			// Runs inside the flush.
 			if drained || now < time.Second || fY.growEv != 0 || !fY.growing || fY.growAt != now+fY.rtt {
 				return
 			}

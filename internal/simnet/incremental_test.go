@@ -22,10 +22,8 @@ func newShellConn(n *Net, src, dst *Host) *Conn {
 	c.fl[0] = flow{net: n, conn: c, dir: 0, src: src, dst: dst}
 	c.fl[1] = flow{net: n, conn: c, dir: 1, src: dst, dst: src}
 	c.flows = [2]*flow{&c.fl[0], &c.fl[1]}
-	c.writeCond = [2]vtime.Cond{n.clk.NewCond(&n.mu), n.clk.NewCond(&n.mu)}
-	n.mu.Lock()
+	c.writeCond = [2]vtime.Cond{n.clk.NewCond(nil), n.clk.NewCond(nil)}
 	n.registerConnLocked(c)
-	n.mu.Unlock()
 	return c
 }
 
@@ -95,9 +93,7 @@ func buildChurnScenario(rng *rand.Rand) *churnScenario {
 		if src == dst {
 			continue
 		}
-		n.mu.Lock()
 		path, err := n.routeLocked(src.name, dst.name)
-		n.mu.Unlock()
 		if err != nil {
 			continue
 		}
@@ -116,8 +112,6 @@ func buildChurnScenario(rng *rand.Rand) *churnScenario {
 // production dirty-marking entry points. Caller holds no locks.
 func (s *churnScenario) mutate(rng *rand.Rand) {
 	n := s.n
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.flushPending = true // drive flushes by hand, not via the event queue
 	switch rng.Intn(6) {
 	case 0: // activate an idle flow
@@ -183,7 +177,6 @@ func TestIncrementalMatchesReference(t *testing.T) {
 		}
 		for step := 0; step < 60; step++ {
 			s.mutate(rng)
-			s.n.mu.Lock()
 			// Reference allocation over all active flows in stable
 			// (creation) order.
 			var fs []*flow
@@ -197,12 +190,10 @@ func TestIncrementalMatchesReference(t *testing.T) {
 				want, got := ref[i], f.rate
 				tol := 1e-6*math.Max(math.Abs(want), math.Abs(got)) + 1e-3
 				if math.Abs(want-got) > tol {
-					s.n.mu.Unlock()
 					t.Fatalf("seed %d step %d: flow %s->%s rate %v, reference %v",
 						seed, step, f.src.name, f.dst.name, got, want)
 				}
 			}
-			s.n.mu.Unlock()
 		}
 	}
 }
@@ -338,17 +329,13 @@ func TestAllocateSteadyStateAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := buildChurnScenario(rng)
 	n := s.n
-	n.mu.Lock()
 	for _, f := range s.flows {
 		f.active = true
 	}
 	fs := append([]*flow(nil), s.flows...)
 	n.allocate(fs) // warm scratch
-	n.mu.Unlock()
 	allocs := testing.AllocsPerRun(100, func() {
-		n.mu.Lock()
 		n.allocate(fs)
-		n.mu.Unlock()
 	})
 	if allocs != 0 {
 		t.Fatalf("allocate allocates %v times per run in steady state, want 0", allocs)
@@ -364,7 +351,6 @@ func TestIncrementalFlushSteadyStateAllocFree(t *testing.T) {
 	if len(s.flows) == 0 {
 		t.Skip("empty scenario")
 	}
-	n.mu.Lock()
 	n.flushPending = true // keep the flush timer out of the picture
 	for _, f := range s.flows {
 		f.active = true
@@ -377,12 +363,9 @@ func TestIncrementalFlushSteadyStateAllocFree(t *testing.T) {
 	// function of the seed, so rates stay bitwise stable afterwards).
 	n.markFlowDirtyLocked(seed)
 	n.flushLocked()
-	n.mu.Unlock()
 	allocs := testing.AllocsPerRun(100, func() {
-		n.mu.Lock()
 		n.markFlowDirtyLocked(seed)
 		n.flushLocked()
-		n.mu.Unlock()
 	})
 	if allocs != 0 {
 		t.Fatalf("flush allocates %v times per run in steady state, want 0", allocs)

@@ -26,7 +26,6 @@ import (
 var FlushObserver func(now time.Duration, sig uint64, nflows int)
 
 // observeFlushLocked fingerprints the active flow set for FlushObserver.
-// Caller holds Net.mu.
 func (n *Net) observeFlushLocked(now time.Duration) {
 	if FlushObserver == nil {
 		return

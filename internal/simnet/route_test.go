@@ -37,9 +37,7 @@ func TestRouteTieBreak(t *testing.T) {
 		for _, l := range tc.links {
 			n.AddLink(l[0], l[1], LinkConfig{CapacityBps: gbps})
 		}
-		n.mu.Lock()
 		p, err := n.routeLocked("a", "b")
-		n.mu.Unlock()
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -58,8 +56,6 @@ func TestRouteAllocs(t *testing.T) {
 	n.AddLink("r1", "r2", LinkConfig{CapacityBps: gbps})
 	n.AddLink("r2", "b", LinkConfig{CapacityBps: gbps})
 	n.AddLink("r1", "c", LinkConfig{CapacityBps: gbps})
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if _, err := n.routeLocked("b", "c"); err != nil { // size the scratch and the cache
 		t.Fatal(err)
 	}
@@ -101,8 +97,6 @@ func TestConnAllocs(t *testing.T) {
 	a := n.AddHost("a", HostConfig{})
 	b := n.AddHost("b", HostConfig{})
 	n.AddLink("a", "b", LinkConfig{CapacityBps: gbps, Delay: time.Millisecond})
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	fwd, err := n.routeLocked("a", "b")
 	if err != nil {
 		t.Fatal(err)

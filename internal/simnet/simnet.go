@@ -31,7 +31,6 @@ package simnet
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"esgrid/internal/flight"
@@ -118,8 +117,11 @@ func (c *CPUConfig) weight(mss int) float64 {
 	return (c.PerByte + c.PerFrame/co/float64(mss)) / 8
 }
 
-// Net is the simulator. All methods are safe for concurrent use by
-// goroutines managed by the simulation's vtime.Sim.
+// Net is the simulator. Its methods follow the vtime.Sim contract: they
+// are called by the baton holder (a managed goroutine or an event
+// callback), before Run starts, or after it returns. The baton orders
+// them, so the Net takes no lock; a name ending in Locked marks a helper
+// that only such a caller may reach (DESIGN.md §11).
 type Net struct {
 	clk *vtime.Sim
 
@@ -127,13 +129,12 @@ type Net struct {
 	// connections and the simnet.flows.active gauge. Set before traffic
 	// starts; nil means uninstrumented. rec, when set (AttachFlight),
 	// receives packed conn-transition and allocator-pass records on the
-	// flight recorder's data ring — written under mu, zero-alloc.
+	// flight recorder's data ring — zero-alloc.
 	nlog        *netlogger.Log
 	metrics     *netlogger.Registry
 	flowsActive *netlogger.Gauge
 	rec         *flight.Recorder
 
-	mu        sync.Mutex
 	nodes     map[string]*node
 	hosts     map[string]*Host
 	links     []*Link
@@ -194,12 +195,12 @@ type Net struct {
 	observing bool
 
 	// segFree recycles segment objects (and their payload buffers, kept
-	// attached) under mu. A plain LIFO — not a sync.Pool — so reuse order
+	// attached). A plain LIFO — not a sync.Pool — so reuse order
 	// is deterministic across equal-seed runs.
 	segFree []*segment
 }
 
-// getSegLocked pops a recycled segment or allocates one. Caller holds mu.
+// getSegLocked pops a recycled segment or allocates one.
 func (n *Net) getSegLocked() *segment {
 	if k := len(n.segFree); k > 0 {
 		s := n.segFree[k-1]
@@ -210,7 +211,7 @@ func (n *Net) getSegLocked() *segment {
 }
 
 // putSegLocked recycles a fully consumed segment. The payload buffer stays
-// attached so a later Write of similar size reuses it. Caller holds mu.
+// attached so a later Write of similar size reuses it.
 func (n *Net) putSegLocked(s *segment) {
 	s.end = 0
 	s.n = 0
@@ -286,11 +287,6 @@ func New(clk *vtime.Sim) *Net {
 	// schedule/dispatch cycle — and the flush path fires once per dirty
 	// instant, the highest event frequency in the tree.
 	clk.SetInstantHook(func() {
-		n.mu.Lock()
-		// Deferred, so a verification panic leaves the hook with mu free:
-		// the goroutine advancing the clock is usually parked in a
-		// Cond.Wait whose deferred re-lock of mu runs as the panic unwinds.
-		defer n.mu.Unlock()
 		n.flushPending = false
 		n.inFlush = true
 		n.flushLocked()
@@ -308,20 +304,16 @@ func (n *Net) Clock() *vtime.Sim { return n.clk }
 // flows is tracked in the simnet.flows.active gauge. Either argument may
 // be nil. Call before traffic starts.
 func (n *Net) Instrument(log *netlogger.Log, metrics *netlogger.Registry) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.nlog = log
 	n.metrics = metrics
 	n.flowsActive = metrics.Gauge("simnet.flows.active")
 }
 
 // AttachFlight hands the network a flight recorder: connection state
-// transitions and allocator passes are appended to its data ring, under
-// the network's own lock, with no allocation — cheap enough to leave on
-// for every run. Call before traffic starts.
+// transitions and allocator passes are appended to its data ring with
+// no allocation — cheap enough to leave on for every run. Call before
+// traffic starts.
 func (n *Net) AttachFlight(rec *flight.Recorder) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.rec = rec
 }
 
@@ -329,15 +321,11 @@ func (n *Net) AttachFlight(rec *flight.Recorder) {
 // record (membership, canonical order and CSR flatten) still live: hits
 // out of lookups, one lookup per allocation pass.
 func (n *Net) CSRStats() (hits, lookups uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.compHits, n.allocPasses
 }
 
 // AddNode registers a router/switch node with the given name.
 func (n *Net) AddNode(name string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.nodeLocked(name)
 }
 
@@ -353,8 +341,6 @@ func (n *Net) nodeLocked(name string) *node {
 // AddHost registers a host node. Hosts originate and terminate traffic and
 // carry CPU/disk resources.
 func (n *Net) AddHost(name string, cfg HostConfig) *Host {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if _, dup := n.hosts[name]; dup {
 		panic("simnet: duplicate host " + name)
 	}
@@ -372,16 +358,12 @@ func (n *Net) AddHost(name string, cfg HostConfig) *Host {
 
 // Host returns a previously added host, or nil.
 func (n *Net) Host(name string) *Host {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.hosts[name]
 }
 
 // AddLink joins nodes a and b with a full-duplex link. Nodes are created
 // on demand.
 func (n *Net) AddLink(a, b string, cfg LinkConfig) *Link {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	na, nb := n.nodeLocked(a), n.nodeLocked(b)
 	l := &Link{net: n, Name: a + "<->" + b, A: a, B: b}
 	l.fwd = &simplex{
@@ -456,8 +438,6 @@ func (n *Net) routeLocked(a, b string) ([]*simplex, error) {
 
 // PathRTT returns the round-trip propagation delay between two nodes.
 func (n *Net) PathRTT(a, b string) (time.Duration, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	fwd, err := n.routeLocked(a, b)
 	if err != nil {
 		return 0, err
@@ -479,8 +459,6 @@ func (n *Net) PathRTT(a, b string) (time.Duration, error) {
 // SetDNS sets whether name resolution works; while down, Dial fails with
 // a *DNSError (Figure 8's "DNS problems").
 func (n *Net) SetDNS(up bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.dnsUp = up
 }
 
@@ -494,7 +472,6 @@ func (e *DNSError) Error() string { return "simnet: cannot resolve " + e.Name + 
 // whose path crosses the link, as a power failure would.
 func (l *Link) SetUp(up bool, reset bool) {
 	n := l.net
-	n.mu.Lock()
 	l.fwd.up = up
 	l.rev.up = up
 	var victims []*Conn
@@ -510,9 +487,8 @@ func (l *Link) SetUp(up bool, reset bool) {
 	}
 	n.markResDirtyLocked(&l.fwd.res)
 	n.markResDirtyLocked(&l.rev.res)
-	n.mu.Unlock()
 	for _, c := range victims {
-		c.reset(fmt.Errorf("simnet: connection reset: link %s failed", l.Name))
+		c.resetLocked(fmt.Errorf("simnet: connection reset: link %s failed", l.Name))
 	}
 }
 
@@ -520,8 +496,6 @@ func (l *Link) SetUp(up bool, reset bool) {
 // (Figure 8's "backbone problems"). factor 1 = healthy.
 func (l *Link) SetCapacityFactor(f float64) {
 	n := l.net
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	l.fwd.factor = f
 	l.rev.factor = f
 	n.markResDirtyLocked(&l.fwd.res)
@@ -530,9 +504,6 @@ func (l *Link) SetCapacityFactor(f float64) {
 
 // SetLossRate changes the link's random packet-loss probability.
 func (l *Link) SetLossRate(p float64) {
-	n := l.net
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	l.fwd.loss = p
 	l.rev.loss = p
 }
@@ -540,9 +511,6 @@ func (l *Link) SetLossRate(p float64) {
 // LossRate returns the link's current packet-loss probability, so burst
 // fault injection can restore it afterwards.
 func (l *Link) LossRate() float64 {
-	n := l.net
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return l.fwd.loss
 }
 
@@ -550,8 +518,6 @@ func (l *Link) LossRate() float64 {
 // greedy flow from a to b would obtain right now, given current traffic.
 // This is what the Network Weather Service's bandwidth sensor measures.
 func (n *Net) EstimateBandwidth(a, b string) (float64, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	path, err := n.routeLocked(a, b)
 	if err != nil {
 		return 0, err
@@ -635,8 +601,6 @@ func (n *Net) allocate(fs []*flow) []float64 {
 // from host a to host b (continuous, including bytes of in-progress
 // segments). Experiments use it for bandwidth metering.
 func (n *Net) TotalBytesBetween(a, b string) float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.flushLocked()
 	now := n.clk.Elapsed()
 	var total int64
@@ -664,8 +628,6 @@ func toByteUnits(b float64) int64 { return int64(math.Round(b * byteUnits)) }
 // LinkBetween returns the link directly joining nodes a and b (in either
 // orientation), or nil. Experiments use it for fault injection.
 func (n *Net) LinkBetween(a, b string) *Link {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	for _, l := range n.links {
 		if (l.A == a && l.B == b) || (l.A == b && l.B == a) {
 			return l

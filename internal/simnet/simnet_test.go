@@ -590,9 +590,7 @@ func TestListenerCloseResetsBacklog(t *testing.T) {
 				t.Errorf("flow %d still registered after listener close", i)
 			}
 		}
-		n.mu.Lock()
 		live := len(n.liveFlowsLocked())
-		n.mu.Unlock()
 		if live != 0 {
 			t.Errorf("%d flows live after listener close, want 0", live)
 		}
@@ -689,13 +687,11 @@ func TestTotalBytesBetweenOrderFree(t *testing.T) {
 			cs[i] = newShellConn(n, a, b)
 			cs[i].flows[0].transmitted = bytes[i]
 		}
-		n.mu.Lock()
 		for _, i := range order {
 			if i < retired {
 				cs[i].removeLocked()
 			}
 		}
-		n.mu.Unlock()
 		return n.TotalBytesBetween("a", "b")
 	}
 	want := total([]int{0, 1, 2, 3, 4, 5})

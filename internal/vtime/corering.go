@@ -2,7 +2,7 @@ package vtime
 
 // The flight recorder's core ring lives here, inside the event core,
 // rather than behind an interface: the Sim writes one packed record per
-// schedule/fire/cancel/re-arm while already holding its lock, and an
+// schedule/fire/cancel/re-arm inline, on the baton holder, and an
 // interface dispatch per event was measurable on event-dense runs (a
 // 14-hour Figure 8 replay writes ~18M core records). A record write is
 // a branch, a 32-byte store and a counter increment — cheap enough to
@@ -53,9 +53,8 @@ const (
 // CoreRing is a fixed-capacity overwrite-oldest buffer of packed core
 // records. Capacity is always a power of two so the record path indexes
 // with a mask instead of a hardware divide. The Sim writes it inline
-// under its lock once installed with SetCoreRing; readers must run at
-// quiescence with a happens-before edge to the last writer (any call
-// that cycles the Sim's lock, e.g. Sim.CoreStats, establishes one).
+// once installed with SetCoreRing; readers run where any Sim method may
+// (see Sim): on the baton holder, or after Run returns.
 type CoreRing struct {
 	recs []coreRec
 	mask uint64 // len(recs) - 1
@@ -73,7 +72,7 @@ func NewCoreRing(capacity int) *CoreRing {
 	return &CoreRing{recs: make([]coreRec, p), mask: uint64(p - 1)}
 }
 
-// Put appends one record. The Sim calls this inline under its lock;
+// Put appends one record. The Sim calls this inline;
 // tests may call it directly to build synthetic rings. It never
 // allocates or blocks.
 func (r *CoreRing) Put(kind CoreKind, at, due int64, seq, parent uint64, site Site) {
@@ -118,7 +117,5 @@ func (r *CoreRing) Snapshot() []CoreEvent {
 // core ring. Install before traffic starts; the ring sees only events
 // scheduled after installation.
 func (s *Sim) SetCoreRing(r *CoreRing) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.ring = r
 }

@@ -125,6 +125,53 @@ func TestRunQueueOrder(t *testing.T) {
 	})
 }
 
+// TestBatonOrdersPlainState pins the contract that lets the Sim and the
+// network hold no lock: managed goroutines and handler events do
+// read-modify-write on plain fields of one shared struct, yielding their
+// thread between the read and the write, and no update is lost at any
+// P. Under the race detector (make race) every access must also be
+// ordered: the baton's hand-offs are the only happens-before edges here.
+// The goroutines wait on a cond with no locker, as simnet's endpoints do.
+func TestBatonOrdersPlainState(t *testing.T) {
+	const workers, rounds = 32, 40
+	atEachP(t, []int{1, 2, 8}, func(t *testing.T, p int) {
+		var st struct{ steps, events, woken int }
+		bump := func(x *int) {
+			v := *x
+			runtime.Gosched()
+			*x = v + 1
+		}
+		s := NewSim(1)
+		work := func(i int) {
+			for r := range rounds {
+				bump(&st.steps)
+				s.Schedule(time.Duration((i+r)%3)*time.Microsecond, func() { bump(&st.events) })
+				s.Sleep(time.Duration(i%5+1) * time.Microsecond)
+			}
+		}
+		s.Run(func() {
+			cond := s.NewCond(nil)
+			wg := NewWaitGroup(s)
+			for i := range workers {
+				wg.Go(func() {
+					work(i)
+					cond.Wait()
+					bump(&st.woken)
+				})
+			}
+			work(workers) // Run's own goroutine takes part too
+			s.Sleep(time.Second)
+			cond.Broadcast()
+			wg.Wait()
+		})
+		const n = (workers + 1) * rounds
+		if st.steps != n || st.events != n || st.woken != workers {
+			t.Fatalf("P=%d: %d steps, %d events, %d woken; want %d, %d, %d",
+				p, st.steps, st.events, st.woken, n, n, workers)
+		}
+	})
+}
+
 // TestWakeAfterStopIsDropped delivers wakeups to goroutines whose
 // channels teardown has closed: a Signal and a Broadcast from an
 // unwinding goroutine's deferred code, and a waiter's timeout fired after

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -42,6 +41,15 @@ func NextTick(t time.Time, tick time.Duration) time.Time {
 // only at quiescence, every run follows one schedule on any number of
 // cores, and hours of virtual time pass in microseconds of real time.
 //
+// The baton is also the Sim's only synchronisation: it holds no lock.
+// Every method must be called by the baton holder (a managed goroutine,
+// or an event callback, which runs on one), before Run starts, or after
+// it returns. Each hand-off is a channel send or a go statement, which
+// orders everything the last holder did before everything the next one
+// does; Run returns only after every managed goroutine's last step. State
+// the baton holder alone touches — here and in simnet — needs no lock
+// either.
+//
 // Event core: pending events live in a slot arena indexed by a 4-ary
 // int32 min-heap ordered on (due time, sequence); each slot carries its
 // heap position, so cancels and re-keys touch only the affected path.
@@ -62,16 +70,14 @@ func NextTick(t time.Time, tick time.Duration) time.Time {
 // Handler without allocating. Callbacks run at their due time, on the
 // goroutine handing the baton on; they must not block.
 type Sim struct {
-	mu        sync.Mutex
-	now       time.Duration // offset from Epoch
-	nowAtomic atomic.Int64  // mirror of now for lock-free reads
-	slots     []eventSlot   // arena of event slots
-	free      []int32       // recycled slot indices (LIFO)
-	heap      []heapEnt     // min-heap of (at, seq, slot) by (at, seq)
-	immQ      []int32       // FIFO of zero-delay slots due at the current instant
-	immHead   int           // index of the first live immQ entry
-	immLive   int           // immQ entries not yet cancelled
-	seq       uint64
+	now     time.Duration // offset from Epoch
+	slots   []eventSlot   // arena of event slots
+	free    []int32       // recycled slot indices (LIFO)
+	heap    []heapEnt     // min-heap of (at, seq, slot) by (at, seq)
+	immQ    []int32       // FIFO of zero-delay slots due at the current instant
+	immHead int           // index of the first live immQ entry
+	immLive int           // immQ entries not yet cancelled
+	seq     uint64
 	// The run queue: next is the entry readied most recently, runq[runqHead:]
 	// the others in the order they were readied — a one-P Go runtime's
 	// runnext slot and local run queue. self is the waiter of a goroutine
@@ -84,9 +90,7 @@ type Sim struct {
 	self     *waiter
 	// made lists every waiter the Sim created, in creation order:
 	// teardown unwinds the goroutines parked on them in that order, one at
-	// a time, each handing the baton back on joined as it exits. made and
-	// the recycling of waiters (Sleep's and conds') and conds are touched
-	// by the baton holder only.
+	// a time, each handing the baton back on joined as it exits.
 	made     []*waiter
 	joined   chan struct{}
 	waitFree []*waiter
@@ -94,18 +98,16 @@ type Sim struct {
 	// instantHook, when armed, runs once the current instant's events are
 	// exhausted — just before virtual time would advance. It replaces a
 	// zero-delay event on the highest-frequency path in the tree (the
-	// network allocator's flush): arming is an atomic flag flip instead of
-	// a schedule/pop cycle, and the hook's position (after every event due
+	// network allocator's flush): arming is a flag write instead of a
+	// schedule/pop cycle, and the hook's position (after every event due
 	// at this instant) is exactly where a zero-delay event would land,
 	// since only other zero-delay schedules can carry a later sequence at
 	// the same instant and the flush dedups itself.
 	instantHook func()
-	hookSet     atomic.Bool // instantHook != nil, readable without mu
-	hookArmed   atomic.Bool
+	hookArmed   bool
 	// firing / rearm implement RearmFiring: while an event callback runs,
 	// its slot stays reserved and these fields pass a re-arm request back
-	// to the advance loop. They are only touched by the advancing
-	// goroutine (the callback runs on it), so no locking is involved.
+	// to the advance loop.
 	firingID   EventID
 	rearmDelay time.Duration
 	stopped    bool
@@ -115,7 +117,7 @@ type Sim struct {
 	// lastFired is the seq of the event most recently delivered at the
 	// current instant: the causal parent stamped onto events scheduled
 	// while it (or the goroutines it woke) run. ring, when set, records
-	// every schedule/fire/cancel/re-arm under mu (see corering.go). The
+	// every schedule/fire/cancel/re-arm (see corering.go). The
 	// remaining fields are the core profiler's counters and high-water
 	// marks, plus the sampled wall-time attribution arrays (nil when
 	// disabled).
@@ -217,17 +219,14 @@ type stoppedPanic struct{}
 // ErrStopped is returned by helpers that observe a torn-down simulation.
 var ErrStopped = fmt.Errorf("vtime: simulation stopped")
 
-// Now implements Clock. The read is lock-free: virtual time has a single
-// writer (the advancing goroutine, under mu) mirrored through an atomic,
-// and within one event callback or one managed goroutine's runnable
-// window the clock cannot move, so the value is stable where it matters.
+// Now implements Clock.
 func (s *Sim) Now() time.Time {
-	return Epoch.Add(time.Duration(s.nowAtomic.Load()))
+	return Epoch.Add(s.now)
 }
 
 // Elapsed returns the virtual time elapsed since the simulation started.
 func (s *Sim) Elapsed() time.Duration {
-	return time.Duration(s.nowAtomic.Load())
+	return s.now
 }
 
 // Rand returns a deterministic pseudo-random float64 in [0,1).
@@ -240,13 +239,7 @@ func (s *Sim) RandExp(mean float64) float64 {
 	return s.rng.ExpFloat64() * mean
 }
 
-// RandNorm returns a normally distributed value with the given mean and
-// standard deviation.
-func (s *Sim) RandNorm(mean, stddev float64) float64 {
-	return s.rng.NormFloat64()*stddev + mean
-}
-
-// --- slot arena + heap (all methods called with s.mu held) ---
+// --- slot arena + heap ---
 
 // allocSlotLocked pops a recycled slot or grows the arena.
 func (s *Sim) allocSlotLocked() int32 {
@@ -447,20 +440,16 @@ func (s *Sim) ScheduleSite(site Site, d time.Duration, fn func()) EventID {
 
 // ScheduleHandler arms h.Fire(kind) to run after d, tagged with site.
 func (s *Sim) ScheduleHandler(site Site, d time.Duration, h Handler, kind uint8) EventID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.scheduleLocked(d, h, kind, nil, site)
 }
 
 // RescheduleHandler moves event id to fire h.Fire(kind) after d, tagged
 // with site, and returns its id. A pending heap event is re-keyed in
-// place — one sift under one lock instead of a removal and a push — and
+// place — one sift instead of a removal and a push — and
 // takes a fresh seq and causal parent, as a cancel-and-schedule pair
 // would; any other id (zero, stale, fired, zero-delay) is cancelled if
 // pending and the event armed afresh, as by ScheduleHandler.
 func (s *Sim) RescheduleHandler(site Site, id EventID, d time.Duration, h Handler, kind uint8) EventID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	slot, gen := splitEventID(id)
 	if d <= 0 || slot < 0 || int(slot) >= len(s.slots) || s.slots[slot].gen != gen || s.slots[slot].state != inHeap {
 		s.cancelLocked(id)
@@ -485,8 +474,8 @@ func (s *Sim) RescheduleHandler(site Site, id EventID, d time.Duration, h Handle
 // unchanged, since the slot is never recycled. It must be called only
 // from within that event's own callback; periodic events (per-RTT window
 // growth of a window-limited flow, meter samples) re-arm themselves this
-// way with a plain field write instead of a full lock/allocate/push
-// cycle per period. The push happens when the callback returns, so the
+// way with a plain field write instead of a full allocate/push cycle
+// per period. The push happens when the callback returns, so the
 // re-armed event's sequence number follows any the callback scheduled
 // itself; ordering is unaffected at distinct instants, which d > 0
 // guarantees here. It panics if d <= 0: the slot would be freed when the
@@ -507,8 +496,6 @@ func (s *Sim) Cancel(id EventID) bool {
 	if id == 0 {
 		return false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.cancelLocked(id)
 }
 
@@ -551,14 +538,15 @@ func (s *Sim) cancelLocked(id EventID) bool {
 // timers are recycled (eagerly in the heap, at their FIFO turn in the
 // immediate queue) and never count.
 func (s *Sim) PendingEvents() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return len(s.heap) + s.immLive
 }
 
 // AfterFunc implements Clock.
 func (s *Sim) AfterFunc(d time.Duration, fn func()) Timer {
-	return &simTimer{s: s, id: s.ScheduleSite(siteAfterFunc, d, fn)}
+	// scheduleLocked, not ScheduleSite: ScheduleSite inlines whole, and
+	// AfterFunc must stay small enough to inline, or each caller that
+	// drops the Timer heap-allocates it.
+	return &simTimer{s: s, id: s.scheduleLocked(d, funcHandler(fn), 0, nil, siteAfterFunc)}
 }
 
 type simTimer struct {
@@ -572,23 +560,19 @@ func (t *simTimer) Stop() bool { return t.s.Cancel(t.id) }
 // SetInstantHook registers fn to run whenever the hook is armed and the
 // current instant's pending events are exhausted (immediately before
 // virtual time advances past the instant). One hook per clock; fn runs
-// like an event callback — without the clock's lock held — and must not
-// block. It may arm the hook again for the same instant.
+// like an event callback and must not block. It may arm the hook again
+// for the same instant.
 func (s *Sim) SetInstantHook(fn func()) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.instantHook = fn
-	s.hookSet.Store(fn != nil)
 }
 
 // ArmInstantHook schedules the registered hook to fire at the end of the
-// current instant. Arming an already-armed hook is a no-op. The arm is a
-// lock-free flag flip: on the allocator flush path it runs once per dirty
-// event, and taking the clock lock here would add a full mutex cycle to
-// every window-growth tick.
+// current instant. Arming an already-armed hook is a no-op. On the
+// allocator flush path it runs once per dirty event, so it is one flag
+// write.
 func (s *Sim) ArmInstantHook() {
-	if s.hookSet.Load() {
-		s.hookArmed.Store(true)
+	if s.instantHook != nil {
+		s.hookArmed = true
 	}
 }
 
@@ -606,7 +590,8 @@ const condSlabSize = 64
 
 // NewCond implements Clock. The cond is carved from the Sim's slab, so a
 // run that builds a cond per connection pays one allocation per
-// condSlabSize conds.
+// condSlabSize conds. l may be nil: state the baton holder alone touches
+// needs no locker, and Wait then unlocks and relocks nothing.
 func (s *Sim) NewCond(l sync.Locker) Cond {
 	if len(s.condSlab) == 0 {
 		s.condSlab = make([]chanCond, condSlabSize)
@@ -644,9 +629,7 @@ func (s *Sim) putWaiter(w *waiter) {
 // Go implements Clock: fn runs as a managed goroutine once the baton
 // reaches it.
 func (s *Sim) Go(fn func()) {
-	s.mu.Lock()
 	s.enqueueLocked(runEnt{fn: fn})
-	s.mu.Unlock()
 }
 
 // Run executes main as a managed goroutine on the caller's stack, holding
@@ -658,15 +641,12 @@ func (s *Sim) Go(fn func()) {
 // dropped.
 func (s *Sim) Run(main func()) {
 	defer func() {
-		s.mu.Lock()
 		s.stopped = true
 		s.next, s.runq, s.runqHead = runEnt{}, nil, 0
 		if w := s.self; w != nil {
 			w.parked = false // main panicked out of an event it fired
 		}
-		made := s.made
-		s.mu.Unlock()
-		for _, w := range made {
+		for _, w := range s.made {
 			if w.parked {
 				close(w.ch)
 				<-s.joined
@@ -679,14 +659,11 @@ func (s *Sim) Run(main func()) {
 // exit retires a managed goroutine and passes the baton on: at teardown,
 // back to Run.
 func (s *Sim) exit() {
-	s.mu.Lock()
 	if s.stopped {
-		s.mu.Unlock()
 		s.joined <- struct{}{}
 		return
 	}
 	s.handOffLocked(nil)
-	s.mu.Unlock()
 }
 
 // Sleep implements Clock. The caller must be a managed goroutine. The
@@ -710,9 +687,7 @@ func (s *Sim) SleepSite(site Site, d time.Duration) {
 // d, if d > 0 — until w is readied and the baton reaches it. A closed
 // w.ch means Run has returned: the goroutine unwinds.
 func (s *Sim) park(w *waiter, site Site, d time.Duration) {
-	s.mu.Lock()
 	if s.stopped {
-		s.mu.Unlock()
 		panic(stoppedPanic{})
 	}
 	if d > 0 {
@@ -720,7 +695,8 @@ func (s *Sim) park(w *waiter, site Site, d time.Duration) {
 	}
 	w.parked = true
 	s.handOffLocked(w)
-	s.mu.Unlock()
+	// The baton is gone: from here until w.ch delivers it back, this
+	// goroutine touches nothing of the Sim's.
 	if _, ok := <-w.ch; !ok {
 		panic(stoppedPanic{})
 	}
@@ -730,9 +706,7 @@ func (s *Sim) park(w *waiter, site Site, d time.Duration) {
 // callbacks and managed goroutines alike; dropped after teardown, when
 // code unwinding past Run may still signal.
 func (s *Sim) unpark(w *waiter) {
-	s.mu.Lock()
 	s.enqueueLocked(runEnt{w: w})
-	s.mu.Unlock()
 }
 
 // enqueueLocked readies e: it takes the next slot, and the entry there
@@ -755,8 +729,10 @@ func (s *Sim) enqueueLocked(e runEnt) {
 // the queue is empty it fires pending events on this goroutine, the
 // instant hook first at the end of each instant. The fire loop is inline:
 // handlers run on the parking goroutine's stack, and a frame more under
-// them made more of those goroutines grow their stacks. Called with s.mu
-// held; handlers run with it released.
+// them made more of those goroutines grow their stacks. The send on a
+// waiter's channel (or the go statement) is the hand-off itself: it
+// orders everything this goroutine did before everything the next holder
+// does, so the caller must touch no Sim state once this returns.
 func (s *Sim) handOffLocked(self *waiter) {
 	s.self = self
 	for {
@@ -783,23 +759,18 @@ func (s *Sim) handOffLocked(self *waiter) {
 			go s.launch(e.fn)
 			return
 		}
-		if s.hookArmed.Load() && !s.nextDueNowLocked() {
-			s.hookArmed.Store(false)
-			fn := s.instantHook
-			s.mu.Unlock()
-			fn()
-			s.mu.Lock()
+		if s.hookArmed && !s.nextDueNowLocked() {
+			s.hookArmed = false
+			s.instantHook()
 			continue
 		}
 		i := s.popNextLocked()
 		if i < 0 {
-			s.mu.Unlock()
 			panic("vtime: deadlock: goroutines parked with no pending events")
 		}
 		sl := &s.slots[i]
 		if sl.at > s.now {
 			s.now = sl.at
-			s.nowAtomic.Store(int64(sl.at))
 		}
 		s.nFired++
 		s.lastFired = sl.seq
@@ -822,18 +793,13 @@ func (s *Sim) handOffLocked(self *waiter) {
 		// and charge its site with the stride-scaled cost. Observational
 		// only — the reading never reaches the simulation or its dumps.
 		sample := s.wallNs != nil && s.nFired%WallSampleEvery == 0
-		s.mu.Unlock()
 		var t0 time.Time
 		if sample {
 			t0 = time.Now() //esglint:wallclock wall-time profiler sample, never fed back into the simulation
 		}
 		h.Fire(kind)
-		var dt int64
 		if sample {
-			dt = int64(time.Since(t0)) * WallSampleEvery //esglint:wallclock wall-time profiler sample, never fed back into the simulation
-		}
-		s.mu.Lock()
-		if sample && s.wallNs != nil {
+			dt := int64(time.Since(t0)) * WallSampleEvery //esglint:wallclock wall-time profiler sample, never fed back into the simulation
 			j := int(site)
 			if j >= len(s.wallNs) {
 				j = len(s.wallNs) - 1 // site registered after EnableWallProfile

@@ -112,8 +112,6 @@ type CoreStats struct {
 
 // CoreStats returns the current core vitals.
 func (s *Sim) CoreStats() CoreStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return CoreStats{
 		Now:        s.now,
 		HeapLen:    len(s.heap),
@@ -143,8 +141,6 @@ const WallSampleEvery = 16
 // recorded streams are unchanged. Wall numbers vary run to run and are
 // deliberately excluded from flight dumps.
 func (s *Sim) EnableWallProfile() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.wallNs == nil {
 		s.wallNs = make([]int64, NumSites())
 	}
@@ -154,8 +150,6 @@ func (s *Sim) EnableWallProfile() {
 // each site, indexed by Site, or nil when profiling is off. Sites
 // registered after EnableWallProfile fold into the last index.
 func (s *Sim) WallProfile() []int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.wallNs == nil {
 		return nil
 	}

@@ -91,8 +91,8 @@ func (Real) NewCond(l sync.Locker) Cond { return &chanCond{l: l} }
 // waiters, and steady-state Wait/Signal allocates nothing however many
 // conds a run creates.
 type chanCond struct {
-	sim *Sim // the cond's clock; nil on the Real clock
-	l   sync.Locker
+	sim *Sim        // the cond's clock; nil on the Real clock
+	l   sync.Locker // nil: Wait unlocks nothing (Sim clock only)
 
 	mu      sync.Mutex
 	waiters []*waiter
@@ -135,10 +135,12 @@ func (c *chanCond) wait(d time.Duration) bool {
 			t = time.AfterFunc(d, func() { c.timeout(w) })
 		}
 	}
-	c.l.Unlock()
-	// Relock even if await unwinds via the simulation-teardown panic, so
-	// callers' deferred Unlocks stay balanced.
-	defer c.l.Lock()
+	if c.l != nil {
+		c.l.Unlock()
+		// Relock even if await unwinds via the simulation-teardown panic,
+		// so callers' deferred Unlocks stay balanced.
+		defer c.l.Lock()
+	}
 	c.await(w)
 	timedOut := w.timedOut
 	if sim != nil {
