@@ -124,7 +124,7 @@ func main() {
 }
 
 // printHealth renders the monitor's MDS publications — the operations
-// view the rm's health-aware ranking reads.
+// view of host and path health.
 func printHealth(dir *ldapd.Dir) error {
 	info, err := mds.New(dir)
 	if err != nil {

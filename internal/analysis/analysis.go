@@ -59,36 +59,6 @@ func ExtractField(file *cdf.File, varName string, timeIndex int) (*Field, error)
 	return &Field{Name: varName, Lats: lats, Lons: lons, Data: data}, nil
 }
 
-// TimeMean averages a (time, lat, lon) variable over all time steps.
-func TimeMean(file *cdf.File, varName string) (*Field, error) {
-	shape, err := file.Shape(varName)
-	if err != nil {
-		return nil, err
-	}
-	if len(shape) != 3 {
-		return nil, fmt.Errorf("analysis: variable %q is not (time, lat, lon)", varName)
-	}
-	acc := make([]float64, shape[1]*shape[2])
-	for t := 0; t < shape[0]; t++ {
-		f, err := ExtractField(file, varName, t)
-		if err != nil {
-			return nil, err
-		}
-		for i, v := range f.Data {
-			acc[i] += v
-		}
-	}
-	for i := range acc {
-		acc[i] /= float64(shape[0])
-	}
-	f, err := ExtractField(file, varName, 0)
-	if err != nil {
-		return nil, err
-	}
-	f.Data = acc
-	return f, nil
-}
-
 // Subset restricts the field to a lat/lon box (inclusive bounds,
 // longitudes in [0, 360)).
 func (f *Field) Subset(latMin, latMax, lonMin, lonMax float64) (*Field, error) {
@@ -171,19 +141,6 @@ func (f *Field) ZonalMean() []float64 {
 		out[i] = s / float64(len(f.Lons))
 	}
 	return out
-}
-
-// Anomaly returns f minus g (same shape), the model-vs-observation
-// intercomparison of §1.
-func (f *Field) Anomaly(g *Field) (*Field, error) {
-	if len(f.Data) != len(g.Data) {
-		return nil, fmt.Errorf("analysis: shape mismatch %d vs %d", len(f.Data), len(g.Data))
-	}
-	out := &Field{Name: f.Name + "-anom", Lats: f.Lats, Lons: f.Lons, Data: make([]float64, len(f.Data))}
-	for i := range f.Data {
-		out.Data[i] = f.Data[i] - g.Data[i]
-	}
-	return out, nil
 }
 
 // shades orders characters by increasing intensity.

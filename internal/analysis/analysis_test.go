@@ -3,7 +3,6 @@ package analysis
 import (
 	"bytes"
 	"errors"
-	"math"
 	"strings"
 	"testing"
 
@@ -91,28 +90,6 @@ func TestZonalMeanShape(t *testing.T) {
 	}
 	if la := fld.Lats[best]; la < -30 || la > 30 {
 		t.Fatalf("warmest band at lat %v", la)
-	}
-}
-
-func TestTimeMeanAndAnomaly(t *testing.T) {
-	f := monthFile(t)
-	mean, err := TimeMean(f, "tas")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fld, _ := ExtractField(f, "tas", 0)
-	anom, err := fld.Anomaly(mean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := anom.Stats()
-	if math.Abs(st.Mean) > 2 {
-		t.Fatalf("anomaly mean %.2f too large", st.Mean)
-	}
-	// Mismatched shapes must error.
-	sub, _ := fld.Subset(-20, 20, 0, 360)
-	if _, err := sub.Anomaly(mean); err == nil {
-		t.Fatal("shape mismatch accepted")
 	}
 }
 

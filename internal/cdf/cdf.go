@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
 )
 
 // Magic identifies an ESG-CDF file.
@@ -29,17 +28,6 @@ const (
 	Float32
 	Int32
 )
-
-// Size returns the encoded byte width of the type.
-func (t Type) Size() int {
-	switch t {
-	case Float64:
-		return 8
-	case Float32, Int32:
-		return 4
-	}
-	return 0
-}
 
 func (t Type) String() string {
 	switch t {
@@ -157,15 +145,6 @@ func (f *File) AddVar(name string, typ Type, dims []string, attrs map[string]str
 	f.vars = append(f.vars, v)
 	f.varsBy[name] = v
 	return nil
-}
-
-// Vars lists variable names in definition order.
-func (f *File) Vars() []string {
-	out := make([]string, len(f.vars))
-	for i, v := range f.vars {
-		out[i] = v.Name
-	}
-	return out
 }
 
 // VarInfo returns the variable's metadata.
@@ -502,36 +481,4 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	n, err := cw.w.Write(p)
 	cw.n += int64(n)
 	return n, err
-}
-
-// Summary renders a header description ("ncdump -h" style).
-func (f *File) Summary() string {
-	var b strings.Builder
-	b.WriteString("dimensions:\n")
-	for _, d := range f.Dims {
-		fmt.Fprintf(&b, "\t%s = %d\n", d.Name, d.Len)
-	}
-	b.WriteString("variables:\n")
-	for _, v := range f.vars {
-		fmt.Fprintf(&b, "\t%s %s(%s)\n", v.Type, v.Name, strings.Join(v.Dims, ", "))
-		for _, k := range sortedKeys(v.Attrs) {
-			fmt.Fprintf(&b, "\t\t%s:%s = %q\n", v.Name, k, v.Attrs[k])
-		}
-	}
-	if len(f.Attrs) > 0 {
-		b.WriteString("// global attributes:\n")
-		for _, k := range sortedKeys(f.Attrs) {
-			fmt.Fprintf(&b, "\t:%s = %q\n", k, f.Attrs[k])
-		}
-	}
-	return b.String()
-}
-
-func sortedKeys(m map[string]string) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sortStrings(ks)
-	return ks
 }

@@ -29,7 +29,6 @@ type Server struct {
 
 	mu       sync.Mutex
 	handlers map[string]Handler
-	listener transport.Listener
 }
 
 // NewServer creates a server; auth may be nil to skip authentication.
@@ -46,24 +45,12 @@ func (s *Server) Handle(method string, h Handler) {
 
 // Serve accepts connections until the listener closes.
 func (s *Server) Serve(l transport.Listener) {
-	s.mu.Lock()
-	s.listener = l
-	s.mu.Unlock()
 	for {
 		c, err := l.Accept()
 		if err != nil {
 			return
 		}
 		s.clk.Go(func() { s.handle(c) })
-	}
-}
-
-// Close stops accepting new connections.
-func (s *Server) Close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.listener != nil {
-		s.listener.Close()
 	}
 }
 

@@ -59,7 +59,7 @@ func TestCallOverSimnet(t *testing.T) {
 		if err := cli.Call("nope", nil, nil); err == nil {
 			t.Fatal("unknown method succeeded")
 		}
-		srv.Close()
+		l.Close()
 	})
 }
 
@@ -99,7 +99,7 @@ func TestAuthenticatedRPC(t *testing.T) {
 		if subj != "/CN=williams" {
 			t.Fatalf("whoami = %q", subj)
 		}
-		srv.Close()
+		l.Close()
 	})
 }
 
@@ -127,7 +127,7 @@ func TestUnauthenticatedClientRejected(t *testing.T) {
 		if err == nil {
 			t.Fatal("rogue client connected")
 		}
-		srv.Close()
+		l.Close()
 	})
 }
 
@@ -170,6 +170,6 @@ func TestConcurrentCallsOneClient(t *testing.T) {
 			})
 		}
 		wg.Wait()
-		srv.Close()
+		l.Close()
 	})
 }

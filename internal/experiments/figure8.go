@@ -67,14 +67,13 @@ func DefaultFigure8Config() Figure8Config {
 // Figure8Result carries the bandwidth-over-time series and summary
 // statistics of the run.
 type Figure8Result struct {
-	Config        Figure8Config
-	Series        netlogger.Series // bits/s per bucket
-	MeanBps       float64
-	PlateauBps    float64 // 90th percentile bucket rate
-	Transfers     int
-	Restarts      int
-	ZeroBuckets   int // buckets with no progress (outages + dips)
-	OutageBuckets int // buckets fully inside scheduled outages
+	Config      Figure8Config
+	Series      netlogger.Series // bits/s per bucket
+	MeanBps     float64
+	PlateauBps  float64 // 90th percentile bucket rate
+	Transfers   int
+	Restarts    int
+	ZeroBuckets int // buckets with no progress (outages + dips)
 	// Flight is the run's always-on flight recorder; TestEqualSeed
 	// compares its dump byte-for-byte between two equal-seed runs.
 	Flight *flight.Recorder

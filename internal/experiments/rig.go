@@ -170,10 +170,10 @@ func newTriangle(seed int64, access simnet.LinkConfig, diskBps float64, files in
 }
 
 // start serves src from both replica sites over GridFTP with cfg (disk
-// bound, logged) and lbnl's HRM over esgrpc on :4811.
+// bound, logged) and lbnl's HRM over esgrpc on hrm.Port.
 func (t *triangle) start(cfg gridftp.Config) bool {
 	cfg.Store, cfg.DiskBound, cfg.Log = t.src, true, t.log
-	return t.Serve("ncar", cfg) && t.Serve("lbnl", cfg) && t.ServeRPC("lbnl", ":4811", t.tape.RegisterRPC)
+	return t.Serve("ncar", cfg) && t.Serve("lbnl", cfg) && t.ServeRPC("lbnl", fmt.Sprintf(":%d", hrm.Port), t.tape.RegisterRPC)
 }
 
 // submit starts anl's request manager, applies the fault schedule and

@@ -8,7 +8,6 @@ import (
 	"net"
 	"strconv"
 	"strings"
-	"sync"
 	"unicode/utf8"
 
 	"esgrid/internal/gsi"
@@ -63,9 +62,6 @@ type Server struct {
 	cfg       Config
 	blockSize int64
 	nodes     []DataNode
-
-	mu       sync.Mutex
-	listener transport.Listener
 }
 
 // NewServer validates cfg and returns a server.
@@ -86,24 +82,12 @@ func NewServer(cfg Config) (*Server, error) {
 
 // Serve accepts control connections until the listener closes.
 func (s *Server) Serve(l transport.Listener) {
-	s.mu.Lock()
-	s.listener = l
-	s.mu.Unlock()
 	for {
 		c, err := l.Accept()
 		if err != nil {
 			return
 		}
 		s.cfg.Clock.Go(func() { s.handle(c) })
-	}
-}
-
-// Close stops accepting control connections.
-func (s *Server) Close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.listener != nil {
-		s.listener.Close()
 	}
 }
 

@@ -161,28 +161,6 @@ func TestLoadCAErrors(t *testing.T) {
 
 // --- trust-store edge cases --------------------------------------------
 
-func TestAddCATrustsNewAuthority(t *testing.T) {
-	esg := testCA(t)
-	ncar, err := NewCA("NCAR-CA")
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Date(2000, 11, 6, 8, 0, 0, 0, time.UTC)
-	id, err := ncar.Issue("/O=NCAR/CN=strand", now, time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := NewTrustStore(esg)
-	if _, err := ts.Verify(id.Credential, now); !errors.Is(err, ErrUntrusted) {
-		t.Fatalf("before AddCA: got %v, want ErrUntrusted", err)
-	}
-	ts.AddCA(ncar.Name, ncar.PublicKey())
-	subj, err := ts.Verify(id.Credential, now)
-	if err != nil || subj != "/O=NCAR/CN=strand" {
-		t.Fatalf("after AddCA: subject %q err %v", subj, err)
-	}
-}
-
 func TestVerifyChainTooDeep(t *testing.T) {
 	ca := testCA(t)
 	now := time.Date(2000, 11, 6, 8, 0, 0, 0, time.UTC)

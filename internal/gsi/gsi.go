@@ -135,9 +135,6 @@ func NewTrustStore(cas ...*CA) *TrustStore {
 	return ts
 }
 
-// AddCA trusts an additional authority by name and key.
-func (ts *TrustStore) AddCA(name string, pub ed25519.PublicKey) { ts.cas[name] = pub }
-
 // Verify checks the credential's validity window and signature chain down
 // to a trusted CA. It returns the effective subject: for proxies, the
 // subject of the CA-issued credential at the root of the chain.

@@ -138,13 +138,6 @@ func (h *HRM) Stats() Stats {
 	return h.stats
 }
 
-// CacheUsed returns bytes resident in the disk cache.
-func (h *HRM) CacheUsed() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.cache.used
-}
-
 // IsStaged reports whether the file is resident in the disk cache.
 func (h *HRM) IsStaged(name string) bool {
 	h.mu.Lock()
@@ -279,8 +272,10 @@ func (s *hrmStore) Create(name string, size int64) (gridftp.Sink, error) {
 
 // --- RPC service (the CORBA interface of §4) ---
 
-// StageRequest is the RPC payload for hrm.stage and hrm.release. The RM
-// also sends its life-line trace context as "trid"; the HRM ignores it.
+// Port is the TCP port every HRM serves its RPC interface on.
+const Port = 4811
+
+// StageRequest is the RPC payload for hrm.stage and hrm.release.
 type StageRequest struct {
 	File string `json:"file"`
 }
@@ -291,7 +286,8 @@ type StageReply struct {
 	Size   int64 `json:"size"`
 }
 
-// RegisterRPC exposes the HRM on an esgrpc server under "hrm.*".
+// RegisterRPC exposes the HRM on an esgrpc server as hrm.stage and
+// hrm.release.
 func (h *HRM) RegisterRPC(srv *esgrpc.Server) {
 	srv.Handle("hrm.stage", func(_ *gsi.Peer, params json.RawMessage) (any, error) {
 		var req StageRequest
@@ -314,9 +310,6 @@ func (h *HRM) RegisterRPC(srv *esgrpc.Server) {
 		}
 		h.Release(req.File)
 		return nil, nil
-	})
-	srv.Handle("hrm.stats", func(_ *gsi.Peer, _ json.RawMessage) (any, error) {
-		return h.Stats(), nil
 	})
 }
 

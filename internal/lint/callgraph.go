@@ -39,10 +39,9 @@ func packageFuncs(pass *Pass) []funcDecl {
 	return out
 }
 
-// isTelemetryPath matches the telemetry plane package and its fixture
-// twin.
-func isTelemetryPath(path string) bool {
-	return path == "internal/telemetry" || strings.HasSuffix(path, "/internal/telemetry")
+// isTransportPath matches the transport package and its fixture twin.
+func isTransportPath(path string) bool {
+	return path == "internal/transport" || strings.HasSuffix(path, "/internal/transport")
 }
 
 // blockSeedNames are the internal/vtime functions and interface methods
@@ -62,9 +61,9 @@ var blockSeedNames = map[string]bool{
 
 // blockSeed reports whether calling fn may directly block on virtual
 // time, with a short reason for diagnostics. Roots: the vtime blocking
-// primitives and the telemetry plane's length-prefixed frame read
-// (which parks on simnet conn reads through an io.Reader the call graph
-// cannot see through).
+// primitives and transport's length-prefixed frame reads (which park on
+// simnet conn reads through an io.Reader the call graph cannot see
+// through).
 func blockSeed(fn *types.Func) (string, bool) {
 	if fn == nil || fn.Pkg() == nil {
 		return "", false
@@ -73,8 +72,8 @@ func blockSeed(fn *types.Func) (string, bool) {
 	if isVtimePath(path) && blockSeedNames[fn.Name()] {
 		return "vtime." + recvPrefix(fn) + fn.Name(), true
 	}
-	if isTelemetryPath(path) && fn.Name() == "ReadFrame" {
-		return "telemetry.ReadFrame", true
+	if isTransportPath(path) && (fn.Name() == "ReadFrame" || fn.Name() == "ReadJSON") {
+		return "transport." + fn.Name(), true
 	}
 	return "", false
 }

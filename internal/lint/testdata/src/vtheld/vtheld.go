@@ -1,15 +1,17 @@
 // Package vtheld exercises vtblock: every way a lock can be held across
 // a virtual-time suspension — direct seed call, transitive call within
 // the package, transitive call across a package boundary (vtdeps),
-// channel receive, select, channel range — plus the shapes that must
+// channel receive, select, channel range, transport frame read — plus the shapes that must
 // stay quiet: unlocking first, Cond.Wait (the cond releases its locker
 // before parking), detached callbacks, and an escaped site.
 package vtheld
 
 import (
+	"io"
 	"sync"
 	"time"
 
+	"esgrid/internal/transport"
 	"esgrid/internal/vtime"
 	"vtdeps"
 )
@@ -112,6 +114,20 @@ func (s *Server) drain() int {
 		sum += v
 	}
 	return sum
+}
+
+// A frame read parks until the peer writes: transport's reads are seeds.
+func (s *Server) readFrame(r io.Reader, v any) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return transport.ReadJSON(r, v) // want `s\.mu held across a call to transport\.ReadJSON`
+}
+
+// Writing a frame never parks.
+func (s *Server) writeFrame(w io.Writer, v any) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return transport.WriteJSON(w, v)
 }
 
 // Read locks count too, and are named in the finding.

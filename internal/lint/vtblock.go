@@ -20,7 +20,7 @@ import (
 // package boundaries in dependency order — whether it may block: the
 // function directly suspends on virtual time (Sim.Sleep, Cond.Wait,
 // Sim.Run, WaitGroup.Wait, a channel receive or select, a
-// telemetry frame read) or calls, transitively through any number of
+// transport frame read) or calls, transitively through any number of
 // packages, something that does. Within each function, lock/unlock
 // pairing is tracked flow-insensitively in source order per body:
 // x.Lock()/x.RLock() adds x to the held set, x.Unlock()/x.RUnlock()

@@ -6,9 +6,9 @@
 // maintains bounded ring-buffer time series per host and transfer plus
 // streaming stage-latency digests, runs a fixed battery of five
 // anomaly detectors, and publishes HostHealth/PathHealth verdicts into
-// MDS so replica selection can route around unhealthy paths.
+// MDS, where S14 and esgquery's health view read them.
 //
-// The plane is a pure observer by default: it never emits into the log
+// The plane is a pure observer: it never emits into the log
 // it watches, keeps its alerts in its own buffer, and advances its tick
 // grid deterministically (ticks are aligned to vtime.Epoch and fired
 // before any event at or past the boundary), so an instrumented
@@ -535,14 +535,6 @@ func (m *Monitor) healthLocked(now time.Time) ([]mds.HostHealth, []mds.PathHealt
 		})
 	}
 	return hh, ph
-}
-
-// Health returns the records a tick at the given instant would publish
-// (exported for replay mode and tests).
-func (m *Monitor) Health(now time.Time) ([]mds.HostHealth, []mds.PathHealth) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.healthLocked(now)
 }
 
 // HostStat, TransferStat, StageStat, and Snapshot are the wire-friendly

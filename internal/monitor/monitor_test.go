@@ -235,7 +235,14 @@ func TestHealthStatusDerivationAndDecay(t *testing.T) {
 	m.Observe(ev(500*time.Millisecond, "anl", "rm.attempt.start",
 		"file", "a.nc", "replica", "ncar", "n", "1"))
 	m.AdvanceTo(vtime.Epoch.Add(5 * time.Second)) // stall at t=3.5+... → down
-	hh, _ := m.Health(vtime.Epoch.Add(5 * time.Second))
+	// The records a live tick at the given instant would publish.
+	health := func(now time.Time) []mds.HostHealth {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		hh, _ := m.healthLocked(now)
+		return hh
+	}
+	hh := health(vtime.Epoch.Add(5 * time.Second))
 	var ncar *mds.HostHealth
 	for i := range hh {
 		if hh[i].Host == "ncar" {
@@ -249,7 +256,7 @@ func TestHealthStatusDerivationAndDecay(t *testing.T) {
 		t.Fatalf("alerts charged = %d", ncar.Alerts)
 	}
 	// Past the decay window the verdict relaxes to ok.
-	hh, _ = m.Health(vtime.Epoch.Add(60 * time.Second))
+	hh = health(vtime.Epoch.Add(60 * time.Second))
 	for _, h := range hh {
 		if h.Host == "ncar" && h.Status != mds.HealthOK {
 			t.Fatalf("after decay: %+v", h)

@@ -27,9 +27,6 @@ func (r *Ring) Push(v float64) {
 	}
 }
 
-// Len reports how many samples are held.
-func (r *Ring) Len() int { return r.n }
-
 // Last returns the most recent sample (0 when empty).
 func (r *Ring) Last() float64 {
 	if r.n == 0 {
@@ -38,17 +35,8 @@ func (r *Ring) Last() float64 {
 	return r.vals[(r.head-1+len(r.vals))%len(r.vals)]
 }
 
-// Values returns the held samples oldest-first.
-func (r *Ring) Values() []float64 {
-	out := make([]float64, 0, r.n)
-	start := (r.head - r.n + len(r.vals)) % len(r.vals)
-	for i := 0; i < r.n; i++ {
-		out = append(out, r.vals[(start+i)%len(r.vals)])
-	}
-	return out
-}
-
-// Mean averages the last n samples (all when n <= 0 or n > Len).
+// Mean averages the last n samples (all held when n <= 0 or n exceeds
+// them).
 func (r *Ring) Mean(n int) float64 {
 	if n <= 0 || n > r.n {
 		n = r.n

@@ -7,21 +7,21 @@ import (
 
 func TestRingEviction(t *testing.T) {
 	r := NewRing(3)
-	if r.Len() != 0 || r.Last() != 0 || r.Mean(0) != 0 {
+	if r.Last() != 0 || r.Mean(0) != 0 {
 		t.Fatal("empty ring not zero-valued")
 	}
 	for _, v := range []float64{1, 2, 3} {
 		r.Push(v)
 	}
-	if got := r.Values(); len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Fatalf("Values = %v", got)
+	if got := r.Mean(0); got != 2 {
+		t.Fatalf("Mean(all) of 1,2,3 = %v", got)
 	}
 	r.Push(4) // evicts 1
-	if got := r.Values(); len(got) != 3 || got[0] != 2 || got[2] != 4 {
-		t.Fatalf("after eviction: %v", got)
+	if r.Last() != 4 {
+		t.Fatalf("Last = %v", r.Last())
 	}
-	if r.Last() != 4 || r.Len() != 3 {
-		t.Fatalf("Last=%v Len=%d", r.Last(), r.Len())
+	if got := r.Mean(5); got != 3 {
+		t.Fatalf("Mean(5) over 2,3,4 = %v", got)
 	}
 	if got := r.Mean(2); got != 3.5 {
 		t.Fatalf("Mean(2) = %v", got)
@@ -35,8 +35,8 @@ func TestRingMinCapacity(t *testing.T) {
 	r := NewRing(0)
 	r.Push(7)
 	r.Push(9)
-	if r.Len() != 1 || r.Last() != 9 {
-		t.Fatalf("capacity-1 ring: len=%d last=%v", r.Len(), r.Last())
+	if r.Last() != 9 || r.Mean(0) != 9 {
+		t.Fatalf("capacity-1 ring: last=%v mean=%v", r.Last(), r.Mean(0))
 	}
 }
 

@@ -161,7 +161,6 @@ func TestSensorPublishesIntoMDS(t *testing.T) {
 		s.Watch("isi", "lbnl")
 		s.Start()
 		clk.Sleep(2 * time.Minute)
-		s.Stop()
 
 		f, err := svc.Forecast("lbnl", "isi")
 		if err != nil {
@@ -172,9 +171,6 @@ func TestSensorPublishesIntoMDS(t *testing.T) {
 		}
 		if f.Latency < 20*time.Millisecond || f.Latency > 30*time.Millisecond {
 			t.Fatalf("forecast latency %v, want ~24ms", f.Latency)
-		}
-		if len(s.History("lbnl", "isi")) < 10 {
-			t.Fatalf("history too short: %d", len(s.History("lbnl", "isi")))
 		}
 		all, err := svc.AllForecasts()
 		if err != nil {

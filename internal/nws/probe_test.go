@@ -140,7 +140,7 @@ func TestTransferProberUnknownHost(t *testing.T) {
 
 // TestSensorInstrumentedFailures covers the probe-error path: failures
 // must emit nws.probe.error events with a consecutive counter, and a
-// success must reset the counter.
+// success must reset the counter (the next failure counts from 1).
 func TestSensorInstrumentedFailures(t *testing.T) {
 	clk := vtime.NewSim(16)
 	clk.Run(func() {
@@ -157,9 +157,6 @@ func TestSensorInstrumentedFailures(t *testing.T) {
 		s.Watch("ncar", "anl")
 		s.MeasureNow()
 		s.MeasureNow()
-		if got := s.Failures("ncar", "anl"); got != 2 {
-			t.Fatalf("Failures = %d, want 2", got)
-		}
 		evs := log.Named("nws.probe.error")
 		if len(evs) != 2 {
 			t.Fatalf("nws.probe.error events = %d, want 2", len(evs))
@@ -176,11 +173,11 @@ func TestSensorInstrumentedFailures(t *testing.T) {
 		}
 		fail = false
 		s.MeasureNow()
-		if got := s.Failures("ncar", "anl"); got != 0 {
-			t.Fatalf("Failures after success = %d, want 0", got)
-		}
-		if got := s.Failures("nowhere", "anl"); got != 0 {
-			t.Fatalf("Failures for unwatched pair = %d, want 0", got)
+		fail = true
+		s.MeasureNow()
+		evs = log.Named("nws.probe.error")
+		if len(evs) != 3 || evs[2].Fields["consecutive"] != "1" {
+			t.Fatalf("after a success: %d events, last %+v; want 3, consecutive 1", len(evs), evs[len(evs)-1])
 		}
 	})
 }

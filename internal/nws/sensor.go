@@ -42,13 +42,11 @@ type Sensor struct {
 	pub    Publisher
 	period time.Duration
 
-	mu      sync.Mutex
-	log     *netlogger.Log
-	host    string
-	pairs   []pair
-	state   map[[2]string]*pairState
-	stopped bool
-	stopCh  chan struct{}
+	mu    sync.Mutex
+	log   *netlogger.Log
+	host  string
+	pairs []pair
+	state map[[2]string]*pairState
 }
 
 type pair struct{ from, to string }
@@ -56,7 +54,6 @@ type pair struct{ from, to string }
 type pairState struct {
 	bw       *Adaptive
 	lat      *Adaptive
-	history  []float64
 	lastAt   time.Time
 	failures int // consecutive probe errors; reset on success
 }
@@ -66,8 +63,7 @@ type pairState struct {
 func NewSensor(clk vtime.Clock, prober Prober, pub Publisher, period time.Duration) *Sensor {
 	return &Sensor{
 		clk: clk, prober: prober, pub: pub, period: period,
-		state:  map[[2]string]*pairState{},
-		stopCh: make(chan struct{}),
+		state: map[[2]string]*pairState{},
 	}
 }
 
@@ -81,17 +77,6 @@ func (s *Sensor) Instrument(log *netlogger.Log, host string) {
 	s.log = log
 	s.host = host
 	s.mu.Unlock()
-}
-
-// Failures returns the consecutive probe-error count for a pair (zeroed
-// by any successful measurement).
-func (s *Sensor) Failures(from, to string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if st := s.state[[2]string{from, to}]; st != nil {
-		return st.failures
-	}
-	return 0
 }
 
 // Watch registers a directed pair for measurement.
@@ -111,24 +96,10 @@ func (s *Sensor) Start() {
 	s.clk.Go(s.loop)
 }
 
-// Stop halts the measurement loop.
-func (s *Sensor) Stop() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.stopped {
-		s.stopped = true
-		close(s.stopCh)
-	}
-}
-
 func (s *Sensor) loop() {
 	for {
 		vtime.SleepTagged(s.clk, siteProbePeriod, s.period)
 		s.mu.Lock()
-		if s.stopped {
-			s.mu.Unlock()
-			return
-		}
 		ps := append([]pair(nil), s.pairs...)
 		s.mu.Unlock()
 		for _, p := range ps {
@@ -167,7 +138,6 @@ func (s *Sensor) measureOnce(p pair) {
 	st.failures = 0
 	st.bw.Observe(bw)
 	st.lat.Observe(float64(lat))
-	st.history = append(st.history, bw)
 	st.lastAt = now
 	fbw := st.bw.Predict()
 	flat := st.lat.Predict()
@@ -202,15 +172,4 @@ func (s *Sensor) MeasureNow() {
 	for _, p := range ps {
 		s.measureOnce(p)
 	}
-}
-
-// History returns the raw bandwidth observations for a pair.
-func (s *Sensor) History(from, to string) []float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.state[[2]string{from, to}]
-	if st == nil {
-		return nil
-	}
-	return append([]float64(nil), st.history...)
 }

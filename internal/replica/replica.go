@@ -79,28 +79,6 @@ func (c *Catalog) CreateCollection(name string, files []string) error {
 	return c.dir.Add(collDN(name), attrs)
 }
 
-// AddFiles appends logical file names to a collection.
-func (c *Catalog) AddFiles(coll string, files ...string) error {
-	err := c.dir.Modify(collDN(coll), []ldapd.Mod{{Op: ldapd.ModAdd, Attr: "filename", Values: files}})
-	if errors.Is(err, ldapd.ErrNoSuchEntry) {
-		return fmt.Errorf("%w: %s", ErrNoSuchCollection, coll)
-	}
-	return err
-}
-
-// Collections lists collection names.
-func (c *Catalog) Collections() ([]string, error) {
-	es, err := c.dir.Search(Base, ldapd.ScopeOne, "(objectclass=logicalcollection)")
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, len(es))
-	for i, e := range es {
-		out[i] = e.Get("lc")
-	}
-	return out, nil
-}
-
 // Files lists the logical files of a collection.
 func (c *Catalog) Files(coll string) ([]string, error) {
 	es, err := c.dir.Search(collDN(coll), ldapd.ScopeBase, "")
@@ -136,15 +114,6 @@ func (c *Catalog) AddLocation(coll string, loc Location) error {
 // AddFilesToLocation records that the location now also holds files.
 func (c *Catalog) AddFilesToLocation(coll, host string, files ...string) error {
 	err := c.dir.Modify(locDN(coll, host), []ldapd.Mod{{Op: ldapd.ModAdd, Attr: "filename", Values: files}})
-	if errors.Is(err, ldapd.ErrNoSuchEntry) {
-		return fmt.Errorf("%w: %s@%s", ErrNoSuchLocation, coll, host)
-	}
-	return err
-}
-
-// RemoveLocation drops a physical location from the collection.
-func (c *Catalog) RemoveLocation(coll, host string) error {
-	err := c.dir.Delete(locDN(coll, host))
 	if errors.Is(err, ldapd.ErrNoSuchEntry) {
 		return fmt.Errorf("%w: %s@%s", ErrNoSuchLocation, coll, host)
 	}

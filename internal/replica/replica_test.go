@@ -40,10 +40,6 @@ func figure6(t *testing.T) *Catalog {
 
 func TestFigure6Lookups(t *testing.T) {
 	c := figure6(t)
-	colls, err := c.Collections()
-	if err != nil || len(colls) != 1 || colls[0] != "CO2 measurements 1998" {
-		t.Fatalf("collections = %v, %v", colls, err)
-	}
 	files, err := c.Files("CO2 measurements 1998")
 	if err != nil || len(files) != 3 {
 		t.Fatalf("files = %v, %v", files, err)
@@ -81,15 +77,12 @@ func TestErrorsAreSentinels(t *testing.T) {
 	if _, err := c.LocationsFor("CO2 measurements 1998", "dec98.nc"); !errors.Is(err, ErrNoSuchFile) {
 		t.Errorf("LocationsFor missing file: %v", err)
 	}
-	if err := c.AddFiles("nope", "x.nc"); !errors.Is(err, ErrNoSuchCollection) {
-		t.Errorf("AddFiles: %v", err)
+	if err := c.AddFilesToLocation("CO2 measurements 1998", "nowhere.gov", "x.nc"); !errors.Is(err, ErrNoSuchLocation) {
+		t.Errorf("AddFilesToLocation: %v", err)
 	}
-	if err := c.RemoveLocation("CO2 measurements 1998", "nowhere.gov"); !errors.Is(err, ErrNoSuchLocation) {
-		t.Errorf("RemoveLocation: %v", err)
-	}
-	// A file in the collection but at no location.
-	c.AddFiles("CO2 measurements 1998", "apr98.nc")
-	if _, err := c.LocationsFor("CO2 measurements 1998", "apr98.nc"); !errors.Is(err, ErrNoReplicas) {
+	// A file in a collection but at no location.
+	c.CreateCollection("CO2 measurements 1999", []string{"apr99.nc"})
+	if _, err := c.LocationsFor("CO2 measurements 1999", "apr99.nc"); !errors.Is(err, ErrNoReplicas) {
 		t.Errorf("LocationsFor unreplicated file: %v", err)
 	}
 }
@@ -104,14 +97,6 @@ func TestReplicaLifecycle(t *testing.T) {
 	locs, _ := c.LocationsFor(coll, "mar98.nc")
 	if len(locs) != 2 {
 		t.Fatalf("after AddFilesToLocation: %d replicas, want 2", len(locs))
-	}
-	// sprite is retired.
-	if err := c.RemoveLocation(coll, "sprite.llnl.gov"); err != nil {
-		t.Fatal(err)
-	}
-	locs, _ = c.LocationsFor(coll, "mar98.nc")
-	if len(locs) != 1 || locs[0].Host != "jupiter.isi.edu" {
-		t.Fatalf("after RemoveLocation: %+v", locs)
 	}
 }
 

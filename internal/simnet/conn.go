@@ -729,8 +729,3 @@ func (h *Host) SetDown(down bool) {
 		c.resetLocked(err)
 	}
 }
-
-// RTT returns the connection's round-trip propagation delay.
-func (ep *Endpoint) RTT() time.Duration {
-	return ep.conn.flows[ep.idx].rtt
-}

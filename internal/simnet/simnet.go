@@ -295,9 +295,6 @@ func New(clk *vtime.Sim) *Net {
 	return n
 }
 
-// Clock returns the simulated clock driving this network.
-func (n *Net) Clock() *vtime.Sim { return n.clk }
-
 // Instrument attaches observability to the network: retired connections
 // are logged as simnet.conn.retired events (with the life-line label the
 // protocol layer set via transport.Labeler), and the number of active

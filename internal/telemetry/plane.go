@@ -401,8 +401,8 @@ func (a *aggNode) run() {
 			p.fail(fmt.Errorf("telemetry: %s accept: %w", a.name, err))
 			return
 		}
-		f, _, err := ReadFrame(c)
-		if err != nil {
+		var f Frame
+		if err := transport.ReadJSON(c, &f); err != nil {
 			p.fail(fmt.Errorf("telemetry: %s first frame: %w", a.name, err))
 			return
 		}
@@ -436,8 +436,8 @@ func (a *aggNode) run() {
 		for _, child := range a.children {
 			f := firsts[child]
 			if t > 0 {
-				var err error
-				if f, _, err = ReadFrame(conns[child]); err != nil {
+				f = Frame{}
+				if err := transport.ReadJSON(conns[child], &f); err != nil {
 					p.fail(fmt.Errorf("telemetry: %s read %s: %w", a.name, child, err))
 					return
 				}
@@ -626,24 +626,11 @@ func (p *Plane) Wait() error {
 	return err
 }
 
-// Stop tears the plane down early by closing its listeners.
-func (p *Plane) Stop() { p.closeListeners() }
-
 // Grids returns every grid snapshot folded so far, in tick order.
 func (p *Plane) Grids() []GridSnapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return append([]GridSnapshot(nil), p.grids...)
-}
-
-// Latest returns the most recent grid snapshot.
-func (p *Plane) Latest() (GridSnapshot, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.grids) == 0 {
-		return GridSnapshot{}, false
-	}
-	return p.grids[len(p.grids)-1], true
 }
 
 // LastSummary returns a copy of the root's most recent folded summary —

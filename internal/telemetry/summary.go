@@ -20,8 +20,6 @@ package telemetry
 import (
 	"encoding/binary"
 	"encoding/json"
-	"fmt"
-	"io"
 
 	"esgrid/internal/netlogger"
 )
@@ -152,10 +150,6 @@ type Frame struct {
 	Sites []SiteRow `json:"sites,omitempty"`
 }
 
-// maxFrameBytes bounds a decoded frame; a length prefix beyond it means
-// a corrupt or hostile stream.
-const maxFrameBytes = 16 << 20
-
 // EncodeFrame renders f as a 4-byte big-endian length followed by JSON.
 func EncodeFrame(f Frame) ([]byte, error) {
 	body, err := json.Marshal(f)
@@ -166,26 +160,4 @@ func EncodeFrame(f Frame) ([]byte, error) {
 	binary.BigEndian.PutUint32(out, uint32(len(body)))
 	copy(out[4:], body)
 	return out, nil
-}
-
-// ReadFrame reads one length-prefixed frame, returning it and the total
-// wire bytes consumed (prefix included).
-func ReadFrame(r io.Reader) (Frame, int, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, 0, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrameBytes {
-		return Frame{}, 0, fmt.Errorf("telemetry: frame of %d bytes exceeds limit", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return Frame{}, 0, err
-	}
-	var f Frame
-	if err := json.Unmarshal(body, &f); err != nil {
-		return Frame{}, 0, fmt.Errorf("telemetry: bad frame: %w", err)
-	}
-	return f, 4 + int(n), nil
 }

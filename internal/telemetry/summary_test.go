@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"esgrid/internal/netlogger"
+	"esgrid/internal/transport"
 )
 
 // hostSummary builds a deterministic single-host summary with the
@@ -123,17 +124,19 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, n, err := ReadFrame(bytes.NewReader(wire))
-	if err != nil {
+	// The plane reads frames with transport's framing.
+	r := bytes.NewReader(wire)
+	var got Frame
+	if err := transport.ReadJSON(r, &got); err != nil {
 		t.Fatal(err)
 	}
-	if n != len(wire) {
-		t.Fatalf("consumed %d of %d wire bytes", n, len(wire))
+	if r.Len() != 0 {
+		t.Fatalf("%d of %d wire bytes left unread", r.Len(), len(wire))
 	}
 	if !reflect.DeepEqual(got, f) {
 		t.Fatalf("round trip:\n%+v\n%+v", got, f)
 	}
-	if _, _, err := ReadFrame(bytes.NewReader(wire[:len(wire)-3])); err == nil {
+	if err := transport.ReadJSON(bytes.NewReader(wire[:len(wire)-3]), &got); err == nil {
 		t.Fatal("truncated frame decoded")
 	}
 }

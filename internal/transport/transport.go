@@ -10,10 +10,7 @@
 // remain real bytes on both transports.
 package transport
 
-import (
-	"net"
-	"time"
-)
+import "net"
 
 // Conn is a bidirectional byte stream; it is exactly net.Conn so real TCP
 // connections satisfy it untouched.
@@ -62,14 +59,6 @@ type VirtualReader interface {
 // retirement events so per-request network activity is attributable.
 type Labeler interface {
 	SetLabel(label string)
-}
-
-// DeadlineConn is the subset of net.Conn deadline control the protocol
-// layers use; both real and simulated conns provide it via net.Conn.
-type DeadlineConn interface {
-	SetDeadline(t time.Time) error
-	SetReadDeadline(t time.Time) error
-	SetWriteDeadline(t time.Time) error
 }
 
 // Real is the production Network backed by the operating system's TCP

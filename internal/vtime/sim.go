@@ -216,9 +216,6 @@ func NewSim(seed int64) *Sim {
 // still parked when Run returns; Go's wrapper recovers it.
 type stoppedPanic struct{}
 
-// ErrStopped is returned by helpers that observe a torn-down simulation.
-var ErrStopped = fmt.Errorf("vtime: simulation stopped")
-
 // Now implements Clock.
 func (s *Sim) Now() time.Time {
 	return Epoch.Add(s.now)

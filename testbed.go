@@ -351,7 +351,7 @@ func (tb *Testbed) start() bool {
 		if h := tb.HRMs[s.Name]; h != nil {
 			store = h.Store()
 			// HRM RPC endpoint (the CORBA interface of §4).
-			if !g.ServeRPC(s.Name, ":4811", h.RegisterRPC) {
+			if !g.ServeRPC(s.Name, fmt.Sprintf(":%d", hrm.Port), h.RegisterRPC) {
 				return false
 			}
 		} else {
