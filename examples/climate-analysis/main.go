@@ -10,8 +10,9 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 
 	esgrid "esgrid"
 	"esgrid/internal/climate"
@@ -25,12 +26,7 @@ func main() {
 	tb.Run(func() {
 		fmt.Println("== selecting data by application attributes (Figure 2) ==")
 		vars := climate.AllVariables()
-		names := make([]string, 0, len(vars))
-		for v := range vars {
-			names = append(names, v)
-		}
-		sort.Strings(names)
-		for _, v := range names {
+		for _, v := range slices.Sorted(maps.Keys(vars)) {
 			fmt.Printf("  %-4s %s\n", v, vars[v])
 		}
 		req, err := tb.Fetch(esgrid.Query{

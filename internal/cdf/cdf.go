@@ -13,7 +13,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
+	"slices"
 )
 
 // Magic identifies an ESG-CDF file.
@@ -425,12 +427,7 @@ func writeAttrs(w io.Writer, attrs map[string]string) error {
 		return err
 	}
 	// Deterministic order.
-	keys := make([]string, 0, len(attrs))
-	for k := range attrs {
-		keys = append(keys, k)
-	}
-	sortStrings(keys)
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(attrs)) {
 		if err := writeString(w, k); err != nil {
 			return err
 		}
@@ -462,14 +459,6 @@ func readAttrs(r io.Reader) (map[string]string, error) {
 		out[k] = v
 	}
 	return out, nil
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 type countingWriter struct {

@@ -15,7 +15,6 @@ package chaos
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -143,15 +142,6 @@ func (t *Targets) AddStager(name string, s Stager) *Targets { t.stagers[name] = 
 
 // SetDNS registers the name-service injector.
 func (t *Targets) SetDNS(d DNSInjector) *Targets { t.dns = d; return t }
-
-func sortedKeys[V any](m map[string]V) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
 
 // Runner executes Schedules on the virtual clock, emitting chaos.*
 // NetLogger events for every injection and heal so the Invariants

@@ -2,6 +2,8 @@ package chaos
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -80,7 +82,7 @@ func (inv Invariants) Check(files []FileResult, events []netlogger.Event, spans 
 		if f.RequestedBytes < f.Size {
 			bad("%s: requested %d bytes < size %d", f.Name, f.RequestedBytes, f.Size)
 		}
-		rep.RefetchBytes += max64(0, f.RequestedBytes-f.Size)
+		rep.RefetchBytes += max(0, f.RequestedBytes-f.Size)
 	}
 
 	// 3. Re-fetch overhead bounded by fault count.
@@ -94,7 +96,7 @@ func (inv Invariants) Check(files []FileResult, events []netlogger.Event, spans 
 	// sorted and non-overlapping, and coverage must shrink monotonically
 	// — a later attempt never asks for bytes an earlier attempt did not.
 	restarts := restartsByFile(events)
-	for _, name := range sortedKeys(restarts) {
+	for _, name := range slices.Sorted(maps.Keys(restarts)) {
 		var prev []gridftp.Extent
 		for i, ev := range restarts[name] {
 			exts, err := parseRestart(ev)
@@ -138,13 +140,6 @@ func (inv Invariants) Check(files []FileResult, events []netlogger.Event, spans 
 		}
 	}
 	return rep
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // restartsByFile collects rm.restart events per file, in log order.

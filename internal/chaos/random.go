@@ -2,7 +2,9 @@ package chaos
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 )
@@ -112,10 +114,5 @@ func (s Schedule) Kinds() []Kind {
 	for _, f := range s {
 		set[f.Kind] = true
 	}
-	out := make([]Kind, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Sorted(maps.Keys(set))
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"esgrid/internal/chaos"
@@ -234,9 +235,10 @@ func RunFigure8(cfg Figure8Config) (Figure8Result, error) {
 			res.Series[i].V *= 8
 		}
 		res.MeanBps = meter.AverageRate() * 8
+		// Values returns a fresh copy, so it is sorted in place.
 		vals := res.Series.Values()
-		st := netlogger.Summarize(vals)
-		res.PlateauBps = st.P90
+		sort.Float64s(vals)
+		res.PlateauBps = netlogger.Quantile(vals, 0.9)
 		for _, v := range vals {
 			if v < 1e6 { // under 1 Mb/s counts as a stall bucket
 				res.ZeroBuckets++

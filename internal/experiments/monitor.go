@@ -2,7 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"esgrid/internal/chaos"
@@ -290,12 +291,7 @@ func scoreCase(c MonitorCase, run MonitorRun, grace time.Duration) MonitorCaseRe
 			s.FalsePos++
 		}
 	}
-	var dets []string
-	for d := range byDet {
-		dets = append(dets, d)
-	}
-	sort.Strings(dets)
-	for _, d := range dets {
+	for _, d := range slices.Sorted(maps.Keys(byDet)) {
 		s := byDet[d]
 		if n := s.TruePos + s.FalsePos; n > 0 {
 			s.Precision = float64(s.TruePos) / float64(n)

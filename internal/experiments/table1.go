@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"esgrid/internal/chaos"
 	"esgrid/internal/flight"
 	"esgrid/internal/grid"
 	"esgrid/internal/gridftp"
@@ -196,7 +197,10 @@ func RunTable1(cfg Table1Config) (Table1Result, error) {
 		clk.AfterFunc(cfg.Duration, meter.Stop)
 
 		if cfg.ShowFloorFaults {
-			scheduleShowFloor(clk, n, wan, cfg.Duration)
+			targets := chaos.NewTargets().AddLink("wan", wan).SetDNS(n)
+			if g.Fail(chaos.NewRunner(clk, nil, targets).Apply(showFloorSchedule(cfg.Duration))) {
+				return
+			}
 		}
 		if cfg.CongestedLossRate > cfg.WANLossRate && cfg.CleanDwellMean > 0 && cfg.CongestedDwellMean > 0 {
 			startCongestionProcess(clk, wan, cfg)
@@ -326,18 +330,19 @@ func startCongestionProcess(clk *vtime.Sim, wan *simnet.Link, cfg Table1Config) 
 	clk.AfterFunc(time.Duration(clk.RandExp(float64(cfg.CleanDwellMean))), tick)
 }
 
-// scheduleShowFloor injects the exhibition conditions the paper reports,
-// scaled to the run duration: a brief SCinet power failure (connections
-// reset), a DNS outage, and a backbone degradation.
-func scheduleShowFloor(clk *vtime.Sim, n *simnet.Net, wan *simnet.Link, d time.Duration) {
+// showFloorSchedule is the exhibition conditions the paper reports, as
+// a chaos schedule scaled to a run of length d: a brief SCinet power
+// failure (connections reset), a DNS outage, and a backbone degradation.
+// The WAN link is target "wan". Each Duration is at(end) − at(start), so
+// every heal lands exactly on at(end).
+func showFloorSchedule(d time.Duration) chaos.Schedule {
 	at := func(frac float64) time.Duration { return time.Duration(float64(d) * frac) }
-	// Power failure: ~2% of the run, connections die.
-	clk.AfterFunc(at(0.30), func() { wan.SetUp(false, true) })
-	clk.AfterFunc(at(0.32), func() { wan.SetUp(true, true) })
-	// DNS problems: ~5% of the run, no new sessions.
-	clk.AfterFunc(at(0.55), func() { n.SetDNS(false) })
-	clk.AfterFunc(at(0.60), func() { n.SetDNS(true) })
-	// Backbone problems: ~10% of the run at one-quarter capacity.
-	clk.AfterFunc(at(0.75), func() { wan.SetCapacityFactor(0.25) })
-	clk.AfterFunc(at(0.85), func() { wan.SetCapacityFactor(1) })
+	return chaos.Schedule{
+		// Power failure: ~2% of the run, connections die.
+		{Kind: chaos.KindLinkDown, Target: "wan", Start: at(0.30), Duration: at(0.32) - at(0.30)},
+		// DNS problems: ~5% of the run, no new sessions.
+		{Kind: chaos.KindDNSOutage, Start: at(0.55), Duration: at(0.60) - at(0.55)},
+		// Backbone problems: ~10% of the run at one-quarter capacity.
+		{Kind: chaos.KindLinkDegrade, Target: "wan", Start: at(0.75), Duration: at(0.85) - at(0.75), Factor: 0.25},
+	}
 }

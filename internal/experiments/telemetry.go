@@ -186,18 +186,6 @@ func runTelemetryPlane(seed int64, sites, hostsPer, fanout, ticks int, slo telem
 	}, nil
 }
 
-// exactQuantile is the sorted-sample ground truth the sketch is judged
-// against.
-func exactQuantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	// Same zero-based rank convention as LogHistogram.Quantile, so the
-	// only divergence left to measure is the sketch's bucketing error.
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx]
-}
-
 func (r telemetryRun) cell(sites, hostsPer int) TelemetryCell {
 	c := TelemetryCell{Sites: sites, HostsPer: hostsPer, Hosts: sites * hostsPer}
 	for _, t := range r.traffic {
@@ -214,7 +202,7 @@ func (r telemetryRun) cell(sites, hostsPer int) TelemetryCell {
 	sort.Float64s(sorted)
 	if h, ok := r.lastSum.Hist("stage.retr"); ok {
 		for _, q := range []float64{0.5, 0.99, 0.999} {
-			d := netlogger.LogBucketDistance(h.Quantile(q), exactQuantile(sorted, q))
+			d := netlogger.LogBucketDistance(h.Quantile(q), netlogger.Quantile(sorted, q))
 			if d > c.MaxQErrBuckets {
 				c.MaxQErrBuckets = d
 			}

@@ -34,8 +34,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -552,15 +554,10 @@ func SiteCounts(recs []Record) []SiteCount {
 		}
 	}
 	out := make([]SiteCount, 0, len(idx))
-	//esglint:unordered rows are sorted deterministically below
-	for _, c := range idx {
-		out = append(out, *c)
+	for _, site := range slices.Sorted(maps.Keys(idx)) {
+		out = append(out, *idx[site])
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Fires != out[j].Fires {
-			return out[i].Fires > out[j].Fires
-		}
-		return out[i].Site < out[j].Site
-	})
+	// Stable, so equal fire counts keep name order.
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Fires > out[j].Fires })
 	return out
 }

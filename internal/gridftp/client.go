@@ -252,10 +252,17 @@ func (c *Client) Size(path string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if r.Code != codeSize {
-		return 0, r.err()
+	return sizeReply("SIZE", r)
+}
+
+// sizeReply reads the byte count of a 213 reply to verb (SIZE or XSUB):
+// a decimal int64, not negative.
+func sizeReply(verb string, r response) (int64, error) {
+	n, err := strconv.ParseInt(string(bytes.TrimSpace(r.Text)), 10, 64)
+	if r.Code != codeSize || err != nil || n < 0 {
+		return 0, fmt.Errorf("gridftp: bad %s reply %d %q", verb, r.Code, r.Text)
 	}
-	return strconv.ParseInt(string(bytes.TrimSpace(r.Text)), 10, 64)
+	return n, nil
 }
 
 // negotiateData issues PASV or SPAS and returns the data addresses.

@@ -139,6 +139,72 @@ func TestProtocolSessionSurvivesErrors(t *testing.T) {
 	}
 }
 
+// scriptedPeer serves one control session on a loopback port: it greets,
+// answers each XSUB with "213 " + xsub and every other command with 200,
+// and returns the address to dial.
+func scriptedPeer(t *testing.T, xsub string) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		br := bufio.NewReader(c)
+		io.WriteString(c, "220 scripted\r\n")
+		for {
+			line, err := br.ReadString('\n')
+			if err != nil {
+				return
+			}
+			reply := "200 ok"
+			if strings.HasPrefix(line, "XSUB ") {
+				reply = "213 " + xsub
+			}
+			if _, err := io.WriteString(c, reply+"\r\n"); err != nil {
+				return
+			}
+		}
+	}()
+	return l.Addr().String()
+}
+
+// TestSubsetSizeRejectsBadReplies: a 213 reply to XSUB whose size is not
+// a non-negative int64 is an error, never a wrapped or zero size a caller
+// would size a sink with.
+func TestSubsetSizeRejectsBadReplies(t *testing.T) {
+	for _, tc := range []struct {
+		reply string
+		want  int64
+		ok    bool
+	}{
+		{"4096", 4096, true},
+		{"9223372036854775807", 1<<63 - 1, true},
+		{"18446744073709551615", 0, false},
+		{"9223372036854775808", 0, false},
+		{"-1", 0, false},
+		{"size unknown", 0, false},
+	} {
+		cli, err := Dial(ClientConfig{Clock: vtime.Real{}, Net: transport.Real{}}, scriptedPeer(t, tc.reply))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := cli.SubsetSize("a.nc", "var=tas")
+		cli.Close()
+		if tc.ok && (err != nil || n != tc.want) {
+			t.Errorf("213 %s: SubsetSize = %d, %v; want %d", tc.reply, n, err, tc.want)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("213 %s: SubsetSize = %d with nil error", tc.reply, n)
+		}
+	}
+}
+
 func TestBlockHeaderRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := blockHeader{Flags: flagEOD, Len: 1<<40 + 5, Off: 1<<41 + 7}

@@ -39,27 +39,7 @@ func (c *Client) SubsetSize(path, spec string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	var n int64
-	for _, f := range strings.Fields(string(r.Text)) {
-		if v, err := parseInt64(f); err == nil {
-			n = v
-		}
-	}
-	return n, nil
-}
-
-func parseInt64(s string) (int64, error) {
-	var n int64
-	if len(s) == 0 {
-		return 0, errors.New("empty")
-	}
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			return 0, errors.New("not a number")
-		}
-		n = n*10 + int64(c-'0')
-	}
-	return n, nil
+	return sizeReply("XSUB", r)
 }
 
 // cmdXsub serves the subset-size query.

@@ -13,6 +13,7 @@ package ldapd
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -192,7 +193,7 @@ func (d *Dir) Modify(dn string, mods []Mod) error {
 			}
 			for _, v := range m.Values {
 				vs := work.Attrs[attr]
-				i := indexOf(vs, v)
+				i := slices.Index(vs, v)
 				if i < 0 {
 					return fmt.Errorf("%w: %s=%s", errValueNotFound, attr, v)
 				}
@@ -207,15 +208,6 @@ func (d *Dir) Modify(dn string, mods []Mod) error {
 	}
 	d.entries[ndn] = work
 	return nil
-}
-
-func indexOf(vs []string, v string) int {
-	for i, x := range vs {
-		if x == v {
-			return i
-		}
-	}
-	return -1
 }
 
 // Delete removes a leaf entry.
@@ -236,7 +228,7 @@ func (d *Dir) Delete(dn string) error {
 	delete(d.children, ndn)
 	parent := ParentDN(ndn)
 	kids := d.children[parent]
-	if i := indexOf(kids, ndn); i >= 0 {
+	if i := slices.Index(kids, ndn); i >= 0 {
 		d.children[parent] = append(kids[:i:i], kids[i+1:]...)
 	}
 	return nil

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -29,12 +31,7 @@ func (d *Dir) DumpLDIF(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "dn: %s\n", e.DN); err != nil {
 			return err
 		}
-		attrs := make([]string, 0, len(e.Attrs))
-		for a := range e.Attrs {
-			attrs = append(attrs, a)
-		}
-		sort.Strings(attrs)
-		for _, a := range attrs {
+		for _, a := range slices.Sorted(maps.Keys(e.Attrs)) {
 			for _, v := range e.Attrs[a] {
 				if _, err := fmt.Fprintf(w, "%s: %s\n", a, v); err != nil {
 					return err

@@ -5,7 +5,8 @@ package main
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 )
 
 var variables = map[string]string{
@@ -18,12 +19,7 @@ func main() {
 		fmt.Println(v, desc)
 	}
 
-	names := make([]string, 0, len(variables))
-	for v := range variables {
-		names = append(names, v)
-	}
-	sort.Strings(names)
-	for _, v := range names {
+	for _, v := range slices.Sorted(maps.Keys(variables)) {
 		fmt.Println(v, variables[v])
 	}
 }

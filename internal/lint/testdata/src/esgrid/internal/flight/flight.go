@@ -4,16 +4,14 @@
 // map iteration must not leak into anything it renders.
 package flight
 
-import "sort"
+import (
+	"maps"
+	"slices"
+)
 
-// Site aggregation the blessed way: gather, sort, fold.
+// Site aggregation the blessed way: the names in sorted order.
 func siteCountsSorted(fires map[string]int) []string {
-	names := make([]string, 0, len(fires))
-	for n := range fires {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(fires))
 }
 
 func siteCountsLeaky(fires map[string]int) []string {

@@ -4,20 +4,16 @@
 package monitor
 
 import (
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 )
 
-// Gather-then-sort is the blessed idiom: collect keys, sort, then fold
-// in canonical order.
+// Ranging over the sorted keys is the blessed form: fold in canonical
+// order.
 func emitSorted(m map[string]int) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]string, 0, len(keys))
-	for _, k := range keys {
+	out := make([]string, 0, len(m))
+	for _, k := range slices.Sorted(maps.Keys(m)) {
 		out = append(out, k+"="+strconv.Itoa(m[k]))
 	}
 	return out
@@ -38,6 +34,43 @@ func gatherNoSort(m map[string]int) []string {
 		keys = append(keys, k)
 	}
 	return keys
+}
+
+// A hand-written gather-then-sort loop ends in canonical order, but the
+// analyzer does not recognise it: slices.Sorted(maps.Keys(m)) says the
+// same in one expression.
+func gatherThenSort(m map[string]int) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m { // want `range over map in ordered-output package`
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// The maps iterators walk in the map's own hash order.
+func iterKeys(m map[string]int) []string {
+	var keys []string
+	for k := range maps.Keys(m) { // want `range over map in ordered-output package`
+		keys = append(keys, k)
+	}
+	return keys
+}
+
+func iterValues(m map[string]int) string {
+	s := ""
+	for v := range maps.Values(m) { // want `range over map in ordered-output package`
+		s += strconv.Itoa(v)
+	}
+	return s
+}
+
+func iterAll(m map[string]int) string {
+	s := ""
+	for k, v := range maps.All(m) { // want `range over map in ordered-output package`
+		s += k + strconv.Itoa(v)
+	}
+	return s
 }
 
 // A bare range only counts; order cannot leak.

@@ -8,22 +8,18 @@
 package telemetry
 
 import (
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"esgrid/internal/netlogger"
 )
 
-// foldSorted is the blessed tree fold: children gathered, sorted, then
-// folded in canonical order.
+// foldSorted is the blessed tree fold: children folded in sorted-name
+// order.
 func foldSorted(children map[string]int64) int64 {
-	names := make([]string, 0, len(children))
-	for name := range children {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	var sum int64
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(children)) {
 		sum += children[name]
 	}
 	return sum

@@ -11,7 +11,8 @@ package mds
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"time"
 
@@ -224,13 +225,8 @@ func (s *Service) upsert(dn string, vals map[string][]string) error {
 		// Replace attributes in sorted order so the directory's mod
 		// sequence — and any event stream folded from it — does not
 		// depend on map iteration order.
-		attrs := make([]string, 0, len(vals))
-		for k := range vals {
-			attrs = append(attrs, k)
-		}
-		sort.Strings(attrs)
 		mods := make([]ldapd.Mod, 0, len(vals))
-		for _, k := range attrs {
+		for _, k := range slices.Sorted(maps.Keys(vals)) {
 			mods = append(mods, ldapd.Mod{Op: ldapd.ModReplace, Attr: k, Values: vals[k]})
 		}
 		return s.dir.Modify(dn, mods)

@@ -18,7 +18,8 @@ package monitor
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -163,15 +164,9 @@ func New(cfg Config) *Monitor {
 		starts:    map[string]spanStart{},
 	}
 	if cfg.Clock != nil {
-		m.nextTick = nextBoundary(cfg.Clock.Now(), tickPeriod)
+		m.nextTick = vtime.NextTick(cfg.Clock.Now(), tickPeriod)
 	}
 	return m
-}
-
-// nextBoundary returns the first Epoch-aligned tick boundary strictly
-// after t (see vtime.NextTick — the telemetry plane shares this grid).
-func nextBoundary(t time.Time, tick time.Duration) time.Time {
-	return vtime.NextTick(t, tick)
 }
 
 // Attach subscribes the monitor to log's event stream.
@@ -221,7 +216,7 @@ func (m *Monitor) Observe(ev netlogger.Event) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.nextTick.IsZero() {
-		m.nextTick = nextBoundary(ev.Time, tickPeriod)
+		m.nextTick = vtime.NextTick(ev.Time, tickPeriod)
 	}
 	if ev.Time.After(m.lastSeen) {
 		m.lastSeen = ev.Time
@@ -237,7 +232,7 @@ func (m *Monitor) AdvanceTo(t time.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.nextTick.IsZero() {
-		m.nextTick = nextBoundary(t.Add(-tickPeriod), tickPeriod)
+		m.nextTick = vtime.NextTick(t.Add(-tickPeriod), tickPeriod)
 	}
 	if t.After(m.lastSeen) {
 		m.lastSeen = t
@@ -297,12 +292,7 @@ func (m *Monitor) tickLocked(at time.Time) {
 	// run — so the names must be visited in sorted order, not map order,
 	// or two hosts first seen on the same tick would land in hOrder (and
 	// every exported snapshot) in a run-dependent order.
-	names := make([]string, 0, len(sums))
-	for name := range sums {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(sums)) {
 		if _, ok := m.hosts[name]; !ok {
 			m.host(name).goodput.Push(sums[name])
 		}
@@ -597,12 +587,7 @@ func (m *Monitor) Snapshot(now time.Time) Snapshot {
 			Received: t.Received, RateBps: t.RateBps, Attempts: t.Attempts,
 		})
 	}
-	stages := make([]string, 0, len(m.stages))
-	for st := range m.stages {
-		stages = append(stages, st)
-	}
-	sort.Strings(stages)
-	for _, st := range stages {
+	for _, st := range slices.Sorted(maps.Keys(m.stages)) {
 		s.Stages = append(s.Stages, StageStat{Stage: st, Tail: m.stages[st].Tail()})
 	}
 	s.Alerts = append(s.Alerts, m.alerts...)

@@ -1,9 +1,6 @@
 package monitor
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestRingEviction(t *testing.T) {
 	r := NewRing(3)
@@ -37,22 +34,5 @@ func TestRingMinCapacity(t *testing.T) {
 	r.Push(9)
 	if r.Last() != 9 || r.Mean(0) != 9 {
 		t.Fatalf("capacity-1 ring: last=%v mean=%v", r.Last(), r.Mean(0))
-	}
-}
-
-func TestNextBoundaryEpochAligned(t *testing.T) {
-	epoch := time.Date(2000, time.November, 6, 8, 0, 0, 0, time.UTC)
-	tick := time.Second
-	if got := nextBoundary(epoch, tick); !got.Equal(epoch.Add(time.Second)) {
-		t.Fatalf("at epoch: %v", got)
-	}
-	at := epoch.Add(1500 * time.Millisecond)
-	if got := nextBoundary(at, tick); !got.Equal(epoch.Add(2 * time.Second)) {
-		t.Fatalf("mid-interval: %v", got)
-	}
-	// Exactly on a boundary → strictly the next one.
-	at = epoch.Add(5 * time.Second)
-	if got := nextBoundary(at, tick); !got.Equal(epoch.Add(6 * time.Second)) {
-		t.Fatalf("on boundary: %v", got)
 	}
 }

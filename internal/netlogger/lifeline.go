@@ -11,6 +11,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -129,12 +131,7 @@ func AnalyzeTrace(spans []SpanRecord, traceID int) TraceAnalysis {
 			delete(totals, stage)
 		}
 	}
-	var extra []string
-	for stage := range totals {
-		extra = append(extra, stage)
-	}
-	sort.Strings(extra)
-	for _, stage := range extra {
+	for _, stage := range slices.Sorted(maps.Keys(totals)) {
 		a.Stages = append(a.Stages, StageTotal{stage, totals[stage]})
 		a.Attributed += totals[stage]
 	}
@@ -218,15 +215,6 @@ func (a TraceAnalysis) RenderGantt(width int) string {
 	for _, r := range a.Spans {
 		children[r.Parent] = append(children[r.Parent], r)
 	}
-	//esglint:unordered sorts each bucket in place; row order comes from walk(), not this loop
-	for _, cs := range children {
-		sort.Slice(cs, func(i, j int) bool {
-			if !cs[i].Start.Equal(cs[j].Start) {
-				return cs[i].Start.Before(cs[j].Start)
-			}
-			return cs[i].ID < cs[j].ID
-		})
-	}
 	labelW := 0
 	var order []struct {
 		r      SpanRecord
@@ -234,7 +222,15 @@ func (a TraceAnalysis) RenderGantt(width int) string {
 	}
 	var walk func(id, indent int)
 	walk = func(id, indent int) {
-		for _, c := range children[id] {
+		// Each span has one parent, so each bucket is sorted once.
+		cs := children[id]
+		sort.Slice(cs, func(i, j int) bool {
+			if !cs[i].Start.Equal(cs[j].Start) {
+				return cs[i].Start.Before(cs[j].Start)
+			}
+			return cs[i].ID < cs[j].ID
+		})
+		for _, c := range cs {
 			order = append(order, struct {
 				r      SpanRecord
 				indent int
@@ -310,12 +306,7 @@ func (l *Log) ULM() string {
 		ts := ev.Time.UTC()
 		fmt.Fprintf(&b, "DATE=%s.%06d HOST=%s NL.EVNT=%s",
 			ts.Format("20060102150405"), ts.Nanosecond()/1000, ev.Host, ev.Name)
-		keys := make([]string, 0, len(ev.Fields))
-		for k := range ev.Fields {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		for _, k := range slices.Sorted(maps.Keys(ev.Fields)) {
 			v := ev.Fields[k]
 			if strings.ContainsAny(v, " \t") || v == "" {
 				v = `"` + v + `"`

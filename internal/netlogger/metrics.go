@@ -11,6 +11,8 @@ package netlogger
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -177,17 +179,14 @@ func (r *Registry) walk(fn func(name string, inst any)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var rows []row
-	//esglint:unordered rows are sorted by name below before fn sees them
-	for name, c := range r.counters {
-		rows = append(rows, row{name, c})
+	for _, name := range slices.Sorted(maps.Keys(r.counters)) {
+		rows = append(rows, row{name, r.counters[name]})
 	}
-	//esglint:unordered rows are sorted by name below before fn sees them
-	for name, g := range r.gauges {
-		rows = append(rows, row{name, g})
+	for _, name := range slices.Sorted(maps.Keys(r.gauges)) {
+		rows = append(rows, row{name, r.gauges[name]})
 	}
-	//esglint:unordered rows are sorted by name below before fn sees them
-	for name, h := range r.hlogs {
-		rows = append(rows, row{name, h})
+	for _, name := range slices.Sorted(maps.Keys(r.hlogs)) {
+		rows = append(rows, row{name, r.hlogs[name]})
 	}
 	// Stable, so a name shared across kinds keeps the gather order.
 	sort.SliceStable(rows, func(i, j int) bool { return rows[i].name < rows[j].name })

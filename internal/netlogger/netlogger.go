@@ -13,8 +13,6 @@ package netlogger
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -265,46 +263,14 @@ func (m *Meter) RateSeries(bucket time.Duration) Series {
 	return out
 }
 
-// Stats summarises a slice of values.
-type Stats struct {
-	N                int
-	Mean, Min, Max   float64
-	P50, P90, P99    float64
-	StdDev, Sum, MAE float64 // MAE is vs the mean
-}
-
-// Summarize computes descriptive statistics of vs.
-func Summarize(vs []float64) Stats {
-	var st Stats
-	st.N = len(vs)
-	if st.N == 0 {
-		return st
+// Quantile returns the q-th quantile of sorted, an ascending slice: the
+// value at zero-based rank int(q·(n−1)), the rank HistSnapshot.Quantile
+// uses. It returns 0 for an empty slice.
+func Quantile(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
 	}
-	sorted := make([]float64, len(vs))
-	copy(sorted, vs)
-	sort.Float64s(sorted)
-	st.Min, st.Max = sorted[0], sorted[len(sorted)-1]
-	for _, v := range vs {
-		st.Sum += v
-	}
-	st.Mean = st.Sum / float64(st.N)
-	for _, v := range vs {
-		d := v - st.Mean
-		st.StdDev += d * d
-		if d < 0 {
-			st.MAE -= d
-		} else {
-			st.MAE += d
-		}
-	}
-	st.StdDev = math.Sqrt(st.StdDev / float64(st.N))
-	st.MAE /= float64(st.N)
-	pct := func(p float64) float64 {
-		i := int(p * float64(len(sorted)-1))
-		return sorted[i]
-	}
-	st.P50, st.P90, st.P99 = pct(0.50), pct(0.90), pct(0.99)
-	return st
+	return sorted[int(q*float64(len(sorted)-1))]
 }
 
 // Values extracts the sample values.

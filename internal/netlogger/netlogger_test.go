@@ -178,26 +178,18 @@ func TestMeterNonPositiveIntervalPanics(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	st := Summarize([]float64{1, 2, 3, 4, 100})
-	if st.N != 5 || st.Min != 1 || st.Max != 100 {
-		t.Fatalf("stats = %+v", st)
+func TestQuantile(t *testing.T) {
+	sorted := []float64{1, 2, 3, 4, 100}
+	// Floor-index rank int(q·(n−1)): 0.9·4 = 3.6 reads index 3.
+	for _, c := range []struct{ q, want float64 }{
+		{0, 1}, {0.5, 3}, {0.9, 4}, {0.99, 4}, {1, 100},
+	} {
+		if got := Quantile(sorted, c.q); got != c.want {
+			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
+		}
 	}
-	if st.Mean != 22 {
-		t.Fatalf("mean = %v", st.Mean)
-	}
-	if st.P50 != 3 {
-		t.Fatalf("p50 = %v", st.P50)
-	}
-	// Floor-index percentile: index int(0.9*4) = 3.
-	if st.P90 != 4 {
-		t.Fatalf("p90 = %v", st.P90)
-	}
-	if st.P99 != 4 {
-		t.Fatalf("p99 = %v", st.P99)
-	}
-	if Summarize(nil).N != 0 {
-		t.Fatal("empty stats")
+	if got := Quantile(nil, 0.9); got != 0 {
+		t.Errorf("empty Quantile = %v, want 0", got)
 	}
 }
 

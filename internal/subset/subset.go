@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	"esgrid/internal/cdf"
 	"esgrid/internal/gridftp"
@@ -34,15 +33,15 @@ var (
 )
 
 // Store holds encoded ESG-CDF files and serves both whole files (RETR)
-// and server-side subsets (ESUB). It implements gridftp.FileStore and
+// and server-side subsets (ESUB). The embedded gridftp.MemStore holds
+// the bytes and implements gridftp.FileStore; Store adds
 // gridftp.SubsetStore.
 type Store struct {
-	mu    sync.RWMutex
-	files map[string][]byte
+	*gridftp.MemStore
 }
 
 // NewStore returns an empty store.
-func NewStore() *Store { return &Store{files: map[string][]byte{}} }
+func NewStore() *Store { return &Store{gridftp.NewMemStore()} }
 
 // PutFile encodes and stores a dataset under name.
 func (s *Store) PutFile(name string, f *cdf.File) error {
@@ -50,60 +49,13 @@ func (s *Store) PutFile(name string, f *cdf.File) error {
 	if err := f.Encode(&buf); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.files[name] = buf.Bytes()
-	return nil
-}
-
-// Open implements gridftp.FileStore.
-func (s *Store) Open(name string) (gridftp.Source, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	data, ok := s.files[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", gridftp.ErrNoSuchFile, name)
-	}
-	return gridftp.NewBytesSource(data), nil
-}
-
-// Stat implements gridftp.FileStore.
-func (s *Store) Stat(name string) (int64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	data, ok := s.files[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", gridftp.ErrNoSuchFile, name)
-	}
-	return int64(len(data)), nil
-}
-
-// Create implements gridftp.FileStore (uploads of cdf files).
-func (s *Store) Create(name string, size int64) (gridftp.Sink, error) {
-	return &storeSink{store: s, name: name, BytesSink: gridftp.NewBytesSink(size)}, nil
-}
-
-type storeSink struct {
-	*gridftp.BytesSink
-	store *Store
-	name  string
-}
-
-func (k *storeSink) Complete() error {
-	if err := k.BytesSink.Complete(); err != nil {
-		return err
-	}
-	k.store.mu.Lock()
-	defer k.store.mu.Unlock()
-	k.store.files[k.name] = k.BytesSink.Bytes()
+	s.Put(name, buf.Bytes())
 	return nil
 }
 
 // OpenSubset implements gridftp.SubsetStore.
 func (s *Store) OpenSubset(name, spec string) (gridftp.Source, error) {
-	s.mu.RLock()
-	data, ok := s.files[name]
-	s.mu.RUnlock()
+	data, ok := s.Get(name)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", gridftp.ErrNoSuchFile, name)
 	}

@@ -3,6 +3,8 @@ package telemetry
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -253,11 +255,7 @@ func (p *Plane) Start() error {
 	if len(p.sites) == 0 {
 		return errors.New("telemetry: no sites")
 	}
-	siteNames := make([]string, 0, len(p.sites))
-	for name := range p.sites {
-		siteNames = append(siteNames, name)
-	}
-	sort.Strings(siteNames)
+	siteNames := slices.Sorted(maps.Keys(p.sites))
 
 	var all []*aggNode
 	level := make([]*aggNode, 0, len(siteNames))
@@ -657,9 +655,8 @@ func (p *Plane) Traffic() []TierTraffic {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make([]TierTraffic, 0, len(p.traffic))
-	for _, t := range p.traffic { //esglint:unordered — sorted below
-		out = append(out, *t)
+	for _, tier := range slices.Sorted(maps.Keys(p.traffic)) {
+		out = append(out, *p.traffic[tier])
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Tier < out[j].Tier })
 	return out
 }

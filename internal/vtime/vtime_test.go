@@ -6,6 +6,27 @@ import (
 	"time"
 )
 
+func TestNextTickEpochAligned(t *testing.T) {
+	tick := time.Second
+	if got := NextTick(Epoch, tick); !got.Equal(Epoch.Add(time.Second)) {
+		t.Fatalf("at epoch: %v", got)
+	}
+	at := Epoch.Add(1500 * time.Millisecond)
+	if got := NextTick(at, tick); !got.Equal(Epoch.Add(2 * time.Second)) {
+		t.Fatalf("mid-interval: %v", got)
+	}
+	// Exactly on a boundary → strictly the next one.
+	at = Epoch.Add(5 * time.Second)
+	if got := NextTick(at, tick); !got.Equal(Epoch.Add(6 * time.Second)) {
+		t.Fatalf("on boundary: %v", got)
+	}
+	// Before the Epoch the grid extends backwards.
+	at = Epoch.Add(-1500 * time.Millisecond)
+	if got := NextTick(at, tick); !got.Equal(Epoch.Add(-time.Second)) {
+		t.Fatalf("before epoch: %v", got)
+	}
+}
+
 func TestSimSleepAdvancesVirtualTime(t *testing.T) {
 	s := NewSim(1)
 	var elapsed time.Duration

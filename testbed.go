@@ -178,8 +178,8 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 	n.AddLink(cfg.ClientSite, "wan", simnet.LinkConfig{CapacityBps: cfg.ClientCapacityBps, Delay: cfg.ClientDelay})
 
 	// Catalogs live in one directory (the prototype ran them on LDAP
-	// servers at ANL; in-process here, remote access is exercised by the
-	// ldapd tests and the esgd daemon).
+	// servers at ANL; here the directory is in-process and served over
+	// no wire).
 	dir := ldapd.NewDir()
 	tb.dir = dir
 	var err error
